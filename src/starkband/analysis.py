@@ -215,7 +215,7 @@ def revival_time(
 
 @dataclass(frozen=True)
 class SpectralRevival:
-    """Quasi-energy gaps of the three dominant coefficients and the beat time."""
+    """Quasi-energy gaps of the three dominant clusters and the beat time."""
 
     omega_12: float
     omega_23: float
@@ -231,20 +231,23 @@ def spectral_revival_estimate(
     spectrum,
     resolution_floor: float = 1e-12,
 ) -> SpectralRevival:
-    """Revival time from the beat of the three largest-|c_n| quasi-energies.
+    """Revival time from the beat of the three heaviest quasi-energy clusters.
 
-    The three are unwrapped across the folding boundary to mutually nearest
-    images, sorted by quasi-energy, and the difference of neighbouring gaps
-    gives the beat period 2*pi/|omega_23 - omega_12|.  An equally spaced
-    triplet beats forever (infinite estimate).
+    Weights are aggregated over numerically degenerate clusters
+    (`cluster_weights`), because single coefficients inside a cluster depend
+    on the basis chosen there.  The three cluster energies are unwrapped
+    across the folding boundary to mutually nearest images, sorted, and the
+    difference of neighbouring gaps gives the beat period
+    2*pi/|omega_23 - omega_12|.  An equally spaced triplet beats forever
+    (infinite estimate).
     """
-    c = np.abs(np.asarray(spectrum.coefficients))
-    if np.count_nonzero(c > 1e-12) < 3:
-        raise ValueError("need at least 3 nonzero coefficients for a spectral estimate")
-    top = np.argsort(c, kind="stable")[-3:]
-    eps = np.asarray(spectrum.quasi_energies)[top]
+    energies, weights = cluster_weights(spectrum)
+    if np.count_nonzero(weights > 1e-24) < 3:
+        raise ValueError("need at least 3 nonzero cluster weights for a spectral estimate")
+    top = np.argsort(weights, kind="stable")[-3:]
+    eps = energies[top]
     period = spectrum.force
-    anchor = eps[np.argmax(c[top])]
+    anchor = eps[np.argmax(weights[top])]
     eps = np.sort(_nearest_image(eps, anchor, period))
     omega_12 = float(eps[1] - eps[0])
     omega_23 = float(eps[2] - eps[1])
@@ -372,7 +375,7 @@ class RevivalReport:
     t_coll_measured: float | None
     t_rev_measured: float | None
     t_rev_universal: float | None  # closed-form 4*pi/(g Wx J0^2 J0^2) estimate
-    t_rev_spectral: float | None   # three-coefficient beat estimate
+    t_rev_spectral: float | None   # three-cluster beat estimate
     omega_12: float | None
     omega_23: float | None
     delta_n: float | None
@@ -422,7 +425,7 @@ def build_revival_report(
         spectral = spectral_revival_estimate(spectrum)
         t_rev_spectral = spectral.t_rev if math.isfinite(spectral.t_rev) else None
         omega_12, omega_23 = spectral.omega_12, spectral.omega_23
-    except ValueError:  # fewer than three participating states
+    except ValueError:  # fewer than three participating clusters
         t_rev_spectral = omega_12 = omega_23 = None
     delta_n = coefficient_width(spectrum)
     ratio = t_rev / t_coll if (t_rev is not None and t_coll) else None

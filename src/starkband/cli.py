@@ -126,13 +126,18 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "l", None) is not None:
         params = replace(params, n_sites=args.l)
     mask = TermMask.from_names(args.terms) if getattr(args, "terms", None) else TermMask()
+    rtol = getattr(args, "rtol", DEFAULT_RTOL)
+    atol = getattr(args, "atol", DEFAULT_ATOL)
+    for name, value in (("rtol", rtol), ("atol", atol)):
+        if not value > 0:
+            raise ValueError(f"--{name} must be positive, got {value}")
     return RunConfig(
         params=params,
         order=order,
         initial_state=_parse_initial(getattr(args, "initial", "unit-filling-lower")),
         mask=mask,
-        rtol=getattr(args, "rtol", DEFAULT_RTOL) or DEFAULT_RTOL,
-        atol=getattr(args, "atol", DEFAULT_ATOL) or DEFAULT_ATOL,
+        rtol=rtol,
+        atol=atol,
     )
 
 
@@ -230,6 +235,7 @@ def _revival_record(cfg: RunConfig, n_periods: int | None, prominence: float) ->
                 "t_rev_spectral", "revival_fwhm"):
         record[key + "_tb"] = record[key] / tb if record[key] is not None else None
     record["t_bloch"] = tb
+    record["unitarity_defect"] = spectrum.unitarity_defect
     record["fingerprint"] = cfg.fingerprint(t_final_tb=n_periods)
     return record
 

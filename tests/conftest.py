@@ -3,7 +3,6 @@ acceptance suite and the unit tests do not repeat one-period integrations."""
 
 import math
 
-import numpy as np
 import pytest
 
 import starkband as sb
@@ -72,13 +71,3 @@ class PresetRuns:
 def preset_runs(sector55, psi0_unit):
     return PresetRuns(sector55, psi0_unit)
 
-
-@pytest.fixture(scope="session")
-def continuous_g0_run(sector55, psi0_unit):
-    """Direct (not stroboscopic) g=0 run over 600 Bloch periods, T_B/32 sampling."""
-    params = sb.preset_v0_4(0.0)
-    parts = sb.build_interaction_picture(params, sector55)
-    tb = parts.t_bloch
-    result = sb.evolve(psi0_unit, parts, 600 * tb, sample_every=tb / 32)
-    trace = sb.occupation_series(result, sector55)
-    return result, trace

@@ -197,6 +197,18 @@ def test_spectral_estimate_ignores_small_background():
     assert out.t_rev == pytest.approx(2 * math.pi / 0.1, rel=1e-9)
 
 
+def test_spectral_estimate_uses_cluster_weights():
+    # one cluster's weight split over two degenerate members, each now
+    # smaller than the 0.3 coefficient of a third cluster
+    whole = _spectrum([0.0, 1.0, 2.1, 3.5], [0.8, 0.5, 0.3, 0.25])
+    split = _spectrum([0.0, 1.0, 1.0, 2.1, 3.5],
+                      [0.8, 0.5 * math.sqrt(0.5), 0.5j * math.sqrt(0.5), 0.3, 0.25])
+    want = sb.spectral_revival_estimate(whole)
+    out = sb.spectral_revival_estimate(split)
+    assert want.t_rev == pytest.approx(2 * math.pi / 0.1, rel=1e-9)
+    assert out.t_rev == pytest.approx(want.t_rev, rel=1e-12)
+
+
 def test_coefficient_width_two_equal_rungs():
     spec = _spectrum([0.0, 0.01], [math.sqrt(0.5), math.sqrt(0.5)])
     assert sb.coefficient_width(spec) == pytest.approx(0.5, rel=1e-12)

@@ -121,6 +121,15 @@ def test_revival_report_small_system(params_file, tmp_path):
     assert record["t_rev_measured"] is None
     assert "fingerprint" in record and "g=0.1" in record["fingerprint"]
     assert record["t_rev_universal"] > 0
+    assert 0 <= record["unitarity_defect"] < 1e-8
+
+
+@pytest.mark.parametrize("flag", ["--rtol", "--atol"])
+@pytest.mark.parametrize("value", ["0", "-1e-9"])
+def test_nonpositive_tolerance_exits_2(params_file, capsys, flag, value):
+    assert main(["evolve", "--params", params_file, "--initial", "1,0;0,0",
+                 "--t-final-tb", "2", f"{flag}={value}"]) == 2
+    assert f"{flag} must be positive" in capsys.readouterr().err
 
 
 def test_sweep_g_rows_in_order(params_file, capsys):

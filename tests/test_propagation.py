@@ -99,6 +99,47 @@ def test_floquet_unitarity_and_periodicity(small_system):
     assert np.abs(result.snapshots[-1].coords - u @ (u @ psi0)).max() < 1e-8
 
 
+@pytest.fixture(scope="module")
+def system44():
+    params = replace(sb.preset_v0_4(0.2), n_particles=4, n_sites=4)
+    return sb.build_interaction_picture(params, sb.build_k0_sector(4, 4))
+
+
+def test_apply_matches_dense_hamiltonian(system44):
+    parts = system44
+    rng = np.random.default_rng(3)
+    t = 0.37 * parts.t_bloch
+    h = parts.dense_at(t)
+    for shape in ((parts.basis_dim,), (parts.basis_dim, 5)):
+        y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert np.abs(parts.apply(t, y) - h @ y).max() < 1e-12 * np.abs(h).max()
+
+
+def test_floquet_operator_matches_lab_frame_full_period(system44):
+    # U = V^T V is symmetric by construction, so check it against an
+    # independent full-period integration of i dU/dt = H(t) U in the lab frame
+    parts = system44
+    dim = parts.basis_dim
+    assert dim == 86
+
+    def rhs(t, y):
+        return (-1j * parts.dense_at(t) @ y.reshape(dim, dim)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, parts.t_bloch), np.eye(dim, dtype=complex).ravel(),
+                    method="DOP853", rtol=1e-12, atol=1e-12)
+    assert sol.success
+    oracle = sol.y[:, -1].reshape(dim, dim)
+    assert np.abs(sb.floquet_operator(parts) - oracle).max() < 1e-9
+
+
+def test_floquet_rejects_complex_hopping(small_system):
+    _, parts, _ = small_system
+    hop = 1j * parts.h_hop
+    rotated = replace(parts, h_hop=hop, h_hop_dag=hop.getH().tocsr())
+    with pytest.raises(ValueError, match="h_hop"):
+        sb.floquet_operator(rotated)
+
+
 def test_floquet_dimension_cap():
     parts = _diagonal_parts([0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
