@@ -20,7 +20,6 @@ from .analysis import (
     spectral_revival_estimate,
     upper_envelope,
 )
-from .bessel import bessel_j
 from .fock import (
     FockState,
     SymmetrySector,
@@ -34,23 +33,21 @@ from .fock import (
 from .hamiltonian import (
     HamiltonianParts,
     TermMask,
-    TwoLevelModel,
     build_interaction_picture,
-    build_resonant_two_level,
     build_single_particle_transformed,
     build_static_tilted,
     hermiticity_defect,
 )
 from .model import (
     PRESETS,
-    DerivedScales,
     ModelParams,
+    TwoLevelModel,
+    build_resonant_two_level,
     collapse_from_revival,
     load_params,
     preset_v0_4,
     rabi_occupation,
     resonant_force,
-    resonant_period,
     revival_estimate_universal,
 )
 from .propagation import (

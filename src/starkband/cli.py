@@ -14,19 +14,18 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis
 from .fock import FockState, build_k0_sector, full_dimension, project_initial_state
-from .hamiltonian import TermMask, build_interaction_picture, build_resonant_two_level, \
-    build_single_particle_transformed
+from .hamiltonian import TermMask, build_interaction_picture, build_single_particle_transformed
 from .model import (
     PRESETS,
-    DerivedScales,
     ModelParams,
+    build_resonant_two_level,
     load_params,
     rabi_occupation,
     revival_estimate_universal,
@@ -58,11 +57,8 @@ class RunConfig:
     atol: float
 
     def fingerprint(self, **extra) -> str:
-        p = self.params
-        items = [
-            ("delta", p.delta), ("c0", p.c0), ("t_a", p.t_a), ("t_b", p.t_b),
-            ("w_a", p.w_a), ("w_b", p.w_b), ("w_x", p.w_x), ("g", p.g),
-            ("force", p.force), ("n_particles", p.n_particles), ("n_sites", p.n_sites),
+        items = [(f.name, getattr(self.params, f.name)) for f in fields(ModelParams)]
+        items += [
             ("order", self.order), ("initial", self.initial_state),
             ("terms", "+".join(self.mask.names())),
             ("rtol", self.rtol), ("atol", self.atol),
@@ -128,9 +124,10 @@ def _resolve_config(args) -> RunConfig:
     mask = TermMask.from_names(args.terms) if getattr(args, "terms", None) else TermMask()
     rtol = getattr(args, "rtol", DEFAULT_RTOL)
     atol = getattr(args, "atol", DEFAULT_ATOL)
-    for name, value in (("rtol", rtol), ("atol", atol)):
-        if not value > 0:
-            raise ValueError(f"--{name} must be positive, got {value}")
+    for name in ("rtol", "atol", "t_final_tb", "sample_per_tb"):
+        value = getattr(args, name, None)
+        if value is not None and not value > 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be positive, got {value}")
     return RunConfig(
         params=params,
         order=order,

@@ -1,6 +1,6 @@
 """Many-body Hamiltonian assembly on the kappa = 0 sector, plus the
-single-particle effective models (dressed-site ladder and two-level
-reduction) used to predict the inter-band dynamics.
+single-particle dressed-site ladder used to check the closed-form
+predictions of `model` against the inter-band dynamics.
 
 In the interaction picture with respect to the tilt the Hamiltonian is
 time-periodic:
@@ -21,19 +21,17 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.special import jv
 
-from .bessel import bessel_j
 from .fock import FockState, SymmetrySector, state_rank
-from .model import DerivedScales, ModelParams
+from .model import ModelParams
 
 __all__ = [
     "TermMask",
     "HamiltonianParts",
-    "TwoLevelModel",
     "build_interaction_picture",
     "build_static_tilted",
     "build_single_particle_transformed",
-    "build_resonant_two_level",
     "hermiticity_defect",
 ]
 
@@ -350,17 +348,16 @@ def build_single_particle_transformed(
     m = int(site_window)
     if m < 1:
         raise ValueError(f"site window half-width must be >= 1, got {site_window}")
-    scales = DerivedScales.from_params(params)
-    dx = scales.delta_x
+    dx = params.delta_x
 
-    tail = max(abs(bessel_j(k, dx)) for k in range(bessel_cutoff + 1, bessel_cutoff + 5))
+    tail = np.abs(jv(np.arange(bessel_cutoff + 1, bessel_cutoff + 5), dx)).max()
     if tail >= 1e-12:
         warnings.warn(
             f"bessel_cutoff={bessel_cutoff} drops couplings of size {tail:.2e} at delta_x={dx:.3g}",
             stacklevel=2,
         )
     if m < bessel_cutoff:
-        lost = max(abs(bessel_j(k, dx)) for k in range(m + 1, bessel_cutoff + 1))
+        lost = np.abs(jv(np.arange(m + 1, bessel_cutoff + 1), dx)).max()
         if lost >= 1e-12:
             warnings.warn(
                 f"site window {m} is smaller than the coupling range; "
@@ -368,61 +365,13 @@ def build_single_particle_transformed(
                 stacklevel=2,
             )
 
-    n_sites = 2 * m + 1
-    h = np.zeros((2 * n_sites, 2 * n_sites))
-    cf = params.c0 * params.force
-    for idx, l in enumerate(range(-m, m + 1)):
-        h[idx, idx] = -0.5 * params.delta + l * params.force
-        h[n_sites + idx, n_sites + idx] = +0.5 * params.delta + l * params.force
-    for li, l in enumerate(range(-m, m + 1)):
-        for ni, n in enumerate(range(-m, m + 1)):
-            if abs(l - n) <= bessel_cutoff:
-                v = cf * bessel_j(l - n, dx)
-                h[li, n_sites + ni] = v
-                h[n_sites + ni, li] = v
-    return h
-
-
-@dataclass(frozen=True)
-class TwoLevelModel:
-    """Exact two-level reduction of one resonant pair of dressed sites.
-
-    detuning = delta_tilde - r*F, coupling = c0 * F * J_r(delta_x).  At zero
-    detuning the eigenstates are the symmetric/antisymmetric combinations of
-    the pair, split by 2|coupling|.
-    """
-
-    detuning: float
-    coupling: float
-
-    @property
-    def gap(self) -> float:
-        """Energy splitting sqrt(detuning^2 + 4*coupling^2) of the doublet."""
-        return math.hypot(self.detuning, 2.0 * self.coupling)
-
-    @property
-    def amplitude(self) -> float:
-        """Peak population transfer 4 V^2 / (detuning^2 + 4 V^2)."""
-        if self.gap == 0.0:
-            return 0.0
-        return (2.0 * self.coupling / self.gap) ** 2
-
-    @property
-    def period(self) -> float:
-        """Population oscillation period 2*pi/gap (pi/|V| on resonance)."""
-        return 2.0 * math.pi / self.gap if self.gap > 0.0 else math.inf
-
-    def occupation(self, t):
-        """Transferred population amplitude * sin^2(gap * t / 2)."""
-        if self.gap == 0.0:
-            return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-        return self.amplitude * np.sin(0.5 * self.gap * np.asarray(t)) ** 2
-
-
-def build_resonant_two_level(params: ModelParams, order: int) -> TwoLevelModel:
-    """Two-level model of the order-r resonance of the dressed-site ladder."""
-    scales = DerivedScales.from_params(params)
-    return TwoLevelModel(
-        detuning=scales.delta_tilde - order * params.force,
-        coupling=params.c0 * params.force * bessel_j(order, scales.delta_x),
-    )
+    sites = np.arange(-m, m + 1)
+    ladder = sites * params.force
+    offset = sites[:, None] - sites[None, :]  # l - n for lower site l, upper site n
+    near = np.abs(offset) <= bessel_cutoff
+    coupling = np.zeros(offset.shape)
+    coupling[near] = params.c0 * params.force * jv(offset[near], dx)
+    return np.block([
+        [np.diag(-0.5 * params.delta + ladder), coupling],
+        [coupling.T, np.diag(+0.5 * params.delta + ladder)],
+    ])

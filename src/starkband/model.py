@@ -1,33 +1,44 @@
-"""Model parameters, derived scales, and closed-form effective-model predictions.
+"""Model parameters and the closed-form effective-model predictions.
 
-Everything here is pure arithmetic on immutable parameter records: the Rabi
-formula for off-resonant inter-band oscillations, the resonant two-level
-period, and the universal revival/collapse time estimates.  Energies are in
-recoil units with hbar = 1, so times are inverse recoil energies; the Bloch
-period T_B = 2*pi/F is the natural time unit of the driven problem.
+This module is the single home of the closed forms: the dressed gap and the
+dimensionless hopping ratios (properties of ModelParams), the exact 2x2
+TwoLevelModel behind both the off-resonant Rabi formula and the resonant
+two-level reduction, the resonance condition, and the universal
+revival/collapse time estimates.  Everything here is pure arithmetic on
+immutable parameter records.  Energies are in recoil units with hbar = 1, so
+times are inverse recoil energies; the Bloch period T_B = 2*pi/F is the
+natural time unit of the driven problem.
 """
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
-
-from .bessel import bessel_j
+from scipy.special import jv
 
 __all__ = [
     "ModelParams",
-    "DerivedScales",
+    "TwoLevelModel",
     "preset_v0_4",
     "PRESETS",
     "resonant_force",
     "rabi_occupation",
-    "resonant_period",
+    "build_resonant_two_level",
     "revival_estimate_universal",
     "collapse_from_revival",
     "load_params",
 ]
+
+
+def _require_number(name: str, value, integral: bool = False):
+    """Reject bools, non-numbers, non-finite values and non-integer counts."""
+    kind = Integral if integral else Real
+    if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
+        what = "an integer" if integral else "a finite real number"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +72,8 @@ class ModelParams:
     n_sites: int
 
     def __post_init__(self):
+        for f in fields(self):
+            _require_number(f.name, getattr(self, f.name), integral=f.type is int)
         if not (self.delta > 0):
             raise ValueError(f"band gap must be positive, got {self.delta}")
         if not (self.force > 0):
@@ -88,43 +101,61 @@ class ModelParams:
     def t_bloch(self) -> float:
         return 2.0 * math.pi / self.force
 
+    @property
+    def delta_tilde(self) -> float:
+        """Dressed gap sqrt(delta^2 + 4 c0^2 F^2)."""
+        return math.hypot(self.delta, 2.0 * self.c0 * self.force)
+
+    @property
+    def x_a(self) -> float:
+        return self.t_a / self.force
+
+    @property
+    def x_b(self) -> float:
+        return self.t_b / self.force
+
+    @property
+    def delta_x(self) -> float:
+        """Bessel argument (t_a + t_b)/F of the dressed inter-band couplings."""
+        return self.x_a + self.x_b
+
 
 @dataclass(frozen=True)
-class DerivedScales:
-    """Dimensionless combinations and time scales derived from ModelParams."""
+class TwoLevelModel:
+    """Exact two-level problem [[-detuning/2, coupling], [coupling, +detuning/2]].
 
-    t_bloch: float
-    delta_tilde: float
-    x_a: float
-    x_b: float
-    delta_x: float
-    rabi_period: float
-    resonance_order: int | None = None
-    omega_res: float | None = None
-    resonant_period: float | None = None
+    Off resonance it is the bare on-site pair (detuning = delta, coupling =
+    c0 * F); at the order-r resonance it is one resonant pair of dressed
+    sites (detuning = delta_tilde - r*F, coupling = c0 * F * J_r(delta_x)).
+    At zero detuning the eigenstates are the symmetric/antisymmetric
+    combinations of the pair, split by 2|coupling|.
+    """
 
-    @classmethod
-    def from_params(cls, params: ModelParams, order: int | None = None) -> "DerivedScales":
-        delta_tilde = math.hypot(params.delta, 2.0 * params.c0 * params.force)
-        x_a = params.t_a / params.force
-        x_b = params.t_b / params.force
-        omega = period = None
-        if order is not None:
-            coupling = params.c0 * params.force * bessel_j(order, x_a + x_b)
-            if coupling != 0.0:
-                omega = 2.0 * abs(coupling)
-                period = 2.0 * math.pi / omega
-        return cls(
-            t_bloch=params.t_bloch,
-            delta_tilde=delta_tilde,
-            x_a=x_a,
-            x_b=x_b,
-            delta_x=x_a + x_b,
-            rabi_period=2.0 * math.pi / delta_tilde,
-            resonance_order=order,
-            omega_res=omega,
-            resonant_period=period,
-        )
+    detuning: float
+    coupling: float
+
+    @property
+    def gap(self) -> float:
+        """Energy splitting sqrt(detuning^2 + 4*coupling^2) of the doublet."""
+        return math.hypot(self.detuning, 2.0 * self.coupling)
+
+    @property
+    def amplitude(self) -> float:
+        """Peak population transfer 4 V^2 / (detuning^2 + 4 V^2)."""
+        if self.gap == 0.0:
+            return 0.0
+        return (2.0 * self.coupling / self.gap) ** 2
+
+    @property
+    def period(self) -> float:
+        """Population oscillation period 2*pi/gap (pi/|V| on resonance)."""
+        return 2.0 * math.pi / self.gap if self.gap > 0.0 else math.inf
+
+    def occupation(self, t):
+        """Transferred population amplitude * sin^2(gap * t / 2)."""
+        if self.gap == 0.0:
+            return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
+        return self.amplitude * np.sin(0.5 * self.gap * np.asarray(t)) ** 2
 
 
 def preset_v0_4(g: float = 0.0) -> ModelParams:
@@ -170,28 +201,20 @@ def resonant_force(delta: float, c0: float, order: int) -> float:
 
 
 def rabi_occupation(t, params: ModelParams):
-    """Off-resonant upper-band occupation [1 + dt^2/(4 c0^2 F^2)]^-1 sin^2(dt*t/2).
+    """Off-resonant upper-band occupation (4 c0^2 F^2 / dt^2) sin^2(dt*t/2).
 
-    dt is the dressed gap sqrt(delta^2 + 4 c0^2 F^2).  Accepts scalar or
-    array times.  For c0 = 0 the oscillation amplitude vanishes identically
-    and 0 is returned for all t instead of dividing by zero.
+    The bare on-site pair, dt the dressed gap sqrt(delta^2 + 4 c0^2 F^2).
+    Accepts scalar or array times; 0 for all t when c0 = 0.
     """
-    if params.c0 == 0.0:
-        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-    scales = DerivedScales.from_params(params)
-    amplitude = 1.0 / (1.0 + scales.delta_tilde**2 / (4.0 * params.c0**2 * params.force**2))
-    return amplitude * np.sin(0.5 * scales.delta_tilde * np.asarray(t)) ** 2
+    return TwoLevelModel(params.delta, params.c0 * params.force).occupation(t)
 
 
-def resonant_period(params: ModelParams, order: int) -> float:
-    """Full population-transfer period pi/|c0 F J_order(delta_x)| at resonance."""
-    scales = DerivedScales.from_params(params, order)
-    if scales.resonant_period is None:
-        raise ValueError(
-            f"inter-band coupling vanishes at order {order}: "
-            f"c0*F*J_{order}({scales.delta_x:g}) = 0 gives an infinite period"
-        )
-    return math.pi / (0.5 * scales.omega_res)
+def build_resonant_two_level(params: ModelParams, order: int) -> TwoLevelModel:
+    """Two-level model of the order-r resonance of the dressed-site ladder."""
+    return TwoLevelModel(
+        detuning=params.delta_tilde - order * params.force,
+        coupling=params.c0 * params.force * float(jv(order, params.delta_x)),
+    )
 
 
 def revival_estimate_universal(params: ModelParams) -> float:
@@ -202,9 +225,8 @@ def revival_estimate_universal(params: ModelParams) -> float:
     """
     if params.g * params.w_x == 0.0:
         raise ValueError("no revival without interactions: g*w_x must be positive")
-    scales = DerivedScales.from_params(params)
-    j0a = bessel_j(0, scales.x_a)
-    j0b = bessel_j(0, scales.x_b)
+    j0a = float(jv(0, params.x_a))
+    j0b = float(jv(0, params.x_b))
     return 4.0 * math.pi / (params.g * params.w_x * j0a**2 * j0b**2)
 
 
@@ -213,12 +235,6 @@ def collapse_from_revival(t_rev: float, delta_n: float) -> float:
     if delta_n <= 0:
         raise ValueError(f"coefficient-distribution width must be positive, got {delta_n}")
     return t_rev / (math.pi * delta_n * delta_n)
-
-
-_PARAM_KEYS = (
-    "delta", "c0", "t_a", "t_b", "w_a", "w_b", "w_x", "g", "force",
-    "n_particles", "n_sites",
-)
 
 
 def load_params(path) -> tuple[ModelParams, int | None]:
@@ -233,20 +249,22 @@ def load_params(path) -> tuple[ModelParams, int | None]:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(f"parameter file {path} must hold a single JSON object")
-    allowed = set(_PARAM_KEYS) | {"resonance_order"}
+    types = {f.name: f.type for f in fields(ModelParams)}
+    allowed = set(types) | {"resonance_order"}
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ValueError(f"unknown keys in parameter file {path}: {', '.join(unknown)}")
 
+    # checked before resonant_force computes with them; resonance_order is an integer
+    for key, value in data.items():
+        _require_number(key, value, integral=types.get(key, int) is int)
     order = data.pop("resonance_order", None)
-    if order is not None and not isinstance(order, int):
-        raise ValueError(f"resonance_order must be an integer, got {order!r}")
     if "force" in data and order is not None:
         raise ValueError("give exactly one of 'force' and 'resonance_order', not both")
     if "force" not in data and order is None:
         raise ValueError("parameter file needs either 'force' or 'resonance_order'")
 
-    missing = sorted(k for k in _PARAM_KEYS if k not in data and k != "force")
+    missing = sorted(k for k in types if k not in data and k != "force")
     if missing:
         raise ValueError(f"missing keys in parameter file {path}: {', '.join(missing)}")
     if "force" not in data:

@@ -81,6 +81,24 @@ def test_bad_params_file_exits_2(tmp_path):
     assert main(["evolve", "--params", str(path), "--t-final-tb", "2"]) == 2
     path.write_text(json.dumps({**SMALL_PARAMS, "force": 2.22}))  # force AND order
     assert main(["evolve", "--params", str(path), "--t-final-tb", "2"]) == 2
+    # wrong types exit 2 too, not with a TypeError traceback
+    for bad in ({"n_particles": 3.0}, {"resonance_order": True}, {"c0": "-0.15"}):
+        path.write_text(json.dumps({**SMALL_PARAMS, **bad}))
+        assert main(["evolve", "--params", str(path), "--t-final-tb", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--t-final-tb", "2", "--sample-per-tb", "0"],
+    ["evolve", "--t-final-tb", "0"],
+    ["evolve", "--t-final-tb", "-3", "--mode", "stroboscopic"],
+    ["single-particle", "--t-final-tb", "2", "--sample-per-tb", "0"],
+    ["single-particle", "--t-final-tb", "-1"],
+    ["revival-report", "--t-final-tb", "-5"],
+], ids=["evolve-samples", "evolve-zero-span", "stroboscopic-negative-span",
+        "single-samples", "single-negative-span", "revival-negative-span"])
+def test_nonpositive_sampling_exits_2(capsys, argv):
+    assert main(argv + ["--preset", "v0_4", "--n", "1", "--l", "2"]) == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 def test_floquet_spectrum_output(params_file, capsys):

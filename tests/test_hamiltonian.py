@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 import starkband as sb
 from starkband.fock import FockState
@@ -161,11 +162,10 @@ def test_transformed_model_structure():
     m = 10
     h = sb.build_single_particle_transformed(p, m)
     n = 2 * m + 1
-    scales = sb.DerivedScales.from_params(p)
     cf = p.c0 * p.force
     # coupling between lower site l and upper site n carries J_{l-n}(delta_x)
     for l, nn in [(0, 0), (2, 0), (0, 2), (5, 3), (3, 5)]:
-        expected = cf * sb.bessel_j(l - nn, scales.delta_x)
+        expected = cf * jv(l - nn, p.delta_x)
         assert h[l + m, n + nn + m] == pytest.approx(expected, rel=1e-12)
     # ladder translation covariance: shifting both sites adds F on the diagonal
     assert np.abs(np.diag(h)[1:n] - np.diag(h)[:n - 1] - p.force).max() < 1e-12
@@ -173,6 +173,21 @@ def test_transformed_model_structure():
     full = h[np.ix_(range(0, n - 1), range(n, 2 * n - 1))]
     assert np.abs(sub - full).max() < 1e-14
     assert hermiticity_defect(h) == 0.0
+
+
+def test_transformed_model_bessel_identities():
+    # the gauge transformation is unitary: J_0^2 + 2 sum_m J_m^2 = 1 makes every
+    # central coupling row carry (c0 F)^2, and J_{-k} = (-1)^k J_k relates the
+    # (l, n) and (n, l) couplings
+    for force in (2.2207, 0.7):
+        p = sb.preset_v0_4().with_force(force)
+        m = 12
+        h = sb.build_single_particle_transformed(p, m, bessel_cutoff=m)
+        n = 2 * m + 1
+        off = h[:n, n:]
+        assert (off[m] ** 2).sum() == pytest.approx((p.c0 * p.force) ** 2, rel=1e-12)
+        sign = (-1.0) ** np.abs(np.subtract.outer(range(n), range(n)))
+        assert np.abs(off - sign * off.T).max() < 1e-15
 
 
 def test_transformed_model_resonant_block():
@@ -185,8 +200,7 @@ def test_transformed_model_resonant_block():
     ia, ib = (2 + m), (n + 0 + m)          # alpha_{+2}, beta_0
     block = h[np.ix_([ia, ib], [ia, ib])]
     gap = np.diff(np.linalg.eigvalsh(block))[0]
-    scales = sb.DerivedScales.from_params(p)
-    coupling = p.c0 * p.force * sb.bessel_j(2, scales.delta_x)
+    coupling = p.c0 * p.force * jv(2, p.delta_x)
     assert gap == pytest.approx(math.hypot(2 * p.force - p.delta, 2 * coupling), rel=1e-12)
 
 
@@ -201,10 +215,8 @@ def test_transformed_model_warnings():
 def test_two_level_reduction():
     p = sb.preset_v0_4()
     model = sb.build_resonant_two_level(p, 2)
-    scales = sb.DerivedScales.from_params(p, 2)
-    assert model.coupling == pytest.approx(p.c0 * p.force * sb.bessel_j(2, scales.delta_x),
-                                           rel=1e-14)
-    assert model.detuning == pytest.approx(scales.delta_tilde - 2 * p.force, rel=1e-12)
+    assert model.coupling == pytest.approx(p.c0 * p.force * jv(2, p.delta_x), rel=1e-14)
+    assert model.detuning == pytest.approx(p.delta_tilde - 2 * p.force, rel=1e-12)
     assert model.amplitude == pytest.approx(0.979, abs=0.001)
 
     # exactly on resonance: full transfer, period pi/|coupling| = T_res
@@ -212,7 +224,7 @@ def test_two_level_reduction():
     on_res = sb.build_resonant_two_level(p_res, 2)
     assert abs(on_res.detuning) < 1e-12
     assert on_res.amplitude == pytest.approx(1.0, abs=1e-12)
-    assert on_res.period == pytest.approx(sb.resonant_period(p_res, 2), rel=1e-12)
+    assert on_res.period == pytest.approx(math.pi / abs(on_res.coupling), rel=1e-12)
     assert on_res.occupation(on_res.period / 2) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -2,12 +2,12 @@
 
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import starkband as sb
-from starkband.model import _PARAM_KEYS
 
 
 def test_preset_v0_4_values():
@@ -23,23 +23,30 @@ def test_preset_v0_4_values():
 
 def test_preset_derived_scales():
     p = sb.preset_v0_4()
-    scales = sb.DerivedScales.from_params(p, 2)
     assert p.t_bloch == pytest.approx(2 * math.pi / 2.2207, rel=1e-14)      # ~2.8293
-    assert scales.delta_x == pytest.approx(0.682 / 2.2207, rel=1e-14)       # ~0.30711
-    assert scales.delta_tilde == pytest.approx(4.440263028706745, rel=1e-12)
-    assert scales.omega_res * scales.resonant_period == pytest.approx(2 * math.pi, rel=1e-12)
-    assert scales.delta_tilde >= p.delta
+    assert (p.x_a, p.x_b) == (0.062 / 2.2207, 0.62 / 2.2207)
+    assert p.delta_x == pytest.approx(0.682 / 2.2207, rel=1e-14)            # ~0.30711
+    assert p.delta_tilde == pytest.approx(4.440263028706745, rel=1e-12)
+    assert p.delta_tilde >= p.delta
 
 
 @pytest.mark.parametrize("bad", [
     dict(delta=0.0), dict(delta=-1.0), dict(force=0.0), dict(t_a=0.0), dict(t_b=-0.1),
     dict(w_a=-0.01), dict(w_x=-1.0), dict(g=-0.1), dict(n_particles=0), dict(n_sites=0),
+    # wrong types: non-numbers, bools, non-finite values, non-integer counts
+    dict(force="2.2"), dict(delta=None), dict(g=True), dict(c0=float("nan")),
+    dict(force=math.inf), dict(n_particles=3.0), dict(n_sites=True), dict(n_sites="5"),
 ])
 def test_params_validation(bad):
     base = dict(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.030, w_b=0.018,
                 w_x=0.012, g=0.0, force=2.2207, n_particles=5, n_sites=5)
     with pytest.raises(ValueError):
         sb.ModelParams(**{**base, **bad})
+
+
+def test_params_accept_numpy_scalars():
+    p = replace(sb.preset_v0_4(), force=np.float64(2.2207), n_sites=np.int64(5))
+    assert p == sb.preset_v0_4()
 
 
 def test_resonant_force():
@@ -58,28 +65,54 @@ def test_resonant_force_matches_dressed_gap():
     for r in (1, 2, 3):
         f = sb.resonant_force(4.39, -0.15, r)
         p = sb.preset_v0_4().with_force(f)
-        scales = sb.DerivedScales.from_params(p)
-        assert scales.delta_tilde / f == pytest.approx(r, rel=1e-14)
+        assert p.delta_tilde / f == pytest.approx(r, rel=1e-14)
 
 
 def test_rabi_occupation():
     p = sb.preset_v0_4()
-    scales = sb.DerivedScales.from_params(p)
     assert sb.rabi_occupation(0.0, p) == 0.0
-    # amplitude at the half period, frozen from direct evaluation
-    amp = sb.rabi_occupation(math.pi / scales.delta_tilde, p)
-    assert amp == pytest.approx(0.02201591240650477, rel=1e-12)
-    assert sb.rabi_occupation(2 * math.pi / scales.delta_tilde, p) == pytest.approx(0.0, abs=1e-12)
+    # amplitude at the half period: 4 c0^2 F^2 / delta_tilde^2, the exact 2x2 value
+    amp = sb.rabi_occupation(math.pi / p.delta_tilde, p)
+    assert amp == pytest.approx(0.0225115241503355, rel=1e-12)
+    assert sb.rabi_occupation(2 * math.pi / p.delta_tilde, p) == pytest.approx(0.0, abs=1e-12)
+
+
+def _upper_occupation(h, start, upper, times):
+    """Population on the `upper` indices of exp(-iht) e_start, by diagonalizing h."""
+    energies, vectors = np.linalg.eigh(h)
+    psi = (np.exp(-1j * np.outer(times, energies)) * vectors[start]) @ vectors.T
+    return (np.abs(psi[:, upper]) ** 2).sum(axis=1)
+
+
+def test_rabi_matches_exact_two_by_two():
+    # oracle: the bare on-site pair [[-delta/2, c0 F], [c0 F, +delta/2]]
+    p = sb.preset_v0_4()
+    cf = p.c0 * p.force
+    h = np.array([[-0.5 * p.delta, cf], [cf, 0.5 * p.delta]])
+    t = np.linspace(0.0, 4 * p.t_bloch, 401)
+    exact = _upper_occupation(h, 0, [1], t)
+    assert np.abs(sb.rabi_occupation(t, p) - exact).max() < 1e-12
+    assert exact.max() == pytest.approx(0.0225115241503355, rel=1e-6)
+
+
+def test_rabi_matches_dressed_site_model_without_hopping():
+    # oracle: the program's own dressed-site ladder with the hopping switched off
+    p = replace(sb.preset_v0_4(), t_a=1e-14, t_b=1e-14)
+    m = 4
+    h = sb.build_single_particle_transformed(p, m)
+    n = 2 * m + 1
+    t = np.linspace(0.0, 4 * p.t_bloch, 401)
+    ladder = _upper_occupation(h, m, list(range(n, 2 * n)), t)
+    assert np.abs(sb.rabi_occupation(t, p) - ladder).max() < 1e-9
 
 
 def test_rabi_periodicity_and_bound():
     p = sb.preset_v0_4()
-    scales = sb.DerivedScales.from_params(p)
     t = np.linspace(0.0, 3.0, 301)
     vals = sb.rabi_occupation(t, p)
-    shifted = sb.rabi_occupation(t + scales.rabi_period, p)
+    shifted = sb.rabi_occupation(t + 2 * math.pi / p.delta_tilde, p)
     assert np.abs(vals - shifted).max() < 1e-9
-    amp = 1.0 / (1.0 + scales.delta_tilde**2 / (4 * p.c0**2 * p.force**2))
+    amp = 4 * p.c0**2 * p.force**2 / p.delta_tilde**2
     assert vals.max() <= amp + 1e-12
 
 
@@ -90,13 +123,15 @@ def test_rabi_degenerate_coupling():
     assert np.all(sb.rabi_occupation(np.linspace(0, 5, 11), p) == 0.0)
 
 
-def test_resonant_period():
+def test_resonant_two_level_period():
+    # on resonance the two-level period is pi/|c0 F J_2(delta_x)|
     p = sb.preset_v0_4()
-    t_res = sb.resonant_period(p, 2)
-    assert t_res == pytest.approx(806.2812168902968, rel=1e-10)   # pi/|c0 F J_2(dx)|
+    coupling = sb.build_resonant_two_level(p, 2).coupling
+    t_res = sb.TwoLevelModel(0.0, coupling).period
+    assert t_res == pytest.approx(806.2812168902968, rel=1e-10)
     assert t_res / p.t_bloch == pytest.approx(284.97, abs=0.01)
-    with pytest.raises(ValueError):
-        sb.resonant_period(p.__class__(**{**p.__dict__, "c0": 0.0}), 1)
+    # no coupling at zero detuning: nothing is transferred, the period is infinite
+    assert sb.TwoLevelModel(0.0, 0.0).period == math.inf
 
 
 def test_revival_estimate_universal():
@@ -164,6 +199,10 @@ def test_load_params_resonance_order(tmp_path):
     lambda d: d.pop("force"),                                        # neither
     lambda d: (d.pop("force"), d.update(resonance_order=2.5)),       # non-integer order
     lambda d: d.pop("w_x"),                                          # missing key
+    lambda d: d.update(force="2.2"),                                 # string, not a number
+    lambda d: d.update(n_particles=3.0),                             # non-integer count
+    lambda d: d.update(w_x=None),                                    # null
+    lambda d: (d.pop("force"), d.update(resonance_order=True)),      # bool order
 ])
 def test_load_params_rejects(tmp_path, mutate):
     data = dict(_FULL)
@@ -173,4 +212,6 @@ def test_load_params_rejects(tmp_path, mutate):
 
 
 def test_param_keys_cover_model_fields():
-    assert set(_PARAM_KEYS) == set(_FULL)
+    # the parameter-file schema and the run fingerprint both follow the
+    # ModelParams fields, in this printed order
+    assert [f.name for f in fields(sb.ModelParams)] == list(_FULL)
