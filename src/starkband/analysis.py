@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import find_peaks, peak_widths
 
 __all__ = [
     "COLLAPSE_THRESHOLD",
@@ -104,6 +103,9 @@ def _crest_times(trace: OscillationTrace, prominence: float | None):
         if spread <= 0:
             raise ValueError("trace is constant; period undefined")
         prominence = 0.25 * spread
+    # imported here: scipy.signal pulls in scipy.stats, ~0.6 s per process
+    from scipy.signal import find_peaks
+
     peaks, _ = find_peaks(v, prominence=prominence)
     return [_refine_peak(trace.times, v, p) for p in peaks]
 
@@ -204,6 +206,8 @@ def revival_time(
     t, v = env.times[sel], env.values[sel]
     if t.size < 3:
         return None
+    from scipy.signal import find_peaks, peak_widths
+
     peaks, _ = find_peaks(v, prominence=prominence)
     if peaks.size == 0:
         return None

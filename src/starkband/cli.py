@@ -126,8 +126,8 @@ def _resolve_config(args) -> RunConfig:
     atol = getattr(args, "atol", DEFAULT_ATOL)
     for name in ("rtol", "atol", "t_final_tb", "sample_per_tb"):
         value = getattr(args, name, None)
-        if value is not None and not value > 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be positive, got {value}")
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"--{name.replace('_', '-')} must be positive and finite, got {value}")
     return RunConfig(
         params=params,
         order=order,
@@ -136,6 +136,14 @@ def _resolve_config(args) -> RunConfig:
         rtol=rtol,
         atol=atol,
     )
+
+
+def _whole_periods(t_final_tb: float | None) -> int | None:
+    """--t-final-tb of a stroboscopic trace, which samples whole Bloch periods."""
+    if t_final_tb is not None and not float(t_final_tb).is_integer():
+        raise ValueError(f"--t-final-tb must be a whole number of Bloch periods for a "
+                         f"stroboscopic trace, got {t_final_tb}")
+    return None if t_final_tb is None else int(t_final_tb)
 
 
 def _dump_matrix(parts, path):
@@ -180,13 +188,14 @@ def cmd_dims(args) -> int:
 
 def cmd_evolve(args) -> int:
     cfg = _resolve_config(args)
+    n_periods = _whole_periods(args.t_final_tb) if args.mode == "stroboscopic" else None
     sector, parts, psi0 = _build_sector_and_parts(cfg)
     tb = parts.t_bloch
     meta = {"mode": args.mode}
     if args.dump_matrix:
         _dump_matrix(parts, args.dump_matrix)
     if args.mode == "stroboscopic":
-        _, trace = _stroboscopic_trace(cfg, sector, parts, psi0, int(args.t_final_tb), meta)
+        _, trace = _stroboscopic_trace(cfg, sector, parts, psi0, n_periods, meta)
     else:
         result = evolve(
             psi0, parts, args.t_final_tb * tb,
@@ -239,8 +248,7 @@ def _revival_record(cfg: RunConfig, n_periods: int | None, prominence: float) ->
 
 def cmd_revival_report(args) -> int:
     cfg = _resolve_config(args)
-    n = int(args.t_final_tb) if args.t_final_tb else None
-    record = _revival_record(cfg, n, args.prominence)
+    record = _revival_record(cfg, _whole_periods(args.t_final_tb), args.prominence)
     _emit(json.dumps(record, indent=2) + "\n", args.out)
     return 0
 
@@ -256,7 +264,7 @@ def cmd_sweep_g(args) -> int:
     g_values = [float(s) for s in args.g_grid.split(",") if s.strip()]
     if not g_values:
         raise ValueError("empty --g-grid")
-    n = int(args.t_final_tb) if args.t_final_tb else None
+    n = _whole_periods(args.t_final_tb)
     payloads = [(cfg, g, n, args.prominence) for g in g_values]
 
     workers = int(os.environ.get("STARKBAND_THREADS", "1"))

@@ -17,7 +17,7 @@ shifts the resonances.
 import logging
 import math
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sparse
@@ -91,60 +91,64 @@ class TermMask:
 
 
 class _FusedBlocks:
-    """One CSR matrix holding the stored entries of several blocks.
-
-    Entries that share a (row, col) position are kept apart, not summed, so
-    the matrix can be rephased per block by rewriting its data: a weighted
-    sum of the blocks then costs one sparse product instead of one per block.
+    """One CSR matrix holding the stored entries of blocks with time factors
+    exp(i s F t), in the frame of a diagonal D: entry (i, j) turns at
+    omega = D_i - D_j + s F.  Entries sharing a position are kept apart, so
+    a call costs one exp per distinct omega, a rephasing of the data and
+    one sparse product.
     """
 
-    def __init__(self, blocks, dim: int):
+    def __init__(self, blocks, signs, force: float, d: np.ndarray):
         coos = [sparse.coo_matrix(b) for b in blocks]
         rows = np.concatenate([c.row for c in coos])
         cols = np.concatenate([c.col for c in coos])
+        omega = np.concatenate([d[c.row] - d[c.col] + s * force for c, s in zip(coos, signs)])
         order = np.lexsort((cols, rows))
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=dim))))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(d)))))
         self.values = np.concatenate([c.data for c in coos]).astype(complex)[order]
-        self.block = np.concatenate([np.full(c.nnz, k) for k, c in enumerate(coos)])[order]
+        omega, self.which = np.unique(omega[order], return_inverse=True)
+        self.rates = 1j * omega
         self.matrix = sparse.csr_matrix(
-            (self.values.copy(), cols[order], indptr), shape=(dim, dim)
+            (self.values.copy(), cols[order], indptr), shape=(len(d), len(d))
         )
 
-    def apply(self, weights, y):
-        """(sum_k weights[k] * block_k) @ y."""
-        np.multiply(self.values, np.asarray(weights)[self.block], out=self.matrix.data)
+    def apply(self, t: float, y):
+        np.multiply(self.values, np.exp(t * self.rates)[self.which], out=self.matrix.data)
         return self.matrix @ y
 
 
 @dataclass(frozen=True)
 class HamiltonianParts:
-    """Time-independent blocks of the interaction-picture Hamiltonian."""
+    """Time-independent blocks of the interaction-picture Hamiltonian, and
+    `frame`, the real D = diag(h_static) that both integrators remove."""
 
     h_static: sparse.csr_matrix
     h_hop: sparse.csr_matrix
     h_hop_dag: sparse.csr_matrix
     basis_dim: int
     force: float
+    frame: np.ndarray = field(init=False, repr=False, compare=False)
     _fused: _FusedBlocks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks = (self.h_static, self.h_hop, self.h_hop_dag)
-        object.__setattr__(self, "_fused", _FusedBlocks(blocks, self.basis_dim))
+        d = self.h_static.diagonal().real
+        off = self.h_static - sparse.diags(d)  # the sparse difference drops the zeros
+        fused = _FusedBlocks((off, self.h_hop, self.h_hop_dag), (0, 1, -1), self.force, d)
+        object.__setattr__(self, "frame", d)
+        object.__setattr__(self, "_fused", fused)
 
     @property
     def t_bloch(self) -> float:
         return 2.0 * math.pi / self.force
 
     def apply(self, t: float, y):
-        """H(t) @ y for a coordinate vector or a matrix of column vectors.
+        """e^{iDt} (H(t) - D) e^{-iDt} @ y, D = `frame`, for a vector or a
+        matrix of columns: W = e^{iDt} psi obeys i dW/dt = apply(t, W).
 
-        One sparse product with all three blocks fused into a single CSR
-        matrix whose data is rephased to [1, p, conj(p)], p = exp(iFt), on
-        each call.  The rephasing writes shared state, so one instance must
-        not be applied from two threads at once.
+        Each call rephases shared data, so one instance must not be applied
+        from two threads at once.  `dense_at` is the lab-frame H(t).
         """
-        phase = np.exp(1j * self.force * t)
-        return self._fused.apply((1.0, phase, np.conj(phase)), y)
+        return self._fused.apply(t, y)
 
     def dense_at(self, t: float) -> np.ndarray:
         phase = np.exp(1j * self.force * t)

@@ -6,19 +6,18 @@ sub-period detail, and the eigenbasis of the one-period propagator for
 stroboscopic long-time observables (collapse and revival live at thousands
 of Bloch periods, far beyond what direct integration should be asked to do).
 
-The one-period propagator is integrated over half a period only, in the
-frame that removes the static diagonal D of h_static (band gap and
-interactions, the largest entries of H).  Both steps are exact: the frame
-is undone by a diagonal phase, and because h_static and h_hop are real in
-the kappa = 0 basis, time reversal gives U(T_B) = V^T V with V = U(T_B/2).
-floquet_operator rejects complex h_static or h_hop.
+Both integrate i dW/dt = HamiltonianParts.apply(t, W) for W = e^{iDt} psi,
+in the frame of the static diagonal D (band gap and interactions, the
+largest entries of H), so the integrator steps only through the couplings;
+the diagonal phases into and out of the frame are exact.  The propagator
+is integrated over half a period: h_static and h_hop are real in the
+kappa = 0 basis, so time reversal gives U(T_B) = V^T V with V = U(T_B/2).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.integrate import solve_ivp
 from scipy.linalg import schur
 
@@ -138,7 +137,9 @@ def evolve(
 
     psi0 may be a WaveFunction (evolution starts at its time stamp) or a
     bare coordinate vector (starts at t = 0).  The returned snapshots always
-    include the initial and final times.
+    include the initial and final times.  The integration runs on
+    W = e^{iDt} psi (see the module docstring); the snapshots are lab-frame
+    states, views into one array that is rephased column by column in place.
     """
     t0 = psi0.time if isinstance(psi0, WaveFunction) else 0.0
     if t_final <= t0:
@@ -158,7 +159,10 @@ def evolve(
     def rhs(t, y):
         return -1j * parts.apply(t, y)
 
-    sol = _integrate(rhs, coords, t0, t_final, times, rtol, atol, method)
+    d = parts.frame
+    sol = _integrate(rhs, np.exp(1j * t0 * d) * coords, t0, t_final, times, rtol, atol, method)
+    for k, t in enumerate(sol.t):
+        sol.y[:, k] *= np.exp(-1j * t * d)
     snapshots = [WaveFunction(sol.y[:, k], float(sol.t[k])) for k in range(sol.t.size)]
     drift = abs(snapshots[-1].norm - np.linalg.norm(coords))
     return EvolutionResult(snapshots=snapshots, norm_drift=float(drift))
@@ -176,11 +180,8 @@ def floquet_operator(
     """One-period propagator U(T_B), integrated over half a period as a
     single matrix ODE in the frame of the static diagonal.
 
-    Frame: with D = diag(h_static) and H(t) = D + O(t), the matrix
-    W(t) = e^{iDt} U(t) obeys i dW/dt = e^{iDt} O(t) e^{-iDt} W.  The band
-    gap and the interactions, the largest entries of H, sit in D, so the
-    integrator steps only through the off-diagonal couplings;
-    U(t) = e^{-iDt} W(t).
+    Frame: with D = diag(h_static), W(t) = e^{iDt} U(t) obeys
+    i dW/dt = apply(t, W) from W(0) = 1, and U(t) = e^{-iDt} W(t).
 
     Time reversal: h_static and h_hop are real in the kappa = 0 basis, so
     H(-t) = H(t)* and U(-t) = U(t)*.  With V = U(T_B/2) this gives
@@ -198,17 +199,14 @@ def floquet_operator(
     for name in ("h_static", "h_hop"):
         if np.any(getattr(parts, name).data.imag != 0.0):
             raise ValueError(f"{name} has complex entries; U(T_B) = V^T V needs it real")
-    d = parts.h_static.diagonal().real
-    off = replace(parts, h_static=parts.h_static - sparse.diags(d))
 
     def rhs(t, y):
-        r = np.exp(1j * t * d)[:, None]
-        return (-1j * r * off.apply(t, r.conj() * y.reshape(dim, dim))).ravel()
+        return (-1j * parts.apply(t, y.reshape(dim, dim))).ravel()
 
     half = 0.5 * parts.t_bloch
     y0 = np.eye(dim, dtype=complex).ravel()
     sol = _integrate(rhs, y0, 0.0, half, [half], rtol, atol, method)
-    v = np.exp(-1j * half * d)[:, None] * sol.y[:, -1].reshape(dim, dim)
+    v = np.exp(-1j * half * parts.frame)[:, None] * sol.y[:, -1].reshape(dim, dim)
     u = v.T @ v
     defect = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
     if defect > max_defect:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import starkband as sb
-from starkband.analysis import COLLAPSE_THRESHOLD, OscillationTrace
+from starkband.analysis import OscillationTrace
 
 
 def _trace(times, values):

@@ -1,7 +1,6 @@
 """End-to-end CLI checks on systems small enough to run in seconds."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -64,6 +63,34 @@ def test_evolve_stroboscopic_mode(params_file, capsys):
     assert lines[1] == "t,t_over_TB,Nb"
     t_tb = [float(line.split(",")[1]) for line in lines[2:]]
     assert t_tb == [0.0, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--t-final-tb", "2.9", "--mode", "stroboscopic"],
+    ["revival-report", "--t-final-tb", "0.5"],
+    ["sweep-g", "--g-grid", "0.1", "--t-final-tb", "1.5"],
+], ids=["evolve", "revival-report", "sweep-g"])
+def test_fractional_stroboscopic_span_exits_2(tmp_path, capsys, argv):
+    # a stroboscopic trace samples whole Bloch periods; 2.9 used to be cut to 2
+    dump = tmp_path / "h.csv"
+    extra = ["--dump-matrix", str(dump)] if argv[0] == "evolve" else []
+    assert main(argv + extra + ["--preset", "v0_4", "--n", "2", "--l", "2"]) == 2
+    assert "whole number of Bloch periods" in capsys.readouterr().err
+    assert not dump.exists()
+
+
+def test_continuous_evolve_accepts_fractional_span(params_file, capsys):
+    assert main(["evolve", "--params", params_file, "--initial", "1,0;0,0",
+                 "--t-final-tb", "0.5", "--sample-per-tb", "4"]) == 0
+    t_tb = [float(line.split(",")[1]) for line in capsys.readouterr().out.splitlines()[2:]]
+    assert t_tb == [0.0, 0.25, 0.5]
+
+
+@pytest.mark.parametrize("mode", ["continuous", "stroboscopic"])
+def test_infinite_span_exits_2(capsys, mode):
+    assert main(["evolve", "--preset", "v0_4", "--n", "1", "--l", "2",
+                 "--t-final-tb", "inf", "--mode", mode]) == 2
+    assert "must be positive and finite" in capsys.readouterr().err
 
 
 def test_evolve_requires_model_source():
@@ -186,12 +213,15 @@ def test_single_particle_resonant_prediction(capsys):
         assert predicted == pytest.approx(float(model.occupation(t)), abs=1e-9)
 
 
-def test_console_script_installed():
+def _run_python(*args):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "starkband", "dims", "--n", "2", "--l", "2"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_console_script_installed():
+    proc = _run_python("-m", "starkband", "dims", "--n", "2", "--l", "2")
     assert proc.returncode == 0
     # Burnside: 10 states, the half-turn fixes (1,1;0,0) and (0,0;1,1),
     # so (10 + 2) / 2 = 6 orbits, each with a kappa = 0 vector
@@ -200,3 +230,11 @@ def test_console_script_installed():
 
 def test_preset_unknown_exits_2():
     assert main(["evolve", "--preset", "nope", "--t-final-tb", "2"]) == 2
+
+
+def test_cli_import_defers_scipy_signal():
+    # scipy.signal pulls in scipy.stats (~0.6 s); only peak finding needs it
+    proc = _run_python("-c", "import sys, starkband.cli; "
+                             "print('scipy.signal' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,0 +1,57 @@
+"""Every imported name in `src/` and `tests/` is used.
+
+No linter ships with the project, so this is the check for dead imports.
+A name counts as used if it is read anywhere in its module or is listed in
+the module's `__all__`; the imports of an `__init__.py` are re-exports and
+are not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"
+)
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_modules_found():
+    assert any(p.name == "propagation.py" for p in MODULES)
+    assert Path(__file__).resolve() in MODULES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    unused = [f"{name} (line {line})" for name, line in _imported_names(tree) if name not in used]
+    assert not unused, f"unused imports in {path.name}: {', '.join(unused)}"
+
+
+def test_detects_an_unused_import():
+    tree = ast.parse("import os\nimport numpy as np\nfrom a.b import c, d\nprint(np, d)\n")
+    used = _used_names(tree)
+    assert [n for n, _ in _imported_names(tree) if n not in used] == ["os", "c"]

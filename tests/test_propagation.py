@@ -106,13 +106,42 @@ def system44():
 
 
 def test_apply_matches_dense_hamiltonian(system44):
-    parts = system44
+    # apply is the Hamiltonian in the frame of D = diag(h_static):
+    # e^{iDt} (H(t) - D) e^{-iDt}, with H(t) from the lab-frame dense_at.
+    # At N = 1, L = 3 the hopping blocks have diagonal entries of their own.
+    one = sb.build_interaction_picture(replace(sb.preset_v0_4(0.2), n_particles=1, n_sites=3),
+                                       sb.build_k0_sector(1, 3))
     rng = np.random.default_rng(3)
-    t = 0.37 * parts.t_bloch
-    h = parts.dense_at(t)
-    for shape in ((parts.basis_dim,), (parts.basis_dim, 5)):
-        y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        assert np.abs(parts.apply(t, y) - h @ y).max() < 1e-12 * np.abs(h).max()
+    for parts in (system44, one):
+        t = 0.37 * parts.t_bloch
+        h = parts.dense_at(t)
+        d = parts.h_static.diagonal().real
+        r = np.exp(1j * t * d)
+        h_frame = r[:, None] * (h - np.diag(d)) * r.conj()[None, :]
+        for shape in ((parts.basis_dim,), (parts.basis_dim, 5)):
+            y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            assert np.abs(parts.apply(t, y) - h_frame @ y).max() < 1e-12 * np.abs(h).max()
+
+
+@pytest.mark.parametrize("t0_tb", [0.0, 0.37])
+def test_evolve_matches_lab_frame(system44, t0_tb):
+    # from t = 0, and from a WaveFunction stamped off the Bloch grid, where
+    # the frame is entered with the phase e^{iD t0}
+    parts = system44
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=parts.basis_dim) + 1j * rng.normal(size=parts.basis_dim)
+    psi /= np.linalg.norm(psi)
+    t0 = t0_tb * parts.t_bloch
+    result = sb.evolve(WaveFunction(psi, t0), parts, t0 + 1.5 * parts.t_bloch,
+                       sample_every=parts.t_bloch / 8)
+    times = np.array([s.time for s in result])
+    assert times[0] == t0 and times.size == 13
+    # oracle: i dpsi/dt = dense_at(t) psi, integrated in the lab frame
+    oracle = solve_ivp(lambda t, y: -1j * parts.dense_at(t) @ y, (t0, times[-1]), psi,
+                       method="DOP853", rtol=1e-12, atol=1e-12, t_eval=times)
+    assert oracle.success
+    got = np.stack([s.coords for s in result], axis=1)
+    assert np.abs(got - oracle.y).max() < 1e-9
 
 
 def test_floquet_operator_matches_lab_frame_full_period(system44):
