@@ -288,6 +288,10 @@ def cmd_sweep_g(args) -> int:
 
 def cmd_single_particle(args) -> int:
     cfg = _resolve_config(args)
+    n_samples = args.t_final_tb * args.sample_per_tb
+    if abs(n_samples - round(n_samples)) > 1e-9 * n_samples:
+        raise ValueError(f"--t-final-tb {args.t_final_tb} is not a whole number of samples "
+                         f"at --sample-per-tb {args.sample_per_tb}")
     params = cfg.params
     h = build_single_particle_transformed(params, args.window)
     n_sites = 2 * args.window + 1
@@ -297,7 +301,7 @@ def cmd_single_particle(args) -> int:
     amp0 = vectors.T @ psi0
 
     tb = params.t_bloch
-    times = (tb / args.sample_per_tb) * np.arange(int(args.t_final_tb * args.sample_per_tb) + 1)
+    times = (tb / args.sample_per_tb) * np.arange(round(n_samples) + 1)
     phases = np.exp(-1j * np.outer(times, energies))
     psi_t = (phases * amp0) @ vectors.T
     nb = (np.abs(psi_t[:, n_sites:]) ** 2).sum(axis=1)

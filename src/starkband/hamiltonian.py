@@ -120,17 +120,27 @@ class _FusedBlocks:
 @dataclass(frozen=True)
 class HamiltonianParts:
     """Time-independent blocks of the interaction-picture Hamiltonian, and
-    `frame`, the real D = diag(h_static) that both integrators remove."""
+    `frame`, the real D = diag(h_static) that both integrators remove.
+
+    `boost_order` is d = gcd(N, L), `boost_charge` each basis state's S mod d
+    with S = sum_l l (n^a_l + n^b_l), sites l = 0..L-1.  The boost B^(L/d),
+    B = exp(2 pi i S / L), is diag(exp(2 pi i boost_charge / d)) on the sector
+    and shifts H(t) by T_B/d.  The defaults d = 1, charge 0 claim no symmetry.
+    """
 
     h_static: sparse.csr_matrix
     h_hop: sparse.csr_matrix
     h_hop_dag: sparse.csr_matrix
     basis_dim: int
     force: float
+    boost_order: int = 1
+    boost_charge: np.ndarray | None = field(default=None, repr=False, compare=False)
     frame: np.ndarray = field(init=False, repr=False, compare=False)
     _fused: _FusedBlocks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.boost_charge is None:
+            object.__setattr__(self, "boost_charge", np.zeros(self.basis_dim, dtype=np.int64))
         d = self.h_static.diagonal().real
         off = self.h_static - sparse.diags(d)  # the sparse difference drops the zeros
         fused = _FusedBlocks((off, self.h_hop, self.h_hop_dag), (0, 1, -1), self.force, d)
@@ -293,12 +303,17 @@ def build_interaction_picture(
     if defect > 1e-12 * scale:
         raise AssertionError(f"h_static lost hermiticity: defect {defect:.3e} vs scale {scale:.3e}")
 
+    order = math.gcd(params.n_particles, params.n_sites)
+    charge = [sum(l * (na + nb) for l, (na, nb) in enumerate(zip(rep.lower, rep.upper))) % order
+              for rep in sector.representatives]
     return HamiltonianParts(
         h_static=h_static,
         h_hop=h_hop,
         h_hop_dag=h_hop.getH().tocsr(),
         basis_dim=dim,
         force=params.force,
+        boost_order=order,
+        boost_charge=np.asarray(charge, dtype=np.int64),
     )
 
 

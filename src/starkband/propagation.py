@@ -10,8 +10,10 @@ Both integrate i dW/dt = HamiltonianParts.apply(t, W) for W = e^{iDt} psi,
 in the frame of the static diagonal D (band gap and interactions, the
 largest entries of H), so the integrator steps only through the couplings;
 the diagonal phases into and out of the frame are exact.  The propagator
-is integrated over half a period: h_static and h_hop are real in the
-kappa = 0 basis, so time reversal gives U(T_B) = V^T V with V = U(T_B/2).
+is integrated over T_B/(2d), d = gcd(N, L): a boost of the ring shifts
+H(t) by T_B/d, and time reversal (h_static and h_hop are real in the kappa = 0
+basis) halves that span.  The resulting U is complex symmetric, so its
+eigenbasis comes from one real symmetric eigh.
 """
 
 import math
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import schur
+from scipy.linalg import eigh
 
 from .analysis import OscillationTrace
 from .fock import SymmetrySector
@@ -45,10 +47,14 @@ __all__ = [
 # the norm-drift budget (1e-8 per 1e3 Bloch periods).  Measured on the
 # dim-402 reference system, DOP853 needs 1e-12 to hold the drift budget
 # (1e-11 gives ~5e-8 per 1e3 periods); the one-period defect of
-# floquet_operator is then ~1.5e-11 (g = 0.2).
+# floquet_operator is then ~1.3e-11 (g = 0.2).
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
 DEFAULT_FLOQUET_DIMENSION_CAP = 20_000
+# diagonalize_floquet: the weight of Im U in its eigh (irrational, so no rational
+# symmetry of the spectrum makes eigenvalues collide) and the eigenpair residual budget.
+EIGEN_MIX = (math.sqrt(5.0) - 1.0) / 2.0
+EIGEN_RESIDUAL_BUDGET = 1e-8
 
 
 class NumericalError(RuntimeError):
@@ -86,7 +92,7 @@ class FloquetSpectrum:
     """Eigen-decomposition of the one-period propagator.
 
     quasi_energies are folded to [-F/2, F/2) and sorted ascending;
-    eigen_vectors holds the matching orthonormal columns; coefficients are
+    eigen_vectors holds the matching real orthonormal columns; coefficients are
     the overlaps of those columns with the designated initial state.  Within
     numerically degenerate eigenvalue clusters the individual coefficients
     are basis-dependent; only per-cluster aggregates of |c_n| are meaningful
@@ -177,16 +183,17 @@ def floquet_operator(
     dimension_cap: int = DEFAULT_FLOQUET_DIMENSION_CAP,
     max_defect: float = 1e-6,
 ) -> np.ndarray:
-    """One-period propagator U(T_B), integrated over half a period as a
-    single matrix ODE in the frame of the static diagonal.
+    """One-period propagator U(T_B) = (Y^T Phi Y)^d, from one matrix ODE over
+    [0, T_B/(2d)] in the frame of the static diagonal, d = parts.boost_order.
 
     Frame: with D = diag(h_static), W(t) = e^{iDt} U(t) obeys
     i dW/dt = apply(t, W) from W(0) = 1, and U(t) = e^{-iDt} W(t).
 
-    Time reversal: h_static and h_hop are real in the kappa = 0 basis, so
-    H(-t) = H(t)* and U(-t) = U(t)*.  With V = U(T_B/2) this gives
-    U(T_B) = V^T V, and only [0, T_B/2] is integrated.  Complex h_static or
-    h_hop would break the identity and raise ValueError.
+    Symmetry: Phi = diag(exp(-2 pi i boost_charge / d)) = B^(-L/d) gives
+    conj(Phi) H(t) Phi = H(t + T_B/d), and real h_static and h_hop give
+    U(-t) = U(t)*, so U(T_B/d) = conj(Phi) Y^T Phi Y with Y = U(T_B/(2d)).
+    Complex blocks, or blocks that do not carry the charges (h_static keeps
+    S mod d, h_hop raises it by one), raise ValueError.
 
     All columns share one adaptive step sequence, which is deterministic and
     much cheaper than per-column integration.  The unitarity defect
@@ -196,43 +203,53 @@ def floquet_operator(
     dim = parts.basis_dim
     if dim > dimension_cap:
         raise ValueError(f"sector dimension {dim} exceeds the propagator cap {dimension_cap}")
-    for name in ("h_static", "h_hop"):
-        if np.any(getattr(parts, name).data.imag != 0.0):
-            raise ValueError(f"{name} has complex entries; U(T_B) = V^T V needs it real")
+    order, charge = parts.boost_order, parts.boost_charge
+    for name, step in (("h_static", 0), ("h_hop", 1)):
+        block = getattr(parts, name).tocoo()
+        if np.any(block.data.imag != 0.0):
+            raise ValueError(f"{name} has complex entries; U(T_B) = (Y^T Phi Y)^d needs it real")
+        if np.any((charge[block.row] - charge[block.col] - step) % order):
+            raise ValueError(f"{name} breaks the boost symmetry of order {order}")
 
     def rhs(t, y):
         return (-1j * parts.apply(t, y.reshape(dim, dim))).ravel()
 
-    half = 0.5 * parts.t_bloch
-    y0 = np.eye(dim, dtype=complex).ravel()
-    sol = _integrate(rhs, y0, 0.0, half, [half], rtol, atol, method)
-    v = np.exp(-1j * half * parts.frame)[:, None] * sol.y[:, -1].reshape(dim, dim)
-    u = v.T @ v
+    half = 0.5 * parts.t_bloch / order
+    sol = _integrate(rhs, np.eye(dim, dtype=complex).ravel(), 0.0, half, [half], rtol, atol, method)
+    y = np.exp(-1j * half * parts.frame)[:, None] * sol.y[:, -1].reshape(dim, dim)
+    phi = np.exp(-2j * math.pi * charge / order)
+    u = np.linalg.matrix_power(y.T @ (phi[:, None] * y), order)
     defect = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
     if defect > max_defect:
-        raise NumericalError(
-            f"one-period propagator defect {defect:.3e} exceeds {max_defect:.1e}; "
-            "tighten rtol/atol"
-        )
+        raise NumericalError(f"one-period propagator defect {defect:.3e} exceeds "
+                             f"{max_defect:.1e}; tighten rtol/atol")
     return u
 
 
 def diagonalize_floquet(u: np.ndarray, t_bloch: float, psi0) -> FloquetSpectrum:
     """Quasi-energies, orthonormal eigenvectors and initial-state overlaps.
 
-    Uses a complex Schur decomposition: for a (near-)unitary matrix the Schur
-    basis is an orthonormal eigenbasis up to the unitarity defect, which
-    also takes care of re-orthonormalizing numerically degenerate clusters.
+    U from `floquet_operator` is complex symmetric and unitary, so Re U and
+    Im U commute and share a real orthonormal eigenbasis: that of the eigh
+    (divide and conquer) of Re U + mu Im U, mu = EIGEN_MIX, with
+    lambda_j = v_j^T U v_j.  Eigenvalues with equal cos(phi) + mu sin(phi)
+    would mix; the residual max|UV - V Lambda| catches that, and a U that is
+    not symmetric, with NumericalError above EIGEN_RESIDUAL_BUDGET.
     Quasi-energies are -arg(lambda)/T_B, landing in [-F/2, F/2).
     """
     dim = u.shape[0]
     defect = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
-    t, q = schur(u, output="complex")
-    lam = np.diag(t)
+    _, vectors = eigh(u.real + EIGEN_MIX * u.imag, driver="evd")
+    uv = u @ vectors
+    lam = np.einsum("ij,ij->j", vectors, uv)
+    residual = float(np.abs(uv - vectors * lam).max())
+    if residual > EIGEN_RESIDUAL_BUDGET:
+        raise NumericalError(f"Floquet eigenvector residual {residual:.3e} exceeds "
+                             f"{EIGEN_RESIDUAL_BUDGET:.0e}")
     eps = -np.angle(lam) / t_bloch
     order = np.argsort(eps, kind="stable")
-    vectors = q[:, order]
-    coeffs = vectors.conj().T @ _coords_of(psi0)
+    vectors = vectors[:, order]
+    coeffs = vectors.T @ _coords_of(psi0)
     return FloquetSpectrum(
         quasi_energies=eps[order],
         eigen_vectors=vectors,
@@ -249,10 +266,6 @@ def stroboscopic_evolve(spectrum: FloquetSpectrum, m: int) -> WaveFunction:
     return WaveFunction(coords, m * spectrum.t_bloch)
 
 
-def _upper_weights(sector: SymmetrySector) -> np.ndarray:
-    return np.asarray(sector.upper_fractions, dtype=float)
-
-
 def stroboscopic_occupations(
     spectrum: FloquetSpectrum,
     sector: SymmetrySector,
@@ -263,7 +276,7 @@ def stroboscopic_occupations(
     """Upper-band occupation N_b at t = 0, every*T_B, ..., n_periods*T_B."""
     if spectrum.dim != sector.dim:
         raise ValueError(f"spectrum dimension {spectrum.dim} does not match sector {sector.dim}")
-    w = _upper_weights(sector)
+    w = sector.upper_fractions
     ms = np.arange(0, n_periods + 1, every)
     values = np.empty(ms.size)
     vt = spectrum.eigen_vectors.T
@@ -273,8 +286,7 @@ def stroboscopic_occupations(
         phases = np.exp(
             -1j * np.outer(block * spectrum.t_bloch, spectrum.quasi_energies)
         ) * spectrum.coefficients
-        psi = phases @ vt
-        values[start:start + chunk] = (np.abs(psi) ** 2) @ w
+        values[start:start + chunk] = ((phases.real @ vt) ** 2 + (phases.imag @ vt) ** 2) @ w
     return OscillationTrace(times=ms * spectrum.t_bloch, values=values, meta=dict(meta or {}))
 
 
@@ -288,7 +300,7 @@ def occupation_series(source, sector: SymmetrySector, meta: dict | None = None) 
     snapshots = list(source)
     if not snapshots:
         raise ValueError("no snapshots to analyse")
-    w = _upper_weights(sector)
+    w = sector.upper_fractions
     times = np.array([s.time for s in snapshots])
     values = np.array([float((np.abs(s.coords) ** 2) @ w) for s in snapshots])
     return OscillationTrace(times=times, values=values, meta=dict(meta or {}))

@@ -203,6 +203,22 @@ def test_single_particle_prediction_column(capsys):
         assert predicted == pytest.approx(float(sb.rabi_occupation(t, p)), abs=1e-9)
 
 
+def test_single_particle_rejects_a_partial_last_sample(capsys):
+    # 0.3 T_B at 8 samples per T_B would end at 0.25 T_B under a 0.3 header
+    assert main(["single-particle", "--preset", "v0_4", "--window", "10",
+                 "--t-final-tb", "0.3", "--sample-per-tb", "8"]) == 2
+    assert "whole number of samples" in capsys.readouterr().err
+
+
+def test_single_particle_span_is_whole_up_to_round_off(capsys):
+    # 0.29 * 100 is 28.999999999999996 in floating point: 29 samples, ending at 0.29 T_B
+    assert main(["single-particle", "--preset", "v0_4", "--window", "10",
+                 "--t-final-tb", "0.29", "--sample-per-tb", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 + 30
+    assert float(lines[-1].split(",")[1]) == pytest.approx(0.29, abs=1e-12)
+
+
 def test_single_particle_resonant_prediction(capsys):
     assert main(["single-particle", "--preset", "v0_4", "--order", "2", "--window", "10",
                  "--t-final-tb", "2", "--sample-per-tb", "4"]) == 0

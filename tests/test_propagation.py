@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 
 import starkband as sb
 from starkband.fock import FockState
-from starkband.propagation import WaveFunction
+from starkband.propagation import EIGEN_MIX, WaveFunction
 
 SMALL = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03, w_b=0.018,
                        w_x=0.012, g=0.4, force=2.2201, n_particles=2, n_sites=3)
@@ -144,21 +144,87 @@ def test_evolve_matches_lab_frame(system44, t0_tb):
     assert np.abs(got - oracle.y).max() < 1e-9
 
 
-def test_floquet_operator_matches_lab_frame_full_period(system44):
-    # U = V^T V is symmetric by construction, so check it against an
-    # independent full-period integration of i dU/dt = H(t) U in the lab frame
-    parts = system44
-    dim = parts.basis_dim
-    assert dim == 86
+# (N, L) with boost order d = gcd(N, L) = 1, 2, 3, 4
+BOOST_SHAPES = [(2, 3), (2, 4), (3, 3), (4, 4)]
 
-    def rhs(t, y):
-        return (-1j * parts.dense_at(t) @ y.reshape(dim, dim)).ravel()
 
-    sol = solve_ivp(rhs, (0.0, parts.t_bloch), np.eye(dim, dtype=complex).ravel(),
-                    method="DOP853", rtol=1e-12, atol=1e-12)
-    assert sol.success
-    oracle = sol.y[:, -1].reshape(dim, dim)
-    assert np.abs(sb.floquet_operator(parts) - oracle).max() < 1e-9
+def _parts_for(n, l, g=0.2):
+    return sb.build_interaction_picture(replace(sb.preset_v0_4(g), n_particles=n, n_sites=l),
+                                        sb.build_k0_sector(n, l))
+
+
+def _boost_phase(parts):
+    """Phi = B^(-L/d) in sector coordinates, as floquet_operator uses it."""
+    return np.exp(-2j * np.pi * parts.boost_charge / parts.boost_order)
+
+
+@pytest.mark.parametrize("n,l", BOOST_SHAPES)
+def test_boost_shifts_hamiltonian_by_a_fraction_of_the_period(n, l):
+    # conj(Phi) H(t) Phi = H(t + T_B/d), exactly, at an arbitrary t
+    parts = _parts_for(n, l)
+    assert parts.boost_order == math.gcd(n, l)
+    phi = _boost_phase(parts)
+    tau = parts.t_bloch / parts.boost_order
+    for t in (0.0, 0.29 * parts.t_bloch):
+        boosted = phi.conj()[:, None] * parts.dense_at(t) * phi[None, :]
+        assert np.abs(boosted - parts.dense_at(t + tau)).max() < 1e-13
+
+
+@pytest.mark.parametrize("n,l", BOOST_SHAPES)
+def test_boost_charge_is_constant_along_each_orbit(n, l):
+    sector = sb.build_k0_sector(n, l)
+    parts = _parts_for(n, l)
+    d = parts.boost_order
+    for rep, size, charge in zip(sector.representatives, sector.orbit_sizes,
+                                 parts.boost_charge):
+        state = rep
+        for _ in range(int(size)):
+            s = sum(site * (na + nb)
+                    for site, (na, nb) in enumerate(zip(state.lower, state.upper)))
+            assert s % d == charge
+            state = sb.translate(state)
+
+
+def test_floquet_operator_matches_lab_frame_full_period():
+    # U = (Y^T Phi Y)^d is built from a T_B/(2d) integration, so check it
+    # against an independent full-period integration of i dU/dt = H(t) U in
+    # the lab frame, for every boost order d = 1..4
+    for n, l in BOOST_SHAPES:
+        parts = _parts_for(n, l)
+        dim = parts.basis_dim
+
+        def rhs(t, y, parts=parts, dim=dim):
+            return (-1j * parts.dense_at(t) @ y.reshape(dim, dim)).ravel()
+
+        sol = solve_ivp(rhs, (0.0, parts.t_bloch), np.eye(dim, dtype=complex).ravel(),
+                        method="DOP853", rtol=1e-12, atol=1e-12)
+        assert sol.success
+        oracle = sol.y[:, -1].reshape(dim, dim)
+        assert np.abs(sb.floquet_operator(parts) - oracle).max() < 1e-9, (n, l)
+
+
+def test_floquet_operator_integrates_a_fraction_of_the_period(system44, monkeypatch):
+    # deterministic work counter: T_B/8 at N = L = 4 takes 89 evaluations of
+    # the right-hand side, the half period T_B/2 took 317
+    calls = []
+    apply = sb.HamiltonianParts.apply
+
+    def counted(self, t, y):
+        calls.append(t)
+        return apply(self, t, y)
+
+    monkeypatch.setattr(sb.HamiltonianParts, "apply", counted)
+    sb.floquet_operator(system44)
+    assert system44.boost_order == 4
+    assert 0 < len(calls) <= 100
+    assert max(calls) <= system44.t_bloch / 8
+
+
+def test_floquet_rejects_broken_boost_symmetry():
+    parts = _parts_for(3, 3)
+    scrambled = replace(parts, boost_charge=np.roll(parts.boost_charge, 1))
+    with pytest.raises(ValueError, match="boost symmetry"):
+        sb.floquet_operator(scrambled)
 
 
 def test_floquet_rejects_complex_hopping(small_system):
@@ -181,6 +247,23 @@ def test_diagonalize_identity():
     assert np.abs(spec.quasi_energies).max() == 0.0
     assert np.abs(np.sort(np.abs(spec.coefficients)) - np.array([0.6, 0.8])).max() < 1e-14
     assert spec.unitarity_defect < 1e-15
+
+
+def test_diagonalize_rejects_colliding_eigenvalues():
+    # cos(phi) + mu sin(phi) is equal at phi0 +- a, so the real symmetric
+    # eigh cannot separate the two eigenvectors of this complex symmetric U
+    phi0 = math.atan(EIGEN_MIX)
+    lam = np.exp(1j * (phi0 + np.array([0.4, -0.4])))
+    c, s = math.cos(0.3), math.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    u = rot @ np.diag(lam) @ rot.T
+    assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-14
+    with pytest.raises(sb.NumericalError, match="residual"):
+        sb.diagonalize_floquet(u, t_bloch=2.0, psi0=np.array([1.0, 0.0]))
+    # a generic pair of eigenvalues is separated
+    u = rot @ np.diag(np.exp(1j * np.array([0.4, -0.9]))) @ rot.T
+    spec = sb.diagonalize_floquet(u, t_bloch=2.0, psi0=np.array([1.0, 0.0]))
+    assert spec.quasi_energies == pytest.approx([-0.2, 0.45], abs=1e-14)
 
 
 def test_spectrum_contracts(small_system):
