@@ -15,7 +15,6 @@ from .analysis import (
     collapse_time,
     fit_inverse_g,
     initial_period,
-    measured_period,
     revival_time,
     spectral_revival_estimate,
     upper_envelope,

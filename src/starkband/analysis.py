@@ -8,10 +8,27 @@ Measurement conventions:
   * "No collapse" and "no revival" are expected outcomes, reported as None;
     asking for a period of a trace that never oscillates is a usage error
     and raises.
+
+Crests of the trace and the revival peak of its envelope are found with
+scipy.signal's definitions (find_peaks with wlen=None, and peak_widths at
+rel_height=0.5), computed here with numpy so that a run never imports
+scipy.signal, which loads scipy.stats.  The oracle test in
+tests/test_analysis.py checks them against scipy sample for sample:
+
+  * Crest: a local maximum, i.e. a strict rise, a flat or single-sample top,
+    then a strict fall.  A plateau reports its midpoint (left + right) // 2,
+    so the first and last samples never qualify.
+  * Prominence: on each side, the base is the lowest sample before the first
+    sample higher than the crest; ties go to the sample nearest the crest.
+    The prominence is the crest height minus the higher of the two bases.
+  * FWHM: from the crest towards each base while the samples stay above
+    height - prominence/2, then linear interpolation between the last sample
+    above that level and the first one below it.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +44,6 @@ __all__ = [
     "spectral_revival_estimate",
     "cluster_weights",
     "coefficient_width",
-    "measured_period",
     "initial_period",
     "fit_inverse_g",
     "build_revival_report",
@@ -91,6 +107,48 @@ def upper_envelope(trace: OscillationTrace, window: float) -> OscillationTrace:
     return OscillationTrace(np.array(centers), np.array(maxima), dict(trace.meta))
 
 
+class _Peak(NamedTuple):
+    index: int
+    prominence: float
+    left_base: int
+    right_base: int
+    width: float  # full width at half prominence, in samples
+
+
+def _find_peaks(v: np.ndarray, prominence: float) -> list[_Peak]:
+    """Local maxima of v whose prominence is at least `prominence`, in order.
+
+    Crest, prominence and width are defined in the module docstring.
+    """
+    steps = np.flatnonzero(np.diff(v))  # k with v[k + 1] != v[k]
+    rise = v[steps + 1] > v[steps]
+    tops = np.flatnonzero(rise[:-1] & ~rise[1:])
+    peaks = []
+    for p in (steps[tops] + 1 + steps[tops + 1]) // 2:
+        sides = []
+        for seg in (v[p::-1], v[p:]):  # each side, starting at the peak
+            n = 16  # widen the search as needed: the cost follows the distance scanned
+            while n < seg.size and not (seg[:n] > v[p]).any():
+                n *= 16
+            higher = np.flatnonzero(seg[:n] > v[p])
+            seg = seg[:higher[0]] if higher.size else seg
+            sides.append((seg, int(np.argmin(seg))))  # first minimum: nearest the peak
+        prom = v[p] - max(seg[b] for seg, b in sides)
+        if not prom >= prominence:
+            continue
+        half = v[p] - prom * 0.5
+        ends = []
+        for seg, b in sides:
+            below = np.flatnonzero(seg[:b] <= half)
+            j = int(below[0]) if below.size else b
+            ends.append((j, (half - seg[j]) / (seg[j - 1] - seg[j]) if seg[j] < half else 0.0))
+        (jl, fl), (jr, fr) = ends
+        width = (float(p + jr) - fr) - (float(p - jl) + fl)
+        peaks.append(_Peak(int(p), float(prom), int(p) - sides[0][1], int(p) + sides[1][1],
+                           float(width)))
+    return peaks
+
+
 def _crest_times(trace: OscillationTrace, prominence: float | None):
     """Parabolically refined times of the qualifying maxima of the trace.
 
@@ -103,24 +161,7 @@ def _crest_times(trace: OscillationTrace, prominence: float | None):
         if spread <= 0:
             raise ValueError("trace is constant; period undefined")
         prominence = 0.25 * spread
-    # imported here: scipy.signal pulls in scipy.stats, ~0.6 s per process
-    from scipy.signal import find_peaks
-
-    peaks, _ = find_peaks(v, prominence=prominence)
-    return [_refine_peak(trace.times, v, p) for p in peaks]
-
-
-def measured_period(trace: OscillationTrace, prominence: float | None = None) -> float:
-    """Oscillation period from the mean spacing of successive maxima.
-
-    Meant for traces that oscillate steadily (no collapse); on a beating
-    signal the full-trace mean is biased, use initial_period instead.
-    Raises if fewer than two maxima qualify.
-    """
-    crests = _crest_times(trace, prominence)
-    if len(crests) < 2:
-        raise ValueError(f"found {len(crests)} qualifying maxima; need at least 2 for a period")
-    return float(np.mean(np.diff(crests)))
+    return [_refine_peak(trace.times, v, peak.index) for peak in _find_peaks(v, prominence)]
 
 
 def initial_period(
@@ -131,8 +172,8 @@ def initial_period(
     Collapse distorts the late-time crest spacing, so the envelope window of
     a collapsing trace must be measured where the oscillation is still
     coherent.  The median spacing is used so that a deep collapse between
-    early crests cannot drag the estimate; for a steady trace this agrees
-    with measured_period.
+    early crests cannot drag the estimate.  Raises if fewer than two maxima
+    qualify.
     """
     crests = _crest_times(trace, prominence)
     if len(crests) < 2:
@@ -141,9 +182,12 @@ def initial_period(
 
 
 def _refine_peak(times, values, p) -> float:
-    """Vertex of the parabola through the three samples around index p."""
-    if p == 0 or p == len(values) - 1:
-        return float(times[p])
+    """Vertex of the parabola through the three samples around index p.
+
+    p is a local maximum from _find_peaks, which needs a sample on each side
+    (a strict rise before it and a strict fall after it), so p is never the
+    first or the last index.
+    """
     t = times[p - 1:p + 2].astype(float)
     y = values[p - 1:p + 2].astype(float)
     denom = (y[0] - 2.0 * y[1] + y[2])
@@ -206,15 +250,10 @@ def revival_time(
     t, v = env.times[sel], env.values[sel]
     if t.size < 3:
         return None
-    from scipy.signal import find_peaks, peak_widths
-
-    peaks, _ = find_peaks(v, prominence=prominence)
-    if peaks.size == 0:
+    peaks = _find_peaks(v, prominence)
+    if not peaks:
         return None
-    p = int(peaks[0])
-    widths = peak_widths(v, [p], rel_height=0.5)[0]
-    fwhm = float(widths[0]) * window
-    return float(t[p]), fwhm
+    return float(t[peaks[0].index]), peaks[0].width * window
 
 
 @dataclass(frozen=True)

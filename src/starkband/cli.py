@@ -312,7 +312,9 @@ def cmd_single_particle(args) -> int:
     else:
         predicted = rabi_occupation(times, params)
         kind = "rabi"
-    lines = [f"# {cfg.fingerprint(window=args.window, prediction=kind)}",
+    header = cfg.fingerprint(window=args.window, prediction=kind,
+                             t_final_tb=args.t_final_tb, sample_per_tb=args.sample_per_tb)
+    lines = [f"# {header}",
              "t,t_over_TB,Nb,Nb_predicted"]
     for t, v, pv in zip(times, nb, predicted):
         lines.append(f"{_fmt(t)},{_fmt(t / tb)},{_fmt(v)},{_fmt(pv)}")

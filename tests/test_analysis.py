@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import starkband as sb
-from starkband.analysis import OscillationTrace
+from starkband.analysis import OscillationTrace, _find_peaks
 
 
 def _trace(times, values):
@@ -53,19 +53,48 @@ def test_envelope_errors():
         sb.upper_envelope(_trace(t, np.zeros_like(t)), window=0.0)
 
 
-def test_measured_period_sine_squared():
+def test_initial_period_sine_squared():
     omega = 3.7
     t = np.linspace(0.0, 40.0, 8001)
-    period = sb.measured_period(_trace(t, np.sin(0.5 * omega * t) ** 2))
+    period = sb.initial_period(_trace(t, np.sin(0.5 * omega * t) ** 2))
     assert period == pytest.approx(2 * math.pi / omega, rel=5e-3)
 
 
-def test_measured_period_undefined():
+def test_initial_period_undefined():
     t = np.linspace(0.0, 10.0, 101)
     with pytest.raises(ValueError):
-        sb.measured_period(_trace(t, np.full_like(t, 0.2)))       # constant
+        sb.initial_period(_trace(t, np.full_like(t, 0.2)))       # constant
     with pytest.raises(ValueError):
-        sb.measured_period(_trace(t, np.sin(0.2 * t) ** 2))       # single maximum
+        sb.initial_period(_trace(t, np.sin(0.2 * t) ** 2))       # single maximum
+
+
+def _oracle_traces(seed=7, per_kind=1000):
+    """Seeded random, integer-valued (plateaus, ties) and rounded-sine traces."""
+    rng = np.random.default_rng(seed)
+    for _ in range(per_kind):
+        yield rng.random(rng.integers(0, 61))
+        yield rng.integers(0, 4, rng.integers(0, 61)).astype(float)
+        n = rng.integers(0, 61)
+        yield np.round(np.sin(rng.uniform(0.2, 2.0) * np.arange(n) + rng.uniform(0, 6)), 1)
+
+
+def test_find_peaks_matches_scipy():
+    from scipy.signal import find_peaks, peak_widths
+
+    plateaus = 0
+    for v in _oracle_traces():
+        for prominence in (0, 0.05, 0.3, 1):
+            want, props = find_peaks(v, prominence=prominence)
+            got = np.array(_find_peaks(v, prominence), dtype=float).reshape(-1, 5).T
+            assert np.array_equal(got[0], want)
+            assert np.array_equal(got[1], props["prominences"])
+            assert np.array_equal(got[2], props["left_bases"])
+            assert np.array_equal(got[3], props["right_bases"])
+            if want.size:
+                assert np.array_equal(got[4], peak_widths(v, want, rel_height=0.5)[0])
+            assert not np.isin(got[0], [0, v.size - 1]).any()
+            plateaus += int(np.sum((v[want - 1] == v[want]) | (v[want + 1] == v[want])))
+    assert plateaus > 0  # the integer traces did exercise flat tops
 
 
 def test_initial_period_ignores_collapse_gap():

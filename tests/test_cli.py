@@ -248,9 +248,16 @@ def test_preset_unknown_exits_2():
     assert main(["evolve", "--preset", "nope", "--t-final-tb", "2"]) == 2
 
 
-def test_cli_import_defers_scipy_signal():
-    # scipy.signal pulls in scipy.stats (~0.6 s); only peak finding needs it
-    proc = _run_python("-c", "import sys, starkband.cli; "
-                             "print('scipy.signal' in sys.modules)")
+def test_cli_import_defers_scipy_signal(tmp_path):
+    # scipy.signal pulls in scipy.stats (~0.5 s per process); a full
+    # revival-report, crest and revival-peak finding included, needs neither
+    out = tmp_path / "report.json"
+    proc = _run_python("-c", "import sys; from starkband.cli import main; "
+                             "status = main(['revival-report', '--preset', 'v0_4', "
+                             "'--n', '3', '--l', '3', '--g', '0.2', "
+                             f"'--out', {str(out)!r}]); "
+                             "print(status, [m for m in ('scipy.signal', 'scipy.stats') "
+                             "if m in sys.modules])")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "0 []"
+    assert json.loads(out.read_text())["t_rev_measured"] is not None

@@ -1,9 +1,11 @@
-"""Every imported name in `src/` and `tests/` is used.
+"""Every imported name in `src/` and `tests/` is used, and `src/` stays off
+the slow scipy subpackages.
 
 No linter ships with the project, so this is the check for dead imports.
 A name counts as used if it is read anywhere in its module or is listed in
 the module's `__all__`; the imports of an `__init__.py` are re-exports and
-are not checked.
+are not checked.  `scipy.signal` loads `scipy.stats`, about 0.5 s per
+process, so no module under `src/` may import either of them.
 """
 
 import ast
@@ -38,6 +40,22 @@ def _used_names(tree):
     return used
 
 
+SLOW_IMPORTS = ("scipy.signal", "scipy.stats")
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield from ((f"{node.module}.{alias.name}", node.lineno) for alias in node.names)
+
+
+def _slow_imports(tree):
+    return [(name, line) for name, line in _imported_modules(tree)
+            if any(name == m or name.startswith(m + ".") for m in SLOW_IMPORTS)]
+
+
 def test_modules_found():
     assert any(p.name == "propagation.py" for p in MODULES)
     assert Path(__file__).resolve() in MODULES
@@ -55,3 +73,19 @@ def test_detects_an_unused_import():
     tree = ast.parse("import os\nimport numpy as np\nfrom a.b import c, d\nprint(np, d)\n")
     used = _used_names(tree)
     assert [n for n, _ in _imported_names(tree) if n not in used] == ["os", "c"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_avoids_slow_scipy_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    slow = [f"{name} (line {line})" for name, line in _slow_imports(tree)]
+    assert not slow, f"{path.name} imports {', '.join(slow)}"
+
+
+def test_detects_a_slow_scipy_import():
+    tree = ast.parse("import scipy.stats\nfrom scipy import signal, linalg\n"
+                     "from scipy.signal import find_peaks\nimport scipy.sparse\n"
+                     "def f():\n    from scipy.stats import norm\n")
+    assert [n for n, _ in _slow_imports(tree)] == [
+        "scipy.stats", "scipy.signal", "scipy.signal.find_peaks", "scipy.stats.norm"]
