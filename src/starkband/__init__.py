@@ -58,7 +58,6 @@ from .propagation import (
     evolve,
     floquet_operator,
     occupation_series,
-    stroboscopic_evolve,
     stroboscopic_occupations,
 )
 

@@ -26,6 +26,7 @@ from .model import (
     PRESETS,
     ModelParams,
     build_resonant_two_level,
+    collapse_from_revival,
     load_params,
     rabi_occupation,
     revival_estimate_universal,
@@ -236,6 +237,12 @@ def _revival_record(cfg: RunConfig, n_periods: int | None, prominence: float) ->
     spectrum, trace = _stroboscopic_trace(cfg, sector, parts, psi0, n_periods, {})
     report = analysis.build_revival_report(trace, spectrum, eq9, revival_prominence=prominence)
     record = report.as_dict()
+    # the effective model's collapse time, beside the measured one; a single
+    # participating coefficient (delta_n = 0) never dephases
+    delta_n = record["delta_n"]
+    predicted = collapse_from_revival(eq9, delta_n) if eq9 is not None and delta_n else None
+    record = {"t_coll_measured": record.pop("t_coll_measured"),
+              "t_coll_predicted": predicted, **record}
     # times in Bloch periods alongside absolute units
     for key in ("t_coll_measured", "t_rev_measured", "t_rev_universal",
                 "t_rev_spectral", "revival_fwhm"):

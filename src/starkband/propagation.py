@@ -14,9 +14,14 @@ is integrated over T_B/(2d), d = gcd(N, L): a boost of the ring shifts
 H(t) by T_B/d, and time reversal (h_static and h_hop are real in the kappa = 0
 basis) halves that span.  The resulting U is complex symmetric, so its
 eigenbasis comes from one real symmetric eigh.
+
+Memory stays within a few copies of U: the propagator is integrated in
+chunks of columns, and the stroboscopic trace in short blocks of periods.
 """
 
+import gc
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,12 +40,10 @@ __all__ = [
     "evolve",
     "floquet_operator",
     "diagonalize_floquet",
-    "stroboscopic_evolve",
     "stroboscopic_occupations",
     "occupation_series",
     "DEFAULT_RTOL",
     "DEFAULT_ATOL",
-    "DEFAULT_FLOQUET_DIMENSION_CAP",
 ]
 
 # Integration error dominates both the unitarity-defect budget (1e-8) and
@@ -50,7 +53,13 @@ __all__ = [
 # floquet_operator is then ~1.3e-11 (g = 0.2).
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
-DEFAULT_FLOQUET_DIMENSION_CAP = 20_000
+# floquet_operator integrates U in chunks of FLOQUET_CHUNK columns.  Its peak
+# is estimated as FLOQUET_WORKING_COPIES dim x dim complex arrays (U, Y, the
+# products of (Y^T Phi Y)^d and the unitarity check) plus FLOQUET_CHUNK_COPIES
+# dim x FLOQUET_CHUNK ones (DOP853's stages and the steps solve_ivp keeps).
+FLOQUET_CHUNK = 64
+FLOQUET_WORKING_COPIES = 8
+FLOQUET_CHUNK_COPIES = 64
 # diagonalize_floquet: the weight of Im U in its eigh (irrational, so no rational
 # symmetry of the spectrum makes eigenvalues collide) and the eigenpair residual budget.
 EIGEN_MIX = (math.sqrt(5.0) - 1.0) / 2.0
@@ -174,16 +183,20 @@ def evolve(
     return EvolutionResult(snapshots=snapshots, norm_drift=float(drift))
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def floquet_operator(
     parts: HamiltonianParts,
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
     method: str = "DOP853",
-    dimension_cap: int = DEFAULT_FLOQUET_DIMENSION_CAP,
     max_defect: float = 1e-6,
 ) -> np.ndarray:
-    """One-period propagator U(T_B) = (Y^T Phi Y)^d, from one matrix ODE over
+    """One-period propagator U(T_B) = (Y^T Phi Y)^d, from the matrix ODE over
     [0, T_B/(2d)] in the frame of the static diagonal, d = parts.boost_order.
 
     Frame: with D = diag(h_static), W(t) = e^{iDt} U(t) obeys
@@ -195,14 +208,25 @@ def floquet_operator(
     Complex blocks, or blocks that do not carry the charges (h_static keeps
     S mod d, h_hop raises it by one), raise ValueError.
 
-    All columns share one adaptive step sequence, which is deterministic and
-    much cheaper than per-column integration.  The unitarity defect
-    max|U^dag U - 1| is checked against `max_defect`; a failure suggests
-    tightening the tolerances.
+    Memory: the columns of W are independent, so they are integrated
+    FLOQUET_CHUNK at a time, each chunk from the matching columns of the
+    identity with its own adaptive steps and the same rtol and atol, into
+    one preallocated dim x dim array.  A finished scipy solver is a
+    reference cycle (it keeps a closure over itself), so its stage arrays
+    would outlive the chunk until the cyclic collector ran; a collection
+    of the youngest generation after each chunk frees them.  ValueError is
+    raised before any integration when the estimated working set exceeds
+    the physical memory.  The unitarity defect max|U^dag U - 1| is checked
+    against `max_defect`; a failure suggests tightening the tolerances.
     """
     dim = parts.basis_dim
-    if dim > dimension_cap:
-        raise ValueError(f"sector dimension {dim} exceeds the propagator cap {dimension_cap}")
+    need = 16 * dim * (FLOQUET_WORKING_COPIES * dim
+                       + FLOQUET_CHUNK_COPIES * min(dim, FLOQUET_CHUNK))
+    have = _physical_memory()
+    if need > have:
+        raise ValueError(f"the propagator at sector dimension {dim} needs about "
+                         f"{need / 2**20:,.1f} MiB, more than the {have / 2**20:,.1f} MiB "
+                         "of physical memory")
     order, charge = parts.boost_order, parts.boost_charge
     for name, step in (("h_static", 0), ("h_hop", 1)):
         block = getattr(parts, name).tocoo()
@@ -211,12 +235,21 @@ def floquet_operator(
         if np.any((charge[block.row] - charge[block.col] - step) % order):
             raise ValueError(f"{name} breaks the boost symmetry of order {order}")
 
-    def rhs(t, y):
-        return (-1j * parts.apply(t, y.reshape(dim, dim))).ravel()
-
     half = 0.5 * parts.t_bloch / order
-    sol = _integrate(rhs, np.eye(dim, dtype=complex).ravel(), 0.0, half, [half], rtol, atol, method)
-    y = np.exp(-1j * half * parts.frame)[:, None] * sol.y[:, -1].reshape(dim, dim)
+    y = np.empty((dim, dim), dtype=complex)
+    for start in range(0, dim, FLOQUET_CHUNK):
+        width = min(FLOQUET_CHUNK, dim - start)
+
+        def rhs(t, w, width=width):
+            return (-1j * parts.apply(t, w.reshape(dim, width))).ravel()
+
+        w0 = np.zeros((dim, width), dtype=complex)
+        w0[start:start + width] = np.eye(width)
+        sol = _integrate(rhs, w0.ravel(), 0.0, half, None, rtol, atol, method)
+        y[:, start:start + width] = sol.y[:, -1].reshape(dim, width)
+        del sol
+        gc.collect(0)
+    y *= np.exp(-1j * half * parts.frame)[:, None]
     phi = np.exp(-2j * math.pi * charge / order)
     u = np.linalg.matrix_power(y.T @ (phi[:, None] * y), order)
     defect = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
@@ -259,13 +292,6 @@ def diagonalize_floquet(u: np.ndarray, t_bloch: float, psi0) -> FloquetSpectrum:
     )
 
 
-def stroboscopic_evolve(spectrum: FloquetSpectrum, m: int) -> WaveFunction:
-    """psi(m T_B) = sum_n c_n exp(-i eps_n m T_B) |eps_n>; O(dim^2) per call."""
-    phases = np.exp(-1j * spectrum.quasi_energies * (m * spectrum.t_bloch))
-    coords = spectrum.eigen_vectors @ (phases * spectrum.coefficients)
-    return WaveFunction(coords, m * spectrum.t_bloch)
-
-
 def stroboscopic_occupations(
     spectrum: FloquetSpectrum,
     sector: SymmetrySector,
@@ -280,7 +306,8 @@ def stroboscopic_occupations(
     ms = np.arange(0, n_periods + 1, every)
     values = np.empty(ms.size)
     vt = spectrum.eigen_vectors.T
-    chunk = max(1, 8_000_000 // max(1, spectrum.dim))
+    # periods per block: about 100,000 phases, so its temporaries take a few MB
+    chunk = max(1, 100_000 // max(1, spectrum.dim))
     for start in range(0, ms.size, chunk):
         block = ms[start:start + chunk]
         phases = np.exp(

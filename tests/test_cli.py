@@ -166,6 +166,10 @@ def test_revival_report_small_system(params_file, tmp_path):
     assert record["t_rev_measured"] is None
     assert "fingerprint" in record and "g=0.1" in record["fingerprint"]
     assert record["t_rev_universal"] > 0
+    # the effective model's collapse time sits beside the measured one
+    assert list(record)[:2] == ["t_coll_measured", "t_coll_predicted"]
+    assert record["t_coll_predicted"] == sb.collapse_from_revival(record["t_rev_universal"],
+                                                                  record["delta_n"])
     assert 0 <= record["unitarity_defect"] < 1e-8
 
 

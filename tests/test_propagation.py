@@ -6,6 +6,7 @@ contracts are exercised on systems small enough to run in seconds.
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,8 @@ import scipy.sparse as sparse
 from scipy.integrate import solve_ivp
 
 import starkband as sb
+import starkband.propagation as propagation
+from starkband.cli import main
 from starkband.fock import FockState
 from starkband.propagation import EIGEN_MIX, WaveFunction
 
@@ -188,10 +191,13 @@ def test_boost_charge_is_constant_along_each_orbit(n, l):
 def test_floquet_operator_matches_lab_frame_full_period():
     # U = (Y^T Phi Y)^d is built from a T_B/(2d) integration, so check it
     # against an independent full-period integration of i dU/dt = H(t) U in
-    # the lab frame, for every boost order d = 1..4
+    # the lab frame, for every boost order d = 1..4; (4, 4) spans two chunks
+    # of columns
+    dims = []
     for n, l in BOOST_SHAPES:
         parts = _parts_for(n, l)
         dim = parts.basis_dim
+        dims.append(dim)
 
         def rhs(t, y, parts=parts, dim=dim):
             return (-1j * parts.dense_at(t) @ y.reshape(dim, dim)).ravel()
@@ -201,23 +207,51 @@ def test_floquet_operator_matches_lab_frame_full_period():
         assert sol.success
         oracle = sol.y[:, -1].reshape(dim, dim)
         assert np.abs(sb.floquet_operator(parts) - oracle).max() < 1e-9, (n, l)
+    assert max(dims) > propagation.FLOQUET_CHUNK
 
 
 def test_floquet_operator_integrates_a_fraction_of_the_period(system44, monkeypatch):
-    # deterministic work counter: T_B/8 at N = L = 4 takes 89 evaluations of
-    # the right-hand side, the half period T_B/2 took 317
-    calls = []
+    # deterministic work counter, in columns of U pushed through the
+    # right-hand side: T_B/8 at N = L = 4 takes 89.1 dim (two chunks of
+    # columns, each with its own steps); the half period T_B/2 took 317 dim
+    times, columns = [], []
     apply = sb.HamiltonianParts.apply
 
     def counted(self, t, y):
-        calls.append(t)
+        times.append(t)
+        columns.append(y.shape[1])
         return apply(self, t, y)
 
     monkeypatch.setattr(sb.HamiltonianParts, "apply", counted)
     sb.floquet_operator(system44)
     assert system44.boost_order == 4
-    assert 0 < len(calls) <= 100
-    assert max(calls) <= system44.t_bloch / 8
+    assert 0 < sum(columns) <= 100 * system44.basis_dim
+    assert max(times) <= system44.t_bloch / 8
+
+
+def test_floquet_operator_memory_is_a_few_copies_of_u(preset_runs):
+    # the dense matrix ODE held about 37 copies of U at the preset
+    parts = preset_runs.parts(0.2)
+    tracemalloc.start()
+    try:
+        sb.floquet_operator(parts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * parts.basis_dim ** 2
+
+
+def test_stroboscopic_occupations_memory_is_bounded(preset_runs):
+    # one 3,082 x 402 block of phases took 38 MB of temporaries at the preset
+    spectrum = preset_runs.spectrum(0.2)
+    tracemalloc.start()
+    try:
+        trace = sb.stroboscopic_occupations(spectrum, preset_runs.sector, 3081)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.values.size == 3082
+    assert peak <= 8e6
 
 
 def test_floquet_rejects_broken_boost_symmetry():
@@ -235,10 +269,17 @@ def test_floquet_rejects_complex_hopping(small_system):
         sb.floquet_operator(rotated)
 
 
-def test_floquet_dimension_cap():
+def test_floquet_memory_check(monkeypatch, capsys):
+    # the working-set estimate is compared with physical memory before any
+    # integration; the CLI turns the refusal into exit code 2
     parts = _diagonal_parts([0.1, 0.2, 0.3])
-    with pytest.raises(ValueError):
-        sb.floquet_operator(parts, dimension_cap=2)
+    monkeypatch.setattr(propagation, "_physical_memory", lambda: 10**6)
+    sb.floquet_operator(parts)
+    monkeypatch.setattr(propagation, "_physical_memory", lambda: 1000)
+    with pytest.raises(ValueError, match=r"needs about [\d.]+ MiB, more than .* physical memory"):
+        sb.floquet_operator(parts)
+    assert main(["floquet-spectrum", "--preset", "v0_4", "--n", "2", "--l", "2"]) == 2
+    assert "physical memory" in capsys.readouterr().err
 
 
 def test_diagonalize_identity():
@@ -281,13 +322,19 @@ def test_spectrum_contracts(small_system):
     assert np.abs(q.conj().T @ q - np.eye(sector.dim)).max() < 1e-12
 
 
+def _stroboscopic_state(spectrum, m):
+    """psi(m T_B) = sum_n c_n exp(-i eps_n m T_B) |eps_n>."""
+    phases = np.exp(-1j * spectrum.quasi_energies * (m * spectrum.t_bloch))
+    return spectrum.eigen_vectors @ (phases * spectrum.coefficients)
+
+
 def test_stroboscopic_reconstruction(small_system):
     sector, parts, psi0 = small_system
     u = sb.floquet_operator(parts)
     spec = sb.diagonalize_floquet(u, parts.t_bloch, psi0)
-    assert np.abs(sb.stroboscopic_evolve(spec, 0).coords - psi0).max() < 1e-8
+    assert np.abs(_stroboscopic_state(spec, 0) - psi0).max() < 1e-8
     for m in (1, 7, 50):
-        assert sb.stroboscopic_evolve(spec, m).norm == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(_stroboscopic_state(spec, m)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_stroboscopic_vs_direct(small_system):
@@ -296,7 +343,7 @@ def test_stroboscopic_vs_direct(small_system):
     spec = sb.diagonalize_floquet(u, parts.t_bloch, psi0)
     m = 50
     direct = sb.evolve(psi0, parts, m * parts.t_bloch, sample_every=m * parts.t_bloch)
-    assert np.abs(sb.stroboscopic_evolve(spec, m).coords
+    assert np.abs(_stroboscopic_state(spec, m)
                   - direct.snapshots[-1].coords).max() < 1e-5
 
 
@@ -313,8 +360,8 @@ def test_quasi_energy_refolding_is_harmless(small_system):
         t_bloch=spec.t_bloch,
     )
     for m in (1, 13, 60):
-        a = sb.stroboscopic_evolve(spec, m).coords
-        b = sb.stroboscopic_evolve(refolded, m).coords
+        a = _stroboscopic_state(spec, m)
+        b = _stroboscopic_state(refolded, m)
         assert np.abs(a - b).max() < 1e-9
 
 
@@ -327,8 +374,8 @@ def test_stroboscopic_occupation_trace(small_system):
     assert trace.values[0] == pytest.approx(0.0, abs=1e-12)
     # matches per-sample reconstruction
     for m in (3, 17, 40):
-        psi = sb.stroboscopic_evolve(spec, m)
-        nb = float((np.abs(psi.coords) ** 2) @ sector.upper_fractions)
+        psi = _stroboscopic_state(spec, m)
+        nb = float((np.abs(psi) ** 2) @ sector.upper_fractions)
         assert trace.values[m] == pytest.approx(nb, abs=1e-12)
 
 
