@@ -242,7 +242,8 @@ def test_floquet_operator_memory_is_a_few_copies_of_u(preset_runs):
 
 
 def test_stroboscopic_occupations_memory_is_bounded(preset_runs):
-    # one 3,082 x 402 block of phases took 38 MB of temporaries at the preset
+    # one 3,082 x 402 block of phases took about 40 MB of temporaries at the
+    # preset; the blocks must still join up (248 periods each at dim 402)
     spectrum = preset_runs.spectrum(0.2)
     tracemalloc.start()
     try:
@@ -250,8 +251,12 @@ def test_stroboscopic_occupations_memory_is_bounded(preset_runs):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.values.size == 3082
     assert peak <= 8e6
+    assert trace.values.size == 3082
+    for m in (247, 248, 3081):
+        psi = _stroboscopic_state(spectrum, m)
+        nb = float((np.abs(psi) ** 2) @ preset_runs.sector.upper_fractions)
+        assert trace.values[m] == pytest.approx(nb, abs=1e-12)
 
 
 def test_floquet_rejects_broken_boost_symmetry():
