@@ -34,7 +34,6 @@ from .hamiltonian import (
     TermMask,
     build_interaction_picture,
     build_single_particle_transformed,
-    build_static_tilted,
     hermiticity_defect,
 )
 from .model import (

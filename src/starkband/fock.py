@@ -149,18 +149,6 @@ class SymmetrySector:
         r = state_rank(state)
         return int(self.rep_of_rank[r]), int(self.shift_of_rank[r])
 
-    def expand(self, coords) -> np.ndarray:
-        """Embed sector coordinates as a full-Fock-basis vector."""
-        coords = np.asarray(coords)
-        full = np.zeros(self.full_dim, dtype=complex)
-        for i, rep in enumerate(self.representatives):
-            amp = coords[i] * self.norms[i]
-            s = rep
-            for _ in range(int(self.orbit_sizes[i])):
-                full[state_rank(s)] += amp
-                s = translate(s)
-        return full
-
 
 def build_k0_sector(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP) -> SymmetrySector:
     """Group the full Fock basis into translation orbits and assemble kappa=0.

@@ -23,14 +23,13 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.special import jv
 
-from .fock import FockState, SymmetrySector, state_rank
+from .fock import FockState, SymmetrySector
 from .model import ModelParams
 
 __all__ = [
     "TermMask",
     "HamiltonianParts",
     "build_interaction_picture",
-    "build_static_tilted",
     "build_single_particle_transformed",
     "hermiticity_defect",
 ]
@@ -47,9 +46,9 @@ _MASK_ALIASES = {"c0": "coupling_c0"}
 class TermMask:
     """Per-term toggles for Hamiltonian assembly.
 
-    `tilt` only matters for the static (untransformed) form; the interaction
-    picture removes the tilt by construction.  The band-gap diagonal
-    +-delta/2 is not a term of its own and is always present.
+    `tilt` has no effect on the interaction picture, which removes the tilt
+    by construction.  The band-gap diagonal +-delta/2 is not a term of its
+    own and is always present.
     """
 
     hop_a: bool = True
@@ -174,13 +173,12 @@ def hermiticity_defect(matrix) -> float:
     return float(np.abs(m - m.conj().T).max())
 
 
-def _diagonal_energy(lo, up, params: ModelParams, mask: TermMask, tilted: bool) -> float:
+def _diagonal_energy(lo, up, params: ModelParams, mask: TermMask) -> float:
+    """Band gap and interactions of one Fock state; the tilt is not included."""
     g = params.g
     e = 0.0
-    for l, (na, nb) in enumerate(zip(lo, up), start=1):
+    for na, nb in zip(lo, up):
         e += 0.5 * params.delta * (nb - na)
-        if tilted and mask.tilt:
-            e += l * params.force * (na + nb)
         if mask.int_a:
             e += 0.5 * g * params.w_a * na * (na - 1)
         if mask.int_b:
@@ -224,14 +222,13 @@ def _onsite_offdiagonal(rep: FockState, params: ModelParams, mask: TermMask):
                 yield FockState(new_lo, new_up), 0.5 * gwx * amp
 
 
-def _hop_forward(rep: FockState, params: ModelParams, mask: TermMask, ring: bool):
-    """(target, amplitude) pairs for the directed l -> l+1 hopping sum."""
+def _hop_forward(rep: FockState, params: ModelParams, mask: TermMask):
+    """(target, amplitude) pairs for the directed l -> l+1 hopping sum on the ring."""
     lo, up = rep.lower, rep.upper
     L = len(lo)
     if L < 2:
         return  # a single site has no distinct neighbour to hop to
-    bonds = range(L) if ring else range(L - 1)
-    for src in bonds:
+    for src in range(L):
         dst = (src + 1) % L
         if mask.hop_a and lo[src] > 0:
             new = list(lo)
@@ -279,7 +276,7 @@ def build_interaction_picture(
     s_rows, s_cols, s_vals = [], [], []
     h_rows, h_cols, h_vals = [], [], []
     for j, rep in enumerate(sector.representatives):
-        diag = _diagonal_energy(rep.lower, rep.upper, params, mask, tilted=False)
+        diag = _diagonal_energy(rep.lower, rep.upper, params, mask)
         if diag != 0.0:
             s_rows.append(j)
             s_cols.append(j)
@@ -289,7 +286,7 @@ def build_interaction_picture(
             s_rows.append(i)
             s_cols.append(j)
             s_vals.append(amp * math.sqrt(sizes[j] / sizes[i]))
-        for target, amp in _hop_forward(rep, params, mask, ring=True):
+        for target, amp in _hop_forward(rep, params, mask):
             i, _ = sector.lookup(target)
             h_rows.append(i)
             h_cols.append(j)
@@ -315,36 +312,6 @@ def build_interaction_picture(
         boost_order=order,
         boost_charge=np.asarray(charge, dtype=np.int64),
     )
-
-
-def build_static_tilted(params: ModelParams, basis, mask: TermMask = TermMask()) -> sparse.csr_matrix:
-    """Time-independent Hamiltonian with the explicit tilt l*F, on the full
-    Fock basis with open boundary conditions (a tilt on a ring is ill-defined).
-
-    Sites are numbered 1..L, so the single-particle diagonal is
-    +-delta/2 + l*F.  Used to cross-validate the interaction picture and the
-    dressed-site model on small systems.
-    """
-    dim = len(basis)
-    rows, cols, vals = [], [], []
-    for state in basis:
-        j = state_rank(state)
-        diag = _diagonal_energy(state.lower, state.upper, params, mask, tilted=True)
-        if diag != 0.0:
-            rows.append(j)
-            cols.append(j)
-            vals.append(diag)
-        for target, amp in _onsite_offdiagonal(state, params, mask):
-            rows.append(state_rank(target))
-            cols.append(j)
-            vals.append(amp)
-        # open chain: forward hops plus their conjugates, no phases
-        for target, amp in _hop_forward(state, params, mask, ring=False):
-            i = state_rank(target)
-            rows.extend((i, j))
-            cols.extend((j, i))
-            vals.extend((amp, amp))
-    return _to_csr(rows, cols, vals, dim)
 
 
 def build_single_particle_transformed(

@@ -1,22 +1,24 @@
 """Time evolution under the periodically driven sector Hamiltonian.
 
-Two complementary routes, mirroring how the dynamics is usually computed:
-direct adaptive Runge-Kutta integration of i d/dt psi = H(t) psi for
-sub-period detail, and the eigenbasis of the one-period propagator for
-stroboscopic long-time observables (collapse and revival live at thousands
-of Bloch periods, far beyond what direct integration should be asked to do).
+Everything rests on the one-period propagator U(T_B), integrated once as a
+matrix ODE.  Its eigenbasis gives the stroboscopic long-time observables
+(collapse and revival live at thousands of Bloch periods).  U itself gives
+continuous traces: H(t) has period T_B, so psi(mT_B + s) = U(s) U^m psi(0),
+and `evolve` integrates only the windows [0, T_B) that hold samples, side
+by side as the columns of one block, each from its start U^m psi(0).
 
-Both integrate i dW/dt = HamiltonianParts.apply(t, W) for W = e^{iDt} psi,
-in the frame of the static diagonal D (band gap and interactions, the
-largest entries of H), so the integrator steps only through the couplings;
-the diagonal phases into and out of the frame are exact.  The propagator
-is integrated over T_B/(2d), d = gcd(N, L): a boost of the ring shifts
-H(t) by T_B/d, and time reversal (h_static and h_hop are real in the kappa = 0
-basis) halves that span.  The resulting U is complex symmetric, so its
-eigenbasis comes from one real symmetric eigh.
+Every integration solves i dW/dt = HamiltonianParts.apply(t, W) for
+W = e^{iDt} psi, in the frame of the static diagonal D (band gap and
+interactions, the largest entries of H), so the integrator steps only
+through the couplings; the diagonal phases into and out of the frame are
+exact.  The propagator is integrated over T_B/(2d), d = gcd(N, L): a boost
+of the ring shifts H(t) by T_B/d, and time reversal (h_static and h_hop are
+real in the kappa = 0 basis) halves that span.  The resulting U is complex
+symmetric, so its eigenbasis comes from one real symmetric eigh.
 
 Memory stays within a few copies of U: the propagator is integrated in
-chunks of columns, and the stroboscopic trace in short blocks of periods.
+chunks of columns, the windows of `evolve` in chunks of about 1 MiB of
+samples, and the stroboscopic trace in short blocks of periods.
 """
 
 import gc
@@ -60,6 +62,9 @@ DEFAULT_ATOL = 1e-12
 FLOQUET_CHUNK = 64
 FLOQUET_WORKING_COPIES = 8
 FLOQUET_CHUNK_COPIES = 64
+# evolve integrates the Bloch-period windows after the first side by side,
+# in chunks whose blocks of samples hold about this many complex numbers (1 MiB)
+EVOLVE_CHUNK_NUMBERS = 2**16
 # diagonalize_floquet: the weight of Im U in its eigh (irrational, so no rational
 # symmetry of the spectrum makes eigenvalues collide) and the eigenpair residual budget.
 EIGEN_MIX = (math.sqrt(5.0) - 1.0) / 2.0
@@ -84,7 +89,7 @@ class WaveFunction:
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """Sampled snapshots of a direct integration plus its final norm drift."""
+    """Sampled snapshots of `evolve` plus the norm drift of the last one."""
 
     snapshots: list
     norm_drift: float
@@ -138,6 +143,54 @@ def _integrate(rhs, y0, t0, t1, t_eval, rtol, atol, method):
     return sol
 
 
+def _integrate_windows(parts, starts, s_start, offsets, rtol, atol, method):
+    """Lab-frame states at the sorted `offsets` of the columns of `starts`,
+    each the state at offset `s_start` of its own Bloch-period window, as one
+    dim x width x len(offsets) block.
+
+    H(mT_B + s) = H(s), so every window integrates i dW/ds = apply(s, W) on
+    W = e^{iDs} psi from the same s_start; the frame phase e^{-iDs} is put
+    back at each offset.  Offsets equal to s_start need no integration.
+    """
+    dim, width = starts.shape
+    if offsets[-1] == s_start:
+        return starts[:, :, None]
+
+    def rhs(s, w):
+        return (-1j * parts.apply(s, w.reshape(dim, width))).ravel()
+
+    d = parts.frame
+    w0 = np.exp(1j * s_start * d)[:, None] * starts
+    sol = _integrate(rhs, w0.ravel(), s_start, offsets[-1], offsets, rtol, atol, method)
+    block = sol.y.reshape(dim, width, offsets.size)
+    block *= np.exp(-1j * np.outer(d, offsets))[:, None, :]
+    return block
+
+
+def _chunks(windows: np.ndarray, slots: np.ndarray, dim: int):
+    """Consecutive runs of the windows that hold samples (`windows` sorted,
+    `slots` the offset index of each sample), with the sorted offset indices
+    each run evaluates.  A run stores its windows times its offsets times
+    dim complex numbers, at most EVOLVE_CHUNK_NUMBERS unless it is one window."""
+    bounds = np.flatnonzero(np.diff(windows)) + 1
+    chunk, union = [], set()
+    for w, own in zip(windows[np.r_[0, bounds]], np.split(slots, bounds)):
+        own = set(own.tolist())
+        if chunk and (len(chunk) + 1) * len(union | own) * dim > EVOLVE_CHUNK_NUMBERS:
+            yield chunk, np.array(sorted(union))
+            chunk, union = [], set()
+        chunk.append(int(w))
+        union |= own
+    yield chunk, np.array(sorted(union))
+
+
+def _snapshots(block, columns, rows, times) -> list:
+    """WaveFunctions of the states block[:, columns, rows] at `times`: views
+    into one copy of just those states, so the rest of the block is freed."""
+    states = block.transpose(1, 2, 0)[columns, rows]
+    return [WaveFunction(psi, float(t)) for psi, t in zip(states, times)]
+
+
 def evolve(
     psi0,
     parts: HamiltonianParts,
@@ -148,13 +201,23 @@ def evolve(
     atol: float = DEFAULT_ATOL,
     method: str = "DOP853",
 ) -> EvolutionResult:
-    """Integrate i d/dt psi = H(t) psi and sample every `sample_every`.
+    """Sample psi(t) of i d/dt psi = H(t) psi every `sample_every`.
 
     psi0 may be a WaveFunction (evolution starts at its time stamp) or a
     bare coordinate vector (starts at t = 0).  The returned snapshots always
-    include the initial and final times.  The integration runs on
-    W = e^{iDt} psi (see the module docstring); the snapshots are lab-frame
-    states, views into one array that is rephased column by column in place.
+    include the initial and final times.
+
+    Time is cut into Bloch-period windows [mT_B, (m+1)T_B).  The window that
+    holds t0 is one vector integration from t0 to its end, or to t_final.
+    H(t) has period T_B, so the window k after it starts from U^(k-1) psi
+    at the end of the first, U = floquet_operator(parts); these windows are
+    integrated side by side, as the columns of one block per chunk (see
+    `_integrate_windows`), and a window without samples only applies U.
+    Sample offsets that differ by the round-off of the sample times are
+    snapped to one grid, so that windows share their evaluation points.
+    Each chunk's samples are copied into their own block, into which the
+    snapshots are views.  U needs real blocks, so a complex h_hop raises
+    ValueError once a sample lies two or more windows after t0's.
     """
     t0 = psi0.time if isinstance(psi0, WaveFunction) else 0.0
     if t_final <= t0:
@@ -171,14 +234,42 @@ def evolve(
         times = np.append(times, t_final)
     times[-1] = min(times[-1], t_final)
 
-    def rhs(t, y):
-        return -1j * parts.apply(t, y)
+    # window index and offset of each sample; times closer than a few ulps
+    # of the largest are not told apart, so offsets snap to one grid below
+    tb = parts.t_bloch
+    tol = 64 * np.finfo(float).eps * max(abs(t0), abs(t_final), tb)
+    absolute = np.floor((times + tol) / tb)
+    offsets = np.maximum(times - absolute * tb, 0.0)
+    windows = (absolute - absolute[0]).astype(np.int64)
 
-    d = parts.frame
-    sol = _integrate(rhs, np.exp(1j * t0 * d) * coords, t0, t_final, times, rtol, atol, method)
-    for k, t in enumerate(sol.t):
-        sol.y[:, k] *= np.exp(-1j * t * d)
-    snapshots = [WaveFunction(sol.y[:, k], float(sol.t[k])) for k in range(sol.t.size)]
+    first = windows == 0
+    ends = np.append(offsets[first], tb) if windows[-1] > 0 else offsets[first]
+    block = _integrate_windows(parts, coords[:, None], offsets[0], ends, rtol, atol, method)
+    snapshots = _snapshots(block, 0, np.arange(first.sum()), times[first])
+
+    if windows[-1] > 0:
+        later = ~first
+        windows, times, offsets = windows[later], times[later], offsets[later]
+        ordered = np.sort(offsets)
+        grid = ordered[np.r_[True, np.diff(ordered) > tol]]
+        slots = np.searchsorted(grid, offsets, side="right") - 1
+        u = None
+        if windows[-1] > 1:
+            u = floquet_operator(parts, rtol=rtol, atol=atol, method=method)
+        state, at = block[:, 0, -1], 1
+        for chunk, evaluated in _chunks(windows, slots, parts.basis_dim):
+            starts = np.empty((parts.basis_dim, len(chunk)), dtype=complex)
+            for j, w in enumerate(chunk):
+                for _ in range(w - at):
+                    state = u @ state
+                at = w
+                starts[:, j] = state
+            block = _integrate_windows(parts, starts, 0.0, grid[evaluated], rtol, atol, method)
+            inside = np.isin(windows, chunk)
+            snapshots += _snapshots(block, np.searchsorted(chunk, windows[inside]),
+                                    np.searchsorted(evaluated, slots[inside]), times[inside])
+            gc.collect(0)  # the finished solver's reference cycle, as in floquet_operator
+
     drift = abs(snapshots[-1].norm - np.linalg.norm(coords))
     return EvolutionResult(snapshots=snapshots, norm_drift=float(drift))
 

@@ -1,0 +1,71 @@
+"""Full-Fock-basis oracles for the tests: the embedding of kappa = 0 sector
+coordinates, and the static Hamiltonian with the explicit tilt l*F."""
+
+import math
+
+import numpy as np
+
+from starkband.fock import FockState, state_rank, translate
+from starkband.hamiltonian import TermMask, _diagonal_energy, _onsite_offdiagonal, _to_csr
+
+
+def expand(sector, coords) -> np.ndarray:
+    """Embed sector coordinates as a full-Fock-basis vector."""
+    coords = np.asarray(coords)
+    full = np.zeros(sector.full_dim, dtype=complex)
+    for i, rep in enumerate(sector.representatives):
+        amp = coords[i] * sector.norms[i]
+        s = rep
+        for _ in range(int(sector.orbit_sizes[i])):
+            full[state_rank(s)] += amp
+            s = translate(s)
+    return full
+
+
+def _open_chain_hops(state: FockState, params, mask: TermMask):
+    """(target, amplitude) pairs for the l -> l+1 hops of both bands on an
+    open chain: -t_a/2 in the lower band, +t_b/2 in the upper."""
+    lo, up = state.lower, state.upper
+    for occ, amp, on, upper in ((lo, -0.5 * params.t_a, mask.hop_a, False),
+                                (up, +0.5 * params.t_b, mask.hop_b, True)):
+        if not on:
+            continue
+        for src in range(len(occ) - 1):
+            if occ[src] == 0:
+                continue
+            new = list(occ)
+            new[src] -= 1
+            new[src + 1] += 1
+            target = FockState(lo, tuple(new)) if upper else FockState(tuple(new), up)
+            yield target, amp * math.sqrt(occ[src] * (occ[src + 1] + 1))
+
+
+def build_static_tilted(params, basis, mask: TermMask = TermMask()):
+    """Time-independent Hamiltonian with the explicit tilt l*F, on the full
+    Fock basis with open boundary conditions (a tilt on a ring is ill-defined).
+
+    Sites are numbered 1..L, so the single-particle diagonal is
+    +-delta/2 + l*F.
+    """
+    rows, cols, vals = [], [], []
+    for state in basis:
+        j = state_rank(state)
+        diag = _diagonal_energy(state.lower, state.upper, params, mask)
+        if mask.tilt:
+            diag += params.force * sum(l * (na + nb) for l, (na, nb)
+                                       in enumerate(zip(state.lower, state.upper), start=1))
+        if diag != 0.0:
+            rows.append(j)
+            cols.append(j)
+            vals.append(diag)
+        for target, amp in _onsite_offdiagonal(state, params, mask):
+            rows.append(state_rank(target))
+            cols.append(j)
+            vals.append(amp)
+        # forward hops plus their conjugates, no phases
+        for target, amp in _open_chain_hops(state, params, mask):
+            i = state_rank(target)
+            rows.extend((i, j))
+            cols.extend((j, i))
+            vals.extend((amp, amp))
+    return _to_csr(rows, cols, vals, len(basis))

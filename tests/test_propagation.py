@@ -42,6 +42,30 @@ def _diagonal_parts(energies, force=2.0):
     )
 
 
+def _lab_frame(parts, psi, t0, times):
+    """Oracle: i dpsi/dt = dense_at(t) psi integrated by DOP853 in the lab
+    frame, not through `apply`; one column per time in `times`."""
+    sol = solve_ivp(lambda t, y: -1j * parts.dense_at(t) @ y, (t0, times[-1]),
+                    np.asarray(psi, dtype=complex), method="DOP853", rtol=1e-12, atol=1e-12,
+                    t_eval=times)
+    assert sol.success
+    return sol.y
+
+
+def _lab_frame_period(parts):
+    """Oracle U(T_B): the matrix ODE i dU/dt = dense_at(t) U over a whole
+    period in the lab frame, independent of floquet_operator."""
+    dim = parts.basis_dim
+
+    def rhs(t, y):
+        return (-1j * parts.dense_at(t) @ y.reshape(dim, dim)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, parts.t_bloch), np.eye(dim, dtype=complex).ravel(),
+                    method="DOP853", rtol=1e-12, atol=1e-12)
+    assert sol.success
+    return sol.y[:, -1].reshape(dim, dim)
+
+
 def test_diagonal_evolution_exact():
     energies = np.array([0.3, -1.1, 2.7])
     parts = _diagonal_parts(energies)
@@ -97,9 +121,12 @@ def test_floquet_unitarity_and_periodicity(small_system):
     u = sb.floquet_operator(parts)
     defect = np.abs(u.conj().T @ u - np.eye(sector.dim)).max()
     assert defect < 1e-8
-    # evolving over two periods equals applying U twice
+    # applying U twice, and evolve, which takes its later windows from U,
+    # both match two periods integrated in the lab frame
+    oracle = _lab_frame(parts, psi0, 0.0, [2 * parts.t_bloch])[:, -1]
+    assert np.abs(u @ (u @ psi0) - oracle).max() < 1e-9
     result = sb.evolve(psi0, parts, 2 * parts.t_bloch, sample_every=parts.t_bloch)
-    assert np.abs(result.snapshots[-1].coords - u @ (u @ psi0)).max() < 1e-8
+    assert np.abs(result.snapshots[-1].coords - oracle).max() < 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -139,12 +166,52 @@ def test_evolve_matches_lab_frame(system44, t0_tb):
                        sample_every=parts.t_bloch / 8)
     times = np.array([s.time for s in result])
     assert times[0] == t0 and times.size == 13
-    # oracle: i dpsi/dt = dense_at(t) psi, integrated in the lab frame
-    oracle = solve_ivp(lambda t, y: -1j * parts.dense_at(t) @ y, (t0, times[-1]), psi,
-                       method="DOP853", rtol=1e-12, atol=1e-12, t_eval=times)
-    assert oracle.success
     got = np.stack([s.coords for s in result], axis=1)
-    assert np.abs(got - oracle.y).max() < 1e-9
+    assert np.abs(got - _lab_frame(parts, psi, t0, times)).max() < 1e-9
+
+
+# (t0, sample_every, span) in Bloch periods: a start off the Bloch grid, a
+# step that does not divide T_B, steps longer than T_B (windows without a
+# sample in between) and spans that are not whole periods
+WINDOW_CASES = {"t0-off-grid": (0.37, 1 / 8, 3.0), "step-TB/7.3": (0.0, 1 / 7.3, 3.5),
+                "step-2.6TB": (0.0, 2.6, 8.0), "step-1.3TB-t0-off-grid": (0.37, 1.3, 6.2),
+                "span-4.55TB": (0.21, 0.25, 4.55)}
+
+
+@pytest.mark.parametrize("n,l", [(3, 3), (2, 4)])
+@pytest.mark.parametrize("t0_tb,step_tb,span_tb", list(WINDOW_CASES.values()),
+                         ids=list(WINDOW_CASES))
+def test_evolve_windows_match_lab_frame(n, l, t0_tb, step_tb, span_tb):
+    parts = _parts_for(n, l)
+    tb = parts.t_bloch
+    rng = np.random.default_rng(11)
+    psi = rng.normal(size=parts.basis_dim) + 1j * rng.normal(size=parts.basis_dim)
+    psi /= np.linalg.norm(psi)
+    t0 = t0_tb * tb
+    result = sb.evolve(WaveFunction(psi, t0), parts, t0 + span_tb * tb,
+                       sample_every=step_tb * tb)
+    times = np.array([s.time for s in result])
+    want = t0 + step_tb * tb * np.arange(math.floor(span_tb / step_tb + 1e-9) + 1)
+    if want[-1] < t0 + span_tb * tb * (1 - 1e-12):
+        want = np.append(want, t0 + span_tb * tb)
+    assert times == pytest.approx(want, rel=1e-14, abs=0.0)
+    got = np.stack([s.coords for s in result], axis=1)
+    assert np.abs(got - _lab_frame(parts, psi, t0, times)).max() < 1e-9
+
+
+def test_evolve_needs_real_blocks_beyond_one_period(small_system):
+    # the window that holds t0 is integrated directly; later windows start
+    # from U, which refuses a complex hopping block
+    _, parts, psi0 = small_system
+    hop = 1j * parts.h_hop
+    rotated = replace(parts, h_hop=hop, h_hop_dag=hop.getH().tocsr())
+    tb = parts.t_bloch
+    result = sb.evolve(psi0, rotated, 0.9 * tb, sample_every=tb / 4)
+    times = np.array([s.time for s in result])
+    assert np.abs(np.stack([s.coords for s in result], axis=1)
+                  - _lab_frame(rotated, psi0, 0.0, times)).max() < 1e-9
+    with pytest.raises(ValueError, match="h_hop"):
+        sb.evolve(psi0, rotated, 3 * tb, sample_every=tb / 4)
 
 
 # (N, L) with boost order d = gcd(N, L) = 1, 2, 3, 4
@@ -239,6 +306,22 @@ def test_floquet_operator_memory_is_a_few_copies_of_u(preset_runs):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 16 * parts.basis_dim ** 2
+
+
+def test_evolve_memory_is_the_propagator_and_the_samples(preset_runs):
+    # 50 periods at 32 samples per period: the propagator's working set of
+    # 8 copies of U, plus the 1,601 returned samples, which stay views into
+    # the blocks of their chunks
+    parts = preset_runs.parts(0.2)
+    tb = parts.t_bloch
+    tracemalloc.start()
+    try:
+        result = sb.evolve(preset_runs.psi0, parts, 50 * tb, sample_every=tb / 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 1601
+    assert peak <= 16 * parts.basis_dim * (8 * parts.basis_dim + len(result))
 
 
 def test_stroboscopic_occupations_memory_is_bounded(preset_runs):
@@ -343,13 +426,16 @@ def test_stroboscopic_reconstruction(small_system):
 
 
 def test_stroboscopic_vs_direct(small_system):
+    # the reference is the 50th power of a lab-frame U(T_B), integrated
+    # without floquet_operator; evolve takes U^49 here (no sample in between)
     sector, parts, psi0 = small_system
     u = sb.floquet_operator(parts)
     spec = sb.diagonalize_floquet(u, parts.t_bloch, psi0)
     m = 50
+    oracle = np.linalg.matrix_power(_lab_frame_period(parts), m) @ psi0
+    assert np.abs(_stroboscopic_state(spec, m) - oracle).max() < 1e-5
     direct = sb.evolve(psi0, parts, m * parts.t_bloch, sample_every=m * parts.t_bloch)
-    assert np.abs(_stroboscopic_state(spec, m)
-                  - direct.snapshots[-1].coords).max() < 1e-5
+    assert np.abs(direct.snapshots[-1].coords - oracle).max() < 1e-5
 
 
 def test_quasi_energy_refolding_is_harmless(small_system):
