@@ -2,10 +2,12 @@
 
 Everything rests on the one-period propagator U(T_B), integrated once as a
 matrix ODE.  Its eigenbasis gives the stroboscopic long-time observables
-(collapse and revival live at thousands of Bloch periods).  U itself gives
-continuous traces: H(t) has period T_B, so psi(mT_B + s) = U(s) U^m psi(0),
-and `evolve` integrates only the windows [0, T_B) that hold samples, side
-by side as the columns of one block, each from its start U^m psi(0).
+(collapse and revival live at thousands of Bloch periods).  U itself can
+give continuous traces: H(t) has period T_B, so psi(mT_B + s) = U(s) U^m
+psi(0), and `evolve` can integrate only the windows [0, T_B) that hold
+samples, side by side as the columns of one block, each from its start
+U^m psi(0).  Where U costs more than it saves, or cannot be built, `evolve`
+integrates the windows one after the other as a vector instead.
 
 Every integration solves i dW/dt = HamiltonianParts.apply(t, W) for
 W = e^{iDt} psi, in the frame of the static diagonal D (band gap and
@@ -18,7 +20,8 @@ symmetric, so its eigenbasis comes from one real symmetric eigh.
 
 Memory stays within a few copies of U: the propagator is integrated in
 chunks of columns, the windows of `evolve` in chunks of about 1 MiB of
-samples, and the stroboscopic trace in short blocks of periods.
+samples, and the stroboscopic trace in short blocks of periods.  `evolve`
+without U holds one vector and the samples.
 """
 
 import gc
@@ -65,6 +68,10 @@ FLOQUET_CHUNK_COPIES = 64
 # evolve integrates the Bloch-period windows after the first side by side,
 # in chunks whose blocks of samples hold about this many complex numbers (1 MiB)
 EVOLVE_CHUNK_NUMBERS = 2**16
+# The fixed cost of one right-hand side call, in state entries of the sparse
+# products it matches: fitted to DOP853 at N = L = 3..6 (dim 20..2076), where
+# a call costs about (1300 + (width + 1) * dim) * 50 ns on one core
+EVOLVE_CALL_OVERHEAD = 1300
 # diagonalize_floquet: the weight of Im U in its eigh (irrational, so no rational
 # symmetry of the spectrum makes eigenvalues collide) and the eigenpair residual budget.
 EIGEN_MIX = (math.sqrt(5.0) - 1.0) / 2.0
@@ -169,19 +176,44 @@ def _integrate_windows(parts, starts, s_start, offsets, rtol, atol, method):
 
 def _chunks(windows: np.ndarray, slots: np.ndarray, dim: int):
     """Consecutive runs of the windows that hold samples (`windows` sorted,
-    `slots` the offset index of each sample), with the sorted offset indices
-    each run evaluates.  A run stores its windows times its offsets times
-    dim complex numbers, at most EVOLVE_CHUNK_NUMBERS unless it is one window."""
-    bounds = np.flatnonzero(np.diff(windows)) + 1
-    chunk, union = [], set()
-    for w, own in zip(windows[np.r_[0, bounds]], np.split(slots, bounds)):
-        own = set(own.tolist())
+    `slots` the offset index of each sample): the run's windows, the sorted
+    offset indices it evaluates and the slice of its samples.  A run stores
+    its windows times its offsets times dim complex numbers, at most
+    EVOLVE_CHUNK_NUMBERS unless it is one window."""
+    firsts = np.r_[0, np.flatnonzero(np.diff(windows)) + 1]
+    chunk, union, begin = [], set(), 0
+    for a, b in zip(firsts, np.r_[firsts[1:], windows.size]):
+        own = set(slots[a:b].tolist())
         if chunk and (len(chunk) + 1) * len(union | own) * dim > EVOLVE_CHUNK_NUMBERS:
-            yield chunk, np.array(sorted(union))
-            chunk, union = [], set()
-        chunk.append(int(w))
+            yield chunk, np.array(sorted(union)), slice(begin, a)
+            chunk, union, begin = [], set(), a
+        chunk.append(int(windows[a]))
         union |= own
-    yield chunk, np.array(sorted(union))
+    yield chunk, np.array(sorted(union)), slice(begin, windows.size)
+
+
+def _period_cost(dim: int, width: int) -> int:
+    """Relative cost of integrating a dim x width block over one Bloch period.
+    DOP853 takes about the same number of steps at any width, and each call
+    of the right-hand side costs EVOLVE_CALL_OVERHEAD + (width + 1) * dim
+    state entries' worth of work (the extra dim is the frame and error norm)."""
+    return EVOLVE_CALL_OVERHEAD + (width + 1) * dim
+
+
+def _propagator_pays(parts: HamiltonianParts, n_windows: int, widths) -> bool:
+    """Whether building U and integrating the chunks of `widths` windows side
+    by side costs less than integrating windows 1..n_windows one by one as a
+    vector.  U integrates its column chunks over T_B/(2d), and its dense
+    products add about a quarter to that (measured 1.24, 1.16 and 1.2 times
+    the integration at N = L = 4, 5, 6).  The matrix-vector products of
+    skipped windows are left out: at N = L = 6 one costs about 2% of a
+    vector period."""
+    dim = parts.basis_dim
+    full, rest = divmod(dim, FLOQUET_CHUNK)
+    columns = full * _period_cost(dim, FLOQUET_CHUNK) + (rest > 0) * _period_cost(dim, rest)
+    propagator = 1.25 * columns / (2 * parts.boost_order)
+    windows = sum(_period_cost(dim, w) for w in widths)
+    return propagator + windows < n_windows * _period_cost(dim, 1)
 
 
 def _snapshots(block, columns, rows, times) -> list:
@@ -213,11 +245,14 @@ def evolve(
     at the end of the first, U = floquet_operator(parts); these windows are
     integrated side by side, as the columns of one block per chunk (see
     `_integrate_windows`), and a window without samples only applies U.
-    Sample offsets that differ by the round-off of the sample times are
-    snapped to one grid, so that windows share their evaluation points.
-    Each chunk's samples are copied into their own block, into which the
-    snapshots are views.  U needs real blocks, so a complex h_hop raises
-    ValueError once a sample lies two or more windows after t0's.
+    That route is taken when `_propagator_pays`: U's cost grows as dim^2,
+    so it needs more windows, and more windows per chunk, as dim grows.
+    Otherwise, and when U cannot be built (complex blocks, or a working set
+    beyond the physical memory), every later window is one vector
+    integration from the end of the one before.  Sample offsets that differ
+    by the round-off of the sample times are snapped to one grid, so that
+    windows share their evaluation points.  Each chunk's samples are copied
+    into their own block, into which the snapshots are views.
     """
     t0 = psi0.time if isinstance(psi0, WaveFunction) else 0.0
     if t_final <= t0:
@@ -253,22 +288,32 @@ def evolve(
         ordered = np.sort(offsets)
         grid = ordered[np.r_[True, np.diff(ordered) > tol]]
         slots = np.searchsorted(grid, offsets, side="right") - 1
-        u = None
-        if windows[-1] > 1:
+        state = block[:, 0, -1]
+        chunks = list(_chunks(windows, slots, parts.basis_dim))
+        if (_propagator_obstacle(parts) is None
+                and _propagator_pays(parts, windows[-1], [len(c) for c, _, _ in chunks])):
             u = floquet_operator(parts, rtol=rtol, atol=atol, method=method)
-        state, at = block[:, 0, -1], 1
-        for chunk, evaluated in _chunks(windows, slots, parts.basis_dim):
-            starts = np.empty((parts.basis_dim, len(chunk)), dtype=complex)
-            for j, w in enumerate(chunk):
-                for _ in range(w - at):
-                    state = u @ state
-                at = w
-                starts[:, j] = state
-            block = _integrate_windows(parts, starts, 0.0, grid[evaluated], rtol, atol, method)
-            inside = np.isin(windows, chunk)
-            snapshots += _snapshots(block, np.searchsorted(chunk, windows[inside]),
-                                    np.searchsorted(evaluated, slots[inside]), times[inside])
-            gc.collect(0)  # the finished solver's reference cycle, as in floquet_operator
+            at = 1
+            for chunk, evaluated, inside in chunks:
+                starts = np.empty((parts.basis_dim, len(chunk)), dtype=complex)
+                for j, w in enumerate(chunk):
+                    for _ in range(w - at):
+                        state = u @ state
+                    at = w
+                    starts[:, j] = state
+                block = _integrate_windows(parts, starts, 0.0, grid[evaluated], rtol, atol, method)
+                snapshots += _snapshots(block, np.searchsorted(chunk, windows[inside]),
+                                        np.searchsorted(evaluated, slots[inside]), times[inside])
+                gc.collect(0)  # the finished solver's reference cycle, as in floquet_operator
+        else:
+            for w in range(1, windows[-1] + 1):
+                lo, hi = np.searchsorted(windows, [w, w + 1])
+                ends = grid[slots[lo:hi]]
+                if w < windows[-1]:
+                    ends = np.append(ends, tb)
+                block = _integrate_windows(parts, state[:, None], 0.0, ends, rtol, atol, method)
+                snapshots += _snapshots(block, 0, np.arange(hi - lo), times[lo:hi])
+                state = block[:, 0, -1]
 
     drift = abs(snapshots[-1].norm - np.linalg.norm(coords))
     return EvolutionResult(snapshots=snapshots, norm_drift=float(drift))
@@ -277,6 +322,28 @@ def evolve(
 def _physical_memory() -> int:
     """Bytes of physical memory on this machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _propagator_obstacle(parts: HamiltonianParts) -> str | None:
+    """Why `floquet_operator` cannot build U for `parts`, or None: its
+    estimated working set exceeds the physical memory, or a block is complex
+    or does not carry the boost charges."""
+    dim = parts.basis_dim
+    need = 16 * dim * (FLOQUET_WORKING_COPIES * dim
+                       + FLOQUET_CHUNK_COPIES * min(dim, FLOQUET_CHUNK))
+    have = _physical_memory()
+    if need > have:
+        return (f"the propagator at sector dimension {dim} needs about "
+                f"{need / 2**20:,.1f} MiB, more than the {have / 2**20:,.1f} MiB "
+                "of physical memory")
+    order, charge = parts.boost_order, parts.boost_charge
+    for name, step in (("h_static", 0), ("h_hop", 1)):
+        block = getattr(parts, name).tocoo()
+        if np.any(block.data.imag != 0.0):
+            return f"{name} has complex entries; U(T_B) = (Y^T Phi Y)^d needs it real"
+        if np.any((charge[block.row] - charge[block.col] - step) % order):
+            return f"{name} breaks the boost symmetry of order {order}"
+    return None
 
 
 def floquet_operator(
@@ -311,21 +378,10 @@ def floquet_operator(
     against `max_defect`; a failure suggests tightening the tolerances.
     """
     dim = parts.basis_dim
-    need = 16 * dim * (FLOQUET_WORKING_COPIES * dim
-                       + FLOQUET_CHUNK_COPIES * min(dim, FLOQUET_CHUNK))
-    have = _physical_memory()
-    if need > have:
-        raise ValueError(f"the propagator at sector dimension {dim} needs about "
-                         f"{need / 2**20:,.1f} MiB, more than the {have / 2**20:,.1f} MiB "
-                         "of physical memory")
+    problem = _propagator_obstacle(parts)
+    if problem:
+        raise ValueError(problem)
     order, charge = parts.boost_order, parts.boost_charge
-    for name, step in (("h_static", 0), ("h_hop", 1)):
-        block = getattr(parts, name).tocoo()
-        if np.any(block.data.imag != 0.0):
-            raise ValueError(f"{name} has complex entries; U(T_B) = (Y^T Phi Y)^d needs it real")
-        if np.any((charge[block.row] - charge[block.col] - step) % order):
-            raise ValueError(f"{name} breaks the boost symmetry of order {order}")
-
     half = 0.5 * parts.t_bloch / order
     y = np.empty((dim, dim), dtype=complex)
     for start in range(0, dim, FLOQUET_CHUNK):

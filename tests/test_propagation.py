@@ -8,6 +8,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -178,10 +179,18 @@ WINDOW_CASES = {"t0-off-grid": (0.37, 1 / 8, 3.0), "step-TB/7.3": (0.0, 1 / 7.3,
                 "span-4.55TB": (0.21, 0.25, 4.55)}
 
 
+@pytest.mark.parametrize("route", ["propagator", "vectors"])
 @pytest.mark.parametrize("n,l", [(3, 3), (2, 4)])
 @pytest.mark.parametrize("t0_tb,step_tb,span_tb", list(WINDOW_CASES.values()),
                          ids=list(WINDOW_CASES))
-def test_evolve_windows_match_lab_frame(n, l, t0_tb, step_tb, span_tb):
+def test_evolve_windows_match_lab_frame(n, l, t0_tb, step_tb, span_tb, route, monkeypatch):
+    # both routes through the later windows: starts from powers of U, and
+    # window-by-window vector integrations
+    built = []
+    floquet_operator = propagation.floquet_operator
+    monkeypatch.setattr(propagation, "_propagator_pays", lambda *args: route == "propagator")
+    monkeypatch.setattr(propagation, "floquet_operator",
+                        lambda *args, **kw: built.append(1) or floquet_operator(*args, **kw))
     parts = _parts_for(n, l)
     tb = parts.t_bloch
     rng = np.random.default_rng(11)
@@ -197,21 +206,54 @@ def test_evolve_windows_match_lab_frame(n, l, t0_tb, step_tb, span_tb):
     assert times == pytest.approx(want, rel=1e-14, abs=0.0)
     got = np.stack([s.coords for s in result], axis=1)
     assert np.abs(got - _lab_frame(parts, psi, t0, times)).max() < 1e-9
+    assert built == ([1] if route == "propagator" else [])
 
 
-def test_evolve_needs_real_blocks_beyond_one_period(small_system):
-    # the window that holds t0 is integrated directly; later windows start
-    # from U, which refuses a complex hopping block
+def test_evolve_integrates_vectors_where_the_propagator_cannot_be_built(small_system,
+                                                                          monkeypatch):
+    # U refuses a complex hopping block, and a working set beyond the
+    # physical memory; evolve then integrates every window as a vector
     _, parts, psi0 = small_system
     hop = 1j * parts.h_hop
     rotated = replace(parts, h_hop=hop, h_hop_dag=hop.getH().tocsr())
     tb = parts.t_bloch
-    result = sb.evolve(psi0, rotated, 0.9 * tb, sample_every=tb / 4)
-    times = np.array([s.time for s in result])
-    assert np.abs(np.stack([s.coords for s in result], axis=1)
-                  - _lab_frame(rotated, psi0, 0.0, times)).max() < 1e-9
-    with pytest.raises(ValueError, match="h_hop"):
-        sb.evolve(psi0, rotated, 3 * tb, sample_every=tb / 4)
+
+    def refuse(*args, **kw):
+        raise AssertionError("floquet_operator called")
+
+    monkeypatch.setattr(propagation, "floquet_operator", refuse)
+    for case in (rotated, parts):
+        if case is parts:
+            monkeypatch.setattr(propagation, "_physical_memory", lambda: 1000)
+        assert propagation._propagator_obstacle(case)
+        result = sb.evolve(psi0, case, 6.3 * tb, sample_every=tb / 4)
+        times = np.array([s.time for s in result])
+        assert times.size == 27
+        assert np.abs(np.stack([s.coords for s in result], axis=1)
+                      - _lab_frame(case, psi0, 0.0, times)).max() < 1e-9
+
+
+def _break_even(dim, order, per_chunk):
+    """Fewest windows after t0's for which evolve builds U, when each chunk
+    holds `per_chunk` windows; None below 10,000."""
+    stand_in = SimpleNamespace(basis_dim=dim, boost_order=order)
+    for n in range(1, 10_000):
+        widths = [per_chunk] * (n // per_chunk) + [n % per_chunk] * bool(n % per_chunk)
+        if propagation._propagator_pays(stand_in, n, widths):
+            return n
+    return None
+
+
+def test_propagator_pays_beyond_a_break_even_that_grows_with_dim():
+    # 32 samples per period: chunks of 23 windows at dim 86, 5 at the preset
+    # (dim 402), 1 at N = L = 6 (dim 2076).  Single runs of both routes put
+    # the break-even at about 3 windows at dim 86 and 15 to 20 at the preset
+    assert _break_even(86, 4, 23) <= 3
+    assert 10 <= _break_even(402, 5, 5) <= 20
+    assert _break_even(2076, 6, 1) is None
+    # one sample per period at N = L = 6: chunks of 31 windows; single runs
+    # took 26 s with U and 11 s without over 60 periods, 25 s and 33 s over 200
+    assert 60 < _break_even(2076, 6, 31) < 200
 
 
 # (N, L) with boost order d = gcd(N, L) = 1, 2, 3, 4
