@@ -149,36 +149,25 @@ def _find_peaks(v: np.ndarray, prominence: float) -> list[_Peak]:
     return peaks
 
 
-def _crest_times(trace: OscillationTrace, prominence: float | None):
-    """Parabolically refined times of the qualifying maxima of the trace.
-
-    The default prominence, a quarter of the value range, rejects the small
-    off-resonant wiggles riding on the resonant oscillation.
-    """
-    v = trace.values
-    if prominence is None:
-        spread = float(v.max() - v.min()) if v.size else 0.0
-        if spread <= 0:
-            raise ValueError("trace is constant; period undefined")
-        prominence = 0.25 * spread
-    return [_refine_peak(trace.times, v, peak.index) for peak in _find_peaks(v, prominence)]
-
-
-def initial_period(
-    trace: OscillationTrace, max_cycles: int = 3, prominence: float | None = None
-) -> float:
-    """Resonant period measured from the first few oscillation crests.
+def initial_period(trace: OscillationTrace) -> float:
+    """Resonant period measured from the first four oscillation crests.
 
     Collapse distorts the late-time crest spacing, so the envelope window of
     a collapsing trace must be measured where the oscillation is still
-    coherent.  The median spacing is used so that a deep collapse between
-    early crests cannot drag the estimate.  Raises if fewer than two maxima
-    qualify.
+    coherent.  A crest must have a prominence of a quarter of the value
+    range, which rejects the small off-resonant wiggles riding on the
+    resonant oscillation; its time is parabolically refined.  The median
+    spacing is used so that a deep collapse between early crests cannot
+    drag the estimate.  Raises if fewer than two maxima qualify.
     """
-    crests = _crest_times(trace, prominence)
+    v = trace.values
+    spread = float(v.max() - v.min()) if v.size else 0.0
+    if spread <= 0:
+        raise ValueError("trace is constant; period undefined")
+    crests = [_refine_peak(trace.times, v, peak.index) for peak in _find_peaks(v, 0.25 * spread)]
     if len(crests) < 2:
         raise ValueError(f"found {len(crests)} qualifying maxima; need at least 2 for a period")
-    return float(np.median(np.diff(crests[:max_cycles + 1])))
+    return float(np.median(np.diff(crests[:4])))
 
 
 def _refine_peak(times, values, p) -> float:
@@ -198,12 +187,8 @@ def _refine_peak(times, values, p) -> float:
     return float(t[1] + 0.5 * h * (y[0] - y[2]) / denom)
 
 
-def collapse_time(
-    trace: OscillationTrace,
-    window: float | None = None,
-    threshold: float = COLLAPSE_THRESHOLD,
-) -> float | None:
-    """First time the upper envelope falls through the collapse threshold.
+def collapse_time(trace: OscillationTrace, window: float | None = None) -> float | None:
+    """First time the upper envelope falls through COLLAPSE_THRESHOLD.
 
     The envelope window defaults to the resonant period measured from the
     initial crests (the interaction shifts the period slightly, so the
@@ -216,17 +201,17 @@ def collapse_time(
         window = initial_period(trace)
     env = upper_envelope(trace, window)
     v, t = env.values, env.times
-    if v[0] <= threshold:
+    if v[0] <= COLLAPSE_THRESHOLD:
         raise ValueError(
             f"initial envelope {v[0]:.4f} does not exceed the collapse threshold "
-            f"{threshold:.4f}; the trace never oscillated"
+            f"{COLLAPSE_THRESHOLD:.4f}; the trace never oscillated"
         )
-    below = np.nonzero(v <= threshold)[0]
+    below = np.nonzero(v <= COLLAPSE_THRESHOLD)[0]
     if below.size == 0:
         return None
     k = int(below[0])
     # linear interpolation between the bracketing envelope samples
-    frac = (v[k - 1] - threshold) / (v[k - 1] - v[k])
+    frac = (v[k - 1] - COLLAPSE_THRESHOLD) / (v[k - 1] - v[k])
     return float(t[k - 1] + frac * (t[k] - t[k - 1]))
 
 
@@ -270,10 +255,7 @@ def _nearest_image(eps, anchor, period):
     return eps - period * np.round((eps - anchor) / period)
 
 
-def spectral_revival_estimate(
-    spectrum,
-    resolution_floor: float = 1e-12,
-) -> SpectralRevival:
+def spectral_revival_estimate(spectrum) -> SpectralRevival:
     """Revival time from the beat of the three heaviest quasi-energy clusters.
 
     Weights are aggregated over numerically degenerate clusters
@@ -281,8 +263,8 @@ def spectral_revival_estimate(
     on the basis chosen there.  The three cluster energies are unwrapped
     across the folding boundary to mutually nearest images, sorted, and the
     difference of neighbouring gaps gives the beat period
-    2*pi/|omega_23 - omega_12|.  An equally spaced triplet beats forever
-    (infinite estimate).
+    2*pi/|omega_23 - omega_12|.  An equally spaced triplet, to within 1e-12,
+    beats forever (infinite estimate).
     """
     energies, weights = cluster_weights(spectrum)
     if np.count_nonzero(weights > 1e-24) < 3:
@@ -295,7 +277,7 @@ def spectral_revival_estimate(
     omega_12 = float(eps[1] - eps[0])
     omega_23 = float(eps[2] - eps[1])
     beat = abs(omega_23 - omega_12)
-    t_rev = 2.0 * math.pi / beat if beat >= resolution_floor else math.inf
+    t_rev = 2.0 * math.pi / beat if beat >= 1e-12 else math.inf
     return SpectralRevival(omega_12=omega_12, omega_23=omega_23, t_rev=t_rev)
 
 
@@ -341,14 +323,10 @@ def cluster_weights(spectrum, tol: float = 1e-10):
     return np.asarray(energies)[order], np.asarray(weights)[order]
 
 
-def coefficient_width(
-    spectrum,
-    ladder_spacing: float | None = None,
-    weight_floor: float = 1e-4,
-) -> float | None:
+def coefficient_width(spectrum, ladder_spacing: float | None = None) -> float | None:
     """Width of the coefficient distribution over the quasi-energy ladder.
 
-    The significant coefficients (|c_n|^2 > weight_floor) of a resonant run
+    The significant coefficients (|c_n|^2 > 1e-4) of a resonant run
     sit on a ladder of spacing ~ Omega_res; each is assigned its nearest
     rung index k and the |c_n|^2-weighted standard deviation of k is
     returned.  The spacing defaults to the gap between the two largest
@@ -358,7 +336,7 @@ def coefficient_width(
     w = np.abs(np.asarray(spectrum.coefficients)) ** 2
     eps = np.asarray(spectrum.quasi_energies)
     period = spectrum.force
-    sig = np.nonzero(w > weight_floor)[0]
+    sig = np.nonzero(w > 1e-4)[0]
     if sig.size == 0:
         return None
     if sig.size == 1:

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -260,32 +259,18 @@ def cmd_revival_report(args) -> int:
     return 0
 
 
-def _sweep_point(payload):
-    cfg, g, n_periods, prominence = payload
-    record = _revival_record(replace(cfg, params=cfg.params.with_g(g)), n_periods, prominence)
-    return g, record
-
-
 def cmd_sweep_g(args) -> int:
     cfg = _resolve_config(args)
     g_values = [float(s) for s in args.g_grid.split(",") if s.strip()]
     if not g_values:
         raise ValueError("empty --g-grid")
     n = _whole_periods(args.t_final_tb)
-    payloads = [(cfg, g, n, args.prominence) for g in g_values]
-
-    workers = int(os.environ.get("STARKBAND_THREADS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, payloads))
-    else:
-        results = [_sweep_point(p) for p in payloads]
-
     lines = [f"# {cfg.fingerprint(g_grid=args.g_grid)}",
              "g,inv_g,t_coll,t_rev,t_rev_eq9,t_rev_eq10"]
-    for g, rec in results:  # results arrive in input order
+    for g in g_values:
+        rec = _revival_record(replace(cfg, params=cfg.params.with_g(g)), n, args.prominence)
         lines.append(",".join([
-            _fmt(g), _fmt(1.0 / g),
+            _fmt(g), _fmt(1.0 / g if g else None),
             _fmt(rec["t_coll_measured"]), _fmt(rec["t_rev_measured"]),
             _fmt(rec["t_rev_universal"]), _fmt(rec["t_rev_spectral"]),
         ]))

@@ -26,6 +26,7 @@ __all__ = [
     "enumerate_fock",
     "state_rank",
     "translate",
+    "ring_hops",
     "build_k0_sector",
     "project_initial_state",
     "DEFAULT_DIMENSION_CAP",
@@ -112,42 +113,49 @@ def translate(state: FockState) -> FockState:
     return FockState(lo[-1:] + lo[:-1], up[-1:] + up[:-1])
 
 
+def ring_hops(occ: tuple):
+    """(occupations after the hop, sqrt(n_src (n_dst + 1))) for each l -> l+1
+    hop of one band on the ring; a single site has no distinct neighbour."""
+    L = len(occ)
+    if L < 2:
+        return
+    for src in range(L):
+        if occ[src] == 0:
+            continue
+        dst = (src + 1) % L
+        new = list(occ)
+        new[src] -= 1
+        new[dst] += 1
+        yield tuple(new), math.sqrt(occ[src] * (occ[dst] + 1))
+
+
 @dataclass(frozen=True)
 class SymmetrySector:
     """The kappa = 0 translation-symmetric basis.
 
     Each basis vector is the equal-amplitude, normalized sum over one
-    translation orbit; `norms[i] = 1/sqrt(orbit_sizes[i])` is the amplitude
-    carried by every distinct orbit member.  `rep_of_rank`/`shift_of_rank`
-    map the rank of any full-basis state to its representative index and the
-    number of translations from the representative to that state.
+    translation orbit.  `rep_of_rank` maps the rank of any full-basis state
+    to the index of its orbit's representative.
     """
 
     n_particles: int
     n_sites: int
-    kappa: int
     representatives: tuple
     orbit_sizes: np.ndarray
-    norms: np.ndarray
     rep_of_rank: np.ndarray
-    shift_of_rank: np.ndarray
     upper_fractions: np.ndarray  # per representative: sum(upper) / N
 
     @property
     def dim(self) -> int:
         return len(self.representatives)
 
-    def __len__(self) -> int:
-        return self.dim
-
     @property
     def full_dim(self) -> int:
         return len(self.rep_of_rank)
 
-    def lookup(self, state: FockState) -> tuple[int, int]:
-        """(representative index, shift) for any same-(N, L) Fock state."""
-        r = state_rank(state)
-        return int(self.rep_of_rank[r]), int(self.shift_of_rank[r])
+    def lookup(self, state: FockState) -> int:
+        """Representative index of any same-(N, L) Fock state."""
+        return int(self.rep_of_rank[state_rank(state)])
 
 
 def build_k0_sector(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP) -> SymmetrySector:
@@ -158,9 +166,7 @@ def build_k0_sector(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP) -
     enumeration, which makes the basis deterministic.
     """
     basis = enumerate_fock(n_particles, n_sites, dimension_cap)
-    dim = len(basis)
-    rep_of_rank = np.full(dim, -1, dtype=np.int64)
-    shift_of_rank = np.zeros(dim, dtype=np.int64)
+    rep_of_rank = np.full(len(basis), -1, dtype=np.int64)
     reps = []
     sizes = []
     for idx, state in enumerate(basis):
@@ -171,30 +177,19 @@ def build_k0_sector(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP) -
         while s != state:
             orbit.append(s)
             s = translate(s)
-        size = len(orbit)
-        rep = min(orbit)
-        pos = orbit.index(rep)
-        rep_idx = len(reps)
-        reps.append(rep)
-        sizes.append(size)
-        for j in range(size):
-            member = orbit[(pos + j) % size]  # member = T^j(rep)
-            r = state_rank(member)
-            rep_of_rank[r] = rep_idx
-            shift_of_rank[r] = j
+        for member in orbit:
+            rep_of_rank[state_rank(member)] = len(reps)
+        reps.append(min(orbit))
+        sizes.append(len(orbit))
 
-    sizes = np.asarray(sizes, dtype=np.int64)
     n = n_particles
     fractions = np.array([sum(rep.upper) / n for rep in reps]) if n else np.zeros(len(reps))
     return SymmetrySector(
         n_particles=n_particles,
         n_sites=n_sites,
-        kappa=0,
         representatives=tuple(reps),
-        orbit_sizes=sizes,
-        norms=1.0 / np.sqrt(sizes),
+        orbit_sizes=np.asarray(sizes, dtype=np.int64),
         rep_of_rank=rep_of_rank,
-        shift_of_rank=shift_of_rank,
         upper_fractions=fractions,
     )
 
@@ -206,29 +201,17 @@ def _lower_band_ground(sector: SymmetrySector) -> np.ndarray:
     if not zero_upper:
         raise ValueError("sector has no states with an empty upper band")
     sub_index = {i: k for k, i in enumerate(zero_upper)}
-    n0 = len(zero_upper)
-    L = sector.n_sites
+    sizes = sector.orbit_sizes
 
-    # K = sum_l (a^dag_{l+1} a_l + h.c.) on the ring, within the sub-basis;
+    # F = sum_l a^dag_{l+1} a_l on the ring within the sub-basis, K = F + F^T;
     # the hopping Hamiltonian is -t_a/2 * K, so its ground state maximizes K.
-    kin = np.zeros((n0, n0))
+    forward = np.zeros((len(zero_upper), len(zero_upper)))
     for i in zero_upper:
         rep = sector.representatives[i]
-        col = sub_index[i]
-        lo = rep.lower
-        if L < 2:
-            continue
-        for src in range(L):
-            for dst in ((src + 1) % L, (src - 1) % L):
-                if lo[src] == 0:
-                    continue
-                new = list(lo)
-                new[src] -= 1
-                new[dst] += 1
-                amp = math.sqrt(lo[src] * (lo[dst] + 1))
-                tgt, _ = sector.lookup(FockState(tuple(new), rep.upper))
-                factor = math.sqrt(sector.orbit_sizes[i] / sector.orbit_sizes[tgt])
-                kin[sub_index[tgt], col] += amp * factor
+        for new, amp in ring_hops(rep.lower):
+            tgt = sector.lookup(FockState(new, rep.upper))
+            forward[sub_index[tgt], sub_index[i]] += amp * math.sqrt(sizes[i] / sizes[tgt])
+    kin = forward + forward.T
 
     # dense solve keeps the result deterministic (no Lanczos start vector)
     _, vecs = np.linalg.eigh(-kin)
@@ -275,7 +258,6 @@ def project_initial_state(spec, sector: SymmetrySector) -> np.ndarray:
         if any(n < 0 for n in state.lower + state.upper):
             raise ValueError(f"negative occupation in {state}")
 
-    idx, _ = sector.lookup(state)
     coords = np.zeros(sector.dim, dtype=complex)
-    coords[idx] = 1.0
+    coords[sector.lookup(state)] = 1.0
     return coords

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.special import jv
 
-from .fock import FockState, SymmetrySector
+from .fock import FockState, SymmetrySector, ring_hops
 from .model import ModelParams
 
 __all__ = [
@@ -46,9 +46,9 @@ _MASK_ALIASES = {"c0": "coupling_c0"}
 class TermMask:
     """Per-term toggles for Hamiltonian assembly.
 
-    `tilt` has no effect on the interaction picture, which removes the tilt
-    by construction.  The band-gap diagonal +-delta/2 is not a term of its
-    own and is always present.
+    The interaction picture removes the tilt by construction, so it is not a
+    term.  The band-gap diagonal +-delta/2 is not a term of its own either
+    and is always present.
     """
 
     hop_a: bool = True
@@ -58,7 +58,6 @@ class TermMask:
     int_b: bool = True
     int_x_density: bool = True
     int_x_pair: bool = True
-    tilt: bool = True
 
     @classmethod
     def from_names(cls, names) -> "TermMask":
@@ -225,23 +224,12 @@ def _onsite_offdiagonal(rep: FockState, params: ModelParams, mask: TermMask):
 def _hop_forward(rep: FockState, params: ModelParams, mask: TermMask):
     """(target, amplitude) pairs for the directed l -> l+1 hopping sum on the ring."""
     lo, up = rep.lower, rep.upper
-    L = len(lo)
-    if L < 2:
-        return  # a single site has no distinct neighbour to hop to
-    for src in range(L):
-        dst = (src + 1) % L
-        if mask.hop_a and lo[src] > 0:
-            new = list(lo)
-            new[src] -= 1
-            new[dst] += 1
-            amp = -0.5 * params.t_a * math.sqrt(lo[src] * (lo[dst] + 1))
-            yield FockState(tuple(new), up), amp
-        if mask.hop_b and up[src] > 0:
-            new = list(up)
-            new[src] -= 1
-            new[dst] += 1
-            amp = +0.5 * params.t_b * math.sqrt(up[src] * (up[dst] + 1))
-            yield FockState(lo, tuple(new)), amp
+    if mask.hop_a:
+        for new, amp in ring_hops(lo):
+            yield FockState(new, up), -0.5 * params.t_a * amp
+    if mask.hop_b:
+        for new, amp in ring_hops(up):
+            yield FockState(lo, new), +0.5 * params.t_b * amp
 
 
 def _to_csr(rows, cols, vals, dim) -> sparse.csr_matrix:
@@ -282,12 +270,12 @@ def build_interaction_picture(
             s_cols.append(j)
             s_vals.append(diag)
         for target, amp in _onsite_offdiagonal(rep, params, mask):
-            i, _ = sector.lookup(target)
+            i = sector.lookup(target)
             s_rows.append(i)
             s_cols.append(j)
             s_vals.append(amp * math.sqrt(sizes[j] / sizes[i]))
         for target, amp in _hop_forward(rep, params, mask):
-            i, _ = sector.lookup(target)
+            i = sector.lookup(target)
             h_rows.append(i)
             h_cols.append(j)
             h_vals.append(amp * math.sqrt(sizes[j] / sizes[i]))

@@ -76,6 +76,8 @@ EVOLVE_CALL_OVERHEAD = 1300
 # symmetry of the spectrum makes eigenvalues collide) and the eigenpair residual budget.
 EIGEN_MIX = (math.sqrt(5.0) - 1.0) / 2.0
 EIGEN_RESIDUAL_BUDGET = 1e-8
+# floquet_operator: the budget of the unitarity defect max|U^dag U - 1|
+UNITARITY_DEFECT_BUDGET = 1e-6
 
 
 class NumericalError(RuntimeError):
@@ -140,9 +142,9 @@ def _coords_of(psi0) -> np.ndarray:
     return np.asarray(coords, dtype=complex)
 
 
-def _integrate(rhs, y0, t0, t1, t_eval, rtol, atol, method):
+def _integrate(rhs, y0, t0, t1, t_eval, rtol, atol):
     sol = solve_ivp(
-        rhs, (t0, t1), y0, method=method, rtol=rtol, atol=atol,
+        rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
         t_eval=t_eval, dense_output=False,
     )
     if not sol.success:
@@ -150,7 +152,7 @@ def _integrate(rhs, y0, t0, t1, t_eval, rtol, atol, method):
     return sol
 
 
-def _integrate_windows(parts, starts, s_start, offsets, rtol, atol, method):
+def _integrate_windows(parts, starts, s_start, offsets, rtol, atol):
     """Lab-frame states at the sorted `offsets` of the columns of `starts`,
     each the state at offset `s_start` of its own Bloch-period window, as one
     dim x width x len(offsets) block.
@@ -168,7 +170,7 @@ def _integrate_windows(parts, starts, s_start, offsets, rtol, atol, method):
 
     d = parts.frame
     w0 = np.exp(1j * s_start * d)[:, None] * starts
-    sol = _integrate(rhs, w0.ravel(), s_start, offsets[-1], offsets, rtol, atol, method)
+    sol = _integrate(rhs, w0.ravel(), s_start, offsets[-1], offsets, rtol, atol)
     block = sol.y.reshape(dim, width, offsets.size)
     block *= np.exp(-1j * np.outer(d, offsets))[:, None, :]
     return block
@@ -231,7 +233,6 @@ def evolve(
     sample_every: float,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    method: str = "DOP853",
 ) -> EvolutionResult:
     """Sample psi(t) of i d/dt psi = H(t) psi every `sample_every`.
 
@@ -279,7 +280,7 @@ def evolve(
 
     first = windows == 0
     ends = np.append(offsets[first], tb) if windows[-1] > 0 else offsets[first]
-    block = _integrate_windows(parts, coords[:, None], offsets[0], ends, rtol, atol, method)
+    block = _integrate_windows(parts, coords[:, None], offsets[0], ends, rtol, atol)
     snapshots = _snapshots(block, 0, np.arange(first.sum()), times[first])
 
     if windows[-1] > 0:
@@ -292,7 +293,7 @@ def evolve(
         chunks = list(_chunks(windows, slots, parts.basis_dim))
         if (_propagator_obstacle(parts) is None
                 and _propagator_pays(parts, windows[-1], [len(c) for c, _, _ in chunks])):
-            u = floquet_operator(parts, rtol=rtol, atol=atol, method=method)
+            u = floquet_operator(parts, rtol=rtol, atol=atol)
             at = 1
             for chunk, evaluated, inside in chunks:
                 starts = np.empty((parts.basis_dim, len(chunk)), dtype=complex)
@@ -301,7 +302,7 @@ def evolve(
                         state = u @ state
                     at = w
                     starts[:, j] = state
-                block = _integrate_windows(parts, starts, 0.0, grid[evaluated], rtol, atol, method)
+                block = _integrate_windows(parts, starts, 0.0, grid[evaluated], rtol, atol)
                 snapshots += _snapshots(block, np.searchsorted(chunk, windows[inside]),
                                         np.searchsorted(evaluated, slots[inside]), times[inside])
                 gc.collect(0)  # the finished solver's reference cycle, as in floquet_operator
@@ -311,7 +312,7 @@ def evolve(
                 ends = grid[slots[lo:hi]]
                 if w < windows[-1]:
                     ends = np.append(ends, tb)
-                block = _integrate_windows(parts, state[:, None], 0.0, ends, rtol, atol, method)
+                block = _integrate_windows(parts, state[:, None], 0.0, ends, rtol, atol)
                 snapshots += _snapshots(block, 0, np.arange(hi - lo), times[lo:hi])
                 state = block[:, 0, -1]
 
@@ -351,8 +352,6 @@ def floquet_operator(
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    method: str = "DOP853",
-    max_defect: float = 1e-6,
 ) -> np.ndarray:
     """One-period propagator U(T_B) = (Y^T Phi Y)^d, from the matrix ODE over
     [0, T_B/(2d)] in the frame of the static diagonal, d = parts.boost_order.
@@ -375,7 +374,8 @@ def floquet_operator(
     of the youngest generation after each chunk frees them.  ValueError is
     raised before any integration when the estimated working set exceeds
     the physical memory.  The unitarity defect max|U^dag U - 1| is checked
-    against `max_defect`; a failure suggests tightening the tolerances.
+    against UNITARITY_DEFECT_BUDGET; a failure suggests tightening the
+    tolerances.
     """
     dim = parts.basis_dim
     problem = _propagator_obstacle(parts)
@@ -392,7 +392,7 @@ def floquet_operator(
 
         w0 = np.zeros((dim, width), dtype=complex)
         w0[start:start + width] = np.eye(width)
-        sol = _integrate(rhs, w0.ravel(), 0.0, half, None, rtol, atol, method)
+        sol = _integrate(rhs, w0.ravel(), 0.0, half, None, rtol, atol)
         y[:, start:start + width] = sol.y[:, -1].reshape(dim, width)
         del sol
         gc.collect(0)
@@ -400,9 +400,9 @@ def floquet_operator(
     phi = np.exp(-2j * math.pi * charge / order)
     u = np.linalg.matrix_power(y.T @ (phi[:, None] * y), order)
     defect = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
-    if defect > max_defect:
+    if defect > UNITARITY_DEFECT_BUDGET:
         raise NumericalError(f"one-period propagator defect {defect:.3e} exceeds "
-                             f"{max_defect:.1e}; tighten rtol/atol")
+                             f"{UNITARITY_DEFECT_BUDGET:.1e}; tighten rtol/atol")
     return u
 
 
@@ -443,14 +443,13 @@ def stroboscopic_occupations(
     spectrum: FloquetSpectrum,
     sector: SymmetrySector,
     n_periods: int,
-    every: int = 1,
     meta: dict | None = None,
 ) -> OscillationTrace:
-    """Upper-band occupation N_b at t = 0, every*T_B, ..., n_periods*T_B."""
+    """Upper-band occupation N_b at t = 0, T_B, ..., n_periods*T_B."""
     if spectrum.dim != sector.dim:
         raise ValueError(f"spectrum dimension {spectrum.dim} does not match sector {sector.dim}")
     w = sector.upper_fractions
-    ms = np.arange(0, n_periods + 1, every)
+    ms = np.arange(n_periods + 1)
     values = np.empty(ms.size)
     vt = spectrum.eigen_vectors.T
     # periods per block: about 100,000 phases, so its temporaries take a few MB

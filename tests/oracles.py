@@ -14,9 +14,10 @@ def expand(sector, coords) -> np.ndarray:
     coords = np.asarray(coords)
     full = np.zeros(sector.full_dim, dtype=complex)
     for i, rep in enumerate(sector.representatives):
-        amp = coords[i] * sector.norms[i]
+        size = int(sector.orbit_sizes[i])
+        amp = coords[i] / np.sqrt(size)
         s = rep
-        for _ in range(int(sector.orbit_sizes[i])):
+        for _ in range(size):
             full[state_rank(s)] += amp
             s = translate(s)
     return full
@@ -51,9 +52,8 @@ def build_static_tilted(params, basis, mask: TermMask = TermMask()):
     for state in basis:
         j = state_rank(state)
         diag = _diagonal_energy(state.lower, state.upper, params, mask)
-        if mask.tilt:
-            diag += params.force * sum(l * (na + nb) for l, (na, nb)
-                                       in enumerate(zip(state.lower, state.upper), start=1))
+        diag += params.force * sum(l * (na + nb) for l, (na, nb)
+                                   in enumerate(zip(state.lower, state.upper), start=1))
         if diag != 0.0:
             rows.append(j)
             cols.append(j)

@@ -97,9 +97,10 @@ def test_evolve_requires_model_source():
     assert main(["evolve", "--t-final-tb", "3"]) == 2
 
 
-def test_evolve_rejects_unknown_term(params_file):
+@pytest.mark.parametrize("term", ["hop_q", "tilt"])
+def test_evolve_rejects_unknown_term(params_file, term):
     assert main(["evolve", "--params", params_file, "--initial", "1,0;0,0",
-                 "--t-final-tb", "2", "--terms", "hop_q"]) == 2
+                 "--t-final-tb", "2", "--terms", term]) == 2
 
 
 def test_bad_params_file_exits_2(tmp_path):
@@ -194,6 +195,16 @@ def test_sweep_g_rows_in_order(params_file, capsys):
     assert first[2] == "nan" and first[3] == "nan"
     # universal estimate halves when g doubles
     assert float(first[4]) == pytest.approx(2 * float(second[4]), rel=1e-9)
+
+
+def test_sweep_g_at_zero_g_prints_nan_inverse(capsys):
+    assert main(["sweep-g", "--preset", "v0_4", "--n", "3", "--l", "3",
+                 "--g-grid", "0,0.2", "--t-final-tb", "3000"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    zero, other = lines[2].split(","), lines[3].split(",")
+    # without interactions nothing collapses, and 1/g is undefined
+    assert zero == ["0", "nan", "nan", "nan", "nan", "nan"]
+    assert float(other[1]) == pytest.approx(5.0)
 
 
 def test_single_particle_prediction_column(capsys):

@@ -24,7 +24,7 @@ PARAMS_21 = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03,
 def test_term_mask_from_names():
     mask = sb.TermMask.from_names("hop_a,c0,int_x_density")
     assert mask.hop_a and mask.coupling_c0 and mask.int_x_density
-    assert not (mask.hop_b or mask.int_a or mask.int_b or mask.int_x_pair or mask.tilt)
+    assert not (mask.hop_b or mask.int_a or mask.int_b or mask.int_x_pair)
     with pytest.raises(ValueError):
         sb.TermMask.from_names("hop_c")
     with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
-"""Every imported name in `src/` and `tests/` is used, and `src/` stays off
-the slow scipy subpackages.
+"""Every imported name in `src/` and `tests/` is used, `src/` stays off the
+slow scipy subpackages, and `src/` never reads the process environment.
 
 No linter ships with the project, so this is the check for dead imports.
 A name counts as used if it is read anywhere in its module or is listed in
 the module's `__all__`; the imports of an `__init__.py` are re-exports and
 are not checked.  `scipy.signal` loads `scipy.stats`, about 0.5 s per
-process, so no module under `src/` may import either of them.
+process, so no module under `src/` may import either of them.  An
+environment variable would be a setting that no flag, parameter file or
+output fingerprint shows, so no module under `src/` may read `os.environ`
+or call `os.getenv`.
 """
 
 import ast
@@ -89,3 +92,33 @@ def test_detects_a_slow_scipy_import():
                      "def f():\n    from scipy.stats import norm\n")
     assert [n for n, _ in _slow_imports(tree)] == [
         "scipy.stats", "scipy.signal", "scipy.signal.find_peaks", "scipy.stats.norm"]
+
+
+ENVIRONMENT_READERS = ("environ", "getenv")
+
+
+def _environment_reads(tree):
+    reads = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            reads.append((f"os.{node.attr}", node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [(f"os.{alias.name}", node.lineno)
+                      for alias in node.names if alias.name in ENVIRONMENT_READERS]
+    return sorted(reads, key=lambda read: read[1])
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_reads_no_environment(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    reads = [f"{name} (line {line})" for name, line in _environment_reads(tree)]
+    assert not reads, f"{path.name} reads the environment: {', '.join(reads)}"
+
+
+def test_detects_an_environment_read():
+    tree = ast.parse("import os\nfrom os import getenv, path\nn = os.environ.get('X')\n"
+                     "def f():\n    return os.getenv('Y'), os.sysconf('SC_PAGE_SIZE')\n")
+    assert _environment_reads(tree) == [
+        ("os.getenv", 2), ("os.environ", 3), ("os.getenv", 5)]

@@ -82,7 +82,7 @@ def test_evolve_two_level_closed_form():
     # hopping masked off leaves a static 2x2; compare against the Rabi solution
     p = sb.ModelParams(**{**SMALL.__dict__, "n_particles": 1, "n_sites": 2, "g": 0.0})
     sector = sb.build_k0_sector(1, 2)
-    mask = sb.TermMask(hop_a=False, hop_b=False, tilt=False)
+    mask = sb.TermMask(hop_a=False, hop_b=False)
     parts = sb.build_interaction_picture(p, sector, mask)
     psi0 = sb.project_initial_state(FockState((1, 0), (0, 0)), sector)
     result = sb.evolve(psi0, parts, 10.0, sample_every=0.05)
