@@ -5,7 +5,6 @@ all time scales."""
 
 from .analysis import (
     COLLAPSE_THRESHOLD,
-    GFit,
     OscillationTrace,
     RevivalReport,
     SpectralRevival,
@@ -13,7 +12,6 @@ from .analysis import (
     cluster_weights,
     coefficient_width,
     collapse_time,
-    fit_inverse_g,
     initial_period,
     revival_time,
     spectral_revival_estimate,

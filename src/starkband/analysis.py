@@ -37,7 +37,6 @@ __all__ = [
     "OscillationTrace",
     "SpectralRevival",
     "RevivalReport",
-    "GFit",
     "upper_envelope",
     "collapse_time",
     "revival_time",
@@ -45,7 +44,6 @@ __all__ = [
     "cluster_weights",
     "coefficient_width",
     "initial_period",
-    "fit_inverse_g",
     "build_revival_report",
 ]
 
@@ -354,39 +352,6 @@ def coefficient_width(spectrum, ladder_spacing: float | None = None) -> float | 
     mean = float(weights @ rungs)
     var = float(weights @ (rungs - mean) ** 2)
     return math.sqrt(max(var, 0.0))
-
-
-@dataclass(frozen=True)
-class GFit:
-    """Least-squares line t = slope/g + intercept and its worst residual."""
-
-    slope: float
-    intercept: float
-    max_relative_residual: float
-
-
-def fit_inverse_g(points) -> GFit:
-    """Fit times against the inverse interaction strength.
-
-    `points` is a sequence of (g, time) pairs with at least 3 distinct g
-    values; residuals are measured relative to the fitted values.
-    """
-    pts = [(float(g), float(t)) for g, t in points]
-    if len(pts) < 3:
-        raise ValueError(f"need at least 3 points for a 1/g fit, got {len(pts)}")
-    gs = [g for g, _ in pts]
-    if len(set(gs)) != len(gs):
-        raise ValueError("duplicate g values make the 1/g fit degenerate")
-    if any(g == 0 for g in gs):
-        raise ValueError("g = 0 has no inverse")
-    x = 1.0 / np.array(gs)
-    y = np.array([t for _, t in pts])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    if np.any(fitted == 0):
-        raise ValueError("fitted values hit zero; relative residuals undefined")
-    resid = float(np.max(np.abs(y - fitted) / np.abs(fitted)))
-    return GFit(slope=float(slope), intercept=float(intercept), max_relative_residual=resid)
 
 
 @dataclass(frozen=True)

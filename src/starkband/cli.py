@@ -3,8 +3,9 @@ and emits machine-readable CSV traces and JSON reports.
 
 Subcommands: dims, evolve, floquet-spectrum, revival-report, sweep-g,
 single-particle.  Identical configurations produce byte-identical output
-files, and every output file starts with a `#` comment line holding the
-fully resolved parameter set.  Exit codes: 0 success, 2 validation error,
+files at a fixed BLAS thread count (threaded products round differently),
+and every output file starts with a `#` comment line holding the fully
+resolved parameter set.  Exit codes: 0 success, 2 validation error,
 3 numerical failure.
 """
 
@@ -169,8 +170,8 @@ def _build_sector_and_parts(cfg: RunConfig):
 
 
 def _stroboscopic_trace(cfg, sector, parts, psi0, n_periods, meta):
-    u = floquet_operator(parts, rtol=cfg.rtol, atol=cfg.atol)
-    spectrum = diagonalize_floquet(u, parts.t_bloch, psi0)
+    s = floquet_operator(parts, rtol=cfg.rtol, atol=cfg.atol)
+    spectrum = diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
     trace = stroboscopic_occupations(spectrum, sector, n_periods, meta=meta)
     return spectrum, trace
 
@@ -213,8 +214,8 @@ def cmd_floquet_spectrum(args) -> int:
     sector, parts, psi0 = _build_sector_and_parts(cfg)
     if args.dump_matrix:
         _dump_matrix(parts, args.dump_matrix)
-    u = floquet_operator(parts, rtol=cfg.rtol, atol=cfg.atol)
-    spectrum = diagonalize_floquet(u, parts.t_bloch, psi0)
+    s = floquet_operator(parts, rtol=cfg.rtol, atol=cfg.atol)
+    spectrum = diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
     lines = [f"# {cfg.fingerprint(unitarity_defect=spectrum.unitarity_defect)}", "eps_n,abs_cn"]
     for eps, c in zip(spectrum.quasi_energies, np.abs(spectrum.coefficients)):
         lines.append(f"{_fmt(eps)},{_fmt(c)}")

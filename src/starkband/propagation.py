@@ -1,27 +1,28 @@
 """Time evolution under the periodically driven sector Hamiltonian.
 
-Everything rests on the one-period propagator U(T_B), integrated once as a
-matrix ODE.  Its eigenbasis gives the stroboscopic long-time observables
-(collapse and revival live at thousands of Bloch periods).  U itself can
-give continuous traces: H(t) has period T_B, so psi(mT_B + s) = U(s) U^m
-psi(0), and `evolve` can integrate only the windows [0, T_B) that hold
-samples, side by side as the columns of one block, each from its start
-U^m psi(0).  Where U costs more than it saves, or cannot be built, `evolve`
-integrates the windows one after the other as a vector instead.
+Everything rests on the propagator S over T_B/d, d = gcd(N, L), integrated
+once as a matrix ODE; the one-period propagator U(T_B) = S^d is never
+formed.  The eigenbasis of S is that of U and gives the stroboscopic
+long-time observables (collapse and revival live at thousands of Bloch
+periods).  S also gives continuous traces: psi(mT_B + s) = U(s) S^(dm)
+psi(0), so `evolve` can integrate only the windows [0, T_B) that hold
+samples, side by side as the columns of one block.  Where S costs more than
+it saves, or cannot be built, `evolve` integrates the windows one after the
+other as a vector instead.
 
 Every integration solves i dW/dt = HamiltonianParts.apply(t, W) for
 W = e^{iDt} psi, in the frame of the static diagonal D (band gap and
 interactions, the largest entries of H), so the integrator steps only
 through the couplings; the diagonal phases into and out of the frame are
-exact.  The propagator is integrated over T_B/(2d), d = gcd(N, L): a boost
-of the ring shifts H(t) by T_B/d, and time reversal (h_static and h_hop are
-real in the kappa = 0 basis) halves that span.  The resulting U is complex
-symmetric, so its eigenbasis comes from one real symmetric eigh.
+exact.  The propagator is integrated over T_B/(2d): a boost of the ring
+shifts H(t) by T_B/d, and time reversal (h_static and h_hop are real in the
+kappa = 0 basis) halves that span.  The resulting S is complex symmetric,
+so its eigenbasis comes from one real symmetric eigh.
 
-Memory stays within a few copies of U: the propagator is integrated in
+Memory stays within a few copies of S: the propagator is integrated in
 chunks of columns, the windows of `evolve` in chunks of about 1 MiB of
 samples, and the stroboscopic trace in short blocks of periods.  `evolve`
-without U holds one vector and the samples.
+without S holds one vector and the samples.
 """
 
 import gc
@@ -54,16 +55,16 @@ __all__ = [
 # Integration error dominates both the unitarity-defect budget (1e-8) and
 # the norm-drift budget (1e-8 per 1e3 Bloch periods).  Measured on the
 # dim-402 reference system, DOP853 needs 1e-12 to hold the drift budget
-# (1e-11 gives ~5e-8 per 1e3 periods); the one-period defect of
-# floquet_operator is then ~1.3e-11 (g = 0.2).
+# (1e-11 gives ~5e-8 per 1e3 periods); the defect d max|S^dag S - 1| of
+# floquet_operator is then ~1.1e-11 (g = 0.2).
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
-# floquet_operator integrates U in chunks of FLOQUET_CHUNK columns.  Its peak
-# is estimated as FLOQUET_WORKING_COPIES dim x dim complex arrays (U, Y, the
-# products of (Y^T Phi Y)^d and the unitarity check) plus FLOQUET_CHUNK_COPIES
-# dim x FLOQUET_CHUNK ones (DOP853's stages and the steps solve_ivp keeps).
+# floquet_operator integrates Y in chunks of FLOQUET_CHUNK columns.  Its peak
+# is estimated as FLOQUET_WORKING_COPIES dim x dim complex arrays (Y, Phi Y, S,
+# then S^dag S: tracemalloc measured 3.05 and 3.01 at dim 402 and 2076) plus
+# FLOQUET_CHUNK_COPIES dim x FLOQUET_CHUNK ones (DOP853's stages and steps).
 FLOQUET_CHUNK = 64
-FLOQUET_WORKING_COPIES = 8
+FLOQUET_WORKING_COPIES = 4
 FLOQUET_CHUNK_COPIES = 64
 # evolve integrates the Bloch-period windows after the first side by side,
 # in chunks whose blocks of samples hold about this many complex numbers (1 MiB)
@@ -72,11 +73,11 @@ EVOLVE_CHUNK_NUMBERS = 2**16
 # products it matches: fitted to DOP853 at N = L = 3..6 (dim 20..2076), where
 # a call costs about (1300 + (width + 1) * dim) * 50 ns on one core
 EVOLVE_CALL_OVERHEAD = 1300
-# diagonalize_floquet: the weight of Im U in its eigh (irrational, so no rational
+# diagonalize_floquet: the weight of Im S in its eigh (irrational, so no rational
 # symmetry of the spectrum makes eigenvalues collide) and the eigenpair residual budget.
 EIGEN_MIX = (math.sqrt(5.0) - 1.0) / 2.0
 EIGEN_RESIDUAL_BUDGET = 1e-8
-# floquet_operator: the budget of the unitarity defect max|U^dag U - 1|
+# floquet_operator: the budget of d max|S^dag S - 1|, to first order max|U^dag U - 1|
 UNITARITY_DEFECT_BUDGET = 1e-6
 
 
@@ -112,11 +113,12 @@ class EvolutionResult:
 
 @dataclass(frozen=True)
 class FloquetSpectrum:
-    """Eigen-decomposition of the one-period propagator.
+    """Eigen-decomposition of the one-period propagator U(T_B) = S^d.
 
     quasi_energies are folded to [-F/2, F/2) and sorted ascending;
     eigen_vectors holds the matching real orthonormal columns; coefficients are
-    the overlaps of those columns with the designated initial state.  Within
+    the overlaps of those columns with the designated initial state;
+    unitarity_defect is max_j ||lambda_j|^2 - 1| over U's eigenvalues.  Within
     numerically degenerate eigenvalue clusters the individual coefficients
     are basis-dependent; only per-cluster aggregates of |c_n| are meaningful
     there.
@@ -203,17 +205,20 @@ def _period_cost(dim: int, width: int) -> int:
 
 
 def _propagator_pays(parts: HamiltonianParts, n_windows: int, widths) -> bool:
-    """Whether building U and integrating the chunks of `widths` windows side
+    """Whether building S and integrating the chunks of `widths` windows side
     by side costs less than integrating windows 1..n_windows one by one as a
-    vector.  U integrates its column chunks over T_B/(2d), and its dense
-    products add about a quarter to that (measured 1.24, 1.16 and 1.2 times
-    the integration at N = L = 4, 5, 6).  The matrix-vector products of
-    skipped windows are left out: at N = L = 6 one costs about 2% of a
-    vector period."""
+    vector.  S integrates its column chunks over T_B/(2d), and its two dense
+    products add up to a fifth to that (measured 1.05, 1.06 and 1.20 times
+    the integration at N = L = 4, 5, 6).  The d products S @ psi per window
+    are left out: at N = L = 6 they cost about 13% of a vector period, but
+    windows whose samples sit on their starts need no integration, which
+    the chunk costs ignore.  On one core, one sample per period at N = L = 6
+    took 20.1 s with S and 17.7 s without over 120 periods, 22.0 s and 30.8 s
+    over 200; the model breaks even at 136."""
     dim = parts.basis_dim
     full, rest = divmod(dim, FLOQUET_CHUNK)
     columns = full * _period_cost(dim, FLOQUET_CHUNK) + (rest > 0) * _period_cost(dim, rest)
-    propagator = 1.25 * columns / (2 * parts.boost_order)
+    propagator = 1.2 * columns / (2 * parts.boost_order)
     windows = sum(_period_cost(dim, w) for w in widths)
     return propagator + windows < n_windows * _period_cost(dim, 1)
 
@@ -242,18 +247,18 @@ def evolve(
 
     Time is cut into Bloch-period windows [mT_B, (m+1)T_B).  The window that
     holds t0 is one vector integration from t0 to its end, or to t_final.
-    H(t) has period T_B, so the window k after it starts from U^(k-1) psi
-    at the end of the first, U = floquet_operator(parts); these windows are
+    H(t) has period T_B, so the window k after it starts from S^(d(k-1)) psi
+    at the end of the first, S = floquet_operator(parts); these windows are
     integrated side by side, as the columns of one block per chunk (see
-    `_integrate_windows`), and a window without samples only applies U.
-    That route is taken when `_propagator_pays`: U's cost grows as dim^2,
-    so it needs more windows, and more windows per chunk, as dim grows.
-    Otherwise, and when U cannot be built (complex blocks, or a working set
-    beyond the physical memory), every later window is one vector
-    integration from the end of the one before.  Sample offsets that differ
-    by the round-off of the sample times are snapped to one grid, so that
-    windows share their evaluation points.  Each chunk's samples are copied
-    into their own block, into which the snapshots are views.
+    `_integrate_windows`), and a window without samples only applies S d
+    times.  That route is taken when `_propagator_pays`: the cost of S grows
+    as dim^2, so it needs more windows, and more windows per chunk, as dim
+    grows.  Otherwise, and when S cannot be built (complex blocks, or a
+    working set beyond the physical memory), every later window is one
+    vector integration from the end of the one before.  Sample offsets that
+    differ by the round-off of the sample times are snapped to one grid, so
+    that windows share their evaluation points.  Each chunk's samples are
+    copied into their own block, into which the snapshots are views.
     """
     t0 = psi0.time if isinstance(psi0, WaveFunction) else 0.0
     if t_final <= t0:
@@ -293,13 +298,13 @@ def evolve(
         chunks = list(_chunks(windows, slots, parts.basis_dim))
         if (_propagator_obstacle(parts) is None
                 and _propagator_pays(parts, windows[-1], [len(c) for c, _, _ in chunks])):
-            u = floquet_operator(parts, rtol=rtol, atol=atol)
+            s = floquet_operator(parts, rtol=rtol, atol=atol)
             at = 1
             for chunk, evaluated, inside in chunks:
                 starts = np.empty((parts.basis_dim, len(chunk)), dtype=complex)
                 for j, w in enumerate(chunk):
-                    for _ in range(w - at):
-                        state = u @ state
+                    for _ in range((w - at) * parts.boost_order):
+                        state = s @ state
                     at = w
                     starts[:, j] = state
                 block = _integrate_windows(parts, starts, 0.0, grid[evaluated], rtol, atol)
@@ -326,7 +331,7 @@ def _physical_memory() -> int:
 
 
 def _propagator_obstacle(parts: HamiltonianParts) -> str | None:
-    """Why `floquet_operator` cannot build U for `parts`, or None: its
+    """Why `floquet_operator` cannot build S for `parts`, or None: its
     estimated working set exceeds the physical memory, or a block is complex
     or does not carry the boost charges."""
     dim = parts.basis_dim
@@ -341,7 +346,7 @@ def _propagator_obstacle(parts: HamiltonianParts) -> str | None:
     for name, step in (("h_static", 0), ("h_hop", 1)):
         block = getattr(parts, name).tocoo()
         if np.any(block.data.imag != 0.0):
-            return f"{name} has complex entries; U(T_B) = (Y^T Phi Y)^d needs it real"
+            return f"{name} has complex entries; S = Y^T Phi Y needs it real"
         if np.any((charge[block.row] - charge[block.col] - step) % order):
             return f"{name} breaks the boost symmetry of order {order}"
     return None
@@ -353,17 +358,19 @@ def floquet_operator(
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> np.ndarray:
-    """One-period propagator U(T_B) = (Y^T Phi Y)^d, from the matrix ODE over
-    [0, T_B/(2d)] in the frame of the static diagonal, d = parts.boost_order.
+    """Boosted propagator S = Y^T Phi Y over T_B/d, d = parts.boost_order,
+    from the matrix ODE over [0, T_B/(2d)] in the frame of the static
+    diagonal.  The one-period propagator is U(T_B) = S^d; nothing forms it.
 
     Frame: with D = diag(h_static), W(t) = e^{iDt} U(t) obeys
     i dW/dt = apply(t, W) from W(0) = 1, and U(t) = e^{-iDt} W(t).
 
     Symmetry: Phi = diag(exp(-2 pi i boost_charge / d)) = B^(-L/d) gives
     conj(Phi) H(t) Phi = H(t + T_B/d), and real h_static and h_hop give
-    U(-t) = U(t)*, so U(T_B/d) = conj(Phi) Y^T Phi Y with Y = U(T_B/(2d)).
-    Complex blocks, or blocks that do not carry the charges (h_static keeps
-    S mod d, h_hop raises it by one), raise ValueError.
+    U(-t) = U(t)*, so U(T_B/d) = conj(Phi) S with Y = U(T_B/(2d)), and
+    U(kT_B/d) = conj(Phi)^k S^k with Phi^d = 1.  Complex blocks, or blocks
+    that do not carry the charges (h_static keeps the charge mod d, h_hop
+    raises it by one), raise ValueError.
 
     Memory: the columns of W are independent, so they are integrated
     FLOQUET_CHUNK at a time, each chunk from the matching columns of the
@@ -373,9 +380,8 @@ def floquet_operator(
     would outlive the chunk until the cyclic collector ran; a collection
     of the youngest generation after each chunk frees them.  ValueError is
     raised before any integration when the estimated working set exceeds
-    the physical memory.  The unitarity defect max|U^dag U - 1| is checked
-    against UNITARITY_DEFECT_BUDGET; a failure suggests tightening the
-    tolerances.
+    the physical memory.  The defect d max|S^dag S - 1| is checked against
+    UNITARITY_DEFECT_BUDGET; a failure suggests tightening the tolerances.
     """
     dim = parts.basis_dim
     problem = _propagator_obstacle(parts)
@@ -397,44 +403,48 @@ def floquet_operator(
         del sol
         gc.collect(0)
     y *= np.exp(-1j * half * parts.frame)[:, None]
-    phi = np.exp(-2j * math.pi * charge / order)
-    u = np.linalg.matrix_power(y.T @ (phi[:, None] * y), order)
-    defect = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
+    s = y.T @ (np.exp(-2j * math.pi * charge / order)[:, None] * y)
+    del y  # the unitarity check then holds only S and S^dag S
+    gram = s.conj().T @ s
+    gram[np.diag_indices(dim)] -= 1.0
+    defect = order * float(np.abs(gram).max())
     if defect > UNITARITY_DEFECT_BUDGET:
         raise NumericalError(f"one-period propagator defect {defect:.3e} exceeds "
                              f"{UNITARITY_DEFECT_BUDGET:.1e}; tighten rtol/atol")
-    return u
+    return s
 
 
-def diagonalize_floquet(u: np.ndarray, t_bloch: float, psi0) -> FloquetSpectrum:
-    """Quasi-energies, orthonormal eigenvectors and initial-state overlaps.
+def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> FloquetSpectrum:
+    """Quasi-energies, orthonormal eigenvectors and initial-state overlaps of
+    U(T_B) = S^order, for S = floquet_operator(parts), order = parts.boost_order.
 
-    U from `floquet_operator` is complex symmetric and unitary, so Re U and
-    Im U commute and share a real orthonormal eigenbasis: that of the eigh
-    (divide and conquer) of Re U + mu Im U, mu = EIGEN_MIX, with
-    lambda_j = v_j^T U v_j.  Eigenvalues with equal cos(phi) + mu sin(phi)
-    would mix; the residual max|UV - V Lambda| catches that, and a U that is
-    not symmetric, with NumericalError above EIGEN_RESIDUAL_BUDGET.
-    Quasi-energies are -arg(lambda)/T_B, landing in [-F/2, F/2).
+    S is complex symmetric and unitary, so Re S and Im S commute and share a
+    real orthonormal eigenbasis: that of the eigh (divide and conquer) of
+    Re S + mu Im S, mu = EIGEN_MIX, with eigenvalues sigma_j = v_j^T S v_j.
+    Eigenvalues with equal cos(phi) + mu sin(phi) would mix; the residual
+    max|SV - V Sigma| catches that, and an S that is not symmetric, with
+    NumericalError above EIGEN_RESIDUAL_BUDGET.  U has the same vectors and
+    the eigenvalues lambda = sigma^order, so quasi-energies are
+    -arg(lambda)/T_B, in [-F/2, F/2), and the unitarity defect is
+    max_j ||lambda_j|^2 - 1|, which with the residual check bounds the
+    entrywise defect of V Lambda V^T.
     """
-    dim = u.shape[0]
-    defect = float(np.abs(u.conj().T @ u - np.eye(dim)).max())
-    _, vectors = eigh(u.real + EIGEN_MIX * u.imag, driver="evd")
-    uv = u @ vectors
-    lam = np.einsum("ij,ij->j", vectors, uv)
-    residual = float(np.abs(uv - vectors * lam).max())
+    _, vectors = eigh(s.real + EIGEN_MIX * s.imag, driver="evd")
+    sv = s @ vectors
+    sigma = np.einsum("ij,ij->j", vectors, sv)
+    residual = float(np.abs(sv - vectors * sigma).max())
     if residual > EIGEN_RESIDUAL_BUDGET:
         raise NumericalError(f"Floquet eigenvector residual {residual:.3e} exceeds "
                              f"{EIGEN_RESIDUAL_BUDGET:.0e}")
+    lam = sigma ** order
     eps = -np.angle(lam) / t_bloch
-    order = np.argsort(eps, kind="stable")
-    vectors = vectors[:, order]
-    coeffs = vectors.T @ _coords_of(psi0)
+    ranks = np.argsort(eps, kind="stable")
+    vectors = vectors[:, ranks]
     return FloquetSpectrum(
-        quasi_energies=eps[order],
+        quasi_energies=eps[ranks],
         eigen_vectors=vectors,
-        coefficients=coeffs,
-        unitarity_defect=defect,
+        coefficients=vectors.T @ _coords_of(psi0),
+        unitarity_defect=float(np.abs(np.abs(lam) ** 2 - 1.0).max()),
         t_bloch=t_bloch,
     )
 

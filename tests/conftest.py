@@ -42,8 +42,9 @@ class PresetRuns:
         key = (g, mask_key)
         if key not in self._spectra:
             parts = self.parts(g, mask_key)
-            u = sb.floquet_operator(parts)
-            self._spectra[key] = sb.diagonalize_floquet(u, parts.t_bloch, self.psi0)
+            s = sb.floquet_operator(parts)
+            self._spectra[key] = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch,
+                                                        self.psi0)
         return self._spectra[key]
 
     def trace(self, g, mask_key="full"):

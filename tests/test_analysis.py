@@ -278,23 +278,6 @@ def test_cluster_weights_merges_across_fold_boundary():
     assert weights.max() == pytest.approx(0.72, rel=1e-12)
 
 
-def test_fit_inverse_g_exact_line():
-    pts = [(g, 7.0 / g) for g in (0.05, 0.1, 0.2, 0.4)]
-    fit = sb.fit_inverse_g(pts)
-    assert fit.slope == pytest.approx(7.0, rel=1e-12)
-    assert fit.intercept == pytest.approx(0.0, abs=1e-9)
-    assert fit.max_relative_residual < 1e-12
-
-
-def test_fit_inverse_g_errors():
-    with pytest.raises(ValueError):
-        sb.fit_inverse_g([(0.1, 1.0), (0.2, 2.0)])                 # too few
-    with pytest.raises(ValueError):
-        sb.fit_inverse_g([(0.1, 1.0), (0.1, 2.0), (0.2, 3.0)])     # duplicate g
-    with pytest.raises(ValueError):
-        sb.fit_inverse_g([(0.0, 1.0), (0.1, 2.0), (0.2, 3.0)])     # g = 0
-
-
 def test_revival_report_ordering_invariant():
     with pytest.raises(ValueError):
         sb.RevivalReport(

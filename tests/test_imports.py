@@ -1,5 +1,6 @@
-"""Every imported name in `src/` and `tests/` is used, `src/` stays off the
-slow scipy subpackages, and `src/` never reads the process environment.
+"""Every imported name in `src/` and `tests/` is used, every `__all__`
+entry in `src/` names a module-level attribute, `src/` stays off the slow
+scipy subpackages, and `src/` never reads the process environment.
 
 No linter ships with the project, so this is the check for dead imports.
 A name counts as used if it is read anywhere in its module or is listed in
@@ -76,6 +77,37 @@ def test_detects_an_unused_import():
     tree = ast.parse("import os\nimport numpy as np\nfrom a.b import c, d\nprint(np, d)\n")
     used = _used_names(tree)
     assert [n for n, _ in _imported_names(tree) if n not in used] == ["os", "c"]
+
+
+def _stale_exports(tree):
+    """`__all__` entries that no top-level statement of the module binds."""
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                bound.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+                if isinstance(target, ast.Name) and target.id == "__all__":
+                    exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in bound]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_exports_exist(path):
+    stale = _stale_exports(ast.parse(path.read_text(), filename=str(path)))
+    assert not stale, f"{path.name} exports undefined names: {', '.join(stale)}"
+
+
+def test_detects_a_stale_export():
+    tree = ast.parse("import numpy as np\nfrom a import b as c\nX, Y = 1, 2\nZ: int = 3\n"
+                     "class K:\n    inner = 1\ndef f():\n    local = 1\n"
+                     "__all__ = ['np', 'c', 'X', 'Y', 'Z', 'K', 'f', 'inner', 'local', 'GFit']\n")
+    assert _stale_exports(tree) == ["inner", "local", "GFit"]
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),

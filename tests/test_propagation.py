@@ -53,15 +53,15 @@ def _lab_frame(parts, psi, t0, times):
     return sol.y
 
 
-def _lab_frame_period(parts):
-    """Oracle U(T_B): the matrix ODE i dU/dt = dense_at(t) U over a whole
-    period in the lab frame, independent of floquet_operator."""
+def _lab_frame_period(parts, fraction=1):
+    """Oracle U(T_B / fraction): the matrix ODE i dU/dt = dense_at(t) U in
+    the lab frame, independent of floquet_operator."""
     dim = parts.basis_dim
 
     def rhs(t, y):
         return (-1j * parts.dense_at(t) @ y.reshape(dim, dim)).ravel()
 
-    sol = solve_ivp(rhs, (0.0, parts.t_bloch), np.eye(dim, dtype=complex).ravel(),
+    sol = solve_ivp(rhs, (0.0, parts.t_bloch / fraction), np.eye(dim, dtype=complex).ravel(),
                     method="DOP853", rtol=1e-12, atol=1e-12)
     assert sol.success
     return sol.y[:, -1].reshape(dim, dim)
@@ -112,17 +112,17 @@ def test_evolve_sampling_grid():
 def test_floquet_diagonal_case():
     energies = np.array([0.2, 1.4, -0.9])
     parts = _diagonal_parts(energies, force=3.0)
-    u = sb.floquet_operator(parts)
+    s = sb.floquet_operator(parts)  # boost order 1: S is U(T_B)
     expected = np.diag(np.exp(-1j * energies * parts.t_bloch))
-    assert np.abs(u - expected).max() < 1e-10
+    assert np.abs(s - expected).max() < 1e-10
 
 
 def test_floquet_unitarity_and_periodicity(small_system):
     sector, parts, psi0 = small_system
-    u = sb.floquet_operator(parts)
+    u = np.linalg.matrix_power(sb.floquet_operator(parts), parts.boost_order)
     defect = np.abs(u.conj().T @ u - np.eye(sector.dim)).max()
     assert defect < 1e-8
-    # applying U twice, and evolve, which takes its later windows from U,
+    # applying U twice, and evolve, which takes its later windows from S,
     # both match two periods integrated in the lab frame
     oracle = _lab_frame(parts, psi0, 0.0, [2 * parts.t_bloch])[:, -1]
     assert np.abs(u @ (u @ psi0) - oracle).max() < 1e-9
@@ -184,7 +184,7 @@ WINDOW_CASES = {"t0-off-grid": (0.37, 1 / 8, 3.0), "step-TB/7.3": (0.0, 1 / 7.3,
 @pytest.mark.parametrize("t0_tb,step_tb,span_tb", list(WINDOW_CASES.values()),
                          ids=list(WINDOW_CASES))
 def test_evolve_windows_match_lab_frame(n, l, t0_tb, step_tb, span_tb, route, monkeypatch):
-    # both routes through the later windows: starts from powers of U, and
+    # both routes through the later windows: starts from powers of S, and
     # window-by-window vector integrations
     built = []
     floquet_operator = propagation.floquet_operator
@@ -211,7 +211,7 @@ def test_evolve_windows_match_lab_frame(n, l, t0_tb, step_tb, span_tb, route, mo
 
 def test_evolve_integrates_vectors_where_the_propagator_cannot_be_built(small_system,
                                                                           monkeypatch):
-    # U refuses a complex hopping block, and a working set beyond the
+    # S refuses a complex hopping block, and a working set beyond the
     # physical memory; evolve then integrates every window as a vector
     _, parts, psi0 = small_system
     hop = 1j * parts.h_hop
@@ -252,7 +252,8 @@ def test_propagator_pays_beyond_a_break_even_that_grows_with_dim():
     assert 10 <= _break_even(402, 5, 5) <= 20
     assert _break_even(2076, 6, 1) is None
     # one sample per period at N = L = 6: chunks of 31 windows; single runs
-    # took 26 s with U and 11 s without over 60 periods, 25 s and 33 s over 200
+    # took 20.1 s with S and 17.7 s without over 120 periods, 22.0 s and 30.8 s
+    # over 200
     assert 60 < _break_even(2076, 6, 31) < 200
 
 
@@ -298,29 +299,71 @@ def test_boost_charge_is_constant_along_each_orbit(n, l):
 
 
 def test_floquet_operator_matches_lab_frame_full_period():
-    # U = (Y^T Phi Y)^d is built from a T_B/(2d) integration, so check it
+    # U = S^d, S = Y^T Phi Y built from a T_B/(2d) integration, so check it
     # against an independent full-period integration of i dU/dt = H(t) U in
     # the lab frame, for every boost order d = 1..4; (4, 4) spans two chunks
     # of columns
     dims = []
     for n, l in BOOST_SHAPES:
         parts = _parts_for(n, l)
-        dim = parts.basis_dim
-        dims.append(dim)
-
-        def rhs(t, y, parts=parts, dim=dim):
-            return (-1j * parts.dense_at(t) @ y.reshape(dim, dim)).ravel()
-
-        sol = solve_ivp(rhs, (0.0, parts.t_bloch), np.eye(dim, dtype=complex).ravel(),
-                        method="DOP853", rtol=1e-12, atol=1e-12)
-        assert sol.success
-        oracle = sol.y[:, -1].reshape(dim, dim)
-        assert np.abs(sb.floquet_operator(parts) - oracle).max() < 1e-9, (n, l)
+        dims.append(parts.basis_dim)
+        u = np.linalg.matrix_power(sb.floquet_operator(parts), parts.boost_order)
+        assert np.abs(u - _lab_frame_period(parts)).max() < 1e-9, (n, l)
     assert max(dims) > propagation.FLOQUET_CHUNK
 
 
+@pytest.mark.parametrize("n,l", BOOST_SHAPES)
+def test_floquet_operator_is_the_boosted_fraction_of_a_period(n, l):
+    # S on its own: conj(Phi) S = U(T_B/d), against the lab frame over T_B/d
+    parts = _parts_for(n, l)
+    s = sb.floquet_operator(parts)
+    oracle = _lab_frame_period(parts, parts.boost_order)
+    assert np.abs(_boost_phase(parts).conj()[:, None] * s - oracle).max() < 1e-9
+
+
+def _quasi_energy_mismatch(spec, s, order):
+    """Largest distance (mod F), in either direction, between the spectrum's
+    quasi-energies and -arg(eig(S^order))/T_B from a general eig."""
+    want = -np.angle(np.linalg.eigvals(np.linalg.matrix_power(s, order))) / spec.t_bloch
+    gap = np.subtract.outer(spec.quasi_energies, want)
+    gap = np.abs(gap - spec.force * np.round(gap / spec.force))
+    return max(gap.min(axis=0).max(), gap.min(axis=1).max())
+
+
+@pytest.mark.parametrize("n,l", [(3, 3), (2, 4)], ids=["d3", "d2"])
+def test_quasi_energies_are_those_of_the_full_period(n, l):
+    # the eigenvalues of U = S^d, at the sizes of the Sambe-space oracle
+    parts = _parts_for(n, l)
+    rng = np.random.default_rng(11)
+    psi0 = rng.normal(size=parts.basis_dim) + 1j * rng.normal(size=parts.basis_dim)
+    s = sb.floquet_operator(parts)
+    spec = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
+    assert _quasi_energy_mismatch(spec, s, parts.boost_order) < 1e-12
+
+
+def test_quasi_energies_are_those_of_the_full_period_at_the_preset(preset_runs):
+    parts = preset_runs.parts(0.2)
+    s = sb.floquet_operator(parts)
+    assert _quasi_energy_mismatch(preset_runs.spectrum(0.2), s, parts.boost_order) < 1e-12
+
+
+def test_unitarity_gate_scales_with_the_boost_order(monkeypatch, capsys):
+    # a budget between max|S^dag S - 1| and d times that fails only because
+    # of the factor d = 3, both in floquet_operator and through the CLI
+    parts = _parts_for(3, 3)
+    assert parts.boost_order == 3
+    s = sb.floquet_operator(parts)
+    defect = np.abs(s.conj().T @ s - np.eye(parts.basis_dim)).max()
+    monkeypatch.setattr(propagation, "UNITARITY_DEFECT_BUDGET", 2 * defect)
+    with pytest.raises(sb.NumericalError, match="tighten"):
+        sb.floquet_operator(parts)
+    assert main(["floquet-spectrum", "--preset", "v0_4", "--n", "3", "--l", "3",
+                 "--g", "0.2"]) == 3
+    assert "tighten" in capsys.readouterr().err
+
+
 def test_floquet_operator_integrates_a_fraction_of_the_period(system44, monkeypatch):
-    # deterministic work counter, in columns of U pushed through the
+    # deterministic work counter, in columns of Y pushed through the
     # right-hand side: T_B/8 at N = L = 4 takes 89.1 dim (two chunks of
     # columns, each with its own steps); the half period T_B/2 took 317 dim
     times, columns = [], []
@@ -352,7 +395,7 @@ def test_floquet_operator_memory_is_a_few_copies_of_u(preset_runs):
 
 def test_evolve_memory_is_the_propagator_and_the_samples(preset_runs):
     # 50 periods at 32 samples per period: the propagator's working set of
-    # 8 copies of U, plus the 1,601 returned samples, which stay views into
+    # 8 copies of S, plus the 1,601 returned samples, which stay views into
     # the blocks of their chunks
     parts = preset_runs.parts(0.2)
     tb = parts.t_bloch
@@ -414,7 +457,7 @@ def test_floquet_memory_check(monkeypatch, capsys):
 
 def test_diagonalize_identity():
     psi0 = np.array([0.6, 0.8j], dtype=complex)
-    spec = sb.diagonalize_floquet(np.eye(2, dtype=complex), t_bloch=2.0, psi0=psi0)
+    spec = sb.diagonalize_floquet(np.eye(2, dtype=complex), 1, t_bloch=2.0, psi0=psi0)
     assert np.abs(spec.quasi_energies).max() == 0.0
     assert np.abs(np.sort(np.abs(spec.coefficients)) - np.array([0.6, 0.8])).max() < 1e-14
     assert spec.unitarity_defect < 1e-15
@@ -430,17 +473,17 @@ def test_diagonalize_rejects_colliding_eigenvalues():
     u = rot @ np.diag(lam) @ rot.T
     assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-14
     with pytest.raises(sb.NumericalError, match="residual"):
-        sb.diagonalize_floquet(u, t_bloch=2.0, psi0=np.array([1.0, 0.0]))
+        sb.diagonalize_floquet(u, 1, t_bloch=2.0, psi0=np.array([1.0, 0.0]))
     # a generic pair of eigenvalues is separated
     u = rot @ np.diag(np.exp(1j * np.array([0.4, -0.9]))) @ rot.T
-    spec = sb.diagonalize_floquet(u, t_bloch=2.0, psi0=np.array([1.0, 0.0]))
+    spec = sb.diagonalize_floquet(u, 1, t_bloch=2.0, psi0=np.array([1.0, 0.0]))
     assert spec.quasi_energies == pytest.approx([-0.2, 0.45], abs=1e-14)
 
 
 def test_spectrum_contracts(small_system):
     sector, parts, psi0 = small_system
-    u = sb.floquet_operator(parts)
-    spec = sb.diagonalize_floquet(u, parts.t_bloch, psi0)
+    s = sb.floquet_operator(parts)
+    spec = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
     lam = np.exp(-1j * spec.quasi_energies * parts.t_bloch)
     # |lambda_n| = 1 and quasi-energies folded into [-F/2, F/2)
     assert np.abs(np.abs(lam) - 1.0).max() < 1e-8
@@ -460,8 +503,8 @@ def _stroboscopic_state(spectrum, m):
 
 def test_stroboscopic_reconstruction(small_system):
     sector, parts, psi0 = small_system
-    u = sb.floquet_operator(parts)
-    spec = sb.diagonalize_floquet(u, parts.t_bloch, psi0)
+    s = sb.floquet_operator(parts)
+    spec = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
     assert np.abs(_stroboscopic_state(spec, 0) - psi0).max() < 1e-8
     for m in (1, 7, 50):
         assert np.linalg.norm(_stroboscopic_state(spec, m)) == pytest.approx(1.0, abs=1e-10)
@@ -469,10 +512,11 @@ def test_stroboscopic_reconstruction(small_system):
 
 def test_stroboscopic_vs_direct(small_system):
     # the reference is the 50th power of a lab-frame U(T_B), integrated
-    # without floquet_operator; evolve takes U^49 here (no sample in between)
+    # without floquet_operator; evolve applies S 49 d times here (no sample
+    # in between)
     sector, parts, psi0 = small_system
-    u = sb.floquet_operator(parts)
-    spec = sb.diagonalize_floquet(u, parts.t_bloch, psi0)
+    s = sb.floquet_operator(parts)
+    spec = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
     m = 50
     oracle = np.linalg.matrix_power(_lab_frame_period(parts), m) @ psi0
     assert np.abs(_stroboscopic_state(spec, m) - oracle).max() < 1e-5
@@ -483,8 +527,8 @@ def test_stroboscopic_vs_direct(small_system):
 def test_quasi_energy_refolding_is_harmless(small_system):
     # eps_n and eps_n + F generate identical stroboscopic dynamics
     sector, parts, psi0 = small_system
-    u = sb.floquet_operator(parts)
-    spec = sb.diagonalize_floquet(u, parts.t_bloch, psi0)
+    s = sb.floquet_operator(parts)
+    spec = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
     refolded = sb.FloquetSpectrum(
         quasi_energies=spec.quasi_energies + spec.force,
         eigen_vectors=spec.eigen_vectors,
@@ -500,8 +544,8 @@ def test_quasi_energy_refolding_is_harmless(small_system):
 
 def test_stroboscopic_occupation_trace(small_system):
     sector, parts, psi0 = small_system
-    u = sb.floquet_operator(parts)
-    spec = sb.diagonalize_floquet(u, parts.t_bloch, psi0)
+    s = sb.floquet_operator(parts)
+    spec = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
     trace = sb.stroboscopic_occupations(spec, sector, 40)
     assert trace.times.size == 41
     assert trace.values[0] == pytest.approx(0.0, abs=1e-12)
@@ -578,7 +622,7 @@ def test_preset_g0_two_dominant_clusters(preset_runs):
     sector1 = sb.build_k0_sector(1, l)
     parts1 = sb.build_interaction_picture(one, sector1)
     spec1 = sb.diagonalize_floquet(
-        sb.floquet_operator(parts1), parts1.t_bloch,
+        sb.floquet_operator(parts1), parts1.boost_order, parts1.t_bloch,
         sb.project_initial_state(FockState((1,) + (0,) * (l - 1), (0,) * l), sector1))
     assert spec1.quasi_energies == pytest.approx([-eps, eps], abs=1e-9)
     assert abs(spec1.coefficients[0]) ** 2 == pytest.approx(p_k[0], abs=1e-9)

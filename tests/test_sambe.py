@@ -69,6 +69,7 @@ def test_floquet_spectrum_matches_sambe_oracle(n, l):
     assert np.diff(want_eps).min() > 1e-6
     assert parts.force / 2 - np.abs(want_eps).max() > 1e-6
 
-    spec = sb.diagonalize_floquet(sb.floquet_operator(parts), parts.t_bloch, psi0)
+    spec = sb.diagonalize_floquet(sb.floquet_operator(parts), parts.boost_order,
+                                  parts.t_bloch, psi0)
     assert np.abs(spec.quasi_energies - want_eps).max() < 1e-10
     assert np.abs(np.abs(spec.coefficients) ** 2 - want_weights).max() < 1e-8
