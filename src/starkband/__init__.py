@@ -50,7 +50,6 @@ from .propagation import (
     EvolutionResult,
     FloquetSpectrum,
     NumericalError,
-    WaveFunction,
     diagonalize_floquet,
     evolve,
     floquet_operator,

@@ -27,7 +27,7 @@ tests/test_analysis.py checks them against scipy sample for sample:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -54,11 +54,10 @@ COLLAPSE_THRESHOLD = 0.5 + 0.5 / math.e
 
 @dataclass(frozen=True)
 class OscillationTrace:
-    """Sampled upper-band occupation N_b(t) with a parameter fingerprint."""
+    """Sampled upper-band occupation N_b(t)."""
 
     times: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -102,7 +101,7 @@ def upper_envelope(trace: OscillationTrace, window: float) -> OscillationTrace:
         if hi > lo:
             centers.append(t0 + window * (k + 0.5))
             maxima.append(trace.values[lo:hi].max())
-    return OscillationTrace(np.array(centers), np.array(maxima), dict(trace.meta))
+    return OscillationTrace(np.array(centers), np.array(maxima))
 
 
 class _Peak(NamedTuple):
@@ -367,7 +366,6 @@ class RevivalReport:
     delta_n: float | None
     ratio: float | None            # t_rev_measured / t_coll_measured
     revival_fwhm: float | None
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.t_coll_measured is not None and self.t_rev_measured is not None:
@@ -378,7 +376,7 @@ class RevivalReport:
                 )
 
     def as_dict(self) -> dict:
-        record = {
+        return {
             "t_coll_measured": self.t_coll_measured,
             "t_rev_measured": self.t_rev_measured,
             "t_rev_universal": self.t_rev_universal,
@@ -389,8 +387,6 @@ class RevivalReport:
             "ratio": self.ratio,
             "revival_fwhm": self.revival_fwhm,
         }
-        record.update(self.meta)
-        return record
 
 
 def build_revival_report(
@@ -425,5 +421,4 @@ def build_revival_report(
         delta_n=delta_n,
         ratio=ratio,
         revival_fwhm=fwhm,
-        meta=dict(trace.meta),
     )

@@ -104,6 +104,8 @@ def _parse_initial(text: str):
 
 def _resolve_config(args) -> RunConfig:
     order = getattr(args, "order", None)
+    if order is not None and order < 1:
+        raise ValueError(f"--order must be positive, got {order}")
     if getattr(args, "preset", None):
         if args.preset not in PRESETS:
             raise ValueError(f"unknown preset {args.preset!r}; available: {', '.join(PRESETS)}")
@@ -129,6 +131,9 @@ def _resolve_config(args) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None and not (value > 0 and math.isfinite(value)):
             raise ValueError(f"--{name.replace('_', '-')} must be positive and finite, got {value}")
+    prominence = getattr(args, "prominence", None)
+    if prominence is not None and not (prominence >= 0 and math.isfinite(prominence)):
+        raise ValueError(f"--prominence must be non-negative and finite, got {prominence}")
     return RunConfig(
         params=params,
         order=order,
@@ -169,11 +174,14 @@ def _build_sector_and_parts(cfg: RunConfig):
     return sector, parts, psi0
 
 
-def _stroboscopic_trace(cfg, sector, parts, psi0, n_periods, meta):
+def _spectrum(cfg, parts, psi0):
     s = floquet_operator(parts, rtol=cfg.rtol, atol=cfg.atol)
-    spectrum = diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
-    trace = stroboscopic_occupations(spectrum, sector, n_periods, meta=meta)
-    return spectrum, trace
+    return diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
+
+
+def _stroboscopic_trace(cfg, sector, parts, psi0, n_periods):
+    spectrum = _spectrum(cfg, parts, psi0)
+    return spectrum, stroboscopic_occupations(spectrum, sector, n_periods)
 
 
 def cmd_dims(args) -> int:
@@ -192,17 +200,14 @@ def cmd_evolve(args) -> int:
     n_periods = _whole_periods(args.t_final_tb) if args.mode == "stroboscopic" else None
     sector, parts, psi0 = _build_sector_and_parts(cfg)
     tb = parts.t_bloch
-    meta = {"mode": args.mode}
     if args.dump_matrix:
         _dump_matrix(parts, args.dump_matrix)
     if args.mode == "stroboscopic":
-        _, trace = _stroboscopic_trace(cfg, sector, parts, psi0, n_periods, meta)
+        _, trace = _stroboscopic_trace(cfg, sector, parts, psi0, n_periods)
     else:
-        result = evolve(
-            psi0, parts, args.t_final_tb * tb,
-            sample_every=tb / args.sample_per_tb, rtol=cfg.rtol, atol=cfg.atol,
-        )
-        trace = occupation_series(result, sector, meta)
+        result = evolve(psi0, parts, args.t_final_tb * tb, samples_per_period=args.sample_per_tb,
+                        rtol=cfg.rtol, atol=cfg.atol)
+        trace = occupation_series(result, sector)
     header = cfg.fingerprint(mode=args.mode, t_final_tb=args.t_final_tb,
                              sample_per_tb=args.sample_per_tb)
     _emit(_trace_csv(trace, tb, header), args.out)
@@ -214,8 +219,7 @@ def cmd_floquet_spectrum(args) -> int:
     sector, parts, psi0 = _build_sector_and_parts(cfg)
     if args.dump_matrix:
         _dump_matrix(parts, args.dump_matrix)
-    s = floquet_operator(parts, rtol=cfg.rtol, atol=cfg.atol)
-    spectrum = diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
+    spectrum = _spectrum(cfg, parts, psi0)
     lines = [f"# {cfg.fingerprint(unitarity_defect=spectrum.unitarity_defect)}", "eps_n,abs_cn"]
     for eps, c in zip(spectrum.quasi_energies, np.abs(spectrum.coefficients)):
         lines.append(f"{_fmt(eps)},{_fmt(c)}")
@@ -234,7 +238,7 @@ def _revival_record(cfg: RunConfig, n_periods: int | None, prominence: float) ->
         if eq9 is None:
             raise ValueError("priors give no revival estimate; set --t-final-tb explicitly")
         n_periods = int(math.ceil(1.6 * eq9 / tb))
-    spectrum, trace = _stroboscopic_trace(cfg, sector, parts, psi0, n_periods, {})
+    spectrum, trace = _stroboscopic_trace(cfg, sector, parts, psi0, n_periods)
     report = analysis.build_revival_report(trace, spectrum, eq9, revival_prominence=prominence)
     record = report.as_dict()
     # the effective model's collapse time, beside the measured one; a single

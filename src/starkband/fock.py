@@ -18,6 +18,7 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sparse
 
 __all__ = [
     "FockState",
@@ -157,6 +158,28 @@ class SymmetrySector:
         """Representative index of any same-(N, L) Fock state."""
         return int(self.rep_of_rank[state_rank(state)])
 
+    def matrix(self, rule, columns=None) -> sparse.csr_matrix:
+        """An operator in sector coordinates, from `rule(rep)`: the (target
+        state, amplitude) pairs of the operator applied to a representative.
+
+        The operator is applied to the representative of column j only, so
+        an element i <- j carries the orbit factor sqrt(orbit_j / orbit_i).
+        Duplicate (i, j) entries are summed, and CSR conversion sorts the
+        indices.  Only the `columns` given (all by default) are visited.
+        """
+        sizes = self.orbit_sizes
+        rows, cols, vals = [], [], []
+        for j in range(self.dim) if columns is None else columns:
+            for target, amp in rule(self.representatives[j]):
+                i = self.lookup(target)
+                rows.append(i)
+                cols.append(j)
+                vals.append(amp * math.sqrt(sizes[j] / sizes[i]))
+        m = sparse.coo_matrix((vals, (rows, cols)), shape=(self.dim, self.dim), dtype=complex)
+        m = m.tocsr()
+        m.sum_duplicates()
+        return m
+
 
 def build_k0_sector(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP) -> SymmetrySector:
     """Group the full Fock basis into translation orbits and assemble kappa=0.
@@ -200,17 +223,15 @@ def _lower_band_ground(sector: SymmetrySector) -> np.ndarray:
     zero_upper = [i for i, rep in enumerate(sector.representatives) if sum(rep.upper) == 0]
     if not zero_upper:
         raise ValueError("sector has no states with an empty upper band")
-    sub_index = {i: k for k, i in enumerate(zero_upper)}
-    sizes = sector.orbit_sizes
 
     # F = sum_l a^dag_{l+1} a_l on the ring within the sub-basis, K = F + F^T;
     # the hopping Hamiltonian is -t_a/2 * K, so its ground state maximizes K.
-    forward = np.zeros((len(zero_upper), len(zero_upper)))
-    for i in zero_upper:
-        rep = sector.representatives[i]
-        for new, amp in ring_hops(rep.lower):
-            tgt = sector.lookup(FockState(new, rep.upper))
-            forward[sub_index[tgt], sub_index[i]] += amp * math.sqrt(sizes[i] / sizes[tgt])
+    # Lower-band hops keep the upper band empty, so F never leaves the sub-basis.
+    forward = sector.matrix(
+        lambda rep: ((FockState(new, rep.upper), amp) for new, amp in ring_hops(rep.lower)),
+        zero_upper,
+    )
+    forward = forward[zero_upper][:, zero_upper].toarray().real
     kin = forward + forward.T
 
     # dense solve keeps the result deterministic (no Lanczos start vector)

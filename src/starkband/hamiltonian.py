@@ -119,6 +119,8 @@ class _FusedBlocks:
 class HamiltonianParts:
     """Time-independent blocks of the interaction-picture Hamiltonian, and
     `frame`, the real D = diag(h_static) that both integrators remove.
+    `h_hop_dag` is derived from `h_hop`, so `replace(parts, h_hop=...)`
+    keeps H(t) Hermitian.
 
     `boost_order` is d = gcd(N, L), `boost_charge` each basis state's S mod d
     with S = sum_l l (n^a_l + n^b_l), sites l = 0..L-1.  The boost B^(L/d),
@@ -128,7 +130,6 @@ class HamiltonianParts:
 
     h_static: sparse.csr_matrix
     h_hop: sparse.csr_matrix
-    h_hop_dag: sparse.csr_matrix
     basis_dim: int
     force: float
     boost_order: int = 1
@@ -144,6 +145,10 @@ class HamiltonianParts:
         fused = _FusedBlocks((off, self.h_hop, self.h_hop_dag), (0, 1, -1), self.force, d)
         object.__setattr__(self, "frame", d)
         object.__setattr__(self, "_fused", fused)
+
+    @property
+    def h_hop_dag(self) -> sparse.csr_matrix:
+        return self.h_hop.getH().tocsr()
 
     @property
     def t_bloch(self) -> float:
@@ -188,37 +193,34 @@ def _diagonal_energy(lo, up, params: ModelParams, mask: TermMask) -> float:
 
 
 def _onsite_offdiagonal(rep: FockState, params: ModelParams, mask: TermMask):
-    """(target state, amplitude) pairs for the on-site band-changing terms.
-
-    Both Hermitian partners are generated explicitly, so collecting these
-    for every column yields a Hermitian matrix.
+    """(target state, amplitude) pairs for the on-site band-changing terms:
+    k = 1 boson moved at coupling c0 F (b^dag_l a_l) and k = 2 at g W_x / 2
+    (b^dag_l b^dag_l a_l a_l), each with its Hermitian partner, so collecting
+    these for every column yields a Hermitian matrix.  Moving k bosons from
+    n_from to n_to has the amplitude sqrt(perm(n_from, k) perm(n_to + k, k)).
     """
     lo, up = rep.lower, rep.upper
-    L = len(lo)
-    cf = params.c0 * params.force
-    gwx = params.g * params.w_x
-    for l in range(L):
-        na, nb = lo[l], up[l]
-        if mask.coupling_c0 and cf != 0.0:
-            if na > 0:  # b^dag_l a_l
-                new_lo = lo[:l] + (na - 1,) + lo[l + 1:]
-                new_up = up[:l] + (nb + 1,) + up[l + 1:]
-                yield FockState(new_lo, new_up), cf * math.sqrt(na * (nb + 1))
-            if nb > 0:  # a^dag_l b_l
-                new_lo = lo[:l] + (na + 1,) + lo[l + 1:]
-                new_up = up[:l] + (nb - 1,) + up[l + 1:]
-                yield FockState(new_lo, new_up), cf * math.sqrt(nb * (na + 1))
-        if mask.int_x_pair and gwx != 0.0:
-            if na >= 2:  # b^dag_l b^dag_l a_l a_l
-                new_lo = lo[:l] + (na - 2,) + lo[l + 1:]
-                new_up = up[:l] + (nb + 2,) + up[l + 1:]
-                amp = math.sqrt(na * (na - 1) * (nb + 1) * (nb + 2))
-                yield FockState(new_lo, new_up), 0.5 * gwx * amp
-            if nb >= 2:  # a^dag_l a^dag_l b_l b_l
-                new_lo = lo[:l] + (na + 2,) + lo[l + 1:]
-                new_up = up[:l] + (nb - 2,) + up[l + 1:]
-                amp = math.sqrt(nb * (nb - 1) * (na + 1) * (na + 2))
-                yield FockState(new_lo, new_up), 0.5 * gwx * amp
+    terms = [(k, coupling) for k, coupling, on in (
+        (1, params.c0 * params.force, mask.coupling_c0),
+        (2, 0.5 * (params.g * params.w_x), mask.int_x_pair),
+    ) if on and coupling != 0.0]
+    for l, (na, nb) in enumerate(zip(lo, up)):
+        for k, coupling in terms:
+            for shift, n_from, n_to in ((k, na, nb), (-k, nb, na)):  # a -> b, then b -> a
+                if n_from >= k:
+                    new_lo = lo[:l] + (na - shift,) + lo[l + 1:]
+                    new_up = up[:l] + (nb + shift,) + up[l + 1:]
+                    amp = math.sqrt(math.perm(n_from, k) * math.perm(n_to + k, k))
+                    yield FockState(new_lo, new_up), coupling * amp
+
+
+def _static_entries(rep: FockState, params: ModelParams, mask: TermMask):
+    """(target state, amplitude) pairs of h_static: the diagonal, then the
+    on-site band-changing terms."""
+    diag = _diagonal_energy(rep.lower, rep.upper, params, mask)
+    if diag != 0.0:
+        yield rep, diag
+    yield from _onsite_offdiagonal(rep, params, mask)
 
 
 def _hop_forward(rep: FockState, params: ModelParams, mask: TermMask):
@@ -232,24 +234,12 @@ def _hop_forward(rep: FockState, params: ModelParams, mask: TermMask):
             yield FockState(lo, new), +0.5 * params.t_b * amp
 
 
-def _to_csr(rows, cols, vals, dim) -> sparse.csr_matrix:
-    # duplicate (row, col) entries are summed; CSR conversion sorts indices,
-    # so the stored matrix is independent of generation order
-    m = sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
-    m = m.tocsr()
-    m.sum_duplicates()
-    return m
-
-
 def build_interaction_picture(
     params: ModelParams, sector: SymmetrySector, mask: TermMask = TermMask()
 ) -> HamiltonianParts:
-    """Assemble h_static and h_hop directly in kappa = 0 sector coordinates.
-
-    Matrix elements follow the second-quantized rules a_l|..n..> =
-    sqrt(n)|..n-1..>; an element between symmetrized states i <- j carries
-    the orbit factor sqrt(orbit_j / orbit_i) because the operator is applied
-    to the representative of column j only.
+    """Assemble h_static and h_hop directly in kappa = 0 sector coordinates
+    (`SymmetrySector.matrix`).  Matrix elements follow the second-quantized
+    rules a_l|..n..> = sqrt(n)|..n-1..>.
     """
     if (sector.n_particles, sector.n_sites) != (params.n_particles, params.n_sites):
         raise ValueError(
@@ -259,29 +249,8 @@ def build_interaction_picture(
     if mask.coupling_c0 and params.c0 == 0.0:
         log.info("coupling_c0 requested but c0 = 0; the bands stay uncoupled")
 
-    sizes = sector.orbit_sizes
-    dim = sector.dim
-    s_rows, s_cols, s_vals = [], [], []
-    h_rows, h_cols, h_vals = [], [], []
-    for j, rep in enumerate(sector.representatives):
-        diag = _diagonal_energy(rep.lower, rep.upper, params, mask)
-        if diag != 0.0:
-            s_rows.append(j)
-            s_cols.append(j)
-            s_vals.append(diag)
-        for target, amp in _onsite_offdiagonal(rep, params, mask):
-            i = sector.lookup(target)
-            s_rows.append(i)
-            s_cols.append(j)
-            s_vals.append(amp * math.sqrt(sizes[j] / sizes[i]))
-        for target, amp in _hop_forward(rep, params, mask):
-            i = sector.lookup(target)
-            h_rows.append(i)
-            h_cols.append(j)
-            h_vals.append(amp * math.sqrt(sizes[j] / sizes[i]))
-
-    h_static = _to_csr(s_rows, s_cols, s_vals, dim)
-    h_hop = _to_csr(h_rows, h_cols, h_vals, dim)
+    h_static = sector.matrix(lambda rep: _static_entries(rep, params, mask))
+    h_hop = sector.matrix(lambda rep: _hop_forward(rep, params, mask))
 
     defect = hermiticity_defect(h_static)
     scale = float(np.abs(h_static.data).max()) if h_static.nnz else 1.0
@@ -294,8 +263,7 @@ def build_interaction_picture(
     return HamiltonianParts(
         h_static=h_static,
         h_hop=h_hop,
-        h_hop_dag=h_hop.getH().tocsr(),
-        basis_dim=dim,
+        basis_dim=sector.dim,
         force=params.force,
         boost_order=order,
         boost_charge=np.asarray(charge, dtype=np.int64),

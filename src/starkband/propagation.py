@@ -4,11 +4,12 @@ Everything rests on the propagator S over T_B/d, d = gcd(N, L), integrated
 once as a matrix ODE; the one-period propagator U(T_B) = S^d is never
 formed.  The eigenbasis of S is that of U and gives the stroboscopic
 long-time observables (collapse and revival live at thousands of Bloch
-periods).  S also gives continuous traces: psi(mT_B + s) = U(s) S^(dm)
-psi(0), so `evolve` can integrate only the windows [0, T_B) that hold
-samples, side by side as the columns of one block.  Where S costs more than
-it saves, or cannot be built, `evolve` integrates the windows one after the
-other as a vector instead.
+periods).  S also gives continuous traces on the grid t_k = k T_B/n that
+`evolve` samples: psi(mT_B + s) = U(s) S^(d(m-1)) psi(T_B), so every
+Bloch-period window holds the same offsets s = T_B/n * arange(n), and runs
+of windows are integrated side by side as the columns of one block.  Where
+S costs more than it saves, or cannot be built, `evolve` integrates the
+windows one after the other as a vector instead.
 
 Every integration solves i dW/dt = HamiltonianParts.apply(t, W) for
 W = e^{iDt} psi, in the frame of the static diagonal D (band gap and
@@ -20,7 +21,7 @@ kappa = 0 basis) halves that span.  The resulting S is complex symmetric,
 so its eigenbasis comes from one real symmetric eigh.
 
 Memory stays within a few copies of S: the propagator is integrated in
-chunks of columns, the windows of `evolve` in chunks of about 1 MiB of
+chunks of columns, the windows of `evolve` in runs of about 1 MiB of
 samples, and the stroboscopic trace in short blocks of periods.  `evolve`
 without S holds one vector and the samples.
 """
@@ -40,7 +41,6 @@ from .hamiltonian import HamiltonianParts
 
 __all__ = [
     "NumericalError",
-    "WaveFunction",
     "EvolutionResult",
     "FloquetSpectrum",
     "evolve",
@@ -67,7 +67,7 @@ FLOQUET_CHUNK = 64
 FLOQUET_WORKING_COPIES = 4
 FLOQUET_CHUNK_COPIES = 64
 # evolve integrates the Bloch-period windows after the first side by side,
-# in chunks whose blocks of samples hold about this many complex numbers (1 MiB)
+# in runs whose blocks of samples hold about this many complex numbers (1 MiB)
 EVOLVE_CHUNK_NUMBERS = 2**16
 # The fixed cost of one right-hand side call, in state entries of the sparse
 # products it matches: fitted to DOP853 at N = L = 3..6 (dim 20..2076), where
@@ -86,29 +86,13 @@ class NumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WaveFunction:
-    """Complex coordinate vector in the kappa = 0 basis at a given time."""
-
-    coords: np.ndarray
-    time: float = 0.0
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-
-@dataclass(frozen=True)
 class EvolutionResult:
-    """Sampled snapshots of `evolve` plus the norm drift of the last one."""
+    """The sample times of `evolve`, the state at each (one row of `states`
+    per time, in kappa = 0 coordinates) and the norm drift of the last."""
 
-    snapshots: list
+    times: np.ndarray
+    states: np.ndarray
     norm_drift: float
-
-    def __iter__(self):
-        return iter(self.snapshots)
-
-    def __len__(self):
-        return len(self.snapshots)
 
 
 @dataclass(frozen=True)
@@ -137,11 +121,6 @@ class FloquetSpectrum:
     @property
     def force(self) -> float:
         return 2.0 * math.pi / self.t_bloch
-
-
-def _coords_of(psi0) -> np.ndarray:
-    coords = psi0.coords if isinstance(psi0, WaveFunction) else np.asarray(psi0)
-    return np.asarray(coords, dtype=complex)
 
 
 def _integrate(rhs, y0, t0, t1, t_eval, rtol, atol):
@@ -178,24 +157,6 @@ def _integrate_windows(parts, starts, s_start, offsets, rtol, atol):
     return block
 
 
-def _chunks(windows: np.ndarray, slots: np.ndarray, dim: int):
-    """Consecutive runs of the windows that hold samples (`windows` sorted,
-    `slots` the offset index of each sample): the run's windows, the sorted
-    offset indices it evaluates and the slice of its samples.  A run stores
-    its windows times its offsets times dim complex numbers, at most
-    EVOLVE_CHUNK_NUMBERS unless it is one window."""
-    firsts = np.r_[0, np.flatnonzero(np.diff(windows)) + 1]
-    chunk, union, begin = [], set(), 0
-    for a, b in zip(firsts, np.r_[firsts[1:], windows.size]):
-        own = set(slots[a:b].tolist())
-        if chunk and (len(chunk) + 1) * len(union | own) * dim > EVOLVE_CHUNK_NUMBERS:
-            yield chunk, np.array(sorted(union)), slice(begin, a)
-            chunk, union, begin = [], set(), a
-        chunk.append(int(windows[a]))
-        union |= own
-    yield chunk, np.array(sorted(union)), slice(begin, windows.size)
-
-
 def _period_cost(dim: int, width: int) -> int:
     """Relative cost of integrating a dim x width block over one Bloch period.
     DOP853 takes about the same number of steps at any width, and each call
@@ -205,14 +166,14 @@ def _period_cost(dim: int, width: int) -> int:
 
 
 def _propagator_pays(parts: HamiltonianParts, n_windows: int, widths) -> bool:
-    """Whether building S and integrating the chunks of `widths` windows side
+    """Whether building S and integrating the runs of `widths` windows side
     by side costs less than integrating windows 1..n_windows one by one as a
     vector.  S integrates its column chunks over T_B/(2d), and its two dense
     products add up to a fifth to that (measured 1.05, 1.06 and 1.20 times
     the integration at N = L = 4, 5, 6).  The d products S @ psi per window
     are left out: at N = L = 6 they cost about 13% of a vector period, but
     windows whose samples sit on their starts need no integration, which
-    the chunk costs ignore.  On one core, one sample per period at N = L = 6
+    the run costs ignore.  On one core, one sample per period at N = L = 6
     took 20.1 s with S and 17.7 s without over 120 periods, 22.0 s and 30.8 s
     over 200; the model breaks even at 136."""
     dim = parts.basis_dim
@@ -223,106 +184,97 @@ def _propagator_pays(parts: HamiltonianParts, n_windows: int, widths) -> bool:
     return propagator + windows < n_windows * _period_cost(dim, 1)
 
 
-def _snapshots(block, columns, rows, times) -> list:
-    """WaveFunctions of the states block[:, columns, rows] at `times`: views
-    into one copy of just those states, so the rest of the block is freed."""
-    states = block.transpose(1, 2, 0)[columns, rows]
-    return [WaveFunction(psi, float(t)) for psi, t in zip(states, times)]
-
-
 def evolve(
     psi0,
     parts: HamiltonianParts,
     t_final: float,
     *,
-    sample_every: float,
+    samples_per_period: int,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
 ) -> EvolutionResult:
-    """Sample psi(t) of i d/dt psi = H(t) psi every `sample_every`.
+    """Sample psi(t) of i d/dt psi = H(t) psi from psi(0) = psi0 at
+    t_k = k T_B/n, n = samples_per_period, up to t_final; a t_final between
+    two samples is the last sample, one short integration from the one
+    before.  Row k of the result's states is psi(t_k).
 
-    psi0 may be a WaveFunction (evolution starts at its time stamp) or a
-    bare coordinate vector (starts at t = 0).  The returned snapshots always
-    include the initial and final times.
-
-    Time is cut into Bloch-period windows [mT_B, (m+1)T_B).  The window that
-    holds t0 is one vector integration from t0 to its end, or to t_final.
-    H(t) has period T_B, so the window k after it starts from S^(d(k-1)) psi
-    at the end of the first, S = floquet_operator(parts); these windows are
-    integrated side by side, as the columns of one block per chunk (see
-    `_integrate_windows`), and a window without samples only applies S d
-    times.  That route is taken when `_propagator_pays`: the cost of S grows
-    as dim^2, so it needs more windows, and more windows per chunk, as dim
-    grows.  Otherwise, and when S cannot be built (complex blocks, or a
-    working set beyond the physical memory), every later window is one
-    vector integration from the end of the one before.  Sample offsets that
-    differ by the round-off of the sample times are snapped to one grid, so
-    that windows share their evaluation points.  Each chunk's samples are
-    copied into their own block, into which the snapshots are views.
+    Time is cut into Bloch-period windows [mT_B, (m+1)T_B), and window m
+    holds the samples at mT_B + T_B/n * arange(n).  Window 0 is one vector
+    integration to its end.  H(t) has period T_B, so window m >= 1 starts
+    from S^(d(m-1)) psi(T_B), S = floquet_operator(parts).  These starts,
+    each window's first sample, are written first and S is freed; then runs
+    of consecutive windows are integrated side by side from them, as the
+    columns of one block (see `_integrate_windows`), so a window whose only
+    sample is its start needs no integration.  That route is taken when
+    `_propagator_pays`: the cost of S grows as dim^2, so it needs more
+    windows, and more windows per run, as dim grows.  Otherwise, and when S
+    cannot be built (complex blocks, or a working set beyond the physical
+    memory), every window is one vector integration from the end of the one
+    before.  Each block is written straight into the states.
     """
-    t0 = psi0.time if isinstance(psi0, WaveFunction) else 0.0
-    if t_final <= t0:
-        raise ValueError(f"t_final={t_final} must exceed the initial time {t0}")
-    if sample_every <= 0:
-        raise ValueError(f"sample_every must be positive, got {sample_every}")
-    coords = _coords_of(psi0)
-    if coords.shape != (parts.basis_dim,):
-        raise ValueError(f"state has dimension {coords.shape}, expected ({parts.basis_dim},)")
+    if not 0 < t_final < math.inf:
+        raise ValueError(f"t_final={t_final} must be positive and finite")
+    if samples_per_period < 1:
+        raise ValueError(f"samples_per_period must be positive, got {samples_per_period}")
+    psi0 = np.asarray(psi0, dtype=complex)
+    dim, n, tb = parts.basis_dim, samples_per_period, parts.t_bloch
+    if psi0.shape != (dim,):
+        raise ValueError(f"state has dimension {psi0.shape}, expected ({dim},)")
 
-    n = int(math.floor((t_final - t0) / sample_every + 1e-9))
-    times = t0 + sample_every * np.arange(n + 1)
-    if times[-1] < t_final - 1e-9 * sample_every:
+    step = tb / n
+    last = int(math.floor(t_final / step + 1e-9))  # the last sample on the grid
+    times = step * np.arange(last + 1)
+    if times[-1] < t_final - 1e-9 * step:
         times = np.append(times, t_final)
-    times[-1] = min(times[-1], t_final)
+    offsets = step * np.arange(n)
+    final = last // n  # the last window that holds a sample
+    width = max(1, EVOLVE_CHUNK_NUMBERS // (n * dim))
+    runs = [range(w, min(w + width, final + 1)) for w in range(1, final + 1, width)]
+    s = None
+    if (runs and _propagator_obstacle(parts) is None
+            and _propagator_pays(parts, final, [len(run) for run in runs])):
+        # before the states exist, so that S's working set does not add to them
+        s = floquet_operator(parts, rtol=rtol, atol=atol)
+    states = np.empty((times.size, dim), dtype=complex)
+    grid = states[:last + 1]
 
-    # window index and offset of each sample; times closer than a few ulps
-    # of the largest are not told apart, so offsets snap to one grid below
-    tb = parts.t_bloch
-    tol = 64 * np.finfo(float).eps * max(abs(t0), abs(t_final), tb)
-    absolute = np.floor((times + tol) / tb)
-    offsets = np.maximum(times - absolute * tb, 0.0)
-    windows = (absolute - absolute[0]).astype(np.int64)
+    def rows(w):
+        return grid[w * n:(w + 1) * n]
 
-    first = windows == 0
-    ends = np.append(offsets[first], tb) if windows[-1] > 0 else offsets[first]
-    block = _integrate_windows(parts, coords[:, None], offsets[0], ends, rtol, atol)
-    snapshots = _snapshots(block, 0, np.arange(first.sum()), times[first])
+    def vector_window(w, state):
+        ends = offsets[:len(rows(w))]
+        block = _integrate_windows(parts, state[:, None], 0.0,
+                                   np.append(ends, tb) if w < final else ends, rtol, atol)
+        rows(w)[:] = block[:, 0, :len(ends)].T
+        return block[:, 0, -1]
 
-    if windows[-1] > 0:
-        later = ~first
-        windows, times, offsets = windows[later], times[later], offsets[later]
-        ordered = np.sort(offsets)
-        grid = ordered[np.r_[True, np.diff(ordered) > tol]]
-        slots = np.searchsorted(grid, offsets, side="right") - 1
-        state = block[:, 0, -1]
-        chunks = list(_chunks(windows, slots, parts.basis_dim))
-        if (_propagator_obstacle(parts) is None
-                and _propagator_pays(parts, windows[-1], [len(c) for c, _, _ in chunks])):
-            s = floquet_operator(parts, rtol=rtol, atol=atol)
-            at = 1
-            for chunk, evaluated, inside in chunks:
-                starts = np.empty((parts.basis_dim, len(chunk)), dtype=complex)
-                for j, w in enumerate(chunk):
-                    for _ in range((w - at) * parts.boost_order):
-                        state = s @ state
-                    at = w
-                    starts[:, j] = state
-                block = _integrate_windows(parts, starts, 0.0, grid[evaluated], rtol, atol)
-                snapshots += _snapshots(block, np.searchsorted(chunk, windows[inside]),
-                                        np.searchsorted(evaluated, slots[inside]), times[inside])
-                gc.collect(0)  # the finished solver's reference cycle, as in floquet_operator
-        else:
-            for w in range(1, windows[-1] + 1):
-                lo, hi = np.searchsorted(windows, [w, w + 1])
-                ends = grid[slots[lo:hi]]
-                if w < windows[-1]:
-                    ends = np.append(ends, tb)
-                block = _integrate_windows(parts, state[:, None], 0.0, ends, rtol, atol)
-                snapshots += _snapshots(block, 0, np.arange(hi - lo), times[lo:hi])
-                state = block[:, 0, -1]
+    state = vector_window(0, psi0)
+    if s is None:
+        for w in range(1, final + 1):
+            state = vector_window(w, state)
+    else:
+        # every window's start is its first sample: all are written before
+        # the runs, so that S is freed while they integrate
+        grid[n] = state
+        for w in range(2, final + 1):
+            for _ in range(parts.boost_order):
+                state = s @ state
+            grid[w * n] = state
+        s = None
+        for run in runs:
+            starts = grid[run[0] * n:run[-1] * n + 1:n].T
+            block = _integrate_windows(parts, starts, 0.0, offsets[:len(rows(run[0]))],
+                                       rtol, atol)
+            for j, w in enumerate(run):
+                rows(w)[:] = block[:, j, :len(rows(w))].T
+            gc.collect(0)  # the finished solver's reference cycle, as in floquet_operator
 
-    drift = abs(snapshots[-1].norm - np.linalg.norm(coords))
-    return EvolutionResult(snapshots=snapshots, norm_drift=float(drift))
+    if times.size > last + 1:
+        block = _integrate_windows(parts, grid[-1][:, None], offsets[last % n],
+                                   np.array([t_final - final * tb]), rtol, atol)
+        states[-1] = block[:, 0, 0]
+    drift = abs(np.linalg.norm(states[-1]) - np.linalg.norm(psi0))
+    return EvolutionResult(times=times, states=states, norm_drift=float(drift))
 
 
 def _physical_memory() -> int:
@@ -443,7 +395,7 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     return FloquetSpectrum(
         quasi_energies=eps[ranks],
         eigen_vectors=vectors,
-        coefficients=vectors.T @ _coords_of(psi0),
+        coefficients=vectors.T @ np.asarray(psi0, dtype=complex),
         unitarity_defect=float(np.abs(np.abs(lam) ** 2 - 1.0).max()),
         t_bloch=t_bloch,
     )
@@ -453,7 +405,6 @@ def stroboscopic_occupations(
     spectrum: FloquetSpectrum,
     sector: SymmetrySector,
     n_periods: int,
-    meta: dict | None = None,
 ) -> OscillationTrace:
     """Upper-band occupation N_b at t = 0, T_B, ..., n_periods*T_B."""
     if spectrum.dim != sector.dim:
@@ -470,20 +421,17 @@ def stroboscopic_occupations(
             -1j * np.outer(block * spectrum.t_bloch, spectrum.quasi_energies)
         ) * spectrum.coefficients
         values[start:start + chunk] = ((phases.real @ vt) ** 2 + (phases.imag @ vt) ** 2) @ w
-    return OscillationTrace(times=ms * spectrum.t_bloch, values=values, meta=dict(meta or {}))
+    return OscillationTrace(times=ms * spectrum.t_bloch, values=values)
 
 
-def occupation_series(source, sector: SymmetrySector, meta: dict | None = None) -> OscillationTrace:
-    """N_b(t) = (1/N) sum_l <n_l^b> from evolution snapshots.
+def occupation_series(result: EvolutionResult, sector: SymmetrySector) -> OscillationTrace:
+    """N_b(t) = (1/N) sum_l <n_l^b> at the sample times of `evolve`.
 
-    `source` is an EvolutionResult or any iterable of WaveFunctions.  The
-    observable is diagonal in sector coordinates because the total
-    upper-band number is translation invariant.
+    The observable is diagonal in sector coordinates because the total
+    upper-band number is translation invariant: N_b = sum_j w_j |psi_j|^2
+    with w = upper_fractions, one product over the real and imaginary parts
+    of all states at once that makes no temporary of their size.
     """
-    snapshots = list(source)
-    if not snapshots:
-        raise ValueError("no snapshots to analyse")
-    w = sector.upper_fractions
-    times = np.array([s.time for s in snapshots])
-    values = np.array([float((np.abs(s.coords) ** 2) @ w) for s in snapshots])
-    return OscillationTrace(times=times, values=values, meta=dict(meta or {}))
+    re_im = result.states.view(float).reshape(*result.states.shape, 2)
+    values = np.einsum("tjc,tjc,j->t", re_im, re_im, sector.upper_fractions)
+    return OscillationTrace(times=result.times, values=values)

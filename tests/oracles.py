@@ -4,9 +4,10 @@ coordinates, and the static Hamiltonian with the explicit tilt l*F."""
 import math
 
 import numpy as np
+import scipy.sparse as sparse
 
 from starkband.fock import FockState, state_rank, translate
-from starkband.hamiltonian import TermMask, _diagonal_energy, _onsite_offdiagonal, _to_csr
+from starkband.hamiltonian import TermMask, _diagonal_energy, _onsite_offdiagonal
 
 
 def expand(sector, coords) -> np.ndarray:
@@ -68,4 +69,5 @@ def build_static_tilted(params, basis, mask: TermMask = TermMask()):
             rows.extend((i, j))
             cols.extend((j, i))
             vals.extend((amp, amp))
-    return _to_csr(rows, cols, vals, len(basis))
+    dim = len(basis)
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex).tocsr()

@@ -129,6 +129,20 @@ def test_nonpositive_sampling_exits_2(capsys, argv):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["revival-report", "--prominence", "nan"], "--prominence must be non-negative and finite"),
+    (["revival-report", "--prominence", "-0.1"], "--prominence must be non-negative and finite"),
+    (["sweep-g", "--prominence", "inf"], "--prominence must be non-negative and finite"),
+    (["single-particle", "--t-final-tb", "2", "--order", "0"], "--order must be positive"),
+    (["single-particle", "--t-final-tb", "2", "--order", "-2"], "--order must be positive"),
+], ids=["prominence-nan", "prominence-negative", "sweep-prominence-inf", "order-zero",
+        "order-negative"])
+def test_meaningless_flag_values_exit_2(capsys, argv, message):
+    # each of these used to print a result that means nothing, and exit 0
+    assert main(argv + ["--preset", "v0_4", "--n", "1", "--l", "2"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_floquet_spectrum_output(params_file, capsys):
     assert main(["floquet-spectrum", "--params", params_file, "--initial", "1,0;0,0"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -217,7 +217,7 @@ def test_sector_vs_full_expectation():
     sector = sb.build_k0_sector(2, 3)
     parts = sb.build_interaction_picture(p, sector)
     psi = sb.project_initial_state(FockState((1, 1, 0), (0, 0, 0)), sector)
-    final = sb.evolve(psi, parts, 5.0, sample_every=5.0).snapshots[-1].coords
+    final = sb.evolve(psi, parts, 5.0, samples_per_period=1).states[-1]
     nb_sector = float((np.abs(final) ** 2) @ sector.upper_fractions) * p.n_particles
     full = expand(sector, final)
     basis = sb.enumerate_fock(2, 3)

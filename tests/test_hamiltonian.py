@@ -2,6 +2,7 @@
 structural invariants (hermiticity, g-linearity, number conservation)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,6 +102,22 @@ def test_hermiticity(n, l, g):
     assert hermiticity_defect(parts.h_static) < 1e-12 * scale
     for t in (0.0, 0.31, 2.2):
         assert hermiticity_defect(parts.dense_at(t)) < 1e-12 * scale
+
+
+def test_replaced_hopping_keeps_the_hamiltonian_hermitian():
+    # h_hop_dag follows h_hop, so a replaced hopping block gives a Hermitian
+    # H(t), and `apply` stays the frame product e^{iDt} (H(t) - D) e^{-iDt}
+    p = sb.ModelParams(delta=3.1, c0=0.21, t_a=0.3, t_b=0.7, w_a=0.11, w_b=0.23,
+                       w_x=0.17, g=0.5, force=1.9, n_particles=2, n_sites=3)
+    parts = sb.build_interaction_picture(p, sb.build_k0_sector(2, 3))
+    rotated = replace(parts, h_hop=1j * parts.h_hop)
+    y = np.random.default_rng(7).normal(size=(parts.basis_dim, 3)) + 0j
+    for t in (0.0, 0.31, 2.2):
+        h = rotated.dense_at(t)
+        assert hermiticity_defect(h) < 1e-14
+        r = np.exp(1j * t * rotated.frame)
+        h_frame = r[:, None] * (h - np.diag(rotated.frame)) * r.conj()[None, :]
+        assert np.abs(rotated.apply(t, y) - h_frame @ y).max() < 1e-12 * np.abs(h).max()
 
 
 def test_sector_mismatch_rejected():

@@ -20,7 +20,7 @@ import starkband as sb
 import starkband.propagation as propagation
 from starkband.cli import main
 from starkband.fock import FockState
-from starkband.propagation import EIGEN_MIX, WaveFunction
+from starkband.propagation import EIGEN_MIX
 
 SMALL = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03, w_b=0.018,
                        w_x=0.012, g=0.4, force=2.2201, n_particles=2, n_sites=3)
@@ -39,14 +39,15 @@ def _diagonal_parts(energies, force=2.0):
     zero = sparse.csr_matrix((dim, dim), dtype=complex)
     return sb.HamiltonianParts(
         h_static=sparse.diags(np.asarray(energies, dtype=complex)).tocsr(),
-        h_hop=zero, h_hop_dag=zero, basis_dim=dim, force=force,
+        h_hop=zero, basis_dim=dim, force=force,
     )
 
 
-def _lab_frame(parts, psi, t0, times):
-    """Oracle: i dpsi/dt = dense_at(t) psi integrated by DOP853 in the lab
-    frame, not through `apply`; one column per time in `times`."""
-    sol = solve_ivp(lambda t, y: -1j * parts.dense_at(t) @ y, (t0, times[-1]),
+def _lab_frame(parts, psi, times):
+    """Oracle: i dpsi/dt = dense_at(t) psi from psi(0) = psi, integrated by
+    DOP853 in the lab frame, not through `apply`; one column per time in
+    `times`."""
+    sol = solve_ivp(lambda t, y: -1j * parts.dense_at(t) @ y, (0.0, times[-1]),
                     np.asarray(psi, dtype=complex), method="DOP853", rtol=1e-12, atol=1e-12,
                     t_eval=times)
     assert sol.success
@@ -71,11 +72,10 @@ def test_diagonal_evolution_exact():
     energies = np.array([0.3, -1.1, 2.7])
     parts = _diagonal_parts(energies)
     psi0 = np.array([0.5, 0.5j, math.sqrt(0.5)], dtype=complex)
-    result = sb.evolve(psi0, parts, 5.0, sample_every=1.25)
-    for snap in result:
-        expected = psi0 * np.exp(-1j * energies * snap.time)
-        assert np.abs(snap.coords - expected).max() < 1e-10
-        assert np.abs(np.abs(snap.coords) - np.abs(psi0)).max() < 1e-10
+    result = sb.evolve(psi0, parts, 5.0, samples_per_period=4)
+    assert result.times[-1] == 5.0 and result.states.shape == (8, 3)
+    expected = psi0 * np.exp(-1j * np.outer(result.times, energies))
+    assert np.abs(result.states - expected).max() < 1e-10
 
 
 def test_evolve_two_level_closed_form():
@@ -85,7 +85,7 @@ def test_evolve_two_level_closed_form():
     mask = sb.TermMask(hop_a=False, hop_b=False)
     parts = sb.build_interaction_picture(p, sector, mask)
     psi0 = sb.project_initial_state(FockState((1, 0), (0, 0)), sector)
-    result = sb.evolve(psi0, parts, 10.0, sample_every=0.05)
+    result = sb.evolve(psi0, parts, 10.0, samples_per_period=56)
     trace = sb.occupation_series(result, sector)
     v = p.c0 * p.force
     half_gap = math.hypot(0.5 * p.delta, v)
@@ -95,18 +95,24 @@ def test_evolve_two_level_closed_form():
 
 def test_evolve_validation():
     parts = _diagonal_parts([1.0, 2.0])
-    with pytest.raises(ValueError):
-        sb.evolve(np.array([1.0, 0.0]), parts, -1.0, sample_every=0.1)
-    with pytest.raises(ValueError):
-        sb.evolve(np.array([1.0, 0.0]), parts, 1.0, sample_every=0.0)
-    with pytest.raises(ValueError):
-        sb.evolve(np.array([1.0, 0.0, 0.0]), parts, 1.0, sample_every=0.1)
+    for t_final in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_final"):
+            sb.evolve(np.array([1.0, 0.0]), parts, t_final, samples_per_period=4)
+    with pytest.raises(ValueError, match="samples_per_period"):
+        sb.evolve(np.array([1.0, 0.0]), parts, 1.0, samples_per_period=0)
+    with pytest.raises(ValueError, match="dimension"):
+        sb.evolve(np.array([1.0, 0.0, 0.0]), parts, 1.0, samples_per_period=4)
 
 
 def test_evolve_sampling_grid():
+    # t_k = k T_B/n up to t_final, then t_final itself when it falls between
+    # two samples (T_B = pi here)
     parts = _diagonal_parts([0.5, -0.5])
-    result = sb.evolve(np.array([1.0, 0.0], dtype=complex), parts, 1.0, sample_every=0.4)
-    assert [round(s.time, 12) for s in result] == [0.0, 0.4, 0.8, 1.0]
+    result = sb.evolve(np.array([1.0, 0.0], dtype=complex), parts, 1.0, samples_per_period=8)
+    assert result.times == pytest.approx([0.0, np.pi / 8, np.pi / 4, 1.0], rel=1e-15, abs=0.0)
+    assert result.states.shape == (4, 2)
+    result = sb.evolve(np.array([1.0, 0.0], dtype=complex), parts, np.pi / 2, samples_per_period=8)
+    assert result.times == pytest.approx(np.pi / 8 * np.arange(5), rel=1e-15, abs=0.0)
 
 
 def test_floquet_diagonal_case():
@@ -124,10 +130,10 @@ def test_floquet_unitarity_and_periodicity(small_system):
     assert defect < 1e-8
     # applying U twice, and evolve, which takes its later windows from S,
     # both match two periods integrated in the lab frame
-    oracle = _lab_frame(parts, psi0, 0.0, [2 * parts.t_bloch])[:, -1]
+    oracle = _lab_frame(parts, psi0, [2 * parts.t_bloch])[:, -1]
     assert np.abs(u @ (u @ psi0) - oracle).max() < 1e-9
-    result = sb.evolve(psi0, parts, 2 * parts.t_bloch, sample_every=parts.t_bloch)
-    assert np.abs(result.snapshots[-1].coords - oracle).max() < 1e-9
+    result = sb.evolve(psi0, parts, 2 * parts.t_bloch, samples_per_period=1)
+    assert np.abs(result.states[-1] - oracle).max() < 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -154,59 +160,50 @@ def test_apply_matches_dense_hamiltonian(system44):
             assert np.abs(parts.apply(t, y) - h_frame @ y).max() < 1e-12 * np.abs(h).max()
 
 
-@pytest.mark.parametrize("t0_tb", [0.0, 0.37])
-def test_evolve_matches_lab_frame(system44, t0_tb):
-    # from t = 0, and from a WaveFunction stamped off the Bloch grid, where
-    # the frame is entered with the phase e^{iD t0}
+def test_evolve_matches_lab_frame(system44):
+    # 1.5 periods at 8 samples per period, at boost order d = 4
     parts = system44
     rng = np.random.default_rng(5)
     psi = rng.normal(size=parts.basis_dim) + 1j * rng.normal(size=parts.basis_dim)
     psi /= np.linalg.norm(psi)
-    t0 = t0_tb * parts.t_bloch
-    result = sb.evolve(WaveFunction(psi, t0), parts, t0 + 1.5 * parts.t_bloch,
-                       sample_every=parts.t_bloch / 8)
-    times = np.array([s.time for s in result])
-    assert times[0] == t0 and times.size == 13
-    got = np.stack([s.coords for s in result], axis=1)
-    assert np.abs(got - _lab_frame(parts, psi, t0, times)).max() < 1e-9
+    result = sb.evolve(psi, parts, 1.5 * parts.t_bloch, samples_per_period=8)
+    assert result.times.size == 13
+    assert np.abs(result.states.T - _lab_frame(parts, psi, result.times)).max() < 1e-9
 
 
-# (t0, sample_every, span) in Bloch periods: a start off the Bloch grid, a
-# step that does not divide T_B, steps longer than T_B (windows without a
-# sample in between) and spans that are not whole periods
-WINDOW_CASES = {"t0-off-grid": (0.37, 1 / 8, 3.0), "step-TB/7.3": (0.0, 1 / 7.3, 3.5),
-                "step-2.6TB": (0.0, 2.6, 8.0), "step-1.3TB-t0-off-grid": (0.37, 1.3, 6.2),
-                "span-4.55TB": (0.21, 0.25, 4.55)}
+# (samples per period, span in Bloch periods): whole periods, one sample per
+# period (every sample on a window start, so the windows after the first
+# need no integration), spans that end on a sample inside a window and
+# between two samples, and a span shorter than one period
+GRID_CASES = {"whole-periods": (8, 3.0), "one-per-period": (1, 5.0),
+              "span-3.5TB": (8, 3.5), "span-4.55TB": (4, 4.55), "span-0.6TB": (8, 0.6)}
 
 
 @pytest.mark.parametrize("route", ["propagator", "vectors"])
 @pytest.mark.parametrize("n,l", [(3, 3), (2, 4)])
-@pytest.mark.parametrize("t0_tb,step_tb,span_tb", list(WINDOW_CASES.values()),
-                         ids=list(WINDOW_CASES))
-def test_evolve_windows_match_lab_frame(n, l, t0_tb, step_tb, span_tb, route, monkeypatch):
-    # both routes through the later windows: starts from powers of S, and
-    # window-by-window vector integrations
+@pytest.mark.parametrize("per_period,span_tb", list(GRID_CASES.values()), ids=list(GRID_CASES))
+def test_evolve_windows_match_lab_frame(n, l, per_period, span_tb, route, monkeypatch):
+    # both routes through the later windows: starts from powers of S, in
+    # runs of two windows (so runs join up, and the last may hold a partial
+    # window), and window-by-window vector integrations
     built = []
     floquet_operator = propagation.floquet_operator
     monkeypatch.setattr(propagation, "_propagator_pays", lambda *args: route == "propagator")
     monkeypatch.setattr(propagation, "floquet_operator",
                         lambda *args, **kw: built.append(1) or floquet_operator(*args, **kw))
     parts = _parts_for(n, l)
+    monkeypatch.setattr(propagation, "EVOLVE_CHUNK_NUMBERS", 2 * per_period * parts.basis_dim)
     tb = parts.t_bloch
     rng = np.random.default_rng(11)
     psi = rng.normal(size=parts.basis_dim) + 1j * rng.normal(size=parts.basis_dim)
     psi /= np.linalg.norm(psi)
-    t0 = t0_tb * tb
-    result = sb.evolve(WaveFunction(psi, t0), parts, t0 + span_tb * tb,
-                       sample_every=step_tb * tb)
-    times = np.array([s.time for s in result])
-    want = t0 + step_tb * tb * np.arange(math.floor(span_tb / step_tb + 1e-9) + 1)
-    if want[-1] < t0 + span_tb * tb * (1 - 1e-12):
-        want = np.append(want, t0 + span_tb * tb)
-    assert times == pytest.approx(want, rel=1e-14, abs=0.0)
-    got = np.stack([s.coords for s in result], axis=1)
-    assert np.abs(got - _lab_frame(parts, psi, t0, times)).max() < 1e-9
-    assert built == ([1] if route == "propagator" else [])
+    result = sb.evolve(psi, parts, span_tb * tb, samples_per_period=per_period)
+    want = tb / per_period * np.arange(math.floor(span_tb * per_period + 1e-9) + 1)
+    if want[-1] < span_tb * tb * (1 - 1e-12):
+        want = np.append(want, span_tb * tb)
+    assert result.times == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert np.abs(result.states.T - _lab_frame(parts, psi, result.times)).max() < 1e-9
+    assert built == ([1] if route == "propagator" and span_tb >= 1 else [])
 
 
 def test_evolve_integrates_vectors_where_the_propagator_cannot_be_built(small_system,
@@ -215,7 +212,7 @@ def test_evolve_integrates_vectors_where_the_propagator_cannot_be_built(small_sy
     # physical memory; evolve then integrates every window as a vector
     _, parts, psi0 = small_system
     hop = 1j * parts.h_hop
-    rotated = replace(parts, h_hop=hop, h_hop_dag=hop.getH().tocsr())
+    rotated = replace(parts, h_hop=hop)
     tb = parts.t_bloch
 
     def refuse(*args, **kw):
@@ -226,32 +223,30 @@ def test_evolve_integrates_vectors_where_the_propagator_cannot_be_built(small_sy
         if case is parts:
             monkeypatch.setattr(propagation, "_physical_memory", lambda: 1000)
         assert propagation._propagator_obstacle(case)
-        result = sb.evolve(psi0, case, 6.3 * tb, sample_every=tb / 4)
-        times = np.array([s.time for s in result])
-        assert times.size == 27
-        assert np.abs(np.stack([s.coords for s in result], axis=1)
-                      - _lab_frame(case, psi0, 0.0, times)).max() < 1e-9
+        result = sb.evolve(psi0, case, 6.3 * tb, samples_per_period=4)
+        assert result.times.size == 27
+        assert np.abs(result.states.T - _lab_frame(case, psi0, result.times)).max() < 1e-9
 
 
-def _break_even(dim, order, per_chunk):
-    """Fewest windows after t0's for which evolve builds U, when each chunk
-    holds `per_chunk` windows; None below 10,000."""
+def _break_even(dim, order, per_run):
+    """Fewest windows after window 0 for which evolve builds S, when each run
+    holds `per_run` windows; None below 10,000."""
     stand_in = SimpleNamespace(basis_dim=dim, boost_order=order)
     for n in range(1, 10_000):
-        widths = [per_chunk] * (n // per_chunk) + [n % per_chunk] * bool(n % per_chunk)
+        widths = [per_run] * (n // per_run) + [n % per_run] * bool(n % per_run)
         if propagation._propagator_pays(stand_in, n, widths):
             return n
     return None
 
 
 def test_propagator_pays_beyond_a_break_even_that_grows_with_dim():
-    # 32 samples per period: chunks of 23 windows at dim 86, 5 at the preset
+    # 32 samples per period: runs of 23 windows at dim 86, 5 at the preset
     # (dim 402), 1 at N = L = 6 (dim 2076).  Single runs of both routes put
     # the break-even at about 3 windows at dim 86 and 15 to 20 at the preset
     assert _break_even(86, 4, 23) <= 3
     assert 10 <= _break_even(402, 5, 5) <= 20
     assert _break_even(2076, 6, 1) is None
-    # one sample per period at N = L = 6: chunks of 31 windows; single runs
+    # one sample per period at N = L = 6: runs of 31 windows; single runs
     # took 20.1 s with S and 17.7 s without over 120 periods, 22.0 s and 30.8 s
     # over 200
     assert 60 < _break_even(2076, 6, 31) < 200
@@ -395,18 +390,18 @@ def test_floquet_operator_memory_is_a_few_copies_of_u(preset_runs):
 
 def test_evolve_memory_is_the_propagator_and_the_samples(preset_runs):
     # 50 periods at 32 samples per period: the propagator's working set of
-    # 8 copies of S, plus the 1,601 returned samples, which stay views into
-    # the blocks of their chunks
+    # 8 copies of S, plus the 1,601 returned samples, into which every run
+    # of windows writes its block
     parts = preset_runs.parts(0.2)
     tb = parts.t_bloch
     tracemalloc.start()
     try:
-        result = sb.evolve(preset_runs.psi0, parts, 50 * tb, sample_every=tb / 32)
+        result = sb.evolve(preset_runs.psi0, parts, 50 * tb, samples_per_period=32)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(result) == 1601
-    assert peak <= 16 * parts.basis_dim * (8 * parts.basis_dim + len(result))
+    assert result.states.shape == (1601, parts.basis_dim)
+    assert peak <= 16 * parts.basis_dim * (8 * parts.basis_dim + len(result.times))
 
 
 def test_stroboscopic_occupations_memory_is_bounded(preset_runs):
@@ -437,7 +432,7 @@ def test_floquet_rejects_broken_boost_symmetry():
 def test_floquet_rejects_complex_hopping(small_system):
     _, parts, _ = small_system
     hop = 1j * parts.h_hop
-    rotated = replace(parts, h_hop=hop, h_hop_dag=hop.getH().tocsr())
+    rotated = replace(parts, h_hop=hop)
     with pytest.raises(ValueError, match="h_hop"):
         sb.floquet_operator(rotated)
 
@@ -512,16 +507,16 @@ def test_stroboscopic_reconstruction(small_system):
 
 def test_stroboscopic_vs_direct(small_system):
     # the reference is the 50th power of a lab-frame U(T_B), integrated
-    # without floquet_operator; evolve applies S 49 d times here (no sample
-    # in between)
+    # without floquet_operator; evolve applies S 49 d times here (one sample
+    # per period, each on a window start)
     sector, parts, psi0 = small_system
     s = sb.floquet_operator(parts)
     spec = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
     m = 50
     oracle = np.linalg.matrix_power(_lab_frame_period(parts), m) @ psi0
     assert np.abs(_stroboscopic_state(spec, m) - oracle).max() < 1e-5
-    direct = sb.evolve(psi0, parts, m * parts.t_bloch, sample_every=m * parts.t_bloch)
-    assert np.abs(direct.snapshots[-1].coords - oracle).max() < 1e-5
+    direct = sb.evolve(psi0, parts, m * parts.t_bloch, samples_per_period=1)
+    assert np.abs(direct.states[-1] - oracle).max() < 1e-5
 
 
 def test_quasi_energy_refolding_is_harmless(small_system):
@@ -560,17 +555,17 @@ def test_occupation_series_trivial_states():
     sector = sb.build_k0_sector(2, 2)
     lower = sb.project_initial_state(FockState((1, 1), (0, 0)), sector)
     upper = sb.project_initial_state(FockState((0, 0), (1, 1)), sector)
-    tr = sb.occupation_series([WaveFunction(lower, 0.0), WaveFunction(upper, 1.0)], sector)
+    result = sb.EvolutionResult(times=np.array([0.0, 1.0]), states=np.stack([lower, upper]),
+                                norm_drift=0.0)
+    tr = sb.occupation_series(result, sector)
     assert tr.values[0] == 0.0
     assert tr.values[1] == 1.0
-    with pytest.raises(ValueError):
-        sb.occupation_series([], sector)
 
 
 def test_norm_drift_small_system(small_system):
     sector, parts, psi0 = small_system
     tb = parts.t_bloch
-    result = sb.evolve(psi0, parts, 200 * tb, sample_every=200 * tb)
+    result = sb.evolve(psi0, parts, 200 * tb, samples_per_period=1)
     # drift budget is 1e-8 per 1e3 Bloch periods
     assert result.norm_drift / (200 / 1000) < 1e-8
 
