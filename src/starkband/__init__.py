@@ -6,7 +6,6 @@ all time scales."""
 from .analysis import (
     COLLAPSE_THRESHOLD,
     OscillationTrace,
-    RevivalReport,
     SpectralRevival,
     build_revival_report,
     cluster_weights,

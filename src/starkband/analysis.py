@@ -32,11 +32,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .model import collapse_from_revival
+
 __all__ = [
     "COLLAPSE_THRESHOLD",
     "OscillationTrace",
     "SpectralRevival",
-    "RevivalReport",
     "upper_envelope",
     "collapse_time",
     "revival_time",
@@ -50,6 +51,9 @@ __all__ = [
 # envelope value at which the oscillation counts as collapsed:
 # (max + mean)/2 fallen to 1/e above the mean, i.e. 1/2 + 1/(2e)
 COLLAPSE_THRESHOLD = 0.5 + 0.5 / math.e
+
+# envelope prominence a revival peak must have over the post-collapse plateau
+REVIVAL_PROMINENCE = 0.05
 
 
 @dataclass(frozen=True)
@@ -184,18 +188,16 @@ def _refine_peak(times, values, p) -> float:
     return float(t[1] + 0.5 * h * (y[0] - y[2]) / denom)
 
 
-def collapse_time(trace: OscillationTrace, window: float | None = None) -> float | None:
+def collapse_time(trace: OscillationTrace, window: float) -> float | None:
     """First time the upper envelope falls through COLLAPSE_THRESHOLD.
 
-    The envelope window defaults to the resonant period measured from the
-    initial crests (the interaction shifts the period slightly, so the
-    analytic value is not used).  Returns None when the envelope never
-    collapses.  Raises if the envelope never exceeds the threshold in the
-    first place, i.e. the trace never oscillated and "collapse" is
-    meaningless.
+    The envelope window should be the resonant period measured from the
+    initial crests, `initial_period` (the interaction shifts the period
+    slightly, so the analytic value is not used).  Returns None when the
+    envelope never collapses.  Raises if the envelope never exceeds the
+    threshold in the first place, i.e. the trace never oscillated and
+    "collapse" is meaningless.
     """
-    if window is None:
-        window = initial_period(trace)
     env = upper_envelope(trace, window)
     v, t = env.values, env.times
     if v[0] <= COLLAPSE_THRESHOLD:
@@ -215,8 +217,8 @@ def collapse_time(trace: OscillationTrace, window: float | None = None) -> float
 def revival_time(
     trace: OscillationTrace,
     t_coll: float,
-    window: float | None = None,
-    prominence: float = 0.05,
+    window: float,
+    prominence: float = REVIVAL_PROMINENCE,
 ) -> tuple[float, float] | None:
     """Time and FWHM of the first envelope maximum after the collapse.
 
@@ -225,8 +227,6 @@ def revival_time(
     the peak.  Returns (t_rev, fwhm) or None when no qualifying maximum
     exists (monotone decay, trace too short, ...).
     """
-    if window is None:
-        window = initial_period(trace)
     env = upper_envelope(trace, window)
     sel = env.times > t_coll
     t, v = env.times[sel], env.values[sel]
@@ -353,49 +353,19 @@ def coefficient_width(spectrum, ladder_spacing: float | None = None) -> float | 
     return math.sqrt(max(var, 0.0))
 
 
-@dataclass(frozen=True)
-class RevivalReport:
-    """Measured and predicted collapse/revival scales for one run."""
-
-    t_coll_measured: float | None
-    t_rev_measured: float | None
-    t_rev_universal: float | None  # closed-form 4*pi/(g Wx J0^2 J0^2) estimate
-    t_rev_spectral: float | None   # three-cluster beat estimate
-    omega_12: float | None
-    omega_23: float | None
-    delta_n: float | None
-    ratio: float | None            # t_rev_measured / t_coll_measured
-    revival_fwhm: float | None
-
-    def __post_init__(self):
-        if self.t_coll_measured is not None and self.t_rev_measured is not None:
-            if not self.t_rev_measured > self.t_coll_measured:
-                raise ValueError(
-                    f"revival at {self.t_rev_measured:g} does not follow the collapse "
-                    f"at {self.t_coll_measured:g}"
-                )
-
-    def as_dict(self) -> dict:
-        return {
-            "t_coll_measured": self.t_coll_measured,
-            "t_rev_measured": self.t_rev_measured,
-            "t_rev_universal": self.t_rev_universal,
-            "t_rev_spectral": self.t_rev_spectral,
-            "omega_12": self.omega_12,
-            "omega_23": self.omega_23,
-            "delta_n": self.delta_n,
-            "ratio": self.ratio,
-            "revival_fwhm": self.revival_fwhm,
-        }
-
-
 def build_revival_report(
     trace: OscillationTrace,
     spectrum,
-    t_rev_universal: float | None = None,
-    revival_prominence: float = 0.05,
-) -> RevivalReport:
-    """Measure a trace, attach the spectral estimates, and bundle the result."""
+    t_rev_universal: float | None,
+    revival_prominence: float = REVIVAL_PROMINENCE,
+) -> dict:
+    """Measured and predicted collapse and revival scales of one run, in output order.
+
+    Each time is given in absolute units and, under its `_tb` key, in Bloch
+    periods.  The effective model's collapse time t_rev_universal/(pi
+    delta_n^2) is None without a universal estimate or when a single
+    coefficient participates (delta_n = 0): such a state never dephases.
+    """
     window = initial_period(trace)
     t_coll = collapse_time(trace, window)
     t_rev = fwhm = None
@@ -410,15 +380,23 @@ def build_revival_report(
     except ValueError:  # fewer than three participating clusters
         t_rev_spectral = omega_12 = omega_23 = None
     delta_n = coefficient_width(spectrum)
-    ratio = t_rev / t_coll if (t_rev is not None and t_coll) else None
-    return RevivalReport(
-        t_coll_measured=t_coll,
-        t_rev_measured=t_rev,
-        t_rev_universal=t_rev_universal,
-        t_rev_spectral=t_rev_spectral,
-        omega_12=omega_12,
-        omega_23=omega_23,
-        delta_n=delta_n,
-        ratio=ratio,
-        revival_fwhm=fwhm,
-    )
+    record = {
+        "t_coll_measured": t_coll,
+        "t_coll_predicted": (collapse_from_revival(t_rev_universal, delta_n)
+                             if t_rev_universal is not None and delta_n else None),
+        "t_rev_measured": t_rev,
+        "t_rev_universal": t_rev_universal,  # closed form 4*pi/(g Wx J0^2 J0^2)
+        "t_rev_spectral": t_rev_spectral,    # three-cluster beat
+        "omega_12": omega_12,
+        "omega_23": omega_23,
+        "delta_n": delta_n,
+        "ratio": t_rev / t_coll if (t_rev is not None and t_coll) else None,
+        "revival_fwhm": fwhm,
+    }
+    tb = spectrum.t_bloch
+    for key in ("t_coll_measured", "t_rev_measured", "t_rev_universal",
+                "t_rev_spectral", "revival_fwhm"):
+        record[key + "_tb"] = record[key] / tb if record[key] is not None else None
+    record["t_bloch"] = tb
+    record["unitarity_defect"] = spectrum.unitarity_defect
+    return record

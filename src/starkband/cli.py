@@ -26,7 +26,6 @@ from .model import (
     PRESETS,
     ModelParams,
     build_resonant_two_level,
-    collapse_from_revival,
     load_params,
     rabi_occupation,
     revival_estimate_universal,
@@ -117,9 +116,9 @@ def _resolve_config(args) -> RunConfig:
     else:
         raise ValueError("give either --preset or --params <file>")
     if getattr(args, "g", None) is not None:
-        params = params.with_g(args.g)
+        params = replace(params, g=args.g)
     if getattr(args, "force", None) is not None:
-        params = params.with_force(args.force)
+        params = replace(params, force=args.force)
     if getattr(args, "n", None) is not None:
         params = replace(params, n_particles=args.n)
     if getattr(args, "l", None) is not None:
@@ -229,7 +228,6 @@ def cmd_floquet_spectrum(args) -> int:
 
 def _revival_record(cfg: RunConfig, n_periods: int | None, prominence: float) -> dict:
     sector, parts, psi0 = _build_sector_and_parts(cfg)
-    tb = parts.t_bloch
     try:
         eq9 = revival_estimate_universal(cfg.params)
     except ValueError:
@@ -237,22 +235,9 @@ def _revival_record(cfg: RunConfig, n_periods: int | None, prominence: float) ->
     if n_periods is None:
         if eq9 is None:
             raise ValueError("priors give no revival estimate; set --t-final-tb explicitly")
-        n_periods = int(math.ceil(1.6 * eq9 / tb))
+        n_periods = int(math.ceil(1.6 * eq9 / parts.t_bloch))
     spectrum, trace = _stroboscopic_trace(cfg, sector, parts, psi0, n_periods)
-    report = analysis.build_revival_report(trace, spectrum, eq9, revival_prominence=prominence)
-    record = report.as_dict()
-    # the effective model's collapse time, beside the measured one; a single
-    # participating coefficient (delta_n = 0) never dephases
-    delta_n = record["delta_n"]
-    predicted = collapse_from_revival(eq9, delta_n) if eq9 is not None and delta_n else None
-    record = {"t_coll_measured": record.pop("t_coll_measured"),
-              "t_coll_predicted": predicted, **record}
-    # times in Bloch periods alongside absolute units
-    for key in ("t_coll_measured", "t_rev_measured", "t_rev_universal",
-                "t_rev_spectral", "revival_fwhm"):
-        record[key + "_tb"] = record[key] / tb if record[key] is not None else None
-    record["t_bloch"] = tb
-    record["unitarity_defect"] = spectrum.unitarity_defect
+    record = analysis.build_revival_report(trace, spectrum, eq9, revival_prominence=prominence)
     record["fingerprint"] = cfg.fingerprint(t_final_tb=n_periods)
     return record
 
@@ -273,7 +258,7 @@ def cmd_sweep_g(args) -> int:
     lines = [f"# {cfg.fingerprint(g_grid=args.g_grid)}",
              "g,inv_g,t_coll,t_rev,t_rev_eq9,t_rev_eq10"]
     for g in g_values:
-        rec = _revival_record(replace(cfg, params=cfg.params.with_g(g)), n, args.prominence)
+        rec = _revival_record(replace(cfg, params=replace(cfg.params, g=g)), n, args.prominence)
         lines.append(",".join([
             _fmt(g), _fmt(1.0 / g if g else None),
             _fmt(rec["t_coll_measured"]), _fmt(rec["t_rev_measured"]),
@@ -319,22 +304,24 @@ def cmd_single_particle(args) -> int:
     return 0
 
 
-def _add_model_flags(sp, with_initial=True):
+def _add_model_flags(sp, many_body=True):
     sp.add_argument("--preset", help="named parameter set (e.g. v0_4)")
     sp.add_argument("--params", help="JSON parameter file")
-    sp.add_argument("--g", type=float, help="override the interaction scale g")
-    sp.add_argument("--order", type=int, help="resonance order r for analysis")
     sp.add_argument("--force", type=float, help="override the Stark force F")
-    sp.add_argument("--n", type=int, help="override the particle number N")
-    sp.add_argument("--l", type=int, help="override the site count L")
-    sp.add_argument("--terms", help="comma list of Hamiltonian terms "
-                                    "(hop_a,hop_b,c0,int_a,int_b,int_x_density,int_x_pair)")
-    sp.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
-    sp.add_argument("--atol", type=float, default=DEFAULT_ATOL)
-    if with_initial:
+    if many_body:
+        sp.add_argument("--g", type=float, help="override the interaction scale g")
+        sp.add_argument("--n", type=int, help="override the particle number N")
+        sp.add_argument("--l", type=int, help="override the site count L")
+        sp.add_argument("--terms", help="comma list of Hamiltonian terms "
+                                        "(hop_a,hop_b,c0,int_a,int_b,int_x_density,int_x_pair)")
+        sp.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
+        sp.add_argument("--atol", type=float, default=DEFAULT_ATOL)
         sp.add_argument("--initial", default="unit-filling-lower",
                         help="initial state: unit-filling-lower, lower-band-ground, "
                              "or 'n1,..,nL;m1,..,mL'")
+    else:
+        sp.add_argument("--order", type=int,
+                        help="resonance order r of the two-level prediction (default: Rabi)")
     sp.add_argument("--out", help="output file (stdout when omitted)")
 
 
@@ -370,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sp)
     sp.add_argument("--t-final-tb", type=float, dest="t_final_tb",
                     help="trace length in Bloch periods (default: 1.6x the universal estimate)")
-    sp.add_argument("--prominence", type=float, default=0.05,
+    sp.add_argument("--prominence", type=float, default=analysis.REVIVAL_PROMINENCE,
                     help="envelope prominence a revival must exceed")
     sp.set_defaults(func=cmd_revival_report)
 
@@ -379,12 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g-grid", default=DEFAULT_G_GRID, dest="g_grid",
                     help="comma list of g values")
     sp.add_argument("--t-final-tb", type=float, dest="t_final_tb")
-    sp.add_argument("--prominence", type=float, default=0.05)
+    sp.add_argument("--prominence", type=float, default=analysis.REVIVAL_PROMINENCE)
     sp.set_defaults(func=cmd_sweep_g)
 
     sp = sub.add_parser("single-particle",
                         help="dressed-site model trace vs closed-form prediction")
-    _add_model_flags(sp, with_initial=False)
+    _add_model_flags(sp, many_body=False)
     sp.add_argument("--window", type=int, default=25, help="site half-width M")
     sp.add_argument("--t-final-tb", type=float, required=True, dest="t_final_tb")
     sp.add_argument("--sample-per-tb", type=int, default=DEFAULT_SAMPLE_PER_TB,

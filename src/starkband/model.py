@@ -12,7 +12,7 @@ natural time unit of the driven problem.
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -90,12 +90,6 @@ class ModelParams:
         # needed for the smallest pair-exchange test systems.
         if self.n_sites < 1:
             raise ValueError(f"need at least one site per band, got {self.n_sites}")
-
-    def with_g(self, g: float) -> "ModelParams":
-        return replace(self, g=g)
-
-    def with_force(self, force: float) -> "ModelParams":
-        return replace(self, force=force)
 
     @property
     def t_bloch(self) -> float:

@@ -61,12 +61,6 @@ class PresetRuns:
             )
         return self._traces[key]
 
-    def report(self, g):
-        p = self.params(g)
-        return sb.build_revival_report(
-            self.trace(g), self.spectrum(g), sb.revival_estimate_universal(p)
-        )
-
 
 @pytest.fixture(scope="session")
 def preset_runs(sector55, psi0_unit):

@@ -1,6 +1,8 @@
 """Trace measurements on synthetic signals with analytically known answers."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,7 +121,8 @@ def test_collapse_time_synthetic_exponential():
 def test_collapse_time_none_without_damping():
     omega = 20.0
     t = np.linspace(0.0, 30.0, 30001)
-    assert sb.collapse_time(_trace(t, np.sin(0.5 * omega * t) ** 2)) is None
+    trace = _trace(t, np.sin(0.5 * omega * t) ** 2)
+    assert sb.collapse_time(trace, sb.initial_period(trace)) is None
 
 
 def test_collapse_time_never_oscillated():
@@ -278,15 +281,6 @@ def test_cluster_weights_merges_across_fold_boundary():
     assert weights.max() == pytest.approx(0.72, rel=1e-12)
 
 
-def test_revival_report_ordering_invariant():
-    with pytest.raises(ValueError):
-        sb.RevivalReport(
-            t_coll_measured=5.0, t_rev_measured=4.0, t_rev_universal=None,
-            t_rev_spectral=None, omega_12=None, omega_23=None, delta_n=None,
-            ratio=0.8, revival_fwhm=None,
-        )
-
-
 def test_build_revival_report_on_beat():
     delta, omega = 0.25, 50.0
     trace = _beat_trace(delta=delta, omega=omega)
@@ -295,12 +289,28 @@ def test_build_revival_report_on_beat():
     spec = _spectrum([0.0, omega - delta, 2 * omega],
                      [math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)], force=500.0)
     report = sb.build_revival_report(trace, spec, t_rev_universal=math.pi / delta)
-    assert report.t_coll_measured == pytest.approx(math.acos(1 / math.e) / delta, abs=0.1)
-    assert report.t_rev_measured == pytest.approx(math.pi / delta, abs=0.2)
-    assert report.ratio == pytest.approx(report.t_rev_measured / report.t_coll_measured,
-                                         rel=1e-12)
-    assert report.t_rev_spectral == pytest.approx(2 * math.pi / (2 * delta), rel=1e-9)
-    d = report.as_dict()
-    assert set(d) >= {"t_coll_measured", "t_rev_measured", "t_rev_universal",
-                      "t_rev_spectral", "omega_12", "omega_23", "delta_n",
-                      "ratio", "revival_fwhm"}
+    assert report["t_coll_measured"] == pytest.approx(math.acos(1 / math.e) / delta, abs=0.1)
+    assert report["t_rev_measured"] == pytest.approx(math.pi / delta, abs=0.2)
+    assert report["t_rev_measured"] > report["t_coll_measured"]
+    assert report["ratio"] == pytest.approx(
+        report["t_rev_measured"] / report["t_coll_measured"], rel=1e-12)
+    assert report["t_rev_spectral"] == pytest.approx(2 * math.pi / (2 * delta), rel=1e-9)
+    assert report["t_bloch"] == spec.t_bloch
+    for key in ("t_coll_measured", "t_rev_measured", "t_rev_universal",
+                "t_rev_spectral", "revival_fwhm"):
+        assert report[key + "_tb"] == report[key] / spec.t_bloch
+    # the record is the revival-report output, in its order, less the run's fingerprint
+    golden = json.loads((Path(__file__).parent / "golden" / "revival_report.json").read_text())
+    assert list(report) == [key for key in golden if key != "fingerprint"]
+
+
+def test_build_revival_report_single_coefficient():
+    # one participating coefficient never dephases: no width, no predicted collapse,
+    # and too few clusters for a spectral beat
+    trace = _beat_trace()
+    spec = _spectrum([0.0, 1.0, 2.0], [1.0, 0.0, 0.0])
+    report = sb.build_revival_report(trace, spec, t_rev_universal=4 * math.pi)
+    assert report["delta_n"] == 0.0
+    assert report["t_coll_predicted"] is None
+    assert report["t_rev_spectral"] is None and report["omega_12"] is None
+    assert report["t_rev_universal_tb"] == 4 * math.pi / spec.t_bloch

@@ -1,5 +1,6 @@
 """End-to-end CLI checks on systems small enough to run in seconds."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import starkband as sb
-from starkband.cli import main
+from starkband.cli import build_parser, main
 
 SMALL_PARAMS = dict(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.030, w_b=0.018,
                     w_x=0.012, g=0.0, n_particles=1, n_sites=2, resonance_order=2)
@@ -125,7 +126,8 @@ def test_bad_params_file_exits_2(tmp_path):
 ], ids=["evolve-samples", "evolve-zero-span", "stroboscopic-negative-span",
         "single-samples", "single-negative-span", "revival-negative-span"])
 def test_nonpositive_sampling_exits_2(capsys, argv):
-    assert main(argv + ["--preset", "v0_4", "--n", "1", "--l", "2"]) == 2
+    size = [] if argv[0] == "single-particle" else ["--n", "1", "--l", "2"]
+    assert main(argv + ["--preset", "v0_4", *size]) == 2
     assert "must be positive" in capsys.readouterr().err
 
 
@@ -139,8 +141,40 @@ def test_nonpositive_sampling_exits_2(capsys, argv):
         "order-negative"])
 def test_meaningless_flag_values_exit_2(capsys, argv, message):
     # each of these used to print a result that means nothing, and exit 0
-    assert main(argv + ["--preset", "v0_4", "--n", "1", "--l", "2"]) == 2
+    size = [] if argv[0] == "single-particle" else ["--n", "1", "--l", "2"]
+    assert main(argv + ["--preset", "v0_4", *size]) == 2
     assert message in capsys.readouterr().err
+
+
+_MANY_BODY_FLAGS = {"--preset", "--params", "--force", "--g", "--n", "--l", "--terms",
+                    "--rtol", "--atol", "--initial", "--out"}
+_FLAGS = {
+    "dims": {"--n", "--l", "--out"},
+    "evolve": _MANY_BODY_FLAGS | {"--t-final-tb", "--sample-per-tb", "--mode", "--dump-matrix"},
+    "floquet-spectrum": _MANY_BODY_FLAGS | {"--dump-matrix"},
+    "revival-report": _MANY_BODY_FLAGS | {"--t-final-tb", "--prominence"},
+    "sweep-g": _MANY_BODY_FLAGS | {"--g-grid", "--t-final-tb", "--prominence"},
+    "single-particle": {"--preset", "--params", "--force", "--order", "--out", "--window",
+                        "--t-final-tb", "--sample-per-tb"},
+}
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_each_subcommand_takes_only_the_flags_it_reads(command):
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices[command]._actions
+    assert {s for a in actions for s in a.option_strings} - {"-h", "--help"} == _FLAGS[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--preset", "v0_4", "--t-final-tb", "1", "--order", "3"],
+    ["single-particle", "--preset", "v0_4", "--t-final-tb", "1", "--g", "0.2"],
+], ids=["evolve-order", "single-particle-g"])
+def test_flag_a_subcommand_does_not_read_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_floquet_spectrum_output(params_file, capsys):

@@ -199,7 +199,7 @@ def test_transformed_model_bessel_identities():
     # central coupling row carry (c0 F)^2, and J_{-k} = (-1)^k J_k relates the
     # (l, n) and (n, l) couplings
     for force in (2.2207, 0.7):
-        p = sb.preset_v0_4().with_force(force)
+        p = replace(sb.preset_v0_4(), force=force)
         m = 12
         h = sb.build_single_particle_transformed(p, m, bessel_cutoff=m)
         n = 2 * m + 1
@@ -239,7 +239,7 @@ def test_two_level_reduction():
     assert model.amplitude == pytest.approx(0.979, abs=0.001)
 
     # exactly on resonance: full transfer, period pi/|coupling| = T_res
-    p_res = p.with_force(sb.resonant_force(p.delta, p.c0, 2))
+    p_res = replace(p, force=sb.resonant_force(p.delta, p.c0, 2))
     on_res = sb.build_resonant_two_level(p_res, 2)
     assert abs(on_res.detuning) < 1e-12
     assert on_res.amplitude == pytest.approx(1.0, abs=1e-12)

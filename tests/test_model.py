@@ -64,7 +64,7 @@ def test_resonant_force_matches_dressed_gap():
     # after solving, delta_tilde / F = r to machine precision
     for r in (1, 2, 3):
         f = sb.resonant_force(4.39, -0.15, r)
-        p = sb.preset_v0_4().with_force(f)
+        p = replace(sb.preset_v0_4(), force=f)
         assert p.delta_tilde / f == pytest.approx(r, rel=1e-14)
 
 
@@ -140,12 +140,12 @@ def test_revival_estimate_universal():
     assert t_rev == pytest.approx(10894.49761011025, rel=1e-10)   # ~1.090e4, ~3850 T_B
     assert t_rev / p.t_bloch == pytest.approx(3850.5, abs=0.1)
     # exact 1/g law
-    assert sb.revival_estimate_universal(p.with_g(0.2)) == pytest.approx(t_rev / 2, rel=1e-12)
+    assert sb.revival_estimate_universal(replace(p, g=0.2)) == pytest.approx(t_rev / 2, rel=1e-12)
     for g in (0.05, 0.1, 0.4):
-        assert sb.revival_estimate_universal(p.with_g(g)) * g == pytest.approx(
+        assert sb.revival_estimate_universal(replace(p, g=g)) * g == pytest.approx(
             t_rev * 0.1, rel=1e-12)
     with pytest.raises(ValueError):
-        sb.revival_estimate_universal(p.with_g(0.0))
+        sb.revival_estimate_universal(replace(p, g=0.0))
     p_nox = sb.ModelParams(**{**p.__dict__, "w_x": 0.0})
     with pytest.raises(ValueError):
         sb.revival_estimate_universal(p_nox)
