@@ -10,6 +10,7 @@ resolved parameter set.  Exit codes: 0 success, 2 validation error,
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -304,12 +305,13 @@ def cmd_single_particle(args) -> int:
     return 0
 
 
-def _add_model_flags(sp, many_body=True):
+def _add_model_flags(sp, many_body=True, g=True):
     sp.add_argument("--preset", help="named parameter set (e.g. v0_4)")
     sp.add_argument("--params", help="JSON parameter file")
     sp.add_argument("--force", type=float, help="override the Stark force F")
     if many_body:
-        sp.add_argument("--g", type=float, help="override the interaction scale g")
+        if g:
+            sp.add_argument("--g", type=float, help="override the interaction scale g")
         sp.add_argument("--n", type=int, help="override the particle number N")
         sp.add_argument("--l", type=int, help="override the site count L")
         sp.add_argument("--terms", help="comma list of Hamiltonian terms "
@@ -330,15 +332,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="starkband",
         description="Inter-band dynamics of a tilted two-band Bose-Hubbard ring",
     )
+    # no abbreviated flags: `sweep-g --g` must not read as `--g-grid`
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    sp = sub.add_parser("dims", help="full and kappa=0 basis dimensions")
+    sp = add_parser("dims", help="full and kappa=0 basis dimensions")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--l", type=int, required=True)
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_dims)
 
-    sp = sub.add_parser("evolve", help="occupation trace N_b(t)")
+    sp = add_parser("evolve", help="occupation trace N_b(t)")
     _add_model_flags(sp)
     sp.add_argument("--t-final-tb", type=float, required=True, dest="t_final_tb")
     sp.add_argument("--sample-per-tb", type=int, default=DEFAULT_SAMPLE_PER_TB,
@@ -348,12 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write H(0) as 'row,col,re,im' lines to this path")
     sp.set_defaults(func=cmd_evolve)
 
-    sp = sub.add_parser("floquet-spectrum", help="quasi-energies and overlaps |c_n|")
+    sp = add_parser("floquet-spectrum", help="quasi-energies and overlaps |c_n|")
     _add_model_flags(sp)
     sp.add_argument("--dump-matrix", dest="dump_matrix")
     sp.set_defaults(func=cmd_floquet_spectrum)
 
-    sp = sub.add_parser("revival-report", help="collapse/revival time scales (JSON)")
+    sp = add_parser("revival-report", help="collapse/revival time scales (JSON)")
     _add_model_flags(sp)
     sp.add_argument("--t-final-tb", type=float, dest="t_final_tb",
                     help="trace length in Bloch periods (default: 1.6x the universal estimate)")
@@ -361,16 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="envelope prominence a revival must exceed")
     sp.set_defaults(func=cmd_revival_report)
 
-    sp = sub.add_parser("sweep-g", help="collapse/revival times over a g grid (CSV)")
-    _add_model_flags(sp)
+    sp = add_parser("sweep-g", help="collapse/revival times over a g grid (CSV)")
+    _add_model_flags(sp, g=False)  # every row sets g
     sp.add_argument("--g-grid", default=DEFAULT_G_GRID, dest="g_grid",
                     help="comma list of g values")
     sp.add_argument("--t-final-tb", type=float, dest="t_final_tb")
     sp.add_argument("--prominence", type=float, default=analysis.REVIVAL_PROMINENCE)
     sp.set_defaults(func=cmd_sweep_g)
 
-    sp = sub.add_parser("single-particle",
-                        help="dressed-site model trace vs closed-form prediction")
+    sp = add_parser("single-particle", help="dressed-site model trace vs closed-form prediction")
     _add_model_flags(sp, many_body=False)
     sp.add_argument("--window", type=int, default=25, help="site half-width M")
     sp.add_argument("--t-final-tb", type=float, required=True, dest="t_final_tb")

@@ -1,0 +1,220 @@
+"""The explicit Runge-Kutta method DOP853: Dormand-Prince 8(5,3) with its
+7th-order dense output (Hairer, Norsett & Wanner, Solving Ordinary
+Differential Equations I, Sec. II.10).
+
+`integrate` takes the same steps as scipy.integrate.solve_ivp with
+method="DOP853" and no max_step, and makes the same right-hand side calls
+with the same arguments, so its states agree with scipy's to round-off:
+
+  * the first step from Hairer's heuristic (select_initial_step, error
+    order 7);
+  * the error norm that blends the 5th- and 3rd-order estimates, E5 and E3,
+    in the weighted RMS norm with scale atol + rtol max(|y|, |y_new|);
+  * new steps SAFETY * err^(-1/8), clamped to [MIN_FACTOR, MAX_FACTOR] of
+    the last, and no growth in the step accepted right after a rejection;
+  * failure once a step would fall below ten units in the last place of t;
+  * the dense output, three extra stages and a degree-7 polynomial, formed
+    only on the steps that contain a requested time.
+
+Importing scipy.integrate costs about 0.3 s per process, since it loads
+scipy.optimize, scipy.fft and scipy.spatial, and a run needs only this
+stepper of it.  tests/test_dop853.py pins this module to solve_ivp.
+"""
+
+import numpy as np
+
+__all__ = ["NumericalError", "integrate"]
+
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+ERROR_EXPONENT = -1.0 / 8.0  # -1 / (error estimator order + 1)
+N_STAGES = 12
+
+
+def _sparse_rows(width, rows):
+    """An array with one row per dict {column: value}, zero elsewhere."""
+    table = np.zeros((len(rows), width))
+    for row, entries in zip(table, rows):
+        row[list(entries)] = list(entries.values())
+    return table
+
+
+# The tableau, transcribed from scipy/integrate/_ivp/dop853_coefficients.py
+# (SciPy, BSD 3-Clause licence), as the shortest decimals that give the same
+# doubles; only the nonzero entries.  Rows 1-11 of A make the stages, row 12
+# is B, the weights of the step, and rows 13-15 make the extra stages of the
+# dense output.
+C = np.array([0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+              0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+              0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+              0.7777777777777778])
+A = _sparse_rows(16, (
+    {},
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+     5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+     5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+     8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+     5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+     8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+     5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+     8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+     7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+     10: 0.20136540080403034, 11: 0.04471061572777259},
+    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+     8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+     11: 0.007567897660545699, 12: -0.008298},
+    {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+     7: -0.05492374857139099, 10: -0.00010834732869724932, 11: 0.0003825710908356584,
+     12: -0.00034046500868740456, 13: 0.1413124436746325},
+    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+     7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+     13: 2.9475147891527724, 14: -9.15095847217987},
+))
+B = A[N_STAGES, :N_STAGES]
+# the error estimates weigh the 12 stages and f(t + h, y_new)
+E5, E3 = _sparse_rows(N_STAGES + 1, (
+    {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+     7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+     10: 0.08192320648511571, 11: -0.022355307863886294},
+    {0: -0.18980075407240762, 5: 4.450312892752409, 6: 1.8915178993145003,
+     7: -5.801203960010585, 8: -0.4226823213237919, 9: -0.1521609496625161,
+     10: 0.20136540080403034, 11: 0.02265179219836082},
+))
+# the dense output's coefficients of degree 3..6 over all 16 stages
+D = _sparse_rows(16, (
+    {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+     7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+     10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+     13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+    {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+     7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+     10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+     13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+    {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+     7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+     10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+     13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+    {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+     7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+     10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+     13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
+))
+
+
+class NumericalError(RuntimeError):
+    """Integration failure or a propagator that failed its quality checks."""
+
+
+def _rms(x) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, f0, interval, rtol, atol):
+    """Hairer's first step: one explicit Euler probe of the second derivative."""
+    scale = atol + np.abs(y0) * rtol
+    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval)
+
+
+def _error_norm(k, h, scale) -> float:
+    err5 = np.linalg.norm(np.dot(k.T, E5) / scale) ** 2
+    err3 = np.linalg.norm(np.dot(k.T, E3) / scale) ** 2
+    if err5 == 0 and err3 == 0:
+        return 0.0
+    return np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale))
+
+
+def _dense(fun, k, t_old, y_old, h, y, f, times):
+    """The states at `times` in [t_old, t_old + h] from the step's stages k,
+    one row per time; the extra stages are written into k[13:]."""
+    for s in range(N_STAGES + 1, 16):
+        k[s] = fun(t_old + C[s] * h, y_old + np.dot(k[:s].T, A[s, :s]) * h)
+    delta = y - y_old
+    poly = np.empty((7, y.size), dtype=y.dtype)
+    poly[0] = delta
+    poly[1] = h * k[0] - delta
+    poly[2] = 2 * delta - h * (f + k[0])
+    poly[3:] = h * np.dot(D, k)
+    x = ((times - t_old) / h)[:, None]
+    out = np.zeros((len(x), y.size), dtype=y.dtype)
+    for i, p in enumerate(reversed(poly)):
+        out += p
+        out *= x if i % 2 == 0 else 1 - x
+    out += y_old
+    return out
+
+
+def integrate(fun, y0, t0, t1, t_eval, rtol, atol):
+    """Integrate y' = fun(t, y) from y(t0) = y0 over [t0, t1], t1 > t0.
+
+    With t_eval None, return y(t1).  Otherwise t_eval is sorted within
+    [t0, t1], and the result holds y at each of its times, one column per
+    time.  NumericalError is raised when a step falls below ten units in
+    the last place of t.
+    """
+    y = np.asarray(y0)
+    y = y.astype(np.result_type(y.dtype, float), copy=False)
+    t0, t1 = float(t0), float(t1)
+    if not t1 > t0:
+        raise ValueError(f"integration needs t1 > t0, got [{t0}, {t1}]")
+    rtol = max(rtol, 100 * np.finfo(float).eps)  # as solve_ivp clamps it
+    if t_eval is not None:
+        out = np.empty((y.size, len(t_eval)), dtype=y.dtype)
+        done = 0
+    t, f = t0, fun(t0, y)
+    h_abs = _initial_step(fun, t, y, f, t1 - t0, rtol, atol)
+    k = np.empty((16, y.size), dtype=y.dtype)
+    while t < t1:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise NumericalError(f"time integration failed at t = {t!r}: the step fell "
+                                     f"below {min_step:.3e}, ten units in the last place")
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            h_abs = np.abs(h)
+            k[0] = f
+            for s in range(1, N_STAGES):
+                k[s] = fun(t + C[s] * h, y + np.dot(k[:s].T, A[s, :s]) * h)
+            y_new = y + h * np.dot(k[:N_STAGES].T, B)
+            f_new = fun(t + h, y_new)
+            k[N_STAGES] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error = _error_norm(k[:N_STAGES + 1], h, scale)
+            if error < 1:
+                factor = MAX_FACTOR if error == 0 else min(MAX_FACTOR,
+                                                           SAFETY * error ** ERROR_EXPONENT)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        if t_eval is not None:
+            end = np.searchsorted(t_eval, t, side="right")
+            if end > done:
+                out[:, done:end] = _dense(fun, k, t_old, y_old, h, y, f, t_eval[done:end]).T
+                done = end
+    return y if t_eval is None else out

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.special import jv
 
 from .fock import FockState, SymmetrySector, ring_hops
-from .model import ModelParams
+from .model import ModelParams, bessel_j
 
 __all__ = [
     "TermMask",
@@ -292,14 +291,14 @@ def build_single_particle_transformed(
         raise ValueError(f"site window half-width must be >= 1, got {site_window}")
     dx = params.delta_x
 
-    tail = np.abs(jv(np.arange(bessel_cutoff + 1, bessel_cutoff + 5), dx)).max()
+    tail = np.abs(bessel_j(np.arange(bessel_cutoff + 1, bessel_cutoff + 5), dx)).max()
     if tail >= 1e-12:
         warnings.warn(
             f"bessel_cutoff={bessel_cutoff} drops couplings of size {tail:.2e} at delta_x={dx:.3g}",
             stacklevel=2,
         )
     if m < bessel_cutoff:
-        lost = np.abs(jv(np.arange(m + 1, bessel_cutoff + 1), dx)).max()
+        lost = np.abs(bessel_j(np.arange(m + 1, bessel_cutoff + 1), dx)).max()
         if lost >= 1e-12:
             warnings.warn(
                 f"site window {m} is smaller than the coupling range; "
@@ -312,7 +311,7 @@ def build_single_particle_transformed(
     offset = sites[:, None] - sites[None, :]  # l - n for lower site l, upper site n
     near = np.abs(offset) <= bessel_cutoff
     coupling = np.zeros(offset.shape)
-    coupling[near] = params.c0 * params.force * jv(offset[near], dx)
+    coupling[near] = params.c0 * params.force * bessel_j(offset[near], dx)
     return np.block([
         [np.diag(-0.5 * params.delta + ladder), coupling],
         [coupling.T, np.diag(+0.5 * params.delta + ladder)],

@@ -13,13 +13,14 @@ natural time unit of the driven problem.
 import json
 import math
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
-from scipy.special import jv
 
 __all__ = [
+    "bessel_j",
     "ModelParams",
     "TwoLevelModel",
     "preset_v0_4",
@@ -39,6 +40,37 @@ def _require_number(name: str, value, integral: bool = False):
     if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):
         what = "an integer" if integral else "a finite real number"
         raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
+def _bessel_j(n: int, x: float) -> float:
+    order, half = abs(n), 0.5 * x
+    # the first term (x/2)^|n| / |n|! in exact rationals: rounded once, and no power overflows
+    term = float(Fraction(half) ** order / math.factorial(order))
+    terms, peak, k = [term], abs(term), 0
+    # the terms grow while k < |x|/2, then fall off faster than geometrically
+    while term != 0.0 and (k < abs(half) or abs(term) > 1e-20 * peak):
+        k += 1
+        term *= -half * half / (k * (order + k))
+        terms.append(term)
+        peak = max(peak, abs(term))
+    value = math.fsum(terms)
+    return -value if n < 0 and order % 2 else value
+
+
+def bessel_j(n, x: float):
+    """Bessel function of the first kind J_n(x) for integer n (an int or an
+    array of them) and real x, from the ascending series
+    sum_k (-x^2/4)^k (x/2)^|n| / (k! (k+|n|)!), summed exactly by math.fsum
+    until the terms fall below 1e-20 of the largest; J_-n = (-1)^n J_n.
+    For |x| <= 1 it is within an ulp of the exact value; tests/test_bessel.py
+    pins it to scipy.special.jv.  An array of orders is evaluated once per
+    distinct order.
+    """
+    orders = np.asarray(n)
+    distinct, inverse = np.unique(orders.ravel(), return_inverse=True)
+    values = np.array([_bessel_j(int(m), float(x)) for m in distinct])[inverse]
+    values = values.reshape(orders.shape)
+    return values if orders.ndim else float(values)
 
 
 @dataclass(frozen=True)
@@ -207,7 +239,7 @@ def build_resonant_two_level(params: ModelParams, order: int) -> TwoLevelModel:
     """Two-level model of the order-r resonance of the dressed-site ladder."""
     return TwoLevelModel(
         detuning=params.delta_tilde - order * params.force,
-        coupling=params.c0 * params.force * float(jv(order, params.delta_x)),
+        coupling=params.c0 * params.force * bessel_j(order, params.delta_x),
     )
 
 
@@ -219,8 +251,8 @@ def revival_estimate_universal(params: ModelParams) -> float:
     """
     if params.g * params.w_x == 0.0:
         raise ValueError("no revival without interactions: g*w_x must be positive")
-    j0a = float(jv(0, params.x_a))
-    j0b = float(jv(0, params.x_b))
+    j0a = bessel_j(0, params.x_a)
+    j0b = bessel_j(0, params.x_b)
     return 4.0 * math.pi / (params.g * params.w_x * j0a**2 * j0b**2)
 
 

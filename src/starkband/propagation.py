@@ -15,10 +15,12 @@ Every integration solves i dW/dt = HamiltonianParts.apply(t, W) for
 W = e^{iDt} psi, in the frame of the static diagonal D (band gap and
 interactions, the largest entries of H), so the integrator steps only
 through the couplings; the diagonal phases into and out of the frame are
-exact.  The propagator is integrated over T_B/(2d): a boost of the ring
-shifts H(t) by T_B/d, and time reversal (h_static and h_hop are real in the
-kappa = 0 basis) halves that span.  The resulting S is complex symmetric,
-so its eigenbasis comes from one real symmetric eigh.
+exact.  The integrator is `dop853.integrate`, which takes the DOP853
+steps of scipy.integrate.solve_ivp without importing scipy.integrate.
+The propagator is integrated over T_B/(2d): a boost of the ring shifts H(t)
+by T_B/d, and time reversal (h_static and h_hop are real in the kappa = 0
+basis) halves that span.  The resulting S is complex symmetric, so its
+eigenbasis comes from one real symmetric eigh, numpy's.
 
 Memory stays within a few copies of S: the propagator is integrated in
 chunks of columns, the windows of `evolve` in runs of about 1 MiB of
@@ -26,16 +28,14 @@ samples, and the stroboscopic trace in short blocks of periods.  `evolve`
 without S holds one vector and the samples.
 """
 
-import gc
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh
 
 from .analysis import OscillationTrace
+from .dop853 import NumericalError, integrate
 from .fock import SymmetrySector
 from .hamiltonian import HamiltonianParts
 
@@ -81,10 +81,6 @@ EIGEN_RESIDUAL_BUDGET = 1e-8
 UNITARITY_DEFECT_BUDGET = 1e-6
 
 
-class NumericalError(RuntimeError):
-    """Integration failure or a propagator that failed its quality checks."""
-
-
 @dataclass(frozen=True)
 class EvolutionResult:
     """The sample times of `evolve`, the state at each (one row of `states`
@@ -123,16 +119,6 @@ class FloquetSpectrum:
         return 2.0 * math.pi / self.t_bloch
 
 
-def _integrate(rhs, y0, t0, t1, t_eval, rtol, atol):
-    sol = solve_ivp(
-        rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol,
-        t_eval=t_eval, dense_output=False,
-    )
-    if not sol.success:
-        raise NumericalError(f"time integration failed: {sol.message}")
-    return sol
-
-
 def _integrate_windows(parts, starts, s_start, offsets, rtol, atol):
     """Lab-frame states at the sorted `offsets` of the columns of `starts`,
     each the state at offset `s_start` of its own Bloch-period window, as one
@@ -151,8 +137,8 @@ def _integrate_windows(parts, starts, s_start, offsets, rtol, atol):
 
     d = parts.frame
     w0 = np.exp(1j * s_start * d)[:, None] * starts
-    sol = _integrate(rhs, w0.ravel(), s_start, offsets[-1], offsets, rtol, atol)
-    block = sol.y.reshape(dim, width, offsets.size)
+    block = integrate(rhs, w0.ravel(), s_start, offsets[-1], offsets, rtol, atol)
+    block = block.reshape(dim, width, offsets.size)
     block *= np.exp(-1j * np.outer(d, offsets))[:, None, :]
     return block
 
@@ -267,7 +253,6 @@ def evolve(
                                        rtol, atol)
             for j, w in enumerate(run):
                 rows(w)[:] = block[:, j, :len(rows(w))].T
-            gc.collect(0)  # the finished solver's reference cycle, as in floquet_operator
 
     if times.size > last + 1:
         block = _integrate_windows(parts, grid[-1][:, None], offsets[last % n],
@@ -327,10 +312,8 @@ def floquet_operator(
     Memory: the columns of W are independent, so they are integrated
     FLOQUET_CHUNK at a time, each chunk from the matching columns of the
     identity with its own adaptive steps and the same rtol and atol, into
-    one preallocated dim x dim array.  A finished scipy solver is a
-    reference cycle (it keeps a closure over itself), so its stage arrays
-    would outlive the chunk until the cyclic collector ran; a collection
-    of the youngest generation after each chunk frees them.  ValueError is
+    one preallocated dim x dim array; the stepper keeps only the chunk's end
+    state, and its stages are freed when it returns.  ValueError is
     raised before any integration when the estimated working set exceeds
     the physical memory.  The defect d max|S^dag S - 1| is checked against
     UNITARITY_DEFECT_BUDGET; a failure suggests tightening the tolerances.
@@ -350,10 +333,8 @@ def floquet_operator(
 
         w0 = np.zeros((dim, width), dtype=complex)
         w0[start:start + width] = np.eye(width)
-        sol = _integrate(rhs, w0.ravel(), 0.0, half, None, rtol, atol)
-        y[:, start:start + width] = sol.y[:, -1].reshape(dim, width)
-        del sol
-        gc.collect(0)
+        y[:, start:start + width] = integrate(rhs, w0.ravel(), 0.0, half, None,
+                                              rtol, atol).reshape(dim, width)
     y *= np.exp(-1j * half * parts.frame)[:, None]
     s = y.T @ (np.exp(-2j * math.pi * charge / order)[:, None] * y)
     del y  # the unitarity check then holds only S and S^dag S
@@ -381,7 +362,7 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     max_j ||lambda_j|^2 - 1|, which with the residual check bounds the
     entrywise defect of V Lambda V^T.
     """
-    _, vectors = eigh(s.real + EIGEN_MIX * s.imag, driver="evd")
+    _, vectors = np.linalg.eigh(s.real + EIGEN_MIX * s.imag)
     sv = s @ vectors
     sigma = np.einsum("ij,ij->j", vectors, sv)
     residual = float(np.abs(sv - vectors * sigma).max())

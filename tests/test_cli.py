@@ -153,7 +153,7 @@ _FLAGS = {
     "evolve": _MANY_BODY_FLAGS | {"--t-final-tb", "--sample-per-tb", "--mode", "--dump-matrix"},
     "floquet-spectrum": _MANY_BODY_FLAGS | {"--dump-matrix"},
     "revival-report": _MANY_BODY_FLAGS | {"--t-final-tb", "--prominence"},
-    "sweep-g": _MANY_BODY_FLAGS | {"--g-grid", "--t-final-tb", "--prominence"},
+    "sweep-g": _MANY_BODY_FLAGS - {"--g"} | {"--g-grid", "--t-final-tb", "--prominence"},
     "single-particle": {"--preset", "--params", "--force", "--order", "--out", "--window",
                         "--t-final-tb", "--sample-per-tb"},
 }
@@ -170,8 +170,12 @@ def test_each_subcommand_takes_only_the_flags_it_reads(command):
 @pytest.mark.parametrize("argv", [
     ["evolve", "--preset", "v0_4", "--t-final-tb", "1", "--order", "3"],
     ["single-particle", "--preset", "v0_4", "--t-final-tb", "1", "--g", "0.2"],
-], ids=["evolve-order", "single-particle-g"])
+    ["sweep-g", "--preset", "v0_4", "--n", "3", "--l", "3", "--g", "0.3"],
+    ["sweep-g", "--preset", "v0_4", "--n", "3", "--l", "3", "--g-gr", "0.2"],
+], ids=["evolve-order", "single-particle-g", "sweep-g-g", "sweep-g-abbreviated"])
 def test_flag_a_subcommand_does_not_read_exits_2(argv):
+    # sweep-g sets g row by row, and no flag may be abbreviated (`--g` once
+    # read as `--g-grid`)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -311,16 +315,24 @@ def test_preset_unknown_exits_2():
     assert main(["evolve", "--preset", "nope", "--t-final-tb", "2"]) == 2
 
 
-def test_cli_import_defers_scipy_signal(tmp_path):
-    # scipy.signal pulls in scipy.stats (~0.5 s per process); a full
-    # revival-report, crest and revival-peak finding included, needs neither
+SLOW_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg",
+              "scipy.signal", "scipy.stats")
+
+
+def test_cli_runs_import_no_slow_scipy_subpackage(tmp_path):
+    # scipy.integrate loads scipy.optimize (~0.3 s per process), scipy.signal
+    # loads scipy.stats (~0.5 s); a revival report, with its crest and revival
+    # peaks, a continuous evolve and a single-particle trace need none of them
     out = tmp_path / "report.json"
-    proc = _run_python("-c", "import sys; from starkband.cli import main; "
-                             "status = main(['revival-report', '--preset', 'v0_4', "
-                             "'--n', '3', '--l', '3', '--g', '0.2', "
-                             f"'--out', {str(out)!r}]); "
-                             "print(status, [m for m in ('scipy.signal', 'scipy.stats') "
-                             "if m in sys.modules])")
+    small = "'--preset', 'v0_4', '--n', '3', '--l', '3', '--g', '0.2'"
+    code = ("import sys; from starkband.cli import main; "
+            f"status = [main(['revival-report', {small}, '--out', {str(out)!r}]), "
+            f"main(['evolve', {small}, '--mode', 'continuous', '--t-final-tb', '2', "
+            f"'--out', {str(tmp_path / 'evolve.csv')!r}]), "
+            "main(['single-particle', '--preset', 'v0_4', '--window', '3', "
+            f"'--t-final-tb', '1', '--out', {str(tmp_path / 'single.csv')!r}])]; "
+            f"print(status, [m for m in {SLOW_SCIPY!r} if m in sys.modules])")
+    proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 []"
+    assert proc.stdout.strip() == "[0, 0, 0] []"
     assert json.loads(out.read_text())["t_rev_measured"] is not None

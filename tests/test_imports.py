@@ -5,8 +5,12 @@ scipy subpackages, and `src/` never reads the process environment.
 No linter ships with the project, so this is the check for dead imports.
 A name counts as used if it is read anywhere in its module or is listed in
 the module's `__all__`; the imports of an `__init__.py` are re-exports and
-are not checked.  `scipy.signal` loads `scipy.stats`, about 0.5 s per
-process, so no module under `src/` may import either of them.  An
+are not checked.  No module under `src/` may import a scipy subpackage
+that costs more to load than a run uses of it: `scipy.signal` loads
+`scipy.stats` (about 0.5 s per process), `scipy.integrate` loads
+`scipy.optimize` (about 0.3 s), and `scipy.special` and `scipy.linalg`
+served three Bessel values and one eigh that the package now computes
+itself (`model.bessel_j`, `dop853`, numpy's eigh).  An
 environment variable would be a setting that no flag, parameter file or
 output fingerprint shows, so no module under `src/` may read `os.environ`
 or call `os.getenv`.
@@ -44,7 +48,8 @@ def _used_names(tree):
     return used
 
 
-SLOW_IMPORTS = ("scipy.signal", "scipy.stats")
+SLOW_IMPORTS = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.optimize",
+                "scipy.special", "scipy.linalg")
 
 
 def _imported_modules(tree):
@@ -123,7 +128,8 @@ def test_detects_a_slow_scipy_import():
                      "from scipy.signal import find_peaks\nimport scipy.sparse\n"
                      "def f():\n    from scipy.stats import norm\n")
     assert [n for n, _ in _slow_imports(tree)] == [
-        "scipy.stats", "scipy.signal", "scipy.signal.find_peaks", "scipy.stats.norm"]
+        "scipy.stats", "scipy.signal", "scipy.linalg", "scipy.signal.find_peaks",
+        "scipy.stats.norm"]
 
 
 ENVIRONMENT_READERS = ("environ", "getenv")
