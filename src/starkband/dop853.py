@@ -14,7 +14,9 @@ with the same arguments, so its states agree with scipy's to round-off:
     the last, and no growth in the step accepted right after a rejection;
   * failure once a step would fall below ten units in the last place of t;
   * the dense output, three extra stages and a degree-7 polynomial, formed
-    only on the steps that contain a requested time.
+    only on the steps that contain a requested time; each sample goes to
+    the caller's `emit` as its step is accepted, so no array of all the
+    samples is needed.
 
 Importing scipy.integrate costs about 0.3 s per process, since it loads
 scipy.optimize, scipy.fft and scipy.spatial, and a run needs only this
@@ -154,7 +156,8 @@ def _dense(fun, k, t_old, y_old, h, y, f, times):
     poly[0] = delta
     poly[1] = h * k[0] - delta
     poly[2] = 2 * delta - h * (f + k[0])
-    poly[3:] = h * np.dot(D, k)
+    np.dot(D, k, out=poly[3:])  # in place: no temporaries of four stages
+    poly[3:] *= h
     x = ((times - t_old) / h)[:, None]
     out = np.zeros((len(x), y.size), dtype=y.dtype)
     for i, p in enumerate(reversed(poly)):
@@ -164,13 +167,15 @@ def _dense(fun, k, t_old, y_old, h, y, f, times):
     return out
 
 
-def integrate(fun, y0, t0, t1, t_eval, rtol, atol):
-    """Integrate y' = fun(t, y) from y(t0) = y0 over [t0, t1], t1 > t0.
+def integrate(fun, y0, t0, t1, rtol, atol, t_eval=None, emit=None):
+    """Integrate y' = fun(t, y) from y(t0) = y0 over [t0, t1], t1 > t0, and
+    return y(t1).
 
-    With t_eval None, return y(t1).  Otherwise t_eval is sorted within
-    [t0, t1], and the result holds y at each of its times, one column per
-    time.  NumericalError is raised when a step falls below ten units in
-    the last place of t.
+    With t_eval, sorted within [t0, t1], emit(i, y_i) receives y at
+    t_eval[i] from the dense output of the step that holds it, in order of
+    i, as soon as that step is accepted; the stepper keeps no reference to
+    y_i, and no array of all the samples is formed.  NumericalError is
+    raised when a step falls below ten units in the last place of t.
     """
     y = np.asarray(y0)
     y = y.astype(np.result_type(y.dtype, float), copy=False)
@@ -178,9 +183,7 @@ def integrate(fun, y0, t0, t1, t_eval, rtol, atol):
     if not t1 > t0:
         raise ValueError(f"integration needs t1 > t0, got [{t0}, {t1}]")
     rtol = max(rtol, 100 * np.finfo(float).eps)  # as solve_ivp clamps it
-    if t_eval is not None:
-        out = np.empty((y.size, len(t_eval)), dtype=y.dtype)
-        done = 0
+    done = 0
     t, f = t0, fun(t0, y)
     h_abs = _initial_step(fun, t, y, f, t1 - t0, rtol, atol)
     k = np.empty((16, y.size), dtype=y.dtype)
@@ -215,6 +218,8 @@ def integrate(fun, y0, t0, t1, t_eval, rtol, atol):
         if t_eval is not None:
             end = np.searchsorted(t_eval, t, side="right")
             if end > done:
-                out[:, done:end] = _dense(fun, k, t_old, y_old, h, y, f, t_eval[done:end]).T
+                for i, y_i in enumerate(_dense(fun, k, t_old, y_old, h, y, f,
+                                               t_eval[done:end]), done):
+                    emit(i, y_i)
                 done = end
-    return y if t_eval is None else out
+    return y

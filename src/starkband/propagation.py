@@ -5,11 +5,11 @@ once as a matrix ODE; the one-period propagator U(T_B) = S^d is never
 formed.  The eigenbasis of S is that of U and gives the stroboscopic
 long-time observables (collapse and revival live at thousands of Bloch
 periods).  S also gives continuous traces on the grid t_k = k T_B/n that
-`evolve` samples: psi(mT_B + s) = U(s) S^(d(m-1)) psi(T_B), so every
-Bloch-period window holds the same offsets s = T_B/n * arange(n), and runs
-of windows are integrated side by side as the columns of one block.  Where
-S costs more than it saves, or cannot be built, `evolve` integrates the
-windows one after the other as a vector instead.
+`evolve` samples: psi(mT_B + s) = U(s) S^(dm) psi0, so every Bloch-period
+window holds the same offsets s = T_B/n * arange(n), and all the windows
+are integrated side by side over one period as the columns of a few
+blocks.  Where S costs more than it saves, or cannot be built, `evolve`
+integrates the windows one after the other as a vector instead.
 
 Every integration solves i dW/dt = HamiltonianParts.apply(t, W) for
 W = e^{iDt} psi, in the frame of the static diagonal D (band gap and
@@ -23,9 +23,10 @@ basis) halves that span.  The resulting S is complex symmetric, so its
 eigenbasis comes from one real symmetric eigh, numpy's.
 
 Memory stays within a few copies of S: the propagator is integrated in
-chunks of columns, the windows of `evolve` in runs of about 1 MiB of
-samples, and the stroboscopic trace in short blocks of periods.  `evolve`
-without S holds one vector and the samples.
+chunks of columns, the windows of `evolve` in blocks of half as many
+columns, each sample written into its row of the result as the step that
+holds it is accepted, and the stroboscopic trace in short blocks of
+periods.  `evolve` without S holds one vector and the samples.
 """
 
 import math
@@ -66,13 +67,11 @@ DEFAULT_ATOL = 1e-12
 FLOQUET_CHUNK = 64
 FLOQUET_WORKING_COPIES = 4
 FLOQUET_CHUNK_COPIES = 64
-# evolve integrates the Bloch-period windows after the first side by side,
-# in runs whose blocks of samples hold about this many complex numbers (1 MiB)
-EVOLVE_CHUNK_NUMBERS = 2**16
 # The fixed cost of one right-hand side call, in state entries of the sparse
-# products it matches: fitted to DOP853 at N = L = 3..6 (dim 20..2076), where
-# a call costs about (1300 + (width + 1) * dim) * 50 ns on one core
-EVOLVE_CALL_OVERHEAD = 1300
+# products it matches: fitted to dop853.integrate at N = L = 3..6 (dim
+# 20..2076, widths 1..32), where a call costs about
+# (600 + (width + 1) * dim) * 44 ns on one core (rms error 16%)
+EVOLVE_CALL_OVERHEAD = 600
 # diagonalize_floquet: the weight of Im S in its eigh (irrational, so no rational
 # symmetry of the spectrum makes eigenvalues collide) and the eigenpair residual budget.
 EIGEN_MIX = (math.sqrt(5.0) - 1.0) / 2.0
@@ -119,55 +118,74 @@ class FloquetSpectrum:
         return 2.0 * math.pi / self.t_bloch
 
 
-def _integrate_windows(parts, starts, s_start, offsets, rtol, atol):
-    """Lab-frame states at the sorted `offsets` of the columns of `starts`,
-    each the state at offset `s_start` of its own Bloch-period window, as one
-    dim x width x len(offsets) block.
+def _integrate_windows(parts, starts, s_start, s_end, offsets, rows, rtol, atol):
+    """Integrate the columns of `starts`, each the lab-frame state at offset
+    `s_start` of its own Bloch-period window, to offset `s_end`, and return
+    their lab-frame states there as a dim x width block.
 
     H(mT_B + s) = H(s), so every window integrates i dW/ds = apply(s, W) on
-    W = e^{iDs} psi from the same s_start; the frame phase e^{-iDs} is put
-    back at each offset.  Offsets equal to s_start need no integration.
+    W = e^{iDs} psi from the same s_start.  At each of the sorted `offsets`,
+    the states e^{-iDs} W of the first len(rows(i)) columns are written
+    straight into rows(i), one row per column, as the step that holds
+    offsets[i] is accepted.
     """
     dim, width = starts.shape
-    if offsets[-1] == s_start:
-        return starts[:, :, None]
+    d = parts.frame
 
     def rhs(s, w):
         return (-1j * parts.apply(s, w.reshape(dim, width))).ravel()
 
-    d = parts.frame
+    def emit(i, w):
+        out = rows(i)
+        np.multiply(np.exp(-1j * offsets[i] * d), w.reshape(dim, width).T[:len(out)], out=out)
+
     w0 = np.exp(1j * s_start * d)[:, None] * starts
-    block = integrate(rhs, w0.ravel(), s_start, offsets[-1], offsets, rtol, atol)
-    block = block.reshape(dim, width, offsets.size)
-    block *= np.exp(-1j * np.outer(d, offsets))[:, None, :]
-    return block
+    end = integrate(rhs, w0.ravel(), s_start, s_end, rtol, atol, offsets, emit)
+    return np.exp(-1j * s_end * d)[:, None] * end.reshape(dim, width)
 
 
-def _period_cost(dim: int, width: int) -> int:
-    """Relative cost of integrating a dim x width block over one Bloch period.
-    DOP853 takes about the same number of steps at any width, and each call
-    of the right-hand side costs EVOLVE_CALL_OVERHEAD + (width + 1) * dim
-    state entries' worth of work (the extra dim is the frame and error norm)."""
-    return EVOLVE_CALL_OVERHEAD + (width + 1) * dim
+def _period_cost(dim: int, width: int, samples: int = 1) -> int:
+    """Relative cost of integrating a dim x width block over one Bloch period
+    that holds `samples` samples, the first at its start.  DOP853 makes about
+    580 right-hand side calls per period at any width (590, 602, 578 and 566
+    at N = L = 3..6), each later sample adds about 7 calls' worth (three
+    dense-output stages and the polynomial: a period with 32 samples took
+    1.3 to 1.4 times one without), and each call costs EVOLVE_CALL_OVERHEAD
+    + (width + 1) * dim state entries' worth of work (the extra dim is the
+    frame and error norm)."""
+    return (580 + 7 * (samples - 1)) * (EVOLVE_CALL_OVERHEAD + (width + 1) * dim)
 
 
-def _propagator_pays(parts: HamiltonianParts, n_windows: int, widths) -> bool:
-    """Whether building S and integrating the runs of `widths` windows side
-    by side costs less than integrating windows 1..n_windows one by one as a
-    vector.  S integrates its column chunks over T_B/(2d), and its two dense
-    products add up to a fifth to that (measured 1.05, 1.06 and 1.20 times
-    the integration at N = L = 4, 5, 6).  The d products S @ psi per window
-    are left out: at N = L = 6 they cost about 13% of a vector period, but
-    windows whose samples sit on their starts need no integration, which
-    the run costs ignore.  On one core, one sample per period at N = L = 6
-    took 20.1 s with S and 17.7 s without over 120 periods, 22.0 s and 30.8 s
-    over 200; the model breaks even at 136."""
-    dim = parts.basis_dim
+def _propagator_pays(parts: HamiltonianParts, final: int, samples_per_period: int) -> bool:
+    """Whether building S, taking d products S @ psi per window, and
+    integrating windows 0..final side by side in blocks of FLOQUET_CHUNK // 2
+    costs less than integrating them one after the other as a vector.  With
+    one sample per period the S route integrates nothing, and the vector
+    route needs no integration in the last window, whose only sample is its
+    start.
+
+    S integrates its column chunks over T_B/(2d) in about 1.3 times the
+    calls of that fraction of a period (74 and 62 calls per chunk at
+    N = L = 5 and 6); its two dense products, 5 to 20% more, are left to the
+    fit.  A product S @ psi costs about dim^2 / 40 state entries' worth
+    (1.0 to 1.6 ns per entry against 44 ns per entry of a call).  Fitted to
+    single timings of both routes on one core: with 32 samples per period
+    the vector route was faster over 15 periods at N = L = 5 and over 150 at
+    N = L = 6, S over 20 and over 200 (the model breaks even at 17 and 195);
+    with one sample per period at N = L = 6, vectors over 120 periods and
+    S over 200 (the model: 131).
+    """
+    dim, order, n = parts.basis_dim, parts.boost_order, samples_per_period
     full, rest = divmod(dim, FLOQUET_CHUNK)
-    columns = full * _period_cost(dim, FLOQUET_CHUNK) + (rest > 0) * _period_cost(dim, rest)
-    propagator = 1.2 * columns / (2 * parts.boost_order)
-    windows = sum(_period_cost(dim, w) for w in widths)
-    return propagator + windows < n_windows * _period_cost(dim, 1)
+    propagator = 1.3 / (2 * order) * (full * _period_cost(dim, FLOQUET_CHUNK)
+                                      + (rest > 0) * _period_cost(dim, rest))
+    products = order * final * dim**2 / 40
+    if n == 1:
+        return propagator + products < final * _period_cost(dim, 1)
+    width = FLOQUET_CHUNK // 2
+    full, rest = divmod(final + 1, width)
+    blocks = full * _period_cost(dim, width, n) + (rest > 0) * _period_cost(dim, rest, n)
+    return propagator + products + blocks < (final + 1) * _period_cost(dim, 1, n)
 
 
 def evolve(
@@ -185,18 +203,20 @@ def evolve(
     before.  Row k of the result's states is psi(t_k).
 
     Time is cut into Bloch-period windows [mT_B, (m+1)T_B), and window m
-    holds the samples at mT_B + T_B/n * arange(n).  Window 0 is one vector
-    integration to its end.  H(t) has period T_B, so window m >= 1 starts
-    from S^(d(m-1)) psi(T_B), S = floquet_operator(parts).  These starts,
-    each window's first sample, are written first and S is freed; then runs
-    of consecutive windows are integrated side by side from them, as the
-    columns of one block (see `_integrate_windows`), so a window whose only
-    sample is its start needs no integration.  That route is taken when
-    `_propagator_pays`: the cost of S grows as dim^2, so it needs more
-    windows, and more windows per run, as dim grows.  Otherwise, and when S
-    cannot be built (complex blocks, or a working set beyond the physical
-    memory), every window is one vector integration from the end of the one
-    before.  Each block is written straight into the states.
+    holds the samples at mT_B + T_B/n * arange(n), the first of them its
+    start psi(mT_B).  H(t) has period T_B, so psi(mT_B) = S^(dm) psi0 with
+    S = floquet_operator(parts).  Where `_propagator_pays`, every start is
+    built that way and written into its row, S is freed, and then all the
+    windows are integrated side by side over one period, as the columns of
+    blocks of at most FLOQUET_CHUNK // 2 windows (see `_integrate_windows`),
+    so that a block's working set, dense output included, stays below that
+    of a chunk of S.  With one sample per period the starts are all the
+    samples, and nothing is integrated.  S costs dim^2 to build and apply,
+    so it needs more windows as dim grows.
+    Otherwise, and when S cannot be built (complex blocks, or a working set
+    beyond the physical memory), every window is one vector integration
+    from the end of the one before.  Either way the integrator hands each
+    sample straight to its row of the states.
     """
     if not 0 < t_final < math.inf:
         raise ValueError(f"t_final={t_final} must be positive and finite")
@@ -214,50 +234,46 @@ def evolve(
         times = np.append(times, t_final)
     offsets = step * np.arange(n)
     final = last // n  # the last window that holds a sample
-    width = max(1, EVOLVE_CHUNK_NUMBERS // (n * dim))
-    runs = [range(w, min(w + width, final + 1)) for w in range(1, final + 1, width)]
     s = None
-    if (runs and _propagator_obstacle(parts) is None
-            and _propagator_pays(parts, final, [len(run) for run in runs])):
+    if (final and _propagator_obstacle(parts) is None
+            and _propagator_pays(parts, final, n)):
         # before the states exist, so that S's working set does not add to them
         s = floquet_operator(parts, rtol=rtol, atol=atol)
     states = np.empty((times.size, dim), dtype=complex)
     grid = states[:last + 1]
 
-    def rows(w):
-        return grid[w * n:(w + 1) * n]
+    def windows(m, starts, s_end):
+        """Integrate windows m, m + 1, ... from their starts, the columns of
+        `starts` (each already its window's first row), to offset s_end."""
+        width = starts.shape[1]
+        samples = min(n, last + 1 - m * n)  # those of window m
+        return _integrate_windows(
+            parts, starts, 0.0, s_end, offsets[1:samples],
+            lambda i: grid[m * n + 1 + i:last + 1:n][:width], rtol, atol)
 
-    def vector_window(w, state):
-        ends = offsets[:len(rows(w))]
-        block = _integrate_windows(parts, state[:, None], 0.0,
-                                   np.append(ends, tb) if w < final else ends, rtol, atol)
-        rows(w)[:] = block[:, 0, :len(ends)].T
-        return block[:, 0, -1]
-
-    state = vector_window(0, psi0)
     if s is None:
-        for w in range(1, final + 1):
-            state = vector_window(w, state)
+        state = psi0[:, None]
+        for m in range(final + 1):
+            grid[m * n] = state[:, 0]
+            s_end = tb if m < final else offsets[last - m * n]
+            if s_end > 0:
+                state = windows(m, state, s_end)
     else:
-        # every window's start is its first sample: all are written before
-        # the runs, so that S is freed while they integrate
-        grid[n] = state
-        for w in range(2, final + 1):
+        state = grid[0] = psi0
+        for m in range(1, final + 1):
             for _ in range(parts.boost_order):
                 state = s @ state
-            grid[w * n] = state
+            grid[m * n] = state
         s = None
-        for run in runs:
-            starts = grid[run[0] * n:run[-1] * n + 1:n].T
-            block = _integrate_windows(parts, starts, 0.0, offsets[:len(rows(run[0]))],
-                                       rtol, atol)
-            for j, w in enumerate(run):
-                rows(w)[:] = block[:, j, :len(rows(w))].T
+        width = FLOQUET_CHUNK // 2
+        for m in range(0, final + 1, width):
+            samples = min(n, last + 1 - m * n)
+            if samples > 1:
+                windows(m, grid[m * n:last + 1:n][:width].T, offsets[samples - 1])
 
     if times.size > last + 1:
-        block = _integrate_windows(parts, grid[-1][:, None], offsets[last % n],
-                                   np.array([t_final - final * tb]), rtol, atol)
-        states[-1] = block[:, 0, 0]
+        states[-1] = _integrate_windows(parts, grid[-1][:, None], offsets[last % n],
+                                        t_final - final * tb, None, None, rtol, atol)[:, 0]
     drift = abs(np.linalg.norm(states[-1]) - np.linalg.norm(psi0))
     return EvolutionResult(times=times, states=states, norm_drift=float(drift))
 
@@ -333,7 +349,7 @@ def floquet_operator(
 
         w0 = np.zeros((dim, width), dtype=complex)
         w0[start:start + width] = np.eye(width)
-        y[:, start:start + width] = integrate(rhs, w0.ravel(), 0.0, half, None,
+        y[:, start:start + width] = integrate(rhs, w0.ravel(), 0.0, half,
                                               rtol, atol).reshape(dim, width)
     y *= np.exp(-1j * half * parts.frame)[:, None]
     s = y.T @ (np.exp(-2j * math.pi * charge / order)[:, None] * y)

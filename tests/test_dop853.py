@@ -2,8 +2,9 @@
 
 The stepper is meant to take scipy's steps exactly, so every case asks for
 the same number of right-hand side calls and the same states to round-off:
-a chunk of columns of the propagator, one Bloch-period window sampled on its
-offsets, and a nonlinear scalar problem on which scipy rejects steps.  A
+a chunk of columns of the propagator, one Bloch-period window of a vector
+and a block of windows side by side, each sampled on its offsets through
+`emit`, and a nonlinear scalar problem on which scipy rejects steps.  A
 solution that blows up must fail in both.
 """
 
@@ -30,11 +31,18 @@ def _counted(fun):
 
 
 def _both(fun, y0, t0, t1, t_eval, rtol, atol):
-    """scipy's solution and number of calls, then dop853's."""
+    """scipy's solution, then dop853's end state, its number of calls and
+    the samples it emitted, one column per time of t_eval (each emitted
+    once, in order)."""
     sol = solve_ivp(fun, (t0, t1), y0, method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol)
     assert sol.success, sol.message
     counted, calls = _counted(fun)
-    return sol, dop853.integrate(counted, y0, t0, t1, t_eval, rtol, atol), len(calls)
+    emitted = []
+    end = dop853.integrate(counted, y0, t0, t1, rtol, atol, t_eval,
+                           lambda i, y: emitted.append((i, y.copy())))
+    assert [i for i, _ in emitted] == list(range(0 if t_eval is None else len(t_eval)))
+    samples = np.array([y for _, y in emitted]).T
+    return sol, end, len(calls), samples
 
 
 def _preset_parts(n):
@@ -70,8 +78,8 @@ def test_propagator_chunk_matches_scipy():
     dim, width = parts.basis_dim, FLOQUET_CHUNK
     w0 = np.eye(dim, width, dtype=complex).ravel()
     half = 0.5 * parts.t_bloch / parts.boost_order
-    sol, end, calls = _both(_block_rhs(parts, width), w0, 0.0, half, None,
-                            DEFAULT_RTOL, DEFAULT_ATOL)
+    sol, end, calls, _ = _both(_block_rhs(parts, width), w0, 0.0, half, None,
+                               DEFAULT_RTOL, DEFAULT_ATOL)
     assert calls == sol.nfev
     assert np.abs(end - sol.y[:, -1]).max() <= 1e-13
 
@@ -83,12 +91,30 @@ def test_evolve_window_matches_scipy():
     psi0 = sb.project_initial_state("unit-filling-lower", sector)
     tb = parts.t_bloch
     times = np.append(tb / 32 * np.arange(32), tb)
-    sol, states, calls = _both(_block_rhs(parts, 1), psi0, 0.0, tb, times,
-                               DEFAULT_RTOL, DEFAULT_ATOL)
+    sol, end, calls, states = _both(_block_rhs(parts, 1), psi0, 0.0, tb, times,
+                                    DEFAULT_RTOL, DEFAULT_ATOL)
     assert calls == sol.nfev
     assert states.shape == sol.y.shape == (parts.basis_dim, times.size)
     assert np.abs(states - sol.y).max() <= 1e-13
     assert np.array_equal(states[:, 0], psi0)
+    assert np.abs(end - sol.y[:, -1]).max() <= 1e-13
+
+
+def test_block_of_windows_matches_scipy():
+    # eight Bloch-period windows side by side at N = L = 4 (dim 86), sampled
+    # after their starts as evolve samples them: at offsets 1..31 of 32,
+    # the last of them the end of the span
+    _, parts = _preset_parts(4)
+    dim, width = parts.basis_dim, 8
+    rng = np.random.default_rng(3)
+    w0 = (rng.normal(size=(dim, width)) + 1j * rng.normal(size=(dim, width))).ravel()
+    offsets = parts.t_bloch / 32 * np.arange(1, 32)
+    sol, end, calls, samples = _both(_block_rhs(parts, width), w0, 0.0, offsets[-1], offsets,
+                                     DEFAULT_RTOL, DEFAULT_ATOL)
+    assert calls == sol.nfev
+    assert samples.shape == sol.y.shape == (dim * width, offsets.size)
+    assert np.abs(samples - sol.y).max() <= 1e-13
+    assert np.abs(end - sol.y[:, -1]).max() <= 1e-13
 
 
 def test_rejected_steps_match_scipy():
@@ -101,7 +127,7 @@ def test_rejected_steps_match_scipy():
     accepted = sol.t.size - 1
     # every attempt costs 12 calls, after the first f and the step probe
     assert (sol.nfev - 2) / 12 > accepted
-    sol, end, calls = _both(fun, np.array([1.0]), 0.0, 10.0, None, 1e-6, 1e-9)
+    sol, end, calls, _ = _both(fun, np.array([1.0]), 0.0, 10.0, None, 1e-6, 1e-9)
     assert calls == sol.nfev
     assert abs(end[0] - sol.y[0, -1]) <= 1e-13
 
@@ -114,7 +140,7 @@ def test_blow_up_raises_where_scipy_fails():
     sol = solve_ivp(fun, (0.0, 2.0), [1.0], method="DOP853", rtol=1e-12, atol=1e-12)
     assert not sol.success
     with pytest.raises(dop853.NumericalError, match="ten units in the last place"):
-        dop853.integrate(fun, np.array([1.0]), 0.0, 2.0, None, 1e-12, 1e-12)
+        dop853.integrate(fun, np.array([1.0]), 0.0, 2.0, 1e-12, 1e-12)
 
 
 def test_numerical_error_is_one_class():
@@ -124,5 +150,5 @@ def test_numerical_error_is_one_class():
 
 def test_rejects_an_empty_span():
     with pytest.raises(ValueError, match="t1 > t0"):
-        dop853.integrate(lambda t, y: -y, np.array([1.0]), 1.0, 1.0, None, 1e-9, 1e-9)
+        dop853.integrate(lambda t, y: -y, np.array([1.0]), 1.0, 1.0, 1e-9, 1e-9)
 

@@ -1,6 +1,7 @@
 """Every imported name in `src/` and `tests/` is used, every `__all__`
-entry in `src/` names a module-level attribute, `src/` stays off the slow
-scipy subpackages, and `src/` never reads the process environment.
+entry in `src/` names a module-level attribute, every module-level
+UPPER_CASE constant in `src/` is read there or exported, `src/` stays off
+the slow scipy subpackages, and `src/` never reads the process environment.
 
 No linter ships with the project, so this is the check for dead imports.
 A name counts as used if it is read anywhere in its module or is listed in
@@ -13,10 +14,14 @@ served three Bessel values and one eigh that the package now computes
 itself (`model.bessel_j`, `dop853`, numpy's eigh).  An
 environment variable would be a setting that no flag, parameter file or
 output fingerprint shows, so no module under `src/` may read `os.environ`
-or call `os.getenv`.
+or call `os.getenv`.  A tuning constant that no code reads any more, left
+behind when the code it tuned went, would still look like a setting, so
+every UPPER_CASE constant must be read somewhere in `src/` (by name or as
+a module attribute) or be listed in its module's `__all__`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -38,14 +43,15 @@ def _imported_names(tree):
                     yield alias.asname or alias.name, node.lineno
 
 
+def _exports(tree):
+    """The entries of every `__all__` the module assigns."""
+    return [name for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
 def _used_names(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
-    return used
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(_exports(tree))
 
 
 SLOW_IMPORTS = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.optimize",
@@ -113,6 +119,43 @@ def test_detects_a_stale_export():
                      "class K:\n    inner = 1\ndef f():\n    local = 1\n"
                      "__all__ = ['np', 'c', 'X', 'Y', 'Z', 'K', 'f', 'inner', 'local', 'GFit']\n")
     assert _stale_exports(tree) == ["inner", "local", "GFit"]
+
+
+def _constants(tree):
+    """(name, line) of each UPPER_CASE name a top-level assignment binds."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(n.id, node.lineno) for target in targets for n in ast.walk(target)
+                      if isinstance(n, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", n.id)]
+    return found
+
+
+def _read_names(tree):
+    """Names read as variables or as attributes, and the `__all__` entries."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return read | set(_exports(tree))
+
+
+SRC_TREES = {p: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted((ROOT / "src").rglob("*.py"))}
+
+
+@pytest.mark.parametrize("path", list(SRC_TREES), ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_constants_are_read(path):
+    read = set().union(*map(_read_names, SRC_TREES.values()))
+    unread = [f"{name} (line {line})" for name, line in _constants(SRC_TREES[path])
+              if name not in read]
+    assert not unread, f"{path.name} defines constants nothing reads: {', '.join(unread)}"
+
+
+def test_detects_an_unread_constant():
+    tree = ast.parse("import m\nA, B_2 = 1, 2\nC: int = 3\nD = E = 4\nlower = 5\n"
+                     "__all__ = ['D']\nprint(A, m.C)\ndef f():\n    F = 6\n    return F\n")
+    assert [n for n, _ in _constants(tree) if n not in _read_names(tree)] == ["B_2", "E"]
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),

@@ -172,8 +172,8 @@ def test_evolve_matches_lab_frame(system44):
 
 
 # (samples per period, span in Bloch periods): whole periods, one sample per
-# period (every sample on a window start, so the windows after the first
-# need no integration), spans that end on a sample inside a window and
+# period (every sample on a window start, so no window needs integration on
+# the propagator route), spans that end on a sample inside a window and
 # between two samples, and a span shorter than one period
 GRID_CASES = {"whole-periods": (8, 3.0), "one-per-period": (1, 5.0),
               "span-3.5TB": (8, 3.5), "span-4.55TB": (4, 4.55), "span-0.6TB": (8, 0.6)}
@@ -183,16 +183,17 @@ GRID_CASES = {"whole-periods": (8, 3.0), "one-per-period": (1, 5.0),
 @pytest.mark.parametrize("n,l", [(3, 3), (2, 4)])
 @pytest.mark.parametrize("per_period,span_tb", list(GRID_CASES.values()), ids=list(GRID_CASES))
 def test_evolve_windows_match_lab_frame(n, l, per_period, span_tb, route, monkeypatch):
-    # both routes through the later windows: starts from powers of S, in
-    # runs of two windows (so runs join up, and the last may hold a partial
-    # window), and window-by-window vector integrations
+    # both routes through the windows: starts from powers of S, integrated
+    # side by side in blocks of two windows (FLOQUET_CHUNK // 2, so window 0
+    # shares the first block, blocks join up, and the last may hold a
+    # partial window), and window-by-window vector integrations
     built = []
     floquet_operator = propagation.floquet_operator
     monkeypatch.setattr(propagation, "_propagator_pays", lambda *args: route == "propagator")
     monkeypatch.setattr(propagation, "floquet_operator",
                         lambda *args, **kw: built.append(1) or floquet_operator(*args, **kw))
+    monkeypatch.setattr(propagation, "FLOQUET_CHUNK", 4)
     parts = _parts_for(n, l)
-    monkeypatch.setattr(propagation, "EVOLVE_CHUNK_NUMBERS", 2 * per_period * parts.basis_dim)
     tb = parts.t_bloch
     rng = np.random.default_rng(11)
     psi = rng.normal(size=parts.basis_dim) + 1j * rng.normal(size=parts.basis_dim)
@@ -204,6 +205,29 @@ def test_evolve_windows_match_lab_frame(n, l, per_period, span_tb, route, monkey
     assert result.times == pytest.approx(want, rel=1e-14, abs=0.0)
     assert np.abs(result.states.T - _lab_frame(parts, psi, result.times)).max() < 1e-9
     assert built == ([1] if route == "propagator" and span_tb >= 1 else [])
+
+
+def test_evolve_integrates_one_period_per_block(monkeypatch):
+    # N = L = 4 at 32 samples per period takes the propagator route; 10 and
+    # 30 periods (11 and 31 windows) each fit one block of FLOQUET_CHUNK // 2
+    # = 32 windows, so both integrate one period, in about the same number
+    # of right-hand side calls (S is built once, outside the count)
+    parts = _parts_for(4, 4)
+    s = sb.floquet_operator(parts)
+    built, calls = [], []
+    apply = sb.HamiltonianParts.apply
+    monkeypatch.setattr(propagation, "floquet_operator", lambda *args, **kw: built.append(1) or s)
+    monkeypatch.setattr(sb.HamiltonianParts, "apply",
+                        lambda self, t, y: calls.append(y.shape) or apply(self, t, y))
+    psi = sb.project_initial_state("unit-filling-lower", sb.build_k0_sector(4, 4))
+    counts = {}
+    for periods in (10, 30):
+        calls.clear()
+        sb.evolve(psi, parts, periods * parts.t_bloch, samples_per_period=32)
+        counts[periods] = len(calls)
+        assert set(calls) == {(parts.basis_dim, periods + 1)}
+    assert built == [1, 1]
+    assert abs(counts[30] - counts[10]) <= 0.1 * counts[10]
 
 
 def test_evolve_integrates_vectors_where_the_propagator_cannot_be_built(small_system,
@@ -228,28 +252,29 @@ def test_evolve_integrates_vectors_where_the_propagator_cannot_be_built(small_sy
         assert np.abs(result.states.T - _lab_frame(case, psi0, result.times)).max() < 1e-9
 
 
-def _break_even(dim, order, per_run):
-    """Fewest windows after window 0 for which evolve builds S, when each run
-    holds `per_run` windows; None below 10,000."""
+def _break_even(dim, order, samples_per_period):
+    """Fewest whole periods (the last window that holds a sample) for which
+    evolve builds S; None below 10,000."""
     stand_in = SimpleNamespace(basis_dim=dim, boost_order=order)
-    for n in range(1, 10_000):
-        widths = [per_run] * (n // per_run) + [n % per_run] * bool(n % per_run)
-        if propagation._propagator_pays(stand_in, n, widths):
-            return n
-    return None
+    return next((final for final in range(1, 10_000)
+                 if propagation._propagator_pays(stand_in, final, samples_per_period)), None)
 
 
 def test_propagator_pays_beyond_a_break_even_that_grows_with_dim():
-    # 32 samples per period: runs of 23 windows at dim 86, 5 at the preset
-    # (dim 402), 1 at N = L = 6 (dim 2076).  Single runs of both routes put
-    # the break-even at about 3 windows at dim 86 and 15 to 20 at the preset
-    assert _break_even(86, 4, 23) <= 3
-    assert 10 <= _break_even(402, 5, 5) <= 20
-    assert _break_even(2076, 6, 1) is None
-    # one sample per period at N = L = 6: runs of 31 windows; single runs
-    # took 20.1 s with S and 17.7 s without over 120 periods, 22.0 s and 30.8 s
-    # over 200
-    assert 60 < _break_even(2076, 6, 31) < 200
+    # 32 samples per period; the model breaks even at 2 periods at dim 86,
+    # 17 at the preset (dim 402) and 195 at N = L = 6 (dim 2076).  Single
+    # timings of both routes on one core: at the preset the vector route
+    # took 0.55 s against 0.61 s over 15 periods, and 0.70 s against 0.60 s
+    # over 20; at N = L = 6, 24.7 s against 31.1 s over 150 periods, 35.3 s
+    # against 34.4 s over 200 and 45.2 s against 40.4 s over 250
+    assert _break_even(86, 4, 32) <= 3
+    assert 15 < _break_even(402, 5, 32) <= 20
+    assert 150 < _break_even(2076, 6, 32) <= 200
+    # one sample per period at N = L = 6, where S integrates nothing: the
+    # model gives 131; vectors took 15.5 s against 16.3 s over 120 periods
+    # and 28.5 s against 19.8 s over 200 (with scipy's stepper, 17.7 s
+    # against 20.1 s and 30.8 s against 22.0 s: about 137)
+    assert 120 < _break_even(2076, 6, 1) < 200
 
 
 # (N, L) with boost order d = gcd(N, L) = 1, 2, 3, 4
@@ -389,9 +414,12 @@ def test_floquet_operator_memory_is_a_few_copies_of_u(preset_runs):
 
 
 def test_evolve_memory_is_the_propagator_and_the_samples(preset_runs):
-    # 50 periods at 32 samples per period: the propagator's working set of
-    # 8 copies of S, plus the 1,601 returned samples, into which every run
-    # of windows writes its block
+    # 50 periods at 32 samples per period: S is built before the 1,601
+    # samples exist, and freed before the two blocks of windows (32 and 19)
+    # integrate, writing each sample straight into its row.  The peak is
+    # the samples plus one 32-column block's working set: DOP853's 16
+    # stages, the dense output's 7 polynomial terms and their temporaries
+    # (tracemalloc measured 16.4 MiB, the samples plus 34 such arrays)
     parts = preset_runs.parts(0.2)
     tb = parts.t_bloch
     tracemalloc.start()
@@ -401,7 +429,7 @@ def test_evolve_memory_is_the_propagator_and_the_samples(preset_runs):
     finally:
         tracemalloc.stop()
     assert result.states.shape == (1601, parts.basis_dim)
-    assert peak <= 16 * parts.basis_dim * (8 * parts.basis_dim + len(result.times))
+    assert peak <= 16 * parts.basis_dim * (len(result.times) + 40 * 32)
 
 
 def test_stroboscopic_occupations_memory_is_bounded(preset_runs):
