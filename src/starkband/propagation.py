@@ -118,10 +118,13 @@ class FloquetSpectrum:
         return 2.0 * math.pi / self.t_bloch
 
 
-def _integrate_windows(parts, starts, s_start, s_end, offsets, rows, rtol, atol):
+def _integrate_windows(parts, starts, s_start, s_end, offsets, rows, rtol, atol,
+                       first_step=None):
     """Integrate the columns of `starts`, each the lab-frame state at offset
     `s_start` of its own Bloch-period window, to offset `s_end`, and return
-    their lab-frame states there as a dim x width block.
+    their lab-frame states there as a dim x width block, and the step that
+    the integrator would take next (see `dop853.integrate`; `first_step` is
+    its first).
 
     H(mT_B + s) = H(s), so every window integrates i dW/ds = apply(s, W) on
     W = e^{iDs} psi from the same s_start.  At each of the sorted `offsets`,
@@ -140,8 +143,8 @@ def _integrate_windows(parts, starts, s_start, s_end, offsets, rows, rtol, atol)
         np.multiply(np.exp(-1j * offsets[i] * d), w.reshape(dim, width).T[:len(out)], out=out)
 
     w0 = np.exp(1j * s_start * d)[:, None] * starts
-    end = integrate(rhs, w0.ravel(), s_start, s_end, rtol, atol, offsets, emit)
-    return np.exp(-1j * s_end * d)[:, None] * end.reshape(dim, width)
+    end, step = integrate(rhs, w0.ravel(), s_start, s_end, rtol, atol, offsets, emit, first_step)
+    return np.exp(-1j * s_end * d)[:, None] * end.reshape(dim, width), step
 
 
 def _period_cost(dim: int, width: int, samples: int = 1) -> int:
@@ -156,36 +159,49 @@ def _period_cost(dim: int, width: int, samples: int = 1) -> int:
     return (580 + 7 * (samples - 1)) * (EVOLVE_CALL_OVERHEAD + (width + 1) * dim)
 
 
-def _propagator_pays(parts: HamiltonianParts, final: int, samples_per_period: int) -> bool:
-    """Whether building S, taking d products S @ psi per window, and
-    integrating windows 0..final side by side in blocks of FLOQUET_CHUNK // 2
-    costs less than integrating them one after the other as a vector.  With
-    one sample per period the S route integrates nothing, and the vector
-    route needs no integration in the last window, whose only sample is its
-    start.
+def _sampled_windows(last: int, samples_per_period: int) -> int:
+    """How many Bloch-period windows hold a grid sample after their start,
+    with samples 0..last on the grid of samples_per_period per period: the
+    windows that need integrating, all but the last when it holds only its
+    start."""
+    return -(-last // samples_per_period) if samples_per_period > 1 else 0
 
-    S integrates its column chunks over T_B/(2d) in about 1.3 times the
-    calls of that fraction of a period (74 and 62 calls per chunk at
-    N = L = 5 and 6); its two dense products, 5 to 20% more, are left to the
-    fit.  A product S @ psi costs about dim^2 / 40 state entries' worth
-    (1.0 to 1.6 ns per entry against 44 ns per entry of a call).  Fitted to
-    single timings of both routes on one core: with 32 samples per period
-    the vector route was faster over 15 periods at N = L = 5 and over 150 at
-    N = L = 6, S over 20 and over 200 (the model breaks even at 17 and 195);
-    with one sample per period at N = L = 6, vectors over 120 periods and
-    S over 200 (the model: 131).
+
+def _propagator_pays(parts: HamiltonianParts, last: int, samples_per_period: int) -> bool:
+    """Whether building S, taking d products S @ psi per window, and
+    integrating the windows that hold a sample after their start (see
+    `_sampled_windows`; `last` is the last sample on the grid) side by side
+    in blocks of FLOQUET_CHUNK // 2 costs less than integrating them one
+    after the other as a vector.  With one sample per period the S route
+    integrates nothing, and the vector route integrates every window but
+    the last, whose only sample is its start.
+
+    S integrates its column chunks over T_B/(2d) in about 1.1 times the
+    calls of that fraction of a period: at N = L = 5 and 6 the first chunk,
+    from Hairer's probe step, takes 74 and 62 calls, each later one, from
+    the step the chunk before would take next, 61 and 49 (12 more where
+    that step is rejected), 452 and 1,678 calls in all.  Its two dense
+    products, 5 to 20% more, are left to the fit.  A product S @ psi costs
+    about dim^2 / 40 state entries' worth (1.0 to 1.6 ns per entry against
+    44 ns per entry of a call).  Single timings of both routes on one core,
+    with every chunk of S from the step the one before would take next:
+    with 32 samples per period the vector route was faster over 12 periods
+    at N = L = 5 and over 150 at N = L = 6, S over 17 and over 200 (the
+    model breaks even at 15 and 166); with one sample per period at
+    N = L = 6, vectors over 100 periods and S over 140 (the model: 111).
     """
     dim, order, n = parts.basis_dim, parts.boost_order, samples_per_period
     full, rest = divmod(dim, FLOQUET_CHUNK)
-    propagator = 1.3 / (2 * order) * (full * _period_cost(dim, FLOQUET_CHUNK)
+    propagator = 1.1 / (2 * order) * (full * _period_cost(dim, FLOQUET_CHUNK)
                                       + (rest > 0) * _period_cost(dim, rest))
+    final, windows = last // n, _sampled_windows(last, n)
     products = order * final * dim**2 / 40
     if n == 1:
         return propagator + products < final * _period_cost(dim, 1)
     width = FLOQUET_CHUNK // 2
-    full, rest = divmod(final + 1, width)
+    full, rest = divmod(windows, width)
     blocks = full * _period_cost(dim, width, n) + (rest > 0) * _period_cost(dim, rest, n)
-    return propagator + products + blocks < (final + 1) * _period_cost(dim, 1, n)
+    return propagator + products + blocks < windows * _period_cost(dim, 1, n)
 
 
 def evolve(
@@ -206,17 +222,19 @@ def evolve(
     holds the samples at mT_B + T_B/n * arange(n), the first of them its
     start psi(mT_B).  H(t) has period T_B, so psi(mT_B) = S^(dm) psi0 with
     S = floquet_operator(parts).  Where `_propagator_pays`, every start is
-    built that way and written into its row, S is freed, and then all the
-    windows are integrated side by side over one period, as the columns of
-    blocks of at most FLOQUET_CHUNK // 2 windows (see `_integrate_windows`),
-    so that a block's working set, dense output included, stays below that
-    of a chunk of S.  With one sample per period the starts are all the
-    samples, and nothing is integrated.  S costs dim^2 to build and apply,
-    so it needs more windows as dim grows.
+    built that way and written into its row, S is freed, and then the
+    windows that hold a sample after their start (all but a last one that
+    holds only its start) are integrated side by side over one period, as
+    the columns of blocks of at most FLOQUET_CHUNK // 2 windows (see
+    `_integrate_windows`), so that a block's working set, dense output
+    included, stays below that of a chunk of S.  With one sample per period
+    the starts are all the samples, and nothing is integrated.  S costs
+    dim^2 to build and apply, so it needs more windows as dim grows.
     Otherwise, and when S cannot be built (complex blocks, or a working set
     beyond the physical memory), every window is one vector integration
     from the end of the one before.  Either way the integrator hands each
-    sample straight to its row of the states.
+    sample straight to its row of the states, and every integration but the
+    first starts from the step that the one before would take next.
     """
     if not 0 < t_final < math.inf:
         raise ValueError(f"t_final={t_final} must be positive and finite")
@@ -236,28 +254,29 @@ def evolve(
     final = last // n  # the last window that holds a sample
     s = None
     if (final and _propagator_obstacle(parts) is None
-            and _propagator_pays(parts, final, n)):
+            and _propagator_pays(parts, last, n)):
         # before the states exist, so that S's working set does not add to them
         s = floquet_operator(parts, rtol=rtol, atol=atol)
     states = np.empty((times.size, dim), dtype=complex)
     grid = states[:last + 1]
 
-    def windows(m, starts, s_end):
+    def windows(m, starts, s_end, first_step):
         """Integrate windows m, m + 1, ... from their starts, the columns of
         `starts` (each already its window's first row), to offset s_end."""
         width = starts.shape[1]
         samples = min(n, last + 1 - m * n)  # those of window m
         return _integrate_windows(
             parts, starts, 0.0, s_end, offsets[1:samples],
-            lambda i: grid[m * n + 1 + i:last + 1:n][:width], rtol, atol)
+            lambda i: grid[m * n + 1 + i:last + 1:n][:width], rtol, atol, first_step)
 
+    carried = None  # the step that the last integration would take next
     if s is None:
         state = psi0[:, None]
         for m in range(final + 1):
             grid[m * n] = state[:, 0]
             s_end = tb if m < final else offsets[last - m * n]
             if s_end > 0:
-                state = windows(m, state, s_end)
+                state, carried = windows(m, state, s_end, carried)
     else:
         state = grid[0] = psi0
         for m in range(1, final + 1):
@@ -266,14 +285,14 @@ def evolve(
             grid[m * n] = state
         s = None
         width = FLOQUET_CHUNK // 2
-        for m in range(0, final + 1, width):
+        for m in range(0, _sampled_windows(last, n), width):
             samples = min(n, last + 1 - m * n)
-            if samples > 1:
-                windows(m, grid[m * n:last + 1:n][:width].T, offsets[samples - 1])
+            _, carried = windows(m, grid[m * n:last:n][:width].T, offsets[samples - 1], carried)
 
     if times.size > last + 1:
-        states[-1] = _integrate_windows(parts, grid[-1][:, None], offsets[last % n],
-                                        t_final - final * tb, None, None, rtol, atol)[:, 0]
+        end, _ = _integrate_windows(parts, grid[-1][:, None], offsets[last % n],
+                                    t_final - final * tb, None, None, rtol, atol, carried)
+        states[-1] = end[:, 0]
     drift = abs(np.linalg.norm(states[-1]) - np.linalg.norm(psi0))
     return EvolutionResult(times=times, states=states, norm_drift=float(drift))
 
@@ -326,13 +345,15 @@ def floquet_operator(
     raises it by one), raise ValueError.
 
     Memory: the columns of W are independent, so they are integrated
-    FLOQUET_CHUNK at a time, each chunk from the matching columns of the
-    identity with its own adaptive steps and the same rtol and atol, into
-    one preallocated dim x dim array; the stepper keeps only the chunk's end
-    state, and its stages are freed when it returns.  ValueError is
-    raised before any integration when the estimated working set exceeds
-    the physical memory.  The defect d max|S^dag S - 1| is checked against
-    UNITARITY_DEFECT_BUDGET; a failure suggests tightening the tolerances.
+    FLOQUET_CHUNK at a time by `_integrate_windows`, each chunk from the
+    matching columns of the identity with its own adaptive steps, the first
+    of them the step that the chunk before would take next, and the same
+    rtol and atol, into one preallocated dim x dim array; the stepper keeps
+    only the chunk's end state, and its stages are freed when it returns.
+    ValueError is raised before any integration when the estimated working
+    set exceeds the physical memory.  The defect d max|S^dag S - 1| is
+    checked against UNITARITY_DEFECT_BUDGET; a failure suggests tightening
+    the tolerances.
     """
     dim = parts.basis_dim
     problem = _propagator_obstacle(parts)
@@ -341,17 +362,11 @@ def floquet_operator(
     order, charge = parts.boost_order, parts.boost_charge
     half = 0.5 * parts.t_bloch / order
     y = np.empty((dim, dim), dtype=complex)
+    step = None
     for start in range(0, dim, FLOQUET_CHUNK):
-        width = min(FLOQUET_CHUNK, dim - start)
-
-        def rhs(t, w, width=width):
-            return (-1j * parts.apply(t, w.reshape(dim, width))).ravel()
-
-        w0 = np.zeros((dim, width), dtype=complex)
-        w0[start:start + width] = np.eye(width)
-        y[:, start:start + width] = integrate(rhs, w0.ravel(), 0.0, half,
-                                              rtol, atol).reshape(dim, width)
-    y *= np.exp(-1j * half * parts.frame)[:, None]
+        eye = np.eye(dim, min(FLOQUET_CHUNK, dim - start), -start, dtype=complex)
+        y[:, start:start + eye.shape[1]], step = _integrate_windows(
+            parts, eye, 0.0, half, None, None, rtol, atol, step)
     s = y.T @ (np.exp(-2j * math.pi * charge / order)[:, None] * y)
     del y  # the unitarity check then holds only S and S^dag S
     gram = s.conj().T @ s

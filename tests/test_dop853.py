@@ -4,15 +4,18 @@ The stepper is meant to take scipy's steps exactly, so every case asks for
 the same number of right-hand side calls and the same states to round-off:
 a chunk of columns of the propagator, one Bloch-period window of a vector
 and a block of windows side by side, each sampled on its offsets through
-`emit`, and a nonlinear scalar problem on which scipy rejects steps.  A
-solution that blows up must fail in both.
+`emit`, a chunk and a window that start from a carried first step, and a
+nonlinear scalar problem on which scipy rejects steps.  A solution that
+blows up must fail in both.  The working set of one call is counted in
+arrays of the state's size.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
 
 import starkband as sb
@@ -30,16 +33,17 @@ def _counted(fun):
     return counted, calls
 
 
-def _both(fun, y0, t0, t1, t_eval, rtol, atol):
+def _both(fun, y0, t0, t1, t_eval, rtol, atol, first_step=None):
     """scipy's solution, then dop853's end state, its number of calls and
     the samples it emitted, one column per time of t_eval (each emitted
-    once, in order)."""
-    sol = solve_ivp(fun, (t0, t1), y0, method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol)
+    once, in order); both start from `first_step` when it is given."""
+    sol = solve_ivp(fun, (t0, t1), y0, method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol,
+                    first_step=first_step)
     assert sol.success, sol.message
     counted, calls = _counted(fun)
     emitted = []
-    end = dop853.integrate(counted, y0, t0, t1, rtol, atol, t_eval,
-                           lambda i, y: emitted.append((i, y.copy())))
+    end, _ = dop853.integrate(counted, y0, t0, t1, rtol, atol, t_eval,
+                              lambda i, y: emitted.append((i, y.copy())), first_step)
     assert [i for i, _ in emitted] == list(range(0 if t_eval is None else len(t_eval)))
     samples = np.array([y for _, y in emitted]).T
     return sol, end, len(calls), samples
@@ -115,6 +119,81 @@ def test_block_of_windows_matches_scipy():
     assert samples.shape == sol.y.shape == (dim * width, offsets.size)
     assert np.abs(samples - sol.y).max() <= 1e-13
     assert np.abs(end - sol.y[:, -1]).max() <= 1e-13
+
+
+def test_carried_step_on_a_chunk_matches_scipy():
+    # floquet_operator's later chunks start from the step that the chunk
+    # before would take next: here the last 64 columns at N = L = 4 from
+    # the first 64's, which is scipy's next step to the round-off of the
+    # error estimate on the clipped last step
+    _, parts = _preset_parts(4)
+    dim, width = parts.basis_dim, FLOQUET_CHUNK
+    half = 0.5 * parts.t_bloch / parts.boost_order
+    rhs = _block_rhs(parts, width)
+    first = np.eye(dim, width, dtype=complex).ravel()
+    _, step = dop853.integrate(rhs, first, 0.0, half, DEFAULT_RTOL, DEFAULT_ATOL)
+    solver = DOP853(rhs, 0.0, first, half, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
+    while solver.status == "running":
+        solver.step()
+    assert step == pytest.approx(solver.h_abs, rel=1e-6)
+    w0 = np.eye(dim, width, width - dim, dtype=complex).ravel()
+    sol, end, calls, _ = _both(rhs, w0, 0.0, half, None, DEFAULT_RTOL, DEFAULT_ATOL, step)
+    assert calls == sol.nfev
+    assert np.abs(end - sol.y[:, -1]).max() <= 1e-13
+
+
+def test_carried_step_on_a_window_matches_scipy():
+    # evolve's vector windows each start from the step that the window
+    # before would take next: window 1 at N = L = 3, sampled at its 32
+    # offsets and at its end
+    sector, parts = _preset_parts(3)
+    rhs = _block_rhs(parts, 1)
+    tb = parts.t_bloch
+    psi0 = sb.project_initial_state("unit-filling-lower", sector)
+    start, step = dop853.integrate(rhs, psi0, 0.0, tb, DEFAULT_RTOL, DEFAULT_ATOL)
+    times = np.append(tb / 32 * np.arange(32), tb)
+    sol, end, calls, states = _both(rhs, start, 0.0, tb, times, DEFAULT_RTOL, DEFAULT_ATOL, step)
+    assert calls == sol.nfev
+    assert np.abs(states - sol.y).max() <= 1e-13
+    assert np.abs(end - sol.y[:, -1]).max() <= 1e-13
+
+
+def _peak_in_states(size, run):
+    """tracemalloc's peak during run(), in complex arrays of `size` entries."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / (16 * size)
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_of_a_chunk_and_of_a_sampled_block(preset_runs):
+    # at the preset (dim 402), in arrays of the state's size: a 64-column
+    # chunk without samples holds its 13 stages, y, y_new and one work row,
+    # the three real vectors of the error scale and the two temporaries of
+    # a right-hand side call (18.5 measured; 23.0 if the stage sums, the
+    # step and the error estimates make temporaries); a 32-column block
+    # sampled at 31 offsets adds three dense-output stages and seven rows of
+    # the polynomial (29.5 measured)
+    parts = preset_runs.parts(0.2)
+    dim, tb = parts.basis_dim, parts.t_bloch
+    chunk = np.eye(dim, FLOQUET_CHUNK, dtype=complex).ravel()
+    half = 0.5 * tb / parts.boost_order
+    assert _peak_in_states(chunk.size, lambda: dop853.integrate(
+        _block_rhs(parts, FLOQUET_CHUNK), chunk, 0.0, half, DEFAULT_RTOL, DEFAULT_ATOL)) <= 21
+    width = FLOQUET_CHUNK // 2
+    rng = np.random.default_rng(3)
+    block = (rng.normal(size=(dim, width)) + 1j * rng.normal(size=(dim, width))).ravel()
+    offsets = tb / 32 * np.arange(1, 32)
+    samples = np.empty((offsets.size, block.size), dtype=complex)
+
+    def run():
+        dop853.integrate(_block_rhs(parts, width), block, 0.0, offsets[-1], DEFAULT_RTOL,
+                         DEFAULT_ATOL, offsets, samples.__setitem__)
+
+    assert _peak_in_states(block.size, run) <= 31.5
+    assert np.isfinite(samples).all()
 
 
 def test_rejected_steps_match_scipy():

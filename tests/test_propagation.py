@@ -209,9 +209,10 @@ def test_evolve_windows_match_lab_frame(n, l, per_period, span_tb, route, monkey
 
 def test_evolve_integrates_one_period_per_block(monkeypatch):
     # N = L = 4 at 32 samples per period takes the propagator route; 10 and
-    # 30 periods (11 and 31 windows) each fit one block of FLOQUET_CHUNK // 2
-    # = 32 windows, so both integrate one period, in about the same number
-    # of right-hand side calls (S is built once, outside the count)
+    # 30 periods integrate windows 0..9 and 0..29 (window 10 or 30 holds
+    # only its start), each one block of at most FLOQUET_CHUNK // 2 = 32
+    # columns, so both integrate one period, in about the same number of
+    # right-hand side calls (S is built once, outside the count)
     parts = _parts_for(4, 4)
     s = sb.floquet_operator(parts)
     built, calls = [], []
@@ -225,9 +226,38 @@ def test_evolve_integrates_one_period_per_block(monkeypatch):
         calls.clear()
         sb.evolve(psi, parts, periods * parts.t_bloch, samples_per_period=32)
         counts[periods] = len(calls)
-        assert set(calls) == {(parts.basis_dim, periods + 1)}
+        assert set(calls) == {(parts.basis_dim, periods)}
     assert built == [1, 1]
     assert abs(counts[30] - counts[10]) <= 0.1 * counts[10]
+
+
+def test_evolve_work_at_the_preset(preset_runs, monkeypatch):
+    # deterministic work counters at 50 periods and 32 samples per period:
+    # S's 7 chunks of columns (six of 64, one of 18) take 452 right-hand
+    # side calls, each chunk after the first from the step the one before
+    # would take next (518 with every chunk from Hairer's probe); then
+    # windows 0..49 run as blocks of 32 and 18 columns (window 50 holds
+    # only its start), 1,769 calls in all
+    parts = preset_runs.parts(0.2)
+    widths, built = [], []
+    apply = sb.HamiltonianParts.apply
+    floquet_operator = propagation.floquet_operator
+
+    def counted(*args, **kw):
+        s = floquet_operator(*args, **kw)
+        built.append(len(widths))
+        return s
+
+    monkeypatch.setattr(sb.HamiltonianParts, "apply",
+                        lambda self, t, y: widths.append(y.shape[1]) or apply(self, t, y))
+    monkeypatch.setattr(propagation, "floquet_operator", counted)
+    sb.evolve(preset_runs.psi0, parts, 50 * parts.t_bloch, samples_per_period=32)
+    assert len(built) == 1
+    propagator, blocks = widths[:built[0]], widths[built[0]:]
+    assert len(propagator) <= 460
+    assert len(widths) <= 1790
+    assert list(dict.fromkeys(propagator)) == [64, 18]
+    assert list(dict.fromkeys(blocks)) == [32, 18]
 
 
 def test_evolve_integrates_vectors_where_the_propagator_cannot_be_built(small_system,
@@ -257,24 +287,24 @@ def _break_even(dim, order, samples_per_period):
     evolve builds S; None below 10,000."""
     stand_in = SimpleNamespace(basis_dim=dim, boost_order=order)
     return next((final for final in range(1, 10_000)
-                 if propagation._propagator_pays(stand_in, final, samples_per_period)), None)
+                 if propagation._propagator_pays(stand_in, final * samples_per_period,
+                                                 samples_per_period)), None)
 
 
 def test_propagator_pays_beyond_a_break_even_that_grows_with_dim():
-    # 32 samples per period; the model breaks even at 2 periods at dim 86,
-    # 17 at the preset (dim 402) and 195 at N = L = 6 (dim 2076).  Single
+    # 32 samples per period; the model breaks even at 3 periods at dim 86,
+    # 15 at the preset (dim 402) and 166 at N = L = 6 (dim 2076).  Single
     # timings of both routes on one core: at the preset the vector route
-    # took 0.55 s against 0.61 s over 15 periods, and 0.70 s against 0.60 s
-    # over 20; at N = L = 6, 24.7 s against 31.1 s over 150 periods, 35.3 s
-    # against 34.4 s over 200 and 45.2 s against 40.4 s over 250
+    # took 0.29 s against 0.50 s over 12 periods, and 0.86 s against 0.69 s
+    # over 17; at N = L = 6, 22.3 s against 25.2 s over 150 periods and
+    # 35.0 s against 28.4 s over 200
     assert _break_even(86, 4, 32) <= 3
-    assert 15 < _break_even(402, 5, 32) <= 20
+    assert 12 < _break_even(402, 5, 32) <= 17
     assert 150 < _break_even(2076, 6, 32) <= 200
     # one sample per period at N = L = 6, where S integrates nothing: the
-    # model gives 131; vectors took 15.5 s against 16.3 s over 120 periods
-    # and 28.5 s against 19.8 s over 200 (with scipy's stepper, 17.7 s
-    # against 20.1 s and 30.8 s against 22.0 s: about 137)
-    assert 120 < _break_even(2076, 6, 1) < 200
+    # model gives 111; vectors took 11.0 s against 14.5 s over 100 periods
+    # and 17.7 s against 13.3 s over 140
+    assert 100 < _break_even(2076, 6, 1) <= 140
 
 
 # (N, L) with boost order d = gcd(N, L) = 1, 2, 3, 4
@@ -415,11 +445,12 @@ def test_floquet_operator_memory_is_a_few_copies_of_u(preset_runs):
 
 def test_evolve_memory_is_the_propagator_and_the_samples(preset_runs):
     # 50 periods at 32 samples per period: S is built before the 1,601
-    # samples exist, and freed before the two blocks of windows (32 and 19)
+    # samples exist, and freed before the two blocks of windows (32 and 18)
     # integrate, writing each sample straight into its row.  The peak is
     # the samples plus one 32-column block's working set: DOP853's 16
-    # stages, the dense output's 7 polynomial terms and their temporaries
-    # (tracemalloc measured 16.4 MiB, the samples plus 34 such arrays)
+    # stages, its 3 work rows, the dense output's 7 polynomial rows and the
+    # temporaries of a right-hand side call (tracemalloc measured 16.0 MiB,
+    # the samples plus 32 such arrays)
     parts = preset_runs.parts(0.2)
     tb = parts.t_bloch
     tracemalloc.start()
