@@ -23,7 +23,6 @@ from .fock import (
     enumerate_fock,
     full_dimension,
     project_initial_state,
-    state_rank,
     translate,
 )
 from .hamiltonian import (

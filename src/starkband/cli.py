@@ -35,6 +35,7 @@ from .propagation import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     NumericalError,
+    _physical_memory,
     diagonalize_floquet,
     evolve,
     floquet_operator,
@@ -44,6 +45,11 @@ from .propagation import (
 
 DEFAULT_SAMPLE_PER_TB = 32
 DEFAULT_G_GRID = "0.05,0.1,0.15,0.2"
+# Bytes a trace holds per sample beside its states, by tracemalloc: six float64
+# arrays (45 per period of revival-report measured), and per value of a CSV line
+# its text, joined and encoded (186 per 3-value line of a stroboscopic evolve).
+TRACE_BYTES_PER_SAMPLE = 48
+CSV_BYTES_PER_VALUE = 50
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,16 @@ def _whole_periods(t_final_tb: float | None) -> int | None:
     return None if t_final_tb is None else int(t_final_tb)
 
 
+def _check_trace_memory(samples: int, state_bytes: int = 0, columns: int = 0):
+    """Reject, before it is allocated, a trace of `samples` samples, each with
+    `state_bytes` of states and a CSV line of `columns` values, beyond physical memory."""
+    need = samples * (state_bytes + TRACE_BYTES_PER_SAMPLE + CSV_BYTES_PER_VALUE * columns)
+    have = _physical_memory()
+    if need > have:
+        raise ValueError(f"a trace of {samples:,} samples needs about {need / 2**20:,.1f} MiB, "
+                         f"more than the {have / 2**20:,.1f} MiB of physical memory")
+
+
 def _dump_matrix(parts, path):
     """Coordinate-format dump of H(0), one `row,col,re,im` line per entry."""
     h = (parts.h_static + parts.h_hop + parts.h_hop_dag).tocoo()
@@ -160,10 +176,10 @@ def _dump_matrix(parts, path):
     _emit("\n".join(lines) + "\n", path)
 
 
-def _trace_csv(trace, t_bloch, header_comment) -> str:
-    lines = [f"# {header_comment}", "t,t_over_TB,Nb"]
-    for t, v in zip(trace.times, trace.values):
-        lines.append(f"{_fmt(t)},{_fmt(t / t_bloch)},{_fmt(v)}")
+def _csv(comment: str, columns: str, rows) -> str:
+    """A `# comment` line, the column names and one line of `_fmt`-ed values
+    per row."""
+    lines = [f"# {comment}", columns, *(",".join(map(_fmt, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -200,6 +216,11 @@ def cmd_evolve(args) -> int:
     n_periods = _whole_periods(args.t_final_tb) if args.mode == "stroboscopic" else None
     sector, parts, psi0 = _build_sector_and_parts(cfg)
     tb = parts.t_bloch
+    if n_periods is None:
+        _check_trace_memory(math.floor(args.t_final_tb * args.sample_per_tb) + 2,
+                            16 * parts.basis_dim, columns=3)
+    else:
+        _check_trace_memory(n_periods + 1, columns=3)
     if args.dump_matrix:
         _dump_matrix(parts, args.dump_matrix)
     if args.mode == "stroboscopic":
@@ -210,7 +231,8 @@ def cmd_evolve(args) -> int:
         trace = occupation_series(result, sector)
     header = cfg.fingerprint(mode=args.mode, t_final_tb=args.t_final_tb,
                              sample_per_tb=args.sample_per_tb)
-    _emit(_trace_csv(trace, tb, header), args.out)
+    _emit(_csv(header, "t,t_over_TB,Nb", zip(trace.times, trace.times / tb, trace.values)),
+          args.out)
     return 0
 
 
@@ -220,15 +242,12 @@ def cmd_floquet_spectrum(args) -> int:
     if args.dump_matrix:
         _dump_matrix(parts, args.dump_matrix)
     spectrum = _spectrum(cfg, parts, psi0)
-    lines = [f"# {cfg.fingerprint(unitarity_defect=spectrum.unitarity_defect)}", "eps_n,abs_cn"]
-    for eps, c in zip(spectrum.quasi_energies, np.abs(spectrum.coefficients)):
-        lines.append(f"{_fmt(eps)},{_fmt(c)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv(cfg.fingerprint(unitarity_defect=spectrum.unitarity_defect), "eps_n,abs_cn",
+               zip(spectrum.quasi_energies, np.abs(spectrum.coefficients))), args.out)
     return 0
 
 
 def _revival_record(cfg: RunConfig, n_periods: int | None, prominence: float) -> dict:
-    sector, parts, psi0 = _build_sector_and_parts(cfg)
     try:
         eq9 = revival_estimate_universal(cfg.params)
     except ValueError:
@@ -236,7 +255,9 @@ def _revival_record(cfg: RunConfig, n_periods: int | None, prominence: float) ->
     if n_periods is None:
         if eq9 is None:
             raise ValueError("priors give no revival estimate; set --t-final-tb explicitly")
-        n_periods = int(math.ceil(1.6 * eq9 / parts.t_bloch))
+        n_periods = int(math.ceil(1.6 * eq9 / cfg.params.t_bloch))
+    _check_trace_memory(n_periods + 1)
+    sector, parts, psi0 = _build_sector_and_parts(cfg)
     spectrum, trace = _stroboscopic_trace(cfg, sector, parts, psi0, n_periods)
     record = analysis.build_revival_report(trace, spectrum, eq9, revival_prominence=prominence)
     record["fingerprint"] = cfg.fingerprint(t_final_tb=n_periods)
@@ -256,16 +277,13 @@ def cmd_sweep_g(args) -> int:
     if not g_values:
         raise ValueError("empty --g-grid")
     n = _whole_periods(args.t_final_tb)
-    lines = [f"# {cfg.fingerprint(g_grid=args.g_grid)}",
-             "g,inv_g,t_coll,t_rev,t_rev_eq9,t_rev_eq10"]
+    rows = []
     for g in g_values:
         rec = _revival_record(replace(cfg, params=replace(cfg.params, g=g)), n, args.prominence)
-        lines.append(",".join([
-            _fmt(g), _fmt(1.0 / g if g else None),
-            _fmt(rec["t_coll_measured"]), _fmt(rec["t_rev_measured"]),
-            _fmt(rec["t_rev_universal"]), _fmt(rec["t_rev_spectral"]),
-        ]))
-    _emit("\n".join(lines) + "\n", args.out)
+        rows.append((g, 1.0 / g if g else None, rec["t_coll_measured"], rec["t_rev_measured"],
+                     rec["t_rev_universal"], rec["t_rev_spectral"]))
+    _emit(_csv(cfg.fingerprint(g_grid=args.g_grid), "g,inv_g,t_coll,t_rev,t_rev_eq9,t_rev_eq10",
+               rows), args.out)
     return 0
 
 
@@ -276,8 +294,10 @@ def cmd_single_particle(args) -> int:
         raise ValueError(f"--t-final-tb {args.t_final_tb} is not a whole number of samples "
                          f"at --sample-per-tb {args.sample_per_tb}")
     params = cfg.params
-    h = build_single_particle_transformed(params, args.window)
     n_sites = 2 * args.window + 1
+    # the phases, their product with the amplitudes and psi(t): 2 n_sites each
+    _check_trace_memory(round(n_samples) + 1, 3 * 16 * 2 * n_sites, columns=4)
+    h = build_single_particle_transformed(params, args.window)
     energies, vectors = np.linalg.eigh(h)
     psi0 = np.zeros(2 * n_sites)
     psi0[args.window] = 1.0  # central lower-band site
@@ -297,11 +317,8 @@ def cmd_single_particle(args) -> int:
         kind = "rabi"
     header = cfg.fingerprint(window=args.window, prediction=kind,
                              t_final_tb=args.t_final_tb, sample_per_tb=args.sample_per_tb)
-    lines = [f"# {header}",
-             "t,t_over_TB,Nb,Nb_predicted"]
-    for t, v, pv in zip(times, nb, predicted):
-        lines.append(f"{_fmt(t)},{_fmt(t / tb)},{_fmt(v)},{_fmt(pv)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(_csv(header, "t,t_over_TB,Nb,Nb_predicted", zip(times, times / tb, nb, predicted)),
+          args.out)
     return 0
 
 

@@ -3,8 +3,9 @@ translation-symmetric kappa = 0 sector built from its orbits.
 
 States are occupation tuples |n_1^a .. n_L^a ; n_1^b .. n_L^b>.  The full
 basis is enumerated in a fixed order (leading mode occupation descending),
-and that order coincides with the combinatorial ranking used for O(L)
-state lookup, so no search tables are ever scanned.
+which fixes the order of the orbit representatives and so of the sector
+basis.  One dict from every full-basis state to its representative's index
+is the sector's only lookup.
 
 On a ring the simultaneous cyclic shift of both bands commutes with the
 gauge-transformed Hamiltonian; grouping the basis into translation orbits
@@ -14,7 +15,6 @@ dimension by a factor of order L.
 
 import math
 from dataclasses import dataclass
-from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "SymmetrySector",
     "full_dimension",
     "enumerate_fock",
-    "state_rank",
     "translate",
     "ring_hops",
     "build_k0_sector",
@@ -65,7 +64,7 @@ def full_dimension(n_particles: int, n_sites: int) -> int:
         raise ValueError(f"particle number must be non-negative, got {n_particles}")
     if n_sites < 1:
         raise ValueError(f"need at least one site, got {n_sites}")
-    return comb(n_particles + 2 * n_sites - 1, n_particles)
+    return math.comb(n_particles + 2 * n_sites - 1, n_particles)
 
 
 def _compositions(total, modes):
@@ -80,7 +79,7 @@ def _compositions(total, modes):
 
 
 def enumerate_fock(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP):
-    """Complete, duplicate-free list of FockStates in ranking order."""
+    """Complete, duplicate-free list of FockStates, leading occupation descending."""
     dim = full_dimension(n_particles, n_sites)
     if dim > dimension_cap:
         raise ValueError(
@@ -88,24 +87,6 @@ def enumerate_fock(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP):
         )
     L = n_sites
     return [FockState(t[:L], t[L:]) for t in _compositions(n_particles, 2 * n_sites)]
-
-
-def state_rank(state: FockState) -> int:
-    """Position of `state` in the enumerate_fock ordering, in O(L) time.
-
-    Combinatorial number system: modes are filled left to right, and for each
-    mode all states with a larger occupation at that mode come earlier.
-    """
-    occ = state.lower + state.upper
-    m = len(occ)
-    rem = sum(occ)
-    rank = 0
-    for j, v in enumerate(occ[:-1]):
-        if v < rem:
-            # count states whose occupation at mode j exceeds v
-            rank += comb(rem - v + (m - j) - 2, rem - v - 1)
-        rem -= v
-    return rank
 
 
 def translate(state: FockState) -> FockState:
@@ -135,15 +116,15 @@ class SymmetrySector:
     """The kappa = 0 translation-symmetric basis.
 
     Each basis vector is the equal-amplitude, normalized sum over one
-    translation orbit.  `rep_of_rank` maps the rank of any full-basis state
-    to the index of its orbit's representative.
+    translation orbit.  `index` maps every state of the full basis to the
+    index of its orbit's representative, so it holds the whole basis.
     """
 
     n_particles: int
     n_sites: int
     representatives: tuple
     orbit_sizes: np.ndarray
-    rep_of_rank: np.ndarray
+    index: dict  # FockState -> representative index, for every full-basis state
     upper_fractions: np.ndarray  # per representative: sum(upper) / N
 
     @property
@@ -152,11 +133,12 @@ class SymmetrySector:
 
     @property
     def full_dim(self) -> int:
-        return len(self.rep_of_rank)
+        return len(self.index)
 
     def lookup(self, state: FockState) -> int:
-        """Representative index of any same-(N, L) Fock state."""
-        return int(self.rep_of_rank[state_rank(state)])
+        """Representative index of any same-(N, L) Fock state: one dict
+        lookup, KeyError for a state outside the full basis."""
+        return self.index[state]
 
     def matrix(self, rule, columns=None) -> sparse.csr_matrix:
         """An operator in sector coordinates, from `rule(rep)`: the (target
@@ -167,11 +149,11 @@ class SymmetrySector:
         Duplicate (i, j) entries are summed, and CSR conversion sorts the
         indices.  Only the `columns` given (all by default) are visited.
         """
-        sizes = self.orbit_sizes
+        sizes, index = self.orbit_sizes, self.index
         rows, cols, vals = [], [], []
         for j in range(self.dim) if columns is None else columns:
             for target, amp in rule(self.representatives[j]):
-                i = self.lookup(target)
+                i = index[target]
                 rows.append(i)
                 cols.append(j)
                 vals.append(amp * math.sqrt(sizes[j] / sizes[i]))
@@ -188,20 +170,18 @@ def build_k0_sector(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP) -
     representatives are listed in order of first encounter during the full
     enumeration, which makes the basis deterministic.
     """
-    basis = enumerate_fock(n_particles, n_sites, dimension_cap)
-    rep_of_rank = np.full(len(basis), -1, dtype=np.int64)
+    index = {}
     reps = []
     sizes = []
-    for idx, state in enumerate(basis):
-        if rep_of_rank[idx] >= 0:
+    for state in enumerate_fock(n_particles, n_sites, dimension_cap):
+        if state in index:
             continue
         orbit = [state]
         s = translate(state)
         while s != state:
             orbit.append(s)
             s = translate(s)
-        for member in orbit:
-            rep_of_rank[state_rank(member)] = len(reps)
+        index.update(dict.fromkeys(orbit, len(reps)))
         reps.append(min(orbit))
         sizes.append(len(orbit))
 
@@ -212,7 +192,7 @@ def build_k0_sector(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP) -
         n_sites=n_sites,
         representatives=tuple(reps),
         orbit_sizes=np.asarray(sizes, dtype=np.int64),
-        rep_of_rank=rep_of_rank,
+        index=index,
         upper_fractions=fractions,
     )
 

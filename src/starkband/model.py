@@ -247,13 +247,15 @@ def revival_estimate_universal(params: ModelParams) -> float:
     """System-size-independent revival time 4*pi / (g W_x J0^2(x_a) J0^2(x_b)).
 
     Exact 1/g scaling by construction.  Without interactions (g*w_x = 0) the
-    oscillation never collapses, so no revival time exists.
+    oscillation never collapses, so no revival time exists, nor past a float.
     """
     if params.g * params.w_x == 0.0:
         raise ValueError("no revival without interactions: g*w_x must be positive")
-    j0a = bessel_j(0, params.x_a)
-    j0b = bessel_j(0, params.x_b)
-    return 4.0 * math.pi / (params.g * params.w_x * j0a**2 * j0b**2)
+    rate = params.g * params.w_x * bessel_j(0, params.x_a) ** 2 * bessel_j(0, params.x_b) ** 2
+    t_rev = 4.0 * math.pi / rate if rate else math.inf
+    if not math.isfinite(t_rev):
+        raise ValueError(f"the revival time 4 pi / {rate:.3g} overflows a float")
+    return t_rev
 
 
 def collapse_from_revival(t_rev: float, delta_n: float) -> float:

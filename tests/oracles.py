@@ -6,20 +6,22 @@ import math
 import numpy as np
 import scipy.sparse as sparse
 
-from starkband.fock import FockState, state_rank, translate
+from starkband.fock import FockState, enumerate_fock, translate
 from starkband.hamiltonian import TermMask, _diagonal_energy, _onsite_offdiagonal
 
 
 def expand(sector, coords) -> np.ndarray:
-    """Embed sector coordinates as a full-Fock-basis vector."""
+    """Embed sector coordinates as a full-Fock-basis vector, in the order of
+    enumerate_fock."""
     coords = np.asarray(coords)
-    full = np.zeros(sector.full_dim, dtype=complex)
+    index = {s: i for i, s in enumerate(enumerate_fock(sector.n_particles, sector.n_sites))}
+    full = np.zeros(len(index), dtype=complex)
     for i, rep in enumerate(sector.representatives):
         size = int(sector.orbit_sizes[i])
         amp = coords[i] / np.sqrt(size)
         s = rep
         for _ in range(size):
-            full[state_rank(s)] += amp
+            full[index[s]] += amp
             s = translate(s)
     return full
 
@@ -49,9 +51,9 @@ def build_static_tilted(params, basis, mask: TermMask = TermMask()):
     Sites are numbered 1..L, so the single-particle diagonal is
     +-delta/2 + l*F.
     """
+    index = {s: i for i, s in enumerate(basis)}
     rows, cols, vals = [], [], []
-    for state in basis:
-        j = state_rank(state)
+    for j, state in enumerate(basis):
         diag = _diagonal_energy(state.lower, state.upper, params, mask)
         diag += params.force * sum(l * (na + nb) for l, (na, nb)
                                    in enumerate(zip(state.lower, state.upper), start=1))
@@ -60,12 +62,12 @@ def build_static_tilted(params, basis, mask: TermMask = TermMask()):
             cols.append(j)
             vals.append(diag)
         for target, amp in _onsite_offdiagonal(state, params, mask):
-            rows.append(state_rank(target))
+            rows.append(index[target])
             cols.append(j)
             vals.append(amp)
         # forward hops plus their conjugates, no phases
         for target, amp in _open_chain_hops(state, params, mask):
-            i = state_rank(target)
+            i = index[target]
             rows.extend((i, j))
             cols.extend((j, i))
             vals.extend((amp, amp))

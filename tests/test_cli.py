@@ -137,13 +137,34 @@ def test_nonpositive_sampling_exits_2(capsys, argv):
     (["sweep-g", "--prominence", "inf"], "--prominence must be non-negative and finite"),
     (["single-particle", "--t-final-tb", "2", "--order", "0"], "--order must be positive"),
     (["single-particle", "--t-final-tb", "2", "--order", "-2"], "--order must be positive"),
+    (["evolve", "--t-final-tb", "2", "--initial", "bogus"], "is neither a known descriptor"),
+    (["sweep-g", "--g-grid", ","], "empty --g-grid"),
+    (["revival-report", "--g", "0"], "priors give no revival estimate"),
+    (["sweep-g", "--g-grid", "1e-320"], "priors give no revival estimate"),
 ], ids=["prominence-nan", "prominence-negative", "sweep-prominence-inf", "order-zero",
-        "order-negative"])
+        "order-negative", "initial-bogus", "g-grid-empty", "revival-without-estimate",
+        "sweep-estimate-overflows"])
 def test_meaningless_flag_values_exit_2(capsys, argv, message):
-    # each of these used to print a result that means nothing, and exit 0
+    # the first five used to print a result that means nothing, and exit 0;
+    # the last, whose default span is infinite, used to die with OverflowError
     size = [] if argv[0] == "single-particle" else ["--n", "1", "--l", "2"]
     assert main(argv + ["--preset", "v0_4", *size]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve"],
+    ["evolve", "--mode", "stroboscopic"],
+    ["revival-report"],
+    ["sweep-g", "--g-grid", "0.2"],
+    ["single-particle"],
+], ids=["evolve", "stroboscopic", "revival-report", "sweep-g", "single-particle"])
+def test_span_too_long_to_hold_exits_2(capsys, argv):
+    # 1e15 periods need petabytes: rejected before anything of that size is
+    # allocated, where numpy used to fail with a MemoryError traceback
+    size = [] if argv[0] == "single-particle" else ["--n", "2", "--l", "2"]
+    assert main(argv + ["--preset", "v0_4", *size, "--t-final-tb", "1e15"]) == 2
+    assert "physical memory" in capsys.readouterr().err
 
 
 _MANY_BODY_FLAGS = {"--preset", "--params", "--force", "--g", "--n", "--l", "--terms",

@@ -1,4 +1,4 @@
-"""Fock enumeration, combinatorial ranking, translation orbits, kappa=0 sector."""
+"""Fock enumeration, translation orbits, the kappa=0 sector and its state index."""
 
 import math
 from math import comb
@@ -41,12 +41,6 @@ def test_enumerate_complete_ordered():
 def test_enumerate_dimension_cap():
     with pytest.raises(ValueError):
         sb.enumerate_fock(5, 5, dimension_cap=2001)
-
-
-@pytest.mark.parametrize("n,l", [(1, 1), (2, 2), (3, 2), (4, 3)])
-def test_rank_matches_enumeration(n, l):
-    for idx, state in enumerate(sb.enumerate_fock(n, l)):
-        assert sb.state_rank(state) == idx
 
 
 def test_translate():
@@ -155,8 +149,8 @@ def test_project_explicit_state():
     basis = sb.enumerate_fock(1, 2)
     expected = {FockState((1, 0), (0, 0)): 1 / math.sqrt(2),
                 FockState((0, 1), (0, 0)): 1 / math.sqrt(2)}
-    for state in basis:
-        assert full[sb.state_rank(state)] == pytest.approx(expected.get(state, 0.0), abs=1e-14)
+    for state, amp in zip(basis, full):
+        assert amp == pytest.approx(expected.get(state, 0.0), abs=1e-14)
 
 
 def test_project_explicit_state_rejects_mismatch():
@@ -167,6 +161,9 @@ def test_project_explicit_state_rejects_mismatch():
         sb.project_initial_state(FockState((1, 0, 0), (0, 0, 0)), sector)  # wrong N
     with pytest.raises(ValueError):
         sb.project_initial_state("no-such-descriptor", sector)
+    # rejected before the lookup, which would not find it
+    with pytest.raises(ValueError, match="negative occupation"):
+        sb.project_initial_state(FockState((2, -1), (0, 0)), sb.build_k0_sector(1, 2))
 
 
 @pytest.mark.parametrize("n,l", [(6, 7), (3, 2), (4, 4)])
@@ -221,5 +218,5 @@ def test_sector_vs_full_expectation():
     nb_sector = float((np.abs(final) ** 2) @ sector.upper_fractions) * p.n_particles
     full = expand(sector, final)
     basis = sb.enumerate_fock(2, 3)
-    nb_full = sum(abs(full[sb.state_rank(s)]) ** 2 * sum(s.upper) for s in basis)
+    nb_full = sum(abs(amp) ** 2 * sum(s.upper) for s, amp in zip(basis, full))
     assert nb_sector == pytest.approx(nb_full, abs=1e-12)

@@ -134,14 +134,15 @@ def test_static_tilted_single_particle_chain():
     mask = sb.TermMask(coupling_c0=False)
     h = build_static_tilted(p, basis, mask).toarray().real
 
-    lower = [sb.state_rank(FockState(tuple(1 if i == l else 0 for i in range(3)), (0, 0, 0)))
+    index = {s: i for i, s in enumerate(basis)}
+    lower = [index[FockState(tuple(1 if i == l else 0 for i in range(3)), (0, 0, 0))]
              for l in range(3)]
     block = h[np.ix_(lower, lower)]
     expected = (np.diag([p.force - p.delta / 2, 2 * p.force - p.delta / 2,
                          3 * p.force - p.delta / 2])
                 + np.diag([-p.t_a / 2] * 2, 1) + np.diag([-p.t_a / 2] * 2, -1))
     assert np.abs(block - expected).max() < 1e-14
-    upper = [sb.state_rank(FockState((0, 0, 0), tuple(1 if i == l else 0 for i in range(3))))
+    upper = [index[FockState((0, 0, 0), tuple(1 if i == l else 0 for i in range(3)))]
              for l in range(3)]
     assert np.abs(np.diag(h[np.ix_(upper, upper)])
                   - (np.arange(1, 4) * p.force + p.delta / 2)).max() < 1e-14

@@ -1,7 +1,8 @@
 """Every imported name in `src/` and `tests/` is used, every `__all__`
 entry in `src/` names a module-level attribute, every module-level
-UPPER_CASE constant in `src/` is read there or exported, `src/` stays off
-the slow scipy subpackages, and `src/` never reads the process environment.
+UPPER_CASE constant and private helper in `src/` is read there (or, for a
+constant, exported), `src/` stays off the slow scipy subpackages, and
+`src/` never reads the process environment.
 
 No linter ships with the project, so this is the check for dead imports.
 A name counts as used if it is read anywhere in its module or is listed in
@@ -17,7 +18,10 @@ output fingerprint shows, so no module under `src/` may read `os.environ`
 or call `os.getenv`.  A tuning constant that no code reads any more, left
 behind when the code it tuned went, would still look like a setting, so
 every UPPER_CASE constant must be read somewhere in `src/` (by name or as
-a module attribute) or be listed in its module's `__all__`.
+a module attribute) or be listed in its module's `__all__`.  Likewise every
+module-level private function or class in `src/` must be read somewhere in
+`src/` outside its own definition: a helper that only the tests still call
+was left behind by a deletion.
 """
 
 import ast
@@ -150,6 +154,40 @@ def test_src_constants_are_read(path):
     unread = [f"{name} (line {line})" for name, line in _constants(SRC_TREES[path])
               if name not in read]
     assert not unread, f"{path.name} defines constants nothing reads: {', '.join(unread)}"
+
+
+def _private_helpers(tree):
+    """The module-level private function and class definitions."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _unreferenced_helpers(trees, path):
+    """The private helpers of `path` that no top-level statement of `trees`
+    reads, other than the helper's own definition."""
+    reads = [(node, _read_names(node)) for tree in trees.values() for node in tree.body]
+    return [f"{helper.name} (line {helper.lineno})" for helper in _private_helpers(trees[path])
+            if not any(helper.name in names for node, names in reads if node is not helper)]
+
+
+@pytest.mark.parametrize("path", list(SRC_TREES), ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_private_helpers_are_referenced(path):
+    dead = _unreferenced_helpers(SRC_TREES, path)
+    assert not dead, f"{path.name} defines private helpers nothing uses: {', '.join(dead)}"
+
+
+def test_detects_an_unreferenced_helper():
+    tree = ast.parse("def _used():\n    pass\ndef _dead():\n    pass\n"
+                     "def _recursive(n):\n    return _recursive(n - 1)\nclass _Box:\n    pass\n"
+                     "class _Gone:\n    def _method(self):\n        return _Gone\n"
+                     "def __getattr__(name):\n    pass\n"
+                     "def public():\n    def _nested():\n        pass\n    return _used(), _Box\n")
+    other = ast.parse("import m\nm._dead()\n")
+    assert _unreferenced_helpers({"m": tree}, "m") == [
+        "_dead (line 3)", "_recursive (line 5)", "_Gone (line 9)"]
+    assert _unreferenced_helpers({"m": tree, "n": other}, "m") == [
+        "_recursive (line 5)", "_Gone (line 9)"]
 
 
 def test_detects_an_unread_constant():

@@ -146,6 +146,10 @@ def test_revival_estimate_universal():
             t_rev * 0.1, rel=1e-12)
     with pytest.raises(ValueError):
         sb.revival_estimate_universal(replace(p, g=0.0))
+    # 4 pi / rate overflows; and at x_b on the first zero of J_0 the rate underflows to 0
+    for tiny in (replace(p, g=1e-320), replace(p, g=1e-300, t_b=2.404825557695773 * p.force)):
+        with pytest.raises(ValueError, match="overflows a float"):
+            sb.revival_estimate_universal(tiny)
     p_nox = sb.ModelParams(**{**p.__dict__, "w_x": 0.0})
     with pytest.raises(ValueError):
         sb.revival_estimate_universal(p_nox)
