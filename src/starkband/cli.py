@@ -35,7 +35,7 @@ from .propagation import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     NumericalError,
-    _physical_memory,
+    check_trace_memory,
     diagonalize_floquet,
     evolve,
     floquet_operator,
@@ -45,10 +45,9 @@ from .propagation import (
 
 DEFAULT_SAMPLE_PER_TB = 32
 DEFAULT_G_GRID = "0.05,0.1,0.15,0.2"
-# Bytes a trace holds per sample beside its states, by tracemalloc: six float64
-# arrays (45 per period of revival-report measured), and per value of a CSV line
-# its text, joined and encoded (186 per 3-value line of a stroboscopic evolve).
-TRACE_BYTES_PER_SAMPLE = 48
+# Bytes per value of a CSV line, beside the trace (propagation.check_trace_memory):
+# its text, joined and encoded, by tracemalloc (186 per 3-value line of a
+# stroboscopic evolve).
 CSV_BYTES_PER_VALUE = 50
 
 
@@ -161,18 +160,29 @@ def _whole_periods(t_final_tb: float | None) -> int | None:
 def _check_trace_memory(samples: int, state_bytes: int = 0, columns: int = 0):
     """Reject, before it is allocated, a trace of `samples` samples, each with
     `state_bytes` of states and a CSV line of `columns` values, beyond physical memory."""
-    need = samples * (state_bytes + TRACE_BYTES_PER_SAMPLE + CSV_BYTES_PER_VALUE * columns)
-    have = _physical_memory()
-    if need > have:
-        raise ValueError(f"a trace of {samples:,} samples needs about {need / 2**20:,.1f} MiB, "
-                         f"more than the {have / 2**20:,.1f} MiB of physical memory")
+    check_trace_memory(samples, state_bytes + CSV_BYTES_PER_VALUE * columns)
 
 
 def _dump_matrix(parts, path):
-    """Coordinate-format dump of H(0), one `row,col,re,im` line per entry."""
-    h = (parts.h_static + parts.h_hop + parts.h_hop_dag).tocoo()
-    entries = sorted(zip(h.row.tolist(), h.col.tolist(), h.data.tolist()))
-    lines = [f"{r},{c},{_fmt(v.real)},{_fmt(v.imag)}" for r, c, v in entries]
+    """Coordinate-format dump of H(0) = h_static + h_hop + h_hop^dag, one
+    `row,col,re,im` line per entry in row-major order.  Each sum is scipy's
+    sum of sparse matrices: a + 0 or 0 + b where one side has no entry, and
+    entries that come out 0 dropped."""
+    static, hop, dim = parts.static_csr, parts.hop_csr, parts.basis_dim
+    keys, values = static.rows().astype(np.int64) * dim + static.indices, static.data
+    hop_rows = hop.rows()
+    for rows, cols, data in ((hop_rows, hop.indices, hop.data),
+                             (hop.indices, hop_rows, hop.data.conj())):
+        term = rows.astype(np.int64) * dim + cols
+        union = np.union1d(keys, term)
+        old, new = np.zeros((2, union.size), dtype=complex)
+        old[np.searchsorted(union, keys)] = values
+        new[np.searchsorted(union, term)] = data
+        values = old + new
+        keys, values = union[values != 0], values[values != 0]
+    rows, cols = np.divmod(keys, dim)
+    lines = [f"{r},{c},{_fmt(v.real)},{_fmt(v.imag)}"
+             for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist())]
     _emit("\n".join(lines) + "\n", path)
 
 

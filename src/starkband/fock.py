@@ -5,7 +5,9 @@ States are occupation tuples |n_1^a .. n_L^a ; n_1^b .. n_L^b>.  The full
 basis is enumerated in a fixed order (leading mode occupation descending),
 which fixes the order of the orbit representatives and so of the sector
 basis.  One dict from every full-basis state to its representative's index
-is the sector's only lookup.
+is the sector's only lookup.  Sector operators come out as `Csr`, numpy's
+arrays of a canonical compressed sparse row matrix, so that building one
+imports no scipy.sparse.
 
 On a ring the simultaneous cyclic shift of both bands commutes with the
 gauge-transformed Hamiltonian; grouping the basis into translation orbits
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sparse
 
 __all__ = [
     "FockState",
+    "Csr",
     "SymmetrySector",
     "full_dimension",
     "enumerate_fock",
@@ -111,6 +113,25 @@ def ring_hops(occ: tuple):
         yield tuple(new), math.sqrt(occ[src] * (occ[dst] + 1))
 
 
+class Csr(NamedTuple):
+    """A square sparse matrix in scipy's canonical compressed sparse row
+    form: row i holds data[indptr[i]:indptr[i + 1]] at the sorted, distinct
+    columns indices[indptr[i]:indptr[i + 1]].  `(data, indices, indptr)` is
+    also the argument scipy.sparse.csr_matrix takes."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.indptr) - 1
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.dim, dtype=self.indices.dtype), np.diff(self.indptr))
+
+
 @dataclass(frozen=True)
 class SymmetrySector:
     """The kappa = 0 translation-symmetric basis.
@@ -140,14 +161,16 @@ class SymmetrySector:
         lookup, KeyError for a state outside the full basis."""
         return self.index[state]
 
-    def matrix(self, rule, columns=None) -> sparse.csr_matrix:
+    def matrix(self, rule, columns=None) -> Csr:
         """An operator in sector coordinates, from `rule(rep)`: the (target
         state, amplitude) pairs of the operator applied to a representative.
 
         The operator is applied to the representative of column j only, so
         an element i <- j carries the orbit factor sqrt(orbit_j / orbit_i).
-        Duplicate (i, j) entries are summed, and CSR conversion sorts the
-        indices.  Only the `columns` given (all by default) are visited.
+        Entries are sorted by row, then column, then the order they came in,
+        and the values at one position are summed in that order, as scipy's
+        coo -> csr conversion does.  Only the `columns` given (all by
+        default) are visited.
         """
         sizes, index = self.orbit_sizes, self.index
         rows, cols, vals = [], [], []
@@ -157,10 +180,17 @@ class SymmetrySector:
                 rows.append(i)
                 cols.append(j)
                 vals.append(amp * math.sqrt(sizes[j] / sizes[i]))
-        m = sparse.coo_matrix((vals, (rows, cols)), shape=(self.dim, self.dim), dtype=complex)
-        m = m.tocsr()
-        m.sum_duplicates()
-        return m
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        vals = np.asarray(vals, dtype=complex)
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        data = vals[first]
+        np.add.at(data, np.cumsum(first)[~first] - 1, vals[~first])
+        index_type = np.int32 if max(self.dim, len(data)) < 2**31 else np.int64
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[first], minlength=self.dim))))
+        return Csr(data, cols[first].astype(index_type), indptr.astype(index_type))
 
 
 def build_k0_sector(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP) -> SymmetrySector:
@@ -207,11 +237,14 @@ def _lower_band_ground(sector: SymmetrySector) -> np.ndarray:
     # F = sum_l a^dag_{l+1} a_l on the ring within the sub-basis, K = F + F^T;
     # the hopping Hamiltonian is -t_a/2 * K, so its ground state maximizes K.
     # Lower-band hops keep the upper band empty, so F never leaves the sub-basis.
-    forward = sector.matrix(
+    hops = sector.matrix(
         lambda rep: ((FockState(new, rep.upper), amp) for new, amp in ring_hops(rep.lower)),
         zero_upper,
     )
-    forward = forward[zero_upper][:, zero_upper].toarray().real
+    sub = np.zeros(sector.dim, dtype=np.intp)  # sector index -> sub-basis index
+    sub[zero_upper] = np.arange(len(zero_upper))
+    forward = np.zeros((len(zero_upper), len(zero_upper)))
+    forward[sub[hops.rows()], sub[hops.indices]] = hops.data.real
     kin = forward + forward.T
 
     # dense solve keeps the result deterministic (no Lanczos start vector)

@@ -12,17 +12,27 @@ coupling c0*F, and all interaction terms, while h_hop holds the l -> l+1
 hopping of both bands with their printed signs (-t_a/2 lower, +t_b/2 upper).
 The phase convention is exactly exp(+iFt) on a^dag_{l+1} a_l; changing it
 shifts the resonances.
+
+The blocks are numpy `Csr` arrays, and `HamiltonianParts.apply` runs
+scipy's compiled CSR product on them, loaded straight from its extension
+file: importing scipy.sparse costs a run about 0.25 s (its array API shim
+loads numpy.f2py, numpy.testing, numpy.ma and numpy.random), and a run uses
+nothing else of it.  Only the scipy.sparse views of the blocks, which no
+run reads, import it.
 """
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.sparse as sparse
 
-from .fock import FockState, SymmetrySector, ring_hops
+from .fock import Csr, FockState, SymmetrySector, ring_hops
 from .model import ModelParams, bessel_j
 
 __all__ = [
@@ -87,31 +97,105 @@ class TermMask:
         return tuple(f.name for f in fields(self) if getattr(self, f.name))
 
 
+def _load_sparsetools():
+    """scipy.sparse._sparsetools, scipy's compiled sparse loops, loaded from
+    its file in scipy's sparse/ directory without running scipy.sparse's
+    __init__, and registered under its name, so that a later
+    `import scipy.sparse` reuses it."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError(f"{name} not found: scipy is not installed")
+    directory = os.path.join(scipy_spec.submodule_search_locations[0], "sparse")
+    loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(directory, loader).find_spec(name)
+    if spec is None:
+        raise ImportError(f"{name} not found: no compiled module _sparsetools in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_sparsetools = _load_sparsetools()
+
+
 class _FusedBlocks:
     """One CSR matrix holding the stored entries of blocks with time factors
     exp(i s F t), in the frame of a diagonal D: entry (i, j) turns at
     omega = D_i - D_j + s F.  Entries sharing a position are kept apart, so
     a call costs one exp per distinct omega, a rephasing of the data and
-    one sparse product.
+    one CSR product, scipy's compiled csr_matvec (one column) or
+    csr_matvecs (several) on these arrays, the loop that
+    scipy.sparse.csr_matrix((data, indices, indptr)) @ y runs.
     """
 
-    def __init__(self, blocks, signs, force: float, d: np.ndarray):
-        coos = [sparse.coo_matrix(b) for b in blocks]
-        rows = np.concatenate([c.row for c in coos])
-        cols = np.concatenate([c.col for c in coos])
-        omega = np.concatenate([d[c.row] - d[c.col] + s * force for c, s in zip(coos, signs)])
+    def __init__(self, blocks, force: float, d: np.ndarray):
+        """`blocks` holds the (rows, cols, values, s) of each block."""
+        rows = np.concatenate([b[0] for b in blocks])
+        cols = np.concatenate([b[1] for b in blocks])
+        omega = np.concatenate([d[r] - d[c] + s * force for r, c, _, s in blocks])
         order = np.lexsort((cols, rows))
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(d)))))
-        self.values = np.concatenate([c.data for c in coos]).astype(complex)[order]
+        self.values = np.concatenate([b[2] for b in blocks]).astype(complex)[order]
         omega, self.which = np.unique(omega[order], return_inverse=True)
         self.rates = 1j * omega
-        self.matrix = sparse.csr_matrix(
-            (self.values.copy(), cols[order], indptr), shape=(len(d), len(d))
-        )
+        self.data = np.empty_like(self.values)
+        self.indices = cols[order]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(d)))))
+        self.indptr = indptr.astype(self.indices.dtype)
+        self.dim = len(d)
 
     def apply(self, t: float, y):
-        np.multiply(self.values, np.exp(t * self.rates)[self.which], out=self.matrix.data)
-        return self.matrix @ y
+        np.multiply(self.values, np.exp(t * self.rates)[self.which], out=self.data)
+        dim = self.dim
+        if y.ndim not in (1, 2) or y.shape[0] != dim:
+            raise ValueError(f"operand of shape {y.shape} does not match dimension {dim}")
+        out = np.zeros(y.shape, dtype=complex)
+        if y.ndim == 1 or y.shape[1] == 1:  # how scipy dispatches `matrix @ y`
+            _sparsetools.csr_matvec(dim, dim, self.indptr, self.indices, self.data,
+                                    y.ravel(), out.ravel())
+        else:
+            _sparsetools.csr_matvecs(dim, dim, y.shape[1], self.indptr, self.indices, self.data,
+                                     y.ravel(), out.ravel())
+        return out
+
+
+def _as_csr(block) -> Csr:
+    """`block` as a `Csr`: as it is, or converted from a scipy sparse matrix."""
+    if isinstance(block, Csr):
+        return block
+    m = block.tocsr(copy=True)
+    m.sum_duplicates()
+    return Csr(m.data.astype(complex), m.indices, m.indptr)
+
+
+class _ScipyView:
+    """A block field of HamiltonianParts.  It is set from a `Csr` or a scipy
+    sparse matrix and kept as a `Csr` in the attribute `csr_name`, which the
+    run path reads.  Read under its own name it is that block as a
+    scipy.sparse.csr_matrix, built on first access for callers that want
+    scipy's arithmetic: the one place the package imports scipy.sparse."""
+
+    def __init__(self, csr_name: str):
+        self.csr_name = csr_name
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, parts, owner=None):
+        if parts is None:
+            raise AttributeError(self.name)  # so that the dataclass field has no default
+        if self.name not in parts.__dict__:
+            import scipy.sparse
+
+            block = getattr(parts, self.csr_name)
+            parts.__dict__[self.name] = scipy.sparse.csr_matrix(block, shape=(block.dim,) * 2)
+        return parts.__dict__[self.name]
+
+    def __set__(self, parts, block):
+        object.__setattr__(parts, self.csr_name, _as_csr(block))
 
 
 @dataclass(frozen=True)
@@ -121,32 +205,48 @@ class HamiltonianParts:
     `h_hop_dag` is derived from `h_hop`, so `replace(parts, h_hop=...)`
     keeps H(t) Hermitian.
 
+    h_static and h_hop are given as `Csr` or scipy sparse matrices and kept
+    as `Csr` in `static_csr` and `hop_csr`, which is all a run reads.  Read
+    by name, h_static, h_hop and h_hop_dag are scipy.sparse.csr_matrix
+    views, built (and scipy.sparse imported) on first access.
+
     `boost_order` is d = gcd(N, L), `boost_charge` each basis state's S mod d
     with S = sum_l l (n^a_l + n^b_l), sites l = 0..L-1.  The boost B^(L/d),
     B = exp(2 pi i S / L), is diag(exp(2 pi i boost_charge / d)) on the sector
     and shifts H(t) by T_B/d.  The defaults d = 1, charge 0 claim no symmetry.
     """
 
-    h_static: sparse.csr_matrix
-    h_hop: sparse.csr_matrix
+    h_static: Csr = _ScipyView("static_csr")  # read back as a scipy.sparse.csr_matrix
+    h_hop: Csr = _ScipyView("hop_csr")
     basis_dim: int
     force: float
     boost_order: int = 1
     boost_charge: np.ndarray | None = field(default=None, repr=False, compare=False)
+    static_csr: Csr = field(init=False, repr=False, compare=False)
+    hop_csr: Csr = field(init=False, repr=False, compare=False)
     frame: np.ndarray = field(init=False, repr=False, compare=False)
     _fused: _FusedBlocks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.boost_charge is None:
             object.__setattr__(self, "boost_charge", np.zeros(self.basis_dim, dtype=np.int64))
-        d = self.h_static.diagonal().real
-        off = self.h_static - sparse.diags(d)  # the sparse difference drops the zeros
-        fused = _FusedBlocks((off, self.h_hop, self.h_hop_dag), (0, 1, -1), self.force, d)
+        static, hop = self.static_csr, self.hop_csr
+        rows, cols = static.rows(), static.indices
+        on = rows == cols
+        d = np.zeros(self.basis_dim)
+        d[rows[on]] += static.data[on].real  # 0 + a, as scipy's diagonal() sums it
+        off = static.data - np.where(on, d[rows], 0.0)  # scipy's h_static - diags(d)
+        kept = off != 0
+        hop_rows = hop.rows()
+        fused = _FusedBlocks(((rows[kept], cols[kept], off[kept], 0),
+                              (hop_rows, hop.indices, hop.data, 1),
+                              (hop.indices, hop_rows, hop.data.conj(), -1)), self.force, d)
         object.__setattr__(self, "frame", d)
         object.__setattr__(self, "_fused", fused)
 
     @property
-    def h_hop_dag(self) -> sparse.csr_matrix:
+    def h_hop_dag(self):
+        """h_hop^dag as a scipy.sparse.csr_matrix (see `h_hop`)."""
         return self.h_hop.getH().tocsr()
 
     @property
@@ -168,10 +268,18 @@ class HamiltonianParts:
 
 
 def hermiticity_defect(matrix) -> float:
-    """max |M - M^dag| over all entries (0 for an empty matrix)."""
-    if sparse.issparse(matrix):
-        diff = (matrix - matrix.getH()).tocoo()
-        return float(np.abs(diff.data).max()) if diff.nnz else 0.0
+    """max |M - M^dag| over all entries (0 for an empty matrix) of a `Csr`,
+    a scipy sparse matrix or a dense array."""
+    if isinstance(matrix, Csr) or hasattr(matrix, "tocsr"):
+        m = _as_csr(matrix)
+        if not m.data.size:
+            return 0.0
+        # the canonical keys i * dim + j ascend, so each entry finds its mirror (j, i)
+        rows, cols = m.rows().astype(np.int64), m.indices.astype(np.int64)
+        keys, mirrors = rows * m.dim + cols, cols * m.dim + rows
+        at = np.minimum(np.searchsorted(keys, mirrors), keys.size - 1)
+        partner = np.where(keys[at] == mirrors, m.data[at], 0.0)
+        return float(np.abs(m.data - partner.conj()).max())
     m = np.asarray(matrix)
     return float(np.abs(m - m.conj().T).max())
 
@@ -252,7 +360,7 @@ def build_interaction_picture(
     h_hop = sector.matrix(lambda rep: _hop_forward(rep, params, mask))
 
     defect = hermiticity_defect(h_static)
-    scale = float(np.abs(h_static.data).max()) if h_static.nnz else 1.0
+    scale = float(np.abs(h_static.data).max()) if h_static.data.size else 1.0
     if defect > 1e-12 * scale:
         raise AssertionError(f"h_static lost hermiticity: defect {defect:.3e} vs scale {scale:.3e}")
 

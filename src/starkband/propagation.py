@@ -49,6 +49,7 @@ __all__ = [
     "diagonalize_floquet",
     "stroboscopic_occupations",
     "occupation_series",
+    "check_trace_memory",
     "DEFAULT_RTOL",
     "DEFAULT_ATOL",
 ]
@@ -78,6 +79,9 @@ EIGEN_MIX = (math.sqrt(5.0) - 1.0) / 2.0
 EIGEN_RESIDUAL_BUDGET = 1e-8
 # floquet_operator: the budget of d max|S^dag S - 1|, to first order max|U^dag U - 1|
 UNITARITY_DEFECT_BUDGET = 1e-6
+# Bytes a trace holds per sample beside its states, by tracemalloc: six float64
+# arrays (45 per period of revival-report measured).
+TRACE_BYTES_PER_SAMPLE = 48
 
 
 @dataclass(frozen=True)
@@ -247,6 +251,7 @@ def evolve(
 
     step = tb / n
     last = int(math.floor(t_final / step + 1e-9))  # the last sample on the grid
+    check_trace_memory(last + 2, 16 * dim)  # the grid and, maybe, t_final
     times = step * np.arange(last + 1)
     if times[-1] < t_final - 1e-9 * step:
         times = np.append(times, t_final)
@@ -302,6 +307,17 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def check_trace_memory(samples: int, sample_bytes: int = 0):
+    """Reject with ValueError, before it is allocated, a trace of `samples`
+    samples beyond physical memory: each holds TRACE_BYTES_PER_SAMPLE of
+    trace arrays and `sample_bytes` more (its states, say)."""
+    need = samples * (TRACE_BYTES_PER_SAMPLE + sample_bytes)
+    have = _physical_memory()
+    if need > have:
+        raise ValueError(f"a trace of {samples:,} samples needs about {need / 2**20:,.1f} MiB, "
+                         f"more than the {have / 2**20:,.1f} MiB of physical memory")
+
+
 def _propagator_obstacle(parts: HamiltonianParts) -> str | None:
     """Why `floquet_operator` cannot build S for `parts`, or None: its
     estimated working set exceeds the physical memory, or a block is complex
@@ -315,11 +331,10 @@ def _propagator_obstacle(parts: HamiltonianParts) -> str | None:
                 f"{need / 2**20:,.1f} MiB, more than the {have / 2**20:,.1f} MiB "
                 "of physical memory")
     order, charge = parts.boost_order, parts.boost_charge
-    for name, step in (("h_static", 0), ("h_hop", 1)):
-        block = getattr(parts, name).tocoo()
+    for name, block, step in (("h_static", parts.static_csr, 0), ("h_hop", parts.hop_csr, 1)):
         if np.any(block.data.imag != 0.0):
             return f"{name} has complex entries; S = Y^T Phi Y needs it real"
-        if np.any((charge[block.row] - charge[block.col] - step) % order):
+        if np.any((charge[block.rows()] - charge[block.indices] - step) % order):
             return f"{name} breaks the boost symmetry of order {order}"
     return None
 
@@ -421,6 +436,7 @@ def stroboscopic_occupations(
     """Upper-band occupation N_b at t = 0, T_B, ..., n_periods*T_B."""
     if spectrum.dim != sector.dim:
         raise ValueError(f"spectrum dimension {spectrum.dim} does not match sector {sector.dim}")
+    check_trace_memory(n_periods + 1)
     w = sector.upper_fractions
     ms = np.arange(n_periods + 1)
     values = np.empty(ms.size)

@@ -337,23 +337,29 @@ def test_preset_unknown_exits_2():
 
 
 SLOW_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.linalg",
-              "scipy.signal", "scipy.stats")
+              "scipy.signal", "scipy.stats", "scipy.sparse")
 
 
 def test_cli_runs_import_no_slow_scipy_subpackage(tmp_path):
     # scipy.integrate loads scipy.optimize (~0.3 s per process), scipy.signal
-    # loads scipy.stats (~0.5 s); a revival report, with its crest and revival
-    # peaks, a continuous evolve and a single-particle trace need none of them
+    # loads scipy.stats (~0.5 s) and scipy.sparse numpy.f2py and numpy.testing
+    # (~0.25 s); a revival report, with its crest and revival peaks, a
+    # continuous evolve, a Floquet spectrum with its matrix dump, a sweep over
+    # g and a single-particle trace need none of them
     out = tmp_path / "report.json"
-    small = "'--preset', 'v0_4', '--n', '3', '--l', '3', '--g', '0.2'"
+    small = "'--preset', 'v0_4', '--n', '3', '--l', '3'"
     code = ("import sys; from starkband.cli import main; "
-            f"status = [main(['revival-report', {small}, '--out', {str(out)!r}]), "
-            f"main(['evolve', {small}, '--mode', 'continuous', '--t-final-tb', '2', "
+            f"status = [main(['revival-report', {small}, '--g', '0.2', '--out', {str(out)!r}]), "
+            f"main(['evolve', {small}, '--g', '0.2', '--mode', 'continuous', '--t-final-tb', '2', "
             f"'--out', {str(tmp_path / 'evolve.csv')!r}]), "
+            f"main(['floquet-spectrum', {small}, '--dump-matrix', {str(tmp_path / 'h.txt')!r}, "
+            f"'--out', {str(tmp_path / 'spectrum.csv')!r}]), "
+            f"main(['sweep-g', {small}, '--g-grid', '0.2', "
+            f"'--out', {str(tmp_path / 'sweep.csv')!r}]), "
             "main(['single-particle', '--preset', 'v0_4', '--window', '3', "
             f"'--t-final-tb', '1', '--out', {str(tmp_path / 'single.csv')!r}])]; "
             f"print(status, [m for m in {SLOW_SCIPY!r} if m in sys.modules])")
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0] []"
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0] []"
     assert json.loads(out.read_text())["t_rev_measured"] is not None

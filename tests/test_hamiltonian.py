@@ -1,16 +1,21 @@
 """Hamiltonian assembly against hand-enumerated matrix elements and the
 structural invariants (hermiticity, g-linearity, number conservation)."""
 
+import importlib.util
 import math
+import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from scipy.special import jv
 
 import starkband as sb
-from starkband.fock import FockState
-from starkband.hamiltonian import hermiticity_defect
+from starkband import hamiltonian
+from starkband.fock import Csr, FockState
+from starkband.hamiltonian import _hop_forward, _static_entries, hermiticity_defect
 
 from oracles import build_static_tilted
 
@@ -118,6 +123,81 @@ def test_replaced_hopping_keeps_the_hamiltonian_hermitian():
         r = np.exp(1j * t * rotated.frame)
         h_frame = r[:, None] * (h - np.diag(rotated.frame)) * r.conj()[None, :]
         assert np.abs(rotated.apply(t, y) - h_frame @ y).max() < 1e-12 * np.abs(h).max()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sector_matrix_is_scipys_csr(n):
+    # Oracle: the (i, j, value) entries that `SymmetrySector.matrix` collects,
+    # through scipy's coo -> csr conversion and sum_duplicates; bit for bit
+    params = replace(sb.preset_v0_4(0.2), n_particles=n, n_sites=n)
+    sector = sb.build_k0_sector(n, n)
+    sizes = sector.orbit_sizes
+    for entries in (_static_entries, _hop_forward):
+        def rule(rep):
+            return entries(rep, params, sb.TermMask())
+        rows, cols, vals = [], [], []
+        for j, rep in enumerate(sector.representatives):
+            for target, amp in rule(rep):
+                i = sector.lookup(target)
+                rows.append(i)
+                cols.append(j)
+                vals.append(amp * math.sqrt(sizes[j] / sizes[i]))
+        expected = sparse.coo_matrix((vals, (rows, cols)), shape=(sector.dim,) * 2,
+                                     dtype=complex).tocsr()
+        expected.sum_duplicates()
+        got = sector.matrix(rule)
+        assert len(rows) > got.data.size  # duplicates were summed
+        for name in ("indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+        assert got.data.tobytes() == expected.data.tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 18, 64])
+@pytest.mark.parametrize("n", [3, 5])
+def test_apply_is_scipys_csr_product(n, width):
+    # Oracle: `apply` runs scipy's compiled CSR product on its own arrays, so
+    # it equals scipy.sparse.csr_matrix((data, indices, indptr)) @ y bit for
+    # bit, for a vector, a single column and a block of columns
+    params = replace(sb.preset_v0_4(0.2), n_particles=n, n_sites=n)
+    parts = sb.build_interaction_picture(params, sb.build_k0_sector(n, n))
+    fused, dim, t = parts._fused, parts.basis_dim, 0.37 * parts.t_bloch
+    data = fused.values * np.exp(t * fused.rates)[fused.which]
+    matrix = sparse.csr_matrix((data, fused.indices, fused.indptr), shape=(dim, dim))
+    rng = np.random.default_rng(width)
+    shapes = [(dim,), (dim, 1)] if width == 1 else [(dim, width)]
+    for shape in shapes:
+        y = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = parts.apply(t, y)
+        assert got.shape == shape
+        assert got.tobytes() == (matrix @ y).tobytes()
+    with pytest.raises(ValueError, match="does not match"):
+        parts.apply(t, np.ones(dim + 1, dtype=complex))
+
+
+def test_sparsetools_loader_names_a_missing_file(monkeypatch, tmp_path):
+    # no fallback: where scipy's sparse/ directory lacks the compiled module,
+    # the import fails and says which module it looked for, and where
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name: SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+    with pytest.raises(ImportError, match="scipy.sparse._sparsetools not found") as err:
+        hamiltonian._load_sparsetools()
+    assert str(tmp_path / "sparse") in str(err.value)
+
+
+def test_hermiticity_defect_of_sparse_and_dense_agree():
+    # a Csr, the same scipy matrix and its dense array, with entries that
+    # have no mirror, mirrors that differ and a Hermitian pair
+    dense = np.zeros((4, 4), dtype=complex)
+    dense[0, 1], dense[1, 0] = 1 + 2j, 1 - 2j
+    dense[2, 3], dense[3, 2] = 0.5, 0.25j
+    dense[1, 3], dense[2, 2] = -3.0, 1j
+    matrix = sparse.csr_matrix(dense)
+    block = Csr(matrix.data, matrix.indices, matrix.indptr)
+    expected = float(np.abs(dense - dense.conj().T).max())
+    assert hermiticity_defect(block) == hermiticity_defect(matrix) == expected == 3.0
+    empty = Csr(np.zeros(0, dtype=complex), np.zeros(0, dtype=np.int32), np.zeros(3, np.int32))
+    assert hermiticity_defect(empty) == 0.0
 
 
 def test_sector_mismatch_rejected():

@@ -12,7 +12,13 @@ that costs more to load than a run uses of it: `scipy.signal` loads
 `scipy.stats` (about 0.5 s per process), `scipy.integrate` loads
 `scipy.optimize` (about 0.3 s), and `scipy.special` and `scipy.linalg`
 served three Bessel values and one eigh that the package now computes
-itself (`model.bessel_j`, `dop853`, numpy's eigh).  An
+itself (`model.bessel_j`, `dop853`, numpy's eigh).  Nor may a module
+import `scipy.sparse` when it is imported: its `__init__` costs about
+0.25 s per process (its array API shim loads `numpy.f2py` and
+`numpy.testing`), and a run uses only its compiled CSR product, which
+`hamiltonian` loads from its extension file.  Only the scipy views of
+`HamiltonianParts`' blocks import it, inside a function, for callers that
+want scipy's arithmetic.  An
 environment variable would be a setting that no flag, parameter file or
 output fingerprint shows, so no module under `src/` may read `os.environ`
 or call `os.getenv`.  A tuning constant that no code reads any more, left
@@ -62,17 +68,31 @@ SLOW_IMPORTS = ("scipy.signal", "scipy.stats", "scipy.integrate", "scipy.optimiz
                 "scipy.special", "scipy.linalg")
 
 
-def _imported_modules(tree):
-    for node in ast.walk(tree):
+def _imported_modules(nodes):
+    for node in nodes:
         if isinstance(node, ast.Import):
             yield from ((alias.name, node.lineno) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             yield from ((f"{node.module}.{alias.name}", node.lineno) for alias in node.names)
 
 
-def _slow_imports(tree):
-    return [(name, line) for name, line in _imported_modules(tree)
-            if any(name == m or name.startswith(m + ".") for m in SLOW_IMPORTS)]
+def _slow_imports(tree, modules=SLOW_IMPORTS, nodes=None):
+    return [(name, line) for name, line in _imported_modules(nodes or ast.walk(tree))
+            if any(name == m or name.startswith(m + ".") for m in modules)]
+
+
+SLOW_ON_IMPORT = ("scipy.sparse",)
+
+
+def _run_on_import(tree):
+    """The nodes that run when the module is imported: all but the bodies
+    of functions."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def test_modules_found():
@@ -211,6 +231,26 @@ def test_detects_a_slow_scipy_import():
     assert [n for n, _ in _slow_imports(tree)] == [
         "scipy.stats", "scipy.signal", "scipy.linalg", "scipy.signal.find_peaks",
         "scipy.stats.norm"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_imports_no_scipy_sparse_on_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    slow = [f"{name} (line {line})"
+            for name, line in _slow_imports(tree, SLOW_ON_IMPORT, _run_on_import(tree))]
+    assert not slow, f"{path.name} imports {', '.join(slow)} when it is imported"
+
+
+def test_detects_scipy_sparse_imported_on_import():
+    tree = ast.parse("import scipy.sparse\nfrom scipy import sparse\nif x:\n"
+                     "    import scipy.sparse as sp\nclass K:\n"
+                     "    from scipy.sparse import csr_matrix\ndef f():\n"
+                     "    import scipy.sparse\nimport scipy.sparse.linalg\n")
+    found = _slow_imports(tree, SLOW_ON_IMPORT, _run_on_import(tree))
+    assert sorted(found, key=lambda item: item[1]) == [
+        ("scipy.sparse", 1), ("scipy.sparse", 2), ("scipy.sparse", 4),
+        ("scipy.sparse.csr_matrix", 6), ("scipy.sparse.linalg", 9)]
 
 
 ENVIRONMENT_READERS = ("environ", "getenv")

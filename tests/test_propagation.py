@@ -274,8 +274,8 @@ def test_evolve_integrates_vectors_where_the_propagator_cannot_be_built(small_sy
 
     monkeypatch.setattr(propagation, "floquet_operator", refuse)
     for case in (rotated, parts):
-        if case is parts:
-            monkeypatch.setattr(propagation, "_physical_memory", lambda: 1000)
+        if case is parts:  # room for the trace (4.5 kB), not for S (53 kB)
+            monkeypatch.setattr(propagation, "_physical_memory", lambda: 10**4)
         assert propagation._propagator_obstacle(case)
         result = sb.evolve(psi0, case, 6.3 * tb, samples_per_period=4)
         assert result.times.size == 27
@@ -507,6 +507,22 @@ def test_floquet_memory_check(monkeypatch, capsys):
         sb.floquet_operator(parts)
     assert main(["floquet-spectrum", "--preset", "v0_4", "--n", "2", "--l", "2"]) == 2
     assert "physical memory" in capsys.readouterr().err
+
+
+def test_library_calls_reject_a_trace_beyond_physical_memory():
+    # 1e15 periods need petabytes: evolve and stroboscopic_occupations refuse
+    # the span before they allocate anything of that size, where numpy used
+    # to raise MemoryError
+    params = replace(sb.preset_v0_4(0.2), n_particles=2, n_sites=2)
+    sector = sb.build_k0_sector(2, 2)
+    parts = sb.build_interaction_picture(params, sector)
+    psi0 = sb.project_initial_state("unit-filling-lower", sector)
+    spectrum = sb.diagonalize_floquet(sb.floquet_operator(parts), parts.boost_order,
+                                      parts.t_bloch, psi0)
+    with pytest.raises(ValueError, match="physical memory"):
+        sb.stroboscopic_occupations(spectrum, sector, 10**15)
+    with pytest.raises(ValueError, match="physical memory"):
+        sb.evolve(psi0, parts, 1e15 * parts.t_bloch, samples_per_period=32)
 
 
 def test_diagonalize_identity():
