@@ -22,10 +22,13 @@ by T_B/d, and time reversal (h_static and h_hop are real in the kappa = 0
 basis) halves that span.  The resulting S is complex symmetric, so its
 eigenbasis comes from one real symmetric eigh, numpy's.
 
-Memory stays within a few copies of S: the propagator is integrated in
-chunks of columns, the windows of `evolve` in blocks of half as many
-columns, each sample written into its row of the result as the step that
-holds it is accepted, and the stroboscopic trace in short blocks of
+Memory stays within 3.5 dim x dim complex copies (see FLOQUET_*): the
+propagator is integrated in chunks of columns (Y and one chunk), S is
+formed and checked in blocks of columns (Y and S, then S), and its
+diagonalisation holds S, the real matrix it diagonalises and what eigh
+allocates.  The windows of `evolve` are integrated in blocks of half as
+many columns, each sample written into its row of the result as the step
+that holds it is accepted, and the stroboscopic trace in short blocks of
 periods.  `evolve` without S holds one vector and the samples.
 """
 
@@ -61,13 +64,21 @@ __all__ = [
 # floquet_operator is then ~1.1e-11 (g = 0.2).
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
-# floquet_operator integrates Y in chunks of FLOQUET_CHUNK columns.  Its peak
-# is estimated as FLOQUET_WORKING_COPIES dim x dim complex arrays (Y, Phi Y, S,
-# then S^dag S: tracemalloc measured 3.05 and 3.01 at dim 402 and 2076) plus
-# FLOQUET_CHUNK_COPIES dim x FLOQUET_CHUNK ones (DOP853's stages and steps).
+# The dense path, in dim x dim complex copies per phase (tracemalloc, plus
+# what LAPACK allocates out of its sight); _propagator_bytes prices the largest:
+# - integrating Y = U(T_B/(2d)) in chunks of FLOQUET_CHUNK columns: Y, and
+#   FLOQUET_CHUNK_COPIES arrays of dim x FLOQUET_CHUNK for DOP853's stages and
+#   work rows and the chunk's start (20.5 measured at dim 402 and 2076, 21.5 at
+#   dim 86 and 22.4 at dim 20, where width = dim);
+# - forming S in column blocks, then checking S^dag S in row blocks: Y, S and
+#   two blocks, then S and one (2.06 copies measured at dim 2076);
+# - diagonalize_floquet: S, Re S + mu Im S, and eigh's input copy, eigenvectors
+#   and divide-and-conquer workspace of 2 dim^2 doubles, FLOQUET_WORKING_COPIES
+#   in all (tracemalloc sees S, the mixture and the eigenvectors: 2.0).
+# The windows of evolve are integrated in blocks of FLOQUET_CHUNK // 2 columns.
 FLOQUET_CHUNK = 64
-FLOQUET_WORKING_COPIES = 4
-FLOQUET_CHUNK_COPIES = 64
+FLOQUET_WORKING_COPIES = 3.5
+FLOQUET_CHUNK_COPIES = 23
 # The fixed cost of one right-hand side call, in state entries of the sparse
 # products it matches: fitted to dop853.integrate at N = L = 3..6 (dim
 # 20..2076, widths 1..32), where a call costs about
@@ -318,13 +329,24 @@ def check_trace_memory(samples: int, sample_bytes: int = 0):
                          f"more than the {have / 2**20:,.1f} MiB of physical memory")
 
 
+def _propagator_bytes(dim: int) -> int:
+    """Estimated peak bytes of `floquet_operator` and `diagonalize_floquet` at
+    sector dimension `dim`: the largest of their three phases, in dim x dim
+    and dim x FLOQUET_CHUNK complex arrays (see the FLOQUET_* constants)."""
+    width = min(dim, FLOQUET_CHUNK)
+    copies = max(dim + FLOQUET_CHUNK_COPIES * width,  # integrating Y: Y and the stepper's chunk
+                 2 * dim + 2 * width,  # forming and checking S: Y, S and two blocks
+                 FLOQUET_WORKING_COPIES * dim)  # diagonalising S
+    return int(16 * dim * copies)
+
+
 def _propagator_obstacle(parts: HamiltonianParts) -> str | None:
-    """Why `floquet_operator` cannot build S for `parts`, or None: its
-    estimated working set exceeds the physical memory, or a block is complex
-    or does not carry the boost charges."""
+    """Why `floquet_operator` cannot build S for `parts`, or None: the
+    estimated working set of building and diagonalising S exceeds the
+    physical memory, or a block is complex or does not carry the boost
+    charges."""
     dim = parts.basis_dim
-    need = 16 * dim * (FLOQUET_WORKING_COPIES * dim
-                       + FLOQUET_CHUNK_COPIES * min(dim, FLOQUET_CHUNK))
+    need = _propagator_bytes(dim)
     have = _physical_memory()
     if need > have:
         return (f"the propagator at sector dimension {dim} needs about "
@@ -337,6 +359,22 @@ def _propagator_obstacle(parts: HamiltonianParts) -> str | None:
         if np.any((charge[block.rows()] - charge[block.indices] - step) % order):
             return f"{name} breaks the boost symmetry of order {order}"
     return None
+
+
+def _half_period_propagator(parts: HamiltonianParts, rtol: float, atol: float) -> np.ndarray:
+    """Y = U(T_B/(2d)), integrated FLOQUET_CHUNK columns at a time by
+    `_integrate_windows`, each chunk from the matching columns of the
+    identity with its own adaptive steps, the first of them the step that
+    the chunk before would take next, into one preallocated dim x dim array."""
+    dim = parts.basis_dim
+    half = 0.5 * parts.t_bloch / parts.boost_order
+    y = np.empty((dim, dim), dtype=complex)
+    step = None
+    for start in range(0, dim, FLOQUET_CHUNK):
+        eye = np.eye(dim, min(FLOQUET_CHUNK, dim - start), -start, dtype=complex)
+        y[:, start:start + eye.shape[1]], step = _integrate_windows(
+            parts, eye, 0.0, half, None, None, rtol, atol, step)
+    return y
 
 
 def floquet_operator(
@@ -359,34 +397,36 @@ def floquet_operator(
     that do not carry the charges (h_static keeps the charge mod d, h_hop
     raises it by one), raise ValueError.
 
-    Memory: the columns of W are independent, so they are integrated
-    FLOQUET_CHUNK at a time by `_integrate_windows`, each chunk from the
-    matching columns of the identity with its own adaptive steps, the first
-    of them the step that the chunk before would take next, and the same
-    rtol and atol, into one preallocated dim x dim array; the stepper keeps
-    only the chunk's end state, and its stages are freed when it returns.
-    ValueError is raised before any integration when the estimated working
-    set exceeds the physical memory.  The defect d max|S^dag S - 1| is
-    checked against UNITARITY_DEFECT_BUDGET; a failure suggests tightening
-    the tolerances.
+    Memory: the columns of W are independent, so Y = U(T_B/(2d)) is
+    integrated FLOQUET_CHUNK columns at a time into one preallocated array
+    (`_half_period_propagator`), and the stepper keeps only the chunk's end
+    state: Y and FLOQUET_CHUNK_COPIES arrays of the chunk's size.  S is then
+    written into a second array one column block of FLOQUET_CHUNK at a time,
+    Y^T (Phi Y[:, block]), and Y is freed: two dim x dim copies.  The defect
+    d max|S^dag S - 1| comes from row blocks S[:, rows]^H S of the Gram
+    matrix, so the check holds S and one block.  ValueError is raised
+    before any integration when the estimated working set of building and
+    diagonalising S exceeds the physical memory.  The defect is checked
+    against UNITARITY_DEFECT_BUDGET; a failure suggests tightening the
+    tolerances.
     """
     dim = parts.basis_dim
     problem = _propagator_obstacle(parts)
     if problem:
         raise ValueError(problem)
-    order, charge = parts.boost_order, parts.boost_charge
-    half = 0.5 * parts.t_bloch / order
-    y = np.empty((dim, dim), dtype=complex)
-    step = None
-    for start in range(0, dim, FLOQUET_CHUNK):
-        eye = np.eye(dim, min(FLOQUET_CHUNK, dim - start), -start, dtype=complex)
-        y[:, start:start + eye.shape[1]], step = _integrate_windows(
-            parts, eye, 0.0, half, None, None, rtol, atol, step)
-    s = y.T @ (np.exp(-2j * math.pi * charge / order)[:, None] * y)
-    del y  # the unitarity check then holds only S and S^dag S
-    gram = s.conj().T @ s
-    gram[np.diag_indices(dim)] -= 1.0
-    defect = order * float(np.abs(gram).max())
+    order = parts.boost_order
+    y = _half_period_propagator(parts, rtol, atol)
+    phi = np.exp(-2j * math.pi * parts.boost_charge / order)[:, None]
+    s = np.empty((dim, dim), dtype=complex)
+    blocks = [slice(start, start + FLOQUET_CHUNK) for start in range(0, dim, FLOQUET_CHUNK)]
+    for cols in blocks:
+        s[:, cols] = y.T @ (phi * y[:, cols])
+    del y
+    defect = 0.0
+    for rows in blocks:
+        gram = s[:, rows].conj().T @ s
+        gram[:, rows][np.diag_indices(gram.shape[0])] -= 1.0
+        defect = max(defect, order * float(np.abs(gram).max()))
     if defect > UNITARITY_DEFECT_BUDGET:
         raise NumericalError(f"one-period propagator defect {defect:.3e} exceeds "
                              f"{UNITARITY_DEFECT_BUDGET:.1e}; tighten rtol/atol")
@@ -407,11 +447,27 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     -arg(lambda)/T_B, in [-F/2, F/2), and the unitarity defect is
     max_j ||lambda_j|^2 - 1|, which with the residual check bounds the
     entrywise defect of V Lambda V^T.
+
+    Memory, in complex copies of S: besides S, the eigh holds the real
+    matrix it diagonalises, eigh's input copy and the eigenvectors (half a
+    copy each) and LAPACK's divide-and-conquer workspace of 2 dim^2 doubles
+    (one), 3.5 in all, of which tracemalloc sees 2.0 (numpy's linalg
+    allocates the input copy and the workspace itself).  Then sigma and the
+    residual are formed one block of FLOQUET_CHUNK columns of V at a time,
+    from S V[:, block], so no dim x dim product or complex copy of V is
+    made; the overlaps with psi0 alone make one (2.5 copies with S and V).
     """
-    _, vectors = np.linalg.eigh(s.real + EIGEN_MIX * s.imag)
-    sv = s @ vectors
-    sigma = np.einsum("ij,ij->j", vectors, sv)
-    residual = float(np.abs(sv - vectors * sigma).max())
+    mixed = EIGEN_MIX * s.imag
+    mixed += s.real
+    _, vectors = np.linalg.eigh(mixed)
+    del mixed
+    sigma = np.empty(len(vectors), dtype=complex)
+    residual = 0.0
+    for start in range(0, len(vectors), FLOQUET_CHUNK):
+        cols = slice(start, start + FLOQUET_CHUNK)
+        sv = s @ vectors[:, cols]
+        sigma[cols] = np.einsum("ij,ij->j", vectors[:, cols], sv)
+        residual = max(residual, float(np.abs(sv - vectors[:, cols] * sigma[cols]).max()))
     if residual > EIGEN_RESIDUAL_BUDGET:
         raise NumericalError(f"Floquet eigenvector residual {residual:.3e} exceeds "
                              f"{EIGEN_RESIDUAL_BUDGET:.0e}")
@@ -441,13 +497,15 @@ def stroboscopic_occupations(
     ms = np.arange(n_periods + 1)
     values = np.empty(ms.size)
     vt = spectrum.eigen_vectors.T
-    # periods per block: about 100,000 phases, so its temporaries take a few MB
+    # periods per block: about 100,000 phases, one complex array of 1.6 MB
     chunk = max(1, 100_000 // max(1, spectrum.dim))
+    buffer = np.empty((min(chunk, ms.size), spectrum.dim), dtype=complex)
     for start in range(0, ms.size, chunk):
         block = ms[start:start + chunk]
-        phases = np.exp(
-            -1j * np.outer(block * spectrum.t_bloch, spectrum.quasi_energies)
-        ) * spectrum.coefficients
+        phases = buffer[:block.size]
+        np.multiply(-1j, np.outer(block * spectrum.t_bloch, spectrum.quasi_energies), out=phases)
+        np.exp(phases, out=phases)
+        phases *= spectrum.coefficients
         values[start:start + chunk] = ((phases.real @ vt) ** 2 + (phases.imag @ vt) ** 2) @ w
     return OscillationTrace(times=ms * spectrum.t_bloch, values=values)
 

@@ -2,10 +2,23 @@
 acceptance suite and the unit tests do not repeat one-period integrations."""
 
 import math
+import tracemalloc
 
 import pytest
 
 import starkband as sb
+
+
+def peak_copies(run, size):
+    """tracemalloc's peak during run(), in complex arrays of `size` entries.
+    Arrays allocated before the call do not count; memory that LAPACK
+    allocates for numpy.linalg is not seen."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / (16 * size)
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

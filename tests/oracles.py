@@ -1,5 +1,6 @@
-"""Full-Fock-basis oracles for the tests: the embedding of kappa = 0 sector
-coordinates, and the static Hamiltonian with the explicit tilt l*F."""
+"""Oracles for the tests: the embedding of kappa = 0 sector coordinates in
+the full Fock basis, the static Hamiltonian with the explicit tilt l*F there,
+and the Floquet spectrum from full dim x dim products."""
 
 import math
 
@@ -8,6 +9,7 @@ import scipy.sparse as sparse
 
 from starkband.fock import FockState, enumerate_fock, translate
 from starkband.hamiltonian import TermMask, _diagonal_energy, _onsite_offdiagonal
+from starkband.propagation import EIGEN_MIX
 
 
 def expand(sector, coords) -> np.ndarray:
@@ -73,3 +75,18 @@ def build_static_tilted(params, basis, mask: TermMask = TermMask()):
             vals.extend((amp, amp))
     dim = len(basis)
     return sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex).tocsr()
+
+
+def full_matrix_spectrum(y, parts, psi0):
+    """S = Y^T (Phi Y) for the half-period propagator Y, and the sorted
+    quasi-energies and initial-state overlaps of S^d, each from one full
+    matrix product: S V and the residual max|SV - V Sigma| on it."""
+    order = parts.boost_order
+    s = y.T @ (np.exp(-2j * math.pi * parts.boost_charge / order)[:, None] * y)
+    _, vectors = np.linalg.eigh(s.real + EIGEN_MIX * s.imag)
+    sv = s @ vectors
+    sigma = np.einsum("ij,ij->j", vectors, sv)
+    assert np.abs(sv - vectors * sigma).max() <= 1e-8
+    eps = -np.angle(sigma ** order) / parts.t_bloch
+    ranks = np.argsort(eps, kind="stable")
+    return s, eps[ranks], vectors[:, ranks].T @ np.asarray(psi0, dtype=complex)

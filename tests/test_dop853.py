@@ -10,7 +10,6 @@ blows up must fail in both.  The working set of one call is counted in
 arrays of the state's size.
 """
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +20,8 @@ from scipy.integrate._ivp import dop853_coefficients as scipy_tableau
 import starkband as sb
 from starkband import dop853
 from starkband.propagation import DEFAULT_ATOL, DEFAULT_RTOL, FLOQUET_CHUNK
+
+from conftest import peak_copies
 
 
 def _counted(fun):
@@ -158,16 +159,6 @@ def test_carried_step_on_a_window_matches_scipy():
     assert np.abs(end - sol.y[:, -1]).max() <= 1e-13
 
 
-def _peak_in_states(size, run):
-    """tracemalloc's peak during run(), in complex arrays of `size` entries."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1] / (16 * size)
-    finally:
-        tracemalloc.stop()
-
-
 def test_working_set_of_a_chunk_and_of_a_sampled_block(preset_runs):
     # at the preset (dim 402), in arrays of the state's size: a 64-column
     # chunk without samples holds its 13 stages, y, y_new and one work row,
@@ -180,8 +171,9 @@ def test_working_set_of_a_chunk_and_of_a_sampled_block(preset_runs):
     dim, tb = parts.basis_dim, parts.t_bloch
     chunk = np.eye(dim, FLOQUET_CHUNK, dtype=complex).ravel()
     half = 0.5 * tb / parts.boost_order
-    assert _peak_in_states(chunk.size, lambda: dop853.integrate(
-        _block_rhs(parts, FLOQUET_CHUNK), chunk, 0.0, half, DEFAULT_RTOL, DEFAULT_ATOL)) <= 21
+    assert peak_copies(lambda: dop853.integrate(
+        _block_rhs(parts, FLOQUET_CHUNK), chunk, 0.0, half, DEFAULT_RTOL, DEFAULT_ATOL),
+        chunk.size) <= 21
     width = FLOQUET_CHUNK // 2
     rng = np.random.default_rng(3)
     block = (rng.normal(size=(dim, width)) + 1j * rng.normal(size=(dim, width))).ravel()
@@ -192,7 +184,7 @@ def test_working_set_of_a_chunk_and_of_a_sampled_block(preset_runs):
         dop853.integrate(_block_rhs(parts, width), block, 0.0, offsets[-1], DEFAULT_RTOL,
                          DEFAULT_ATOL, offsets, samples.__setitem__)
 
-    assert _peak_in_states(block.size, run) <= 31.5
+    assert peak_copies(run, block.size) <= 31.5
     assert np.isfinite(samples).all()
 
 

@@ -6,7 +6,6 @@ contracts are exercised on systems small enough to run in seconds.
 
 import itertools
 import math
-import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -21,6 +20,9 @@ import starkband.propagation as propagation
 from starkband.cli import main
 from starkband.fock import FockState
 from starkband.propagation import EIGEN_MIX
+
+from conftest import peak_copies
+from oracles import full_matrix_spectrum
 
 SMALL = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03, w_b=0.018,
                        w_x=0.012, g=0.4, force=2.2201, n_particles=2, n_sites=3)
@@ -431,16 +433,83 @@ def test_floquet_operator_integrates_a_fraction_of_the_period(system44, monkeypa
     assert max(times) <= system44.t_bloch / 8
 
 
-def test_floquet_operator_memory_is_a_few_copies_of_u(preset_runs):
-    # the dense matrix ODE held about 37 copies of U at the preset
+def test_floquet_operator_memory_is_two_copies_of_s(preset_runs, monkeypatch):
+    # the dense matrix ODE held about 37 copies of S at the preset.  With
+    # chunks of 8 columns, so that the stepper does not mask the later
+    # phases, the peak is Y, S and two 8-column blocks while S is formed
+    # (2.07 measured), then S and one row block of S^dag S
     parts = preset_runs.parts(0.2)
-    tracemalloc.start()
-    try:
-        sb.floquet_operator(parts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8 * 16 * parts.basis_dim ** 2
+    monkeypatch.setattr(propagation, "FLOQUET_CHUNK", 8)
+    assert peak_copies(lambda: sb.floquet_operator(parts), parts.basis_dim ** 2) <= 2.25
+
+
+def test_diagonalize_floquet_memory_is_s_and_one_real_pair(preset_runs):
+    # S, then Re S + mu Im S and the eigenvectors, each half a copy of S; the
+    # residual takes blocks of 64 columns of V, and the overlaps one complex
+    # copy of V (2.5 copies with S and V, 2.56 measured).  The eigh's input
+    # copy and LAPACK's workspace are not seen by tracemalloc.
+    parts = preset_runs.parts(0.2)
+    s = sb.floquet_operator(parts)
+    copies = 1 + peak_copies(lambda: sb.diagonalize_floquet(
+        s, parts.boost_order, parts.t_bloch, preset_runs.psi0), s.size)
+    assert copies <= 2.75
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_propagator_estimate_covers_the_measured_peak(n):
+    # the estimate prices the largest phase: at dim 86 and 402 the chunk
+    # stepper while Y is integrated.  The diagonalisation's peak adds what
+    # numpy's eigh takes from outside tracemalloc's sight: its input copy
+    # (dim^2 doubles) and the workspace of LAPACK's dsyevd (2 dim^2)
+    parts = _parts_for(n, n)
+    dim = parts.basis_dim
+    psi0 = sb.project_initial_state("unit-filling-lower", sb.build_k0_sector(n, n))
+    built = []
+    building = peak_copies(lambda: built.append(sb.floquet_operator(parts)), dim * dim)
+    diagonalising = 1 + peak_copies(lambda: sb.diagonalize_floquet(
+        built[0], parts.boost_order, parts.t_bloch, psi0), dim * dim) + 3 * 8 / 16
+    assert propagation._propagator_bytes(dim) >= 16 * dim * dim * max(building, diagonalising)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_cli_refuses_a_propagator_it_cannot_diagonalise(n, monkeypatch, capsys):
+    # physical memory just below the diagonalisation's estimate.  At
+    # N = L = 6 (dim 2076) it would hold the integration and S, so only the
+    # pricing of the eigh refuses.  Nothing is integrated first.
+    dim = sb.build_k0_sector(n, n).dim
+    diagonalising = int(16 * dim * dim * propagation.FLOQUET_WORKING_COPIES)
+    assert (propagation._propagator_bytes(dim) == diagonalising) == (n == 6)
+    monkeypatch.setattr(propagation, "_physical_memory", lambda: diagonalising - 1)
+
+    def refuse(*args):
+        raise AssertionError("apply called")
+
+    monkeypatch.setattr(sb.HamiltonianParts, "apply", refuse)
+    assert main(["floquet-spectrum", "--preset", "v0_4", "--n", str(n), "--l", str(n)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_blocked_floquet_path_is_bit_identical_to_full_products(n, monkeypatch):
+    # S formed in column blocks, and sigma and the residual from column
+    # blocks of V (one block at dim 20, two at 86, seven at 402), give the
+    # very bits of the full products Y^T (Phi Y) and S V
+    parts = _parts_for(n, n)
+    psi0 = sb.project_initial_state("unit-filling-lower", sb.build_k0_sector(n, n))
+    half_periods = []
+    integrate = propagation._half_period_propagator
+
+    def kept(*args):
+        half_periods.append(integrate(*args))
+        return half_periods[-1]
+
+    monkeypatch.setattr(propagation, "_half_period_propagator", kept)
+    s = sb.floquet_operator(parts)
+    spectrum = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
+    s_full, eps, coefficients = full_matrix_spectrum(half_periods[0], parts, psi0)
+    assert np.array_equal(s, s_full)
+    assert np.array_equal(spectrum.quasi_energies, eps)
+    assert np.array_equal(spectrum.coefficients, coefficients)
 
 
 def test_evolve_memory_is_the_propagator_and_the_samples(preset_runs):
@@ -453,27 +522,30 @@ def test_evolve_memory_is_the_propagator_and_the_samples(preset_runs):
     # the samples plus 32 such arrays)
     parts = preset_runs.parts(0.2)
     tb = parts.t_bloch
-    tracemalloc.start()
-    try:
-        result = sb.evolve(preset_runs.psi0, parts, 50 * tb, samples_per_period=32)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    results = []
+
+    def run():
+        results.append(sb.evolve(preset_runs.psi0, parts, 50 * tb, samples_per_period=32))
+
+    copies = peak_copies(run, parts.basis_dim)
+    result = results[0]
     assert result.states.shape == (1601, parts.basis_dim)
-    assert peak <= 16 * parts.basis_dim * (len(result.times) + 40 * 32)
+    assert copies <= len(result.times) + 40 * 32
 
 
 def test_stroboscopic_occupations_memory_is_bounded(preset_runs):
     # one 3,082 x 402 block of phases took about 40 MB of temporaries at the
-    # preset; the blocks must still join up (248 periods each at dim 402)
+    # preset.  The blocks of 248 periods at dim 402 are built in one
+    # array of 248 x 402 phases, and their products with V take another
+    # (2.03 such arrays, 3.24 MB, measured); the blocks must still join up
     spectrum = preset_runs.spectrum(0.2)
-    tracemalloc.start()
-    try:
-        trace = sb.stroboscopic_occupations(spectrum, preset_runs.sector, 3081)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8e6
+    traces = []
+
+    def run():
+        traces.append(sb.stroboscopic_occupations(spectrum, preset_runs.sector, 3081))
+
+    assert peak_copies(run, 248 * 402) <= 2.2
+    trace = traces[0]
     assert trace.values.size == 3082
     for m in (247, 248, 3081):
         psi = _stroboscopic_state(spectrum, m)
