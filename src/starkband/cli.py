@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .fock import FockState, build_k0_sector, full_dimension, project_initial_state
+from .fock import Csr, FockState, build_k0_sector, full_dimension, project_initial_state
 from .hamiltonian import TermMask, build_interaction_picture, build_single_particle_transformed
 from .model import (
     PRESETS,
@@ -165,24 +165,18 @@ def _check_trace_memory(samples: int, state_bytes: int = 0, columns: int = 0):
 
 def _dump_matrix(parts, path):
     """Coordinate-format dump of H(0) = h_static + h_hop + h_hop^dag, one
-    `row,col,re,im` line per entry in row-major order.  Each sum is scipy's
-    sum of sparse matrices: a + 0 or 0 + b where one side has no entry, and
-    entries that come out 0 dropped."""
-    static, hop, dim = parts.static_csr, parts.hop_csr, parts.basis_dim
-    keys, values = static.rows().astype(np.int64) * dim + static.indices, static.data
+    `row,col,re,im` line per entry in row-major order.  The entries of the
+    three blocks are summed in that order, and entries that come out 0
+    dropped, as scipy's sum of sparse matrices does; `+ 0.0` is scipy's
+    a + 0 where a block has no entry, so that no sum prints -0."""
+    static, hop = parts.static_csr, parts.hop_csr
     hop_rows = hop.rows()
-    for rows, cols, data in ((hop_rows, hop.indices, hop.data),
-                             (hop.indices, hop_rows, hop.data.conj())):
-        term = rows.astype(np.int64) * dim + cols
-        union = np.union1d(keys, term)
-        old, new = np.zeros((2, union.size), dtype=complex)
-        old[np.searchsorted(union, keys)] = values
-        new[np.searchsorted(union, term)] = data
-        values = old + new
-        keys, values = union[values != 0], values[values != 0]
-    rows, cols = np.divmod(keys, dim)
-    lines = [f"{r},{c},{_fmt(v.real)},{_fmt(v.imag)}"
-             for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist())]
+    h = Csr.from_entries(np.concatenate((static.rows(), hop_rows, hop.indices)),
+                         np.concatenate((static.indices, hop.indices, hop_rows)),
+                         np.concatenate((static.data, hop.data, hop.data.conj())), static.dim)
+    rows, kept = h.rows(), h.data != 0
+    lines = [f"{r},{c},{_fmt(v.real)},{_fmt(v.imag)}" for r, c, v in
+             zip(rows[kept].tolist(), h.indices[kept].tolist(), (h.data[kept] + 0.0).tolist())]
     _emit("\n".join(lines) + "\n", path)
 
 

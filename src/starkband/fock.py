@@ -7,7 +7,8 @@ which fixes the order of the orbit representatives and so of the sector
 basis.  One dict from every full-basis state to its representative's index
 is the sector's only lookup.  Sector operators come out as `Csr`, numpy's
 arrays of a canonical compressed sparse row matrix, so that building one
-imports no scipy.sparse.
+imports no scipy.sparse.  `Csr.from_entries`, the one rule that turns
+(row, column, value) entries into that form, builds, sums and mirrors them.
 
 On a ring the simultaneous cyclic shift of both bands commutes with the
 gauge-transformed Hamiltonian; grouping the basis into translation orbits
@@ -131,6 +132,26 @@ class Csr(NamedTuple):
         """The row of each stored entry."""
         return np.repeat(np.arange(self.dim, dtype=self.indices.dtype), np.diff(self.indptr))
 
+    @classmethod
+    def from_entries(cls, rows, cols, values, dim: int) -> "Csr":
+        """The dim x dim matrix with `values` at (`rows`, `cols`): entries
+        sorted by row, then column, then the order they came in, the values
+        at one position summed in that order, and explicit zeros kept.  This
+        is scipy's coo -> csr conversion and sum_duplicates, bit for bit
+        where no row holds more than 16 entries (scipy sorts longer rows
+        unstably)."""
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        values = np.asarray(values, dtype=complex)
+        order = np.lexsort((cols, rows))
+        rows, cols, values = rows[order], cols[order], values[order]
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        data = values[first]
+        np.add.at(data, np.cumsum(first)[~first] - 1, values[~first])
+        index_type = np.int32 if max(dim, len(data)) < 2**31 else np.int64
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[first], minlength=dim))))
+        return cls(data, cols[first].astype(index_type), indptr.astype(index_type))
+
 
 @dataclass(frozen=True)
 class SymmetrySector:
@@ -167,30 +188,19 @@ class SymmetrySector:
 
         The operator is applied to the representative of column j only, so
         an element i <- j carries the orbit factor sqrt(orbit_j / orbit_i).
-        Entries are sorted by row, then column, then the order they came in,
-        and the values at one position are summed in that order, as scipy's
-        coo -> csr conversion does.  Only the `columns` given (all by
-        default) are visited.
+        The entries go through `Csr.from_entries`.  Only the `columns` given
+        (all by default) are visited.
         """
         sizes, index = self.orbit_sizes, self.index
         rows, cols, vals = [], [], []
         for j in range(self.dim) if columns is None else columns:
             for target, amp in rule(self.representatives[j]):
-                i = index[target]
-                rows.append(i)
+                rows.append(index[target])
                 cols.append(j)
-                vals.append(amp * math.sqrt(sizes[j] / sizes[i]))
+                vals.append(amp)
         rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        vals = np.asarray(vals, dtype=complex)
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        data = vals[first]
-        np.add.at(data, np.cumsum(first)[~first] - 1, vals[~first])
-        index_type = np.int32 if max(self.dim, len(data)) < 2**31 else np.int64
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[first], minlength=self.dim))))
-        return Csr(data, cols[first].astype(index_type), indptr.astype(index_type))
+        vals = np.asarray(vals) * np.sqrt(sizes[cols] / sizes[rows])
+        return Csr.from_entries(rows, cols, vals, self.dim)
 
 
 def build_k0_sector(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP) -> SymmetrySector:

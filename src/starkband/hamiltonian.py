@@ -17,8 +17,8 @@ The blocks are numpy `Csr` arrays, and `HamiltonianParts.apply` runs
 scipy's compiled CSR product on them, loaded straight from its extension
 file: importing scipy.sparse costs a run about 0.25 s (its array API shim
 loads numpy.f2py, numpy.testing, numpy.ma and numpy.random), and a run uses
-nothing else of it.  Only the scipy.sparse views of the blocks, which no
-run reads, import it.
+nothing else of it.  Only `_scipy_csr`, which builds the cached scipy.sparse
+views h_static, h_hop and h_hop_dag that no run reads, imports it.
 """
 
 import importlib.machinery
@@ -29,6 +29,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -162,78 +163,53 @@ class _FusedBlocks:
         return out
 
 
-def _as_csr(block) -> Csr:
-    """`block` as a `Csr`: as it is, or converted from a scipy sparse matrix."""
-    if isinstance(block, Csr):
-        return block
-    m = block.tocsr(copy=True)
-    m.sum_duplicates()
-    return Csr(m.data.astype(complex), m.indices, m.indptr)
+def _scipy_csr(block: Csr):
+    """`block` as a scipy.sparse.csr_matrix, for callers that want scipy's
+    arithmetic: the one place the package imports scipy.sparse."""
+    import scipy.sparse
 
-
-class _ScipyView:
-    """A block field of HamiltonianParts.  It is set from a `Csr` or a scipy
-    sparse matrix and kept as a `Csr` in the attribute `csr_name`, which the
-    run path reads.  Read under its own name it is that block as a
-    scipy.sparse.csr_matrix, built on first access for callers that want
-    scipy's arithmetic: the one place the package imports scipy.sparse."""
-
-    def __init__(self, csr_name: str):
-        self.csr_name = csr_name
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, parts, owner=None):
-        if parts is None:
-            raise AttributeError(self.name)  # so that the dataclass field has no default
-        if self.name not in parts.__dict__:
-            import scipy.sparse
-
-            block = getattr(parts, self.csr_name)
-            parts.__dict__[self.name] = scipy.sparse.csr_matrix(block, shape=(block.dim,) * 2)
-        return parts.__dict__[self.name]
-
-    def __set__(self, parts, block):
-        object.__setattr__(parts, self.csr_name, _as_csr(block))
+    return scipy.sparse.csr_matrix(block, shape=(block.dim,) * 2)
 
 
 @dataclass(frozen=True)
 class HamiltonianParts:
     """Time-independent blocks of the interaction-picture Hamiltonian, and
     `frame`, the real D = diag(h_static) that both integrators remove.
-    `h_hop_dag` is derived from `h_hop`, so `replace(parts, h_hop=...)`
-    keeps H(t) Hermitian.
 
-    h_static and h_hop are given as `Csr` or scipy sparse matrices and kept
-    as `Csr` in `static_csr` and `hop_csr`, which is all a run reads.  Read
-    by name, h_static, h_hop and h_hop_dag are scipy.sparse.csr_matrix
-    views, built (and scipy.sparse imported) on first access.
+    `static_csr` and `hop_csr` are h_static and h_hop as `Csr`, which is all
+    a run reads; `basis_dim` is their dimension.  h_hop^dag is derived from
+    `hop_csr`, so `replace(parts, hop_csr=...)` keeps H(t) Hermitian.  The
+    properties h_static, h_hop and h_hop_dag are the blocks as
+    scipy.sparse.csr_matrix, built (and scipy.sparse imported) on first
+    access and kept.
 
     `boost_order` is d = gcd(N, L), `boost_charge` each basis state's S mod d
     with S = sum_l l (n^a_l + n^b_l), sites l = 0..L-1.  The boost B^(L/d),
     B = exp(2 pi i S / L), is diag(exp(2 pi i boost_charge / d)) on the sector
     and shifts H(t) by T_B/d.  The defaults d = 1, charge 0 claim no symmetry.
+    Blocks of different dimensions, or a charge per state of another length,
+    raise ValueError.
     """
 
-    h_static: Csr = _ScipyView("static_csr")  # read back as a scipy.sparse.csr_matrix
-    h_hop: Csr = _ScipyView("hop_csr")
-    basis_dim: int
+    static_csr: Csr = field(repr=False)
+    hop_csr: Csr = field(repr=False)
     force: float
     boost_order: int = 1
     boost_charge: np.ndarray | None = field(default=None, repr=False, compare=False)
-    static_csr: Csr = field(init=False, repr=False, compare=False)
-    hop_csr: Csr = field(init=False, repr=False, compare=False)
     frame: np.ndarray = field(init=False, repr=False, compare=False)
     _fused: _FusedBlocks = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        static, hop, dim = self.static_csr, self.hop_csr, self.basis_dim
+        if hop.dim != dim:
+            raise ValueError(f"h_hop has dimension {hop.dim}, h_static {dim}")
         if self.boost_charge is None:
-            object.__setattr__(self, "boost_charge", np.zeros(self.basis_dim, dtype=np.int64))
-        static, hop = self.static_csr, self.hop_csr
+            object.__setattr__(self, "boost_charge", np.zeros(dim, dtype=np.int64))
+        elif np.shape(self.boost_charge) != (dim,):
+            raise ValueError(f"boost_charge has shape {np.shape(self.boost_charge)}, not ({dim},)")
         rows, cols = static.rows(), static.indices
         on = rows == cols
-        d = np.zeros(self.basis_dim)
+        d = np.zeros(dim)
         d[rows[on]] += static.data[on].real  # 0 + a, as scipy's diagonal() sums it
         off = static.data - np.where(on, d[rows], 0.0)  # scipy's h_static - diags(d)
         kept = off != 0
@@ -245,9 +221,21 @@ class HamiltonianParts:
         object.__setattr__(self, "_fused", fused)
 
     @property
+    def basis_dim(self) -> int:
+        return self.static_csr.dim
+
+    @cached_property
+    def h_static(self):
+        return _scipy_csr(self.static_csr)
+
+    @cached_property
+    def h_hop(self):
+        return _scipy_csr(self.hop_csr)
+
+    @cached_property
     def h_hop_dag(self):
-        """h_hop^dag as a scipy.sparse.csr_matrix (see `h_hop`)."""
-        return self.h_hop.getH().tocsr()
+        hop = self.hop_csr
+        return _scipy_csr(Csr.from_entries(hop.indices, hop.rows(), hop.data.conj(), hop.dim))
 
     @property
     def t_bloch(self) -> float:
@@ -270,16 +258,15 @@ class HamiltonianParts:
 def hermiticity_defect(matrix) -> float:
     """max |M - M^dag| over all entries (0 for an empty matrix) of a `Csr`,
     a scipy sparse matrix or a dense array."""
-    if isinstance(matrix, Csr) or hasattr(matrix, "tocsr"):
-        m = _as_csr(matrix)
-        if not m.data.size:
-            return 0.0
-        # the canonical keys i * dim + j ascend, so each entry finds its mirror (j, i)
-        rows, cols = m.rows().astype(np.int64), m.indices.astype(np.int64)
-        keys, mirrors = rows * m.dim + cols, cols * m.dim + rows
-        at = np.minimum(np.searchsorted(keys, mirrors), keys.size - 1)
-        partner = np.where(keys[at] == mirrors, m.data[at], 0.0)
-        return float(np.abs(m.data - partner.conj()).max())
+    if hasattr(matrix, "tocsr"):
+        m = matrix.tocsr()
+        matrix = Csr(m.data, m.indices, m.indptr)
+    if isinstance(matrix, Csr):
+        # M's entries, then those of -M^dag: each position sums m_ij + (-conj(m_ji))
+        rows, cols = matrix.rows(), matrix.indices
+        defect = Csr.from_entries(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
+                                  np.concatenate((matrix.data, -matrix.data.conj())), matrix.dim)
+        return float(np.abs(defect.data).max()) if defect.data.size else 0.0
     m = np.asarray(matrix)
     return float(np.abs(m - m.conj().T).max())
 
@@ -368,9 +355,8 @@ def build_interaction_picture(
     charge = [sum(l * (na + nb) for l, (na, nb) in enumerate(zip(rep.lower, rep.upper))) % order
               for rep in sector.representatives]
     return HamiltonianParts(
-        h_static=h_static,
-        h_hop=h_hop,
-        basis_dim=sector.dim,
+        static_csr=h_static,
+        hop_csr=h_hop,
         force=params.force,
         boost_order=order,
         boost_charge=np.asarray(charge, dtype=np.int64),

@@ -454,31 +454,34 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     (one), 3.5 in all, of which tracemalloc sees 2.0 (numpy's linalg
     allocates the input copy and the workspace itself).  Then sigma and the
     residual are formed one block of FLOQUET_CHUNK columns of V at a time,
-    from S V[:, block], so no dim x dim product or complex copy of V is
-    made; the overlaps with psi0 alone make one (2.5 copies with S and V).
+    from S V[:, block], and so are the overlaps V[:, block]^T psi0, so no
+    dim x dim product or complex copy of V is made (2.0 copies with S, V
+    and V sorted by quasi-energy).
     """
     mixed = EIGEN_MIX * s.imag
     mixed += s.real
     _, vectors = np.linalg.eigh(mixed)
     del mixed
+    psi0 = np.asarray(psi0, dtype=complex)
     sigma = np.empty(len(vectors), dtype=complex)
+    overlaps = np.empty(len(vectors), dtype=complex)
     residual = 0.0
     for start in range(0, len(vectors), FLOQUET_CHUNK):
         cols = slice(start, start + FLOQUET_CHUNK)
         sv = s @ vectors[:, cols]
         sigma[cols] = np.einsum("ij,ij->j", vectors[:, cols], sv)
         residual = max(residual, float(np.abs(sv - vectors[:, cols] * sigma[cols]).max()))
+        overlaps[cols] = vectors[:, cols].T @ psi0
     if residual > EIGEN_RESIDUAL_BUDGET:
         raise NumericalError(f"Floquet eigenvector residual {residual:.3e} exceeds "
                              f"{EIGEN_RESIDUAL_BUDGET:.0e}")
     lam = sigma ** order
     eps = -np.angle(lam) / t_bloch
     ranks = np.argsort(eps, kind="stable")
-    vectors = vectors[:, ranks]
     return FloquetSpectrum(
         quasi_energies=eps[ranks],
-        eigen_vectors=vectors,
-        coefficients=vectors.T @ np.asarray(psi0, dtype=complex),
+        eigen_vectors=vectors[:, ranks],
+        coefficients=overlaps[ranks],
         unitarity_defect=float(np.abs(np.abs(lam) ** 2 - 1.0).max()),
         t_bloch=t_bloch,
     )

@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import starkband as sb
-from starkband.cli import build_parser, main
+from starkband.cli import _fmt, build_parser, main
 
 SMALL_PARAMS = dict(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.030, w_b=0.018,
                     w_x=0.012, g=0.0, n_particles=1, n_sites=2, resonance_order=2)
@@ -228,6 +229,29 @@ def test_dump_matrix(params_file, tmp_path):
     sector = sb.build_k0_sector(1, 2)
     parts = sb.build_interaction_picture(p, sector)
     assert np.abs(h - parts.dense_at(0.0)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,l,g,terms", [
+    (3, 3, 0.2, None), (5, 5, 0.2, None), (4, 4, 0.0, None), (3, 3, 0.2, "hop_b,int_x_pair"),
+    (2, 4, 0.2, None), (1, 2, 0.2, None),
+    (4, 2, 0.2, None),  # hop and hop^dag share positions
+    (3, 1, 0.2, None),
+])
+def test_dump_matrix_is_scipys_sum(n, l, g, terms, tmp_path):
+    # Oracle: scipy's h_static + h_hop + h_hop^dag, byte for byte.  Where a
+    # block has no entry scipy adds +0, so no line may print -0
+    dump = tmp_path / "h.csv"
+    argv = ["floquet-spectrum", "--preset", "v0_4", "--n", str(n), "--l", str(l), "--g", str(g),
+            "--initial", "lower-band-ground", "--dump-matrix", str(dump),
+            "--out", str(tmp_path / "s.csv")]
+    assert main(argv + (["--terms", terms] if terms else [])) == 0
+    params = replace(sb.preset_v0_4(g), n_particles=n, n_sites=l)
+    mask = sb.TermMask.from_names(terms) if terms else sb.TermMask()
+    parts = sb.build_interaction_picture(params, sb.build_k0_sector(n, l), mask)
+    h = (parts.h_static + parts.h_hop + parts.h_hop.getH()).tocoo()
+    expected = "".join(f"{r},{c},{_fmt(v.real)},{_fmt(v.imag)}\n"
+                       for r, c, v in zip(h.row.tolist(), h.col.tolist(), h.data.tolist()))
+    assert dump.read_text() == expected
 
 
 def test_revival_report_small_system(params_file, tmp_path):

@@ -110,12 +110,12 @@ def test_hermiticity(n, l, g):
 
 
 def test_replaced_hopping_keeps_the_hamiltonian_hermitian():
-    # h_hop_dag follows h_hop, so a replaced hopping block gives a Hermitian
+    # h_hop_dag follows hop_csr, so a replaced hopping block gives a Hermitian
     # H(t), and `apply` stays the frame product e^{iDt} (H(t) - D) e^{-iDt}
     p = sb.ModelParams(delta=3.1, c0=0.21, t_a=0.3, t_b=0.7, w_a=0.11, w_b=0.23,
                        w_x=0.17, g=0.5, force=1.9, n_particles=2, n_sites=3)
     parts = sb.build_interaction_picture(p, sb.build_k0_sector(2, 3))
-    rotated = replace(parts, h_hop=1j * parts.h_hop)
+    rotated = replace(parts, hop_csr=parts.hop_csr._replace(data=1j * parts.hop_csr.data))
     y = np.random.default_rng(7).normal(size=(parts.basis_dim, 3)) + 0j
     for t in (0.0, 0.31, 2.2):
         h = rotated.dense_at(t)
@@ -147,9 +147,29 @@ def test_sector_matrix_is_scipys_csr(n):
         expected.sum_duplicates()
         got = sector.matrix(rule)
         assert len(rows) > got.data.size  # duplicates were summed
-        for name in ("indices", "indptr"):
-            assert np.array_equal(getattr(got, name), getattr(expected, name))
-        assert got.data.tobytes() == expected.data.tobytes()
+        _assert_scipys_csr(got, expected)
+    # the rule itself, on seeded entries with duplicates, explicit zeros and
+    # +-0 parts, and on no entries at all.  12 entries a row: scipy sorts a
+    # row of more than 16 entries unstably, which reorders their sums
+    rng = np.random.default_rng(n)
+    rows = rng.permutation(np.repeat(np.arange(n), 12))
+    cols = rng.integers(0, n, size=rows.size)
+    vals = np.empty(rows.size, dtype=complex)
+    vals.real, vals.imag = rng.choice([0.0, -0.0, 1.0, -2.5, 0.1], size=(2, rows.size))
+    vals[::7] = rng.normal(size=vals[::7].size) + 1j * rng.normal(size=vals[::7].size)
+    vals[::5] = complex(-0.0, -0.0)
+    for entries in ((rows, cols, vals), ([], [], [])):
+        expected = sparse.coo_matrix((entries[2], entries[:2]), shape=(n, n),
+                                     dtype=complex).tocsr()
+        expected.sum_duplicates()
+        _assert_scipys_csr(Csr.from_entries(*entries, n), expected)
+
+
+def _assert_scipys_csr(got, expected):
+    for name in ("indices", "indptr"):
+        assert getattr(got, name).dtype == getattr(expected, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(expected, name))
+    assert got.data.tobytes() == expected.data.tobytes()
 
 
 @pytest.mark.parametrize("width", [1, 18, 64])
@@ -183,6 +203,20 @@ def test_sparsetools_loader_names_a_missing_file(monkeypatch, tmp_path):
     with pytest.raises(ImportError, match="scipy.sparse._sparsetools not found") as err:
         hamiltonian._load_sparsetools()
     assert str(tmp_path / "sparse") in str(err.value)
+
+
+def test_parts_reject_blocks_of_different_dimensions():
+    parts = sb.build_interaction_picture(PARAMS_12, sb.build_k0_sector(1, 2))
+    hop = Csr.from_entries([0], [2], [0.5], 3)
+    with pytest.raises(ValueError, match="dimension 3"):
+        replace(parts, hop_csr=hop)
+
+
+@pytest.mark.parametrize("states", [1, 3])
+def test_parts_reject_a_charge_per_state_of_another_length(states):
+    parts = sb.build_interaction_picture(PARAMS_12, sb.build_k0_sector(1, 2))
+    with pytest.raises(ValueError, match="boost_charge"):
+        replace(parts, boost_charge=np.zeros(states, dtype=np.int64))
 
 
 def test_hermiticity_defect_of_sparse_and_dense_agree():

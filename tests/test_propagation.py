@@ -12,13 +12,12 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
-import scipy.sparse as sparse
 from scipy.integrate import solve_ivp
 
 import starkband as sb
 import starkband.propagation as propagation
 from starkband.cli import main
-from starkband.fock import FockState
+from starkband.fock import Csr, FockState
 from starkband.propagation import EIGEN_MIX
 
 from conftest import peak_copies
@@ -38,11 +37,9 @@ def small_system():
 
 def _diagonal_parts(energies, force=2.0):
     dim = len(energies)
-    zero = sparse.csr_matrix((dim, dim), dtype=complex)
-    return sb.HamiltonianParts(
-        h_static=sparse.diags(np.asarray(energies, dtype=complex)).tocsr(),
-        h_hop=zero, basis_dim=dim, force=force,
-    )
+    diagonal = Csr.from_entries(range(dim), range(dim), energies, dim)
+    return sb.HamiltonianParts(static_csr=diagonal, hop_csr=Csr.from_entries([], [], [], dim),
+                               force=force)
 
 
 def _lab_frame(parts, psi, times):
@@ -267,8 +264,7 @@ def test_evolve_integrates_vectors_where_the_propagator_cannot_be_built(small_sy
     # S refuses a complex hopping block, and a working set beyond the
     # physical memory; evolve then integrates every window as a vector
     _, parts, psi0 = small_system
-    hop = 1j * parts.h_hop
-    rotated = replace(parts, h_hop=hop)
+    rotated = replace(parts, hop_csr=parts.hop_csr._replace(data=1j * parts.hop_csr.data))
     tb = parts.t_bloch
 
     def refuse(*args, **kw):
@@ -445,14 +441,15 @@ def test_floquet_operator_memory_is_two_copies_of_s(preset_runs, monkeypatch):
 
 def test_diagonalize_floquet_memory_is_s_and_one_real_pair(preset_runs):
     # S, then Re S + mu Im S and the eigenvectors, each half a copy of S; the
-    # residual takes blocks of 64 columns of V, and the overlaps one complex
-    # copy of V (2.5 copies with S and V, 2.56 measured).  The eigh's input
-    # copy and LAPACK's workspace are not seen by tracemalloc.
+    # residual and the overlaps take blocks of 64 columns of V, and V sorted
+    # by quasi-energy is the last half copy (2.0 copies with S and V, 2.06
+    # measured).  The eigh's input copy and LAPACK's workspace are not seen
+    # by tracemalloc.
     parts = preset_runs.parts(0.2)
     s = sb.floquet_operator(parts)
     copies = 1 + peak_copies(lambda: sb.diagonalize_floquet(
         s, parts.boost_order, parts.t_bloch, preset_runs.psi0), s.size)
-    assert copies <= 2.75
+    assert copies <= 2.25
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -562,8 +559,7 @@ def test_floquet_rejects_broken_boost_symmetry():
 
 def test_floquet_rejects_complex_hopping(small_system):
     _, parts, _ = small_system
-    hop = 1j * parts.h_hop
-    rotated = replace(parts, h_hop=hop)
+    rotated = replace(parts, hop_csr=parts.hop_csr._replace(data=1j * parts.hop_csr.data))
     with pytest.raises(ValueError, match="h_hop"):
         sb.floquet_operator(rotated)
 
