@@ -220,18 +220,17 @@ def cmd_evolve(args) -> int:
     n_periods = _whole_periods(args.t_final_tb) if args.mode == "stroboscopic" else None
     sector, parts, psi0 = _build_sector_and_parts(cfg)
     tb = parts.t_bloch
-    if n_periods is None:
-        _check_trace_memory(math.floor(args.t_final_tb * args.sample_per_tb) + 2,
-                            16 * parts.basis_dim, columns=3)
-    else:
-        _check_trace_memory(n_periods + 1, columns=3)
+    # continuous: the grid and, maybe, t_final; N_b is streamed, so no state is kept
+    samples = (n_periods + 1 if n_periods is not None
+               else math.floor(args.t_final_tb * args.sample_per_tb) + 2)
+    _check_trace_memory(samples, columns=3)
     if args.dump_matrix:
         _dump_matrix(parts, args.dump_matrix)
     if args.mode == "stroboscopic":
         _, trace = _stroboscopic_trace(cfg, sector, parts, psi0, n_periods)
     else:
         result = evolve(psi0, parts, args.t_final_tb * tb, samples_per_period=args.sample_per_tb,
-                        rtol=cfg.rtol, atol=cfg.atol)
+                        rtol=cfg.rtol, atol=cfg.atol, weights=sector.upper_fractions)
         trace = occupation_series(result, sector)
     header = cfg.fingerprint(mode=args.mode, t_final_tb=args.t_final_tb,
                              sample_per_tb=args.sample_per_tb)

@@ -171,7 +171,7 @@ def _scipy_csr(block: Csr):
     return scipy.sparse.csr_matrix(block, shape=(block.dim,) * 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianParts:
     """Time-independent blocks of the interaction-picture Hamiltonian, and
     `frame`, the real D = diag(h_static) that both integrators remove.
@@ -189,15 +189,17 @@ class HamiltonianParts:
     and shifts H(t) by T_B/d.  The defaults d = 1, charge 0 claim no symmetry.
     Blocks of different dimensions, or a charge per state of another length,
     raise ValueError.
+
+    Parts compare by identity: `==` is `is`, and a `replace` is a new object.
     """
 
     static_csr: Csr = field(repr=False)
     hop_csr: Csr = field(repr=False)
     force: float
     boost_order: int = 1
-    boost_charge: np.ndarray | None = field(default=None, repr=False, compare=False)
-    frame: np.ndarray = field(init=False, repr=False, compare=False)
-    _fused: _FusedBlocks = field(init=False, repr=False, compare=False)
+    boost_charge: np.ndarray | None = field(default=None, repr=False)
+    frame: np.ndarray = field(init=False, repr=False)
+    _fused: _FusedBlocks = field(init=False, repr=False)
 
     def __post_init__(self):
         static, hop, dim = self.static_csr, self.hop_csr, self.basis_dim

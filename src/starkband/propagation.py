@@ -27,11 +27,15 @@ propagator is integrated in chunks of columns (Y and one chunk), S is
 formed and checked in blocks of columns (Y and S, then S), and its
 diagonalisation holds S, the real matrix it diagonalises and what eigh
 allocates.  The windows of `evolve` are integrated in blocks of half as
-many columns, each sample written into its row of the result as the step
-that holds it is accepted, and the stroboscopic trace in short blocks of
-periods.  `evolve` without S holds one vector and the samples.
+many columns, each sample handed on as the step that holds it is accepted,
+and the stroboscopic trace in short blocks of periods.  `evolve` keeps
+either every state or, given weights w, only sum_j w_j |psi_j|^2 per
+sample: then it holds S (or one vector), one block of windows and the
+float trace, and no array of all the samples' states.
 """
 
+import collections
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -68,8 +72,8 @@ DEFAULT_ATOL = 1e-12
 # what LAPACK allocates out of its sight); _propagator_bytes prices the largest:
 # - integrating Y = U(T_B/(2d)) in chunks of FLOQUET_CHUNK columns: Y, and
 #   FLOQUET_CHUNK_COPIES arrays of dim x FLOQUET_CHUNK for DOP853's stages and
-#   work rows and the chunk's start (20.5 measured at dim 402 and 2076, 21.5 at
-#   dim 86 and 22.4 at dim 20, where width = dim);
+#   work rows, a right-hand side's result and the chunk's start (19.5 measured
+#   at dim 86, 402 and 2076, 20.1 at dim 20, where width = dim);
 # - forming S in column blocks, then checking S^dag S in row blocks: Y, S and
 #   two blocks, then S and one (2.06 copies measured at dim 2076);
 # - diagonalize_floquet: S, Re S + mu Im S, and eigh's input copy, eigenvectors
@@ -78,7 +82,7 @@ DEFAULT_ATOL = 1e-12
 # The windows of evolve are integrated in blocks of FLOQUET_CHUNK // 2 columns.
 FLOQUET_CHUNK = 64
 FLOQUET_WORKING_COPIES = 3.5
-FLOQUET_CHUNK_COPIES = 23
+FLOQUET_CHUNK_COPIES = 22
 # The fixed cost of one right-hand side call, in state entries of the sparse
 # products it matches: fitted to dop853.integrate at N = L = 3..6 (dim
 # 20..2076, widths 1..32), where a call costs about
@@ -97,12 +101,20 @@ TRACE_BYTES_PER_SAMPLE = 48
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """The sample times of `evolve`, the state at each (one row of `states`
-    per time, in kappa = 0 coordinates) and the norm drift of the last."""
+    """The sample times of `evolve`, what it kept of the state at each, and
+    the norm drift of the last.
+
+    Without weights `evolve` keeps every state, one row of `states` per time
+    in kappa = 0 coordinates.  With weights w it keeps only
+    values[k] = sum_j w_j |psi_j(t_k)|^2 and `weights` itself, and `states`
+    is None.
+    """
 
     times: np.ndarray
-    states: np.ndarray
+    states: np.ndarray | None
     norm_drift: float
+    weights: np.ndarray | None = None
+    values: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -133,7 +145,7 @@ class FloquetSpectrum:
         return 2.0 * math.pi / self.t_bloch
 
 
-def _integrate_windows(parts, starts, s_start, s_end, offsets, rows, rtol, atol,
+def _integrate_windows(parts, starts, s_start, s_end, offsets, sink, rtol, atol,
                        first_step=None):
     """Integrate the columns of `starts`, each the lab-frame state at offset
     `s_start` of its own Bloch-period window, to offset `s_end`, and return
@@ -143,21 +155,25 @@ def _integrate_windows(parts, starts, s_start, s_end, offsets, rows, rtol, atol,
 
     H(mT_B + s) = H(s), so every window integrates i dW/ds = apply(s, W) on
     W = e^{iDs} psi from the same s_start.  At each of the sorted `offsets`,
-    the states e^{-iDs} W of the first len(rows(i)) columns are written
-    straight into rows(i), one row per column, as the step that holds
-    offsets[i] is accepted.
+    as the step that holds offsets[i] is accepted, sink(i, rows) receives
+    the states e^{-iDs} W, one row per column, in a width x dim work array
+    that the next sample overwrites.
     """
     dim, width = starts.shape
     d = parts.frame
 
     def rhs(s, w):
-        return (-1j * parts.apply(s, w.reshape(dim, width))).ravel()
+        out = parts.apply(s, w.reshape(dim, width))
+        out *= -1j
+        return out.ravel()
+
+    rows = None if offsets is None else np.empty((width, dim), dtype=complex)
 
     def emit(i, w):
-        out = rows(i)
-        np.multiply(np.exp(-1j * offsets[i] * d), w.reshape(dim, width).T[:len(out)], out=out)
+        np.multiply(np.exp(-1j * offsets[i] * d), w.reshape(dim, width).T, out=rows)
+        sink(i, rows)
 
-    w0 = np.exp(1j * s_start * d)[:, None] * starts
+    w0 = np.exp(1j * s_start * d)[:, None] * starts if s_start else starts  # e^0 = 1
     end, step = integrate(rhs, w0.ravel(), s_start, s_end, rtol, atol, offsets, emit, first_step)
     return np.exp(-1j * s_end * d)[:, None] * end.reshape(dim, width), step
 
@@ -219,6 +235,37 @@ def _propagator_pays(parts: HamiltonianParts, last: int, samples_per_period: int
     return propagator + products + blocks < windows * _period_cost(dim, 1, n)
 
 
+def _weighted_norms(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j |rows[k, j]|^2 for each row k: one product over the
+    real and imaginary parts of all rows at once that makes no temporary of
+    their size, and the same bits for a row alone as among others."""
+    re_im = rows.view(float).reshape(*rows.shape, 2)
+    return np.einsum("kjc,kjc,j->k", re_im, re_im, weights)
+
+
+class _Samples:
+    """What `evolve` keeps of its samples, spaced `stride` apart along the
+    rows a block hands over: every state, or with `weights` only
+    `_weighted_norms` of each; and either way a copy of the state at sample
+    `keep`, which the last short integration starts from."""
+
+    def __init__(self, size: int, stride: int, dim: int, weights, keep: int):
+        self.states = np.empty((size, dim), dtype=complex) if weights is None else None
+        self.values = np.empty(size) if weights is not None else None
+        self.weights, self.stride, self.keep, self.kept = weights, stride, keep, None
+
+    def put(self, first: int, rows: np.ndarray):
+        """Record rows[i] as sample first + i * stride."""
+        index = slice(first, first + len(rows) * self.stride, self.stride)
+        if self.states is None:
+            self.values[index] = _weighted_norms(rows, self.weights)
+        else:
+            self.states[index] = rows
+        i, r = divmod(self.keep - first, self.stride)
+        if r == 0 and 0 <= i < len(rows):
+            self.kept = rows[i].copy()
+
+
 def evolve(
     psi0,
     parts: HamiltonianParts,
@@ -227,29 +274,39 @@ def evolve(
     samples_per_period: int,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
+    weights=None,
 ) -> EvolutionResult:
     """Sample psi(t) of i d/dt psi = H(t) psi from psi(0) = psi0 at
     t_k = k T_B/n, n = samples_per_period, up to t_final; a t_final between
     two samples is the last sample, one short integration from the one
-    before.  Row k of the result's states is psi(t_k).
+    before.  Without `weights`, row k of the result's states is psi(t_k).
+    With weights w, one per basis state, the result keeps only
+    values[k] = sum_j w_j |psi_j(t_k)|^2, formed as each sample is reached
+    (w = sector.upper_fractions gives N_b, see `occupation_series`), and no
+    state but the one the last short integration starts from.  The two
+    differ only in what is kept: the integrations, and so the bits of every
+    sample, are the same.
 
     Time is cut into Bloch-period windows [mT_B, (m+1)T_B), and window m
     holds the samples at mT_B + T_B/n * arange(n), the first of them its
     start psi(mT_B).  H(t) has period T_B, so psi(mT_B) = S^(dm) psi0 with
-    S = floquet_operator(parts).  Where `_propagator_pays`, every start is
-    built that way and written into its row, S is freed, and then the
-    windows that hold a sample after their start (all but a last one that
-    holds only its start) are integrated side by side over one period, as
-    the columns of blocks of at most FLOQUET_CHUNK // 2 windows (see
-    `_integrate_windows`), so that a block's working set, dense output
-    included, stays below that of a chunk of S.  With one sample per period
-    the starts are all the samples, and nothing is integrated.  S costs
-    dim^2 to build and apply, so it needs more windows as dim grows.
-    Otherwise, and when S cannot be built (complex blocks, or a working set
-    beyond the physical memory), every window is one vector integration
-    from the end of the one before.  Either way the integrator hands each
-    sample straight to its row of the states, and every integration but the
-    first starts from the step that the one before would take next.
+    S = floquet_operator(parts).  Where `_propagator_pays`, the starts are
+    built that way, and the windows that hold a sample after their start
+    (all but a last one that holds only its start) are integrated side by
+    side over one period, as the columns of blocks of at most
+    FLOQUET_CHUNK // 2 windows (see `_integrate_windows`), so that a
+    block's working set, dense output included, stays below that of a
+    chunk of S.  The states keep every start, so they are all built first
+    and S is freed before the blocks integrate; with weights the starts of
+    each block are built from S just before it integrates, and S is held
+    to the last.  With one sample per period the starts are all the
+    samples, and nothing is integrated.  S costs dim^2 to build and apply,
+    so it needs more windows as dim grows.  Otherwise, and when S cannot be
+    built (complex blocks, or a working set beyond the physical memory),
+    every window is one vector integration from the end of the one before.
+    Either way the integrator hands each sample on as the step that holds
+    it is accepted, and every integration but the first starts from the
+    step that the one before would take next.
     """
     if not 0 < t_final < math.inf:
         raise ValueError(f"t_final={t_final} must be positive and finite")
@@ -259,10 +316,15 @@ def evolve(
     dim, n, tb = parts.basis_dim, samples_per_period, parts.t_bloch
     if psi0.shape != (dim,):
         raise ValueError(f"state has dimension {psi0.shape}, expected ({dim},)")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (dim,):
+            raise ValueError(f"weights have shape {weights.shape}, expected ({dim},)")
 
     step = tb / n
     last = int(math.floor(t_final / step + 1e-9))  # the last sample on the grid
-    check_trace_memory(last + 2, 16 * dim)  # the grid and, maybe, t_final
+    # the grid and, maybe, t_final
+    check_trace_memory(last + 2, 16 * dim if weights is None else 0)
     times = step * np.arange(last + 1)
     if times[-1] < t_final - 1e-9 * step:
         times = np.append(times, t_final)
@@ -273,44 +335,59 @@ def evolve(
             and _propagator_pays(parts, last, n)):
         # before the states exist, so that S's working set does not add to them
         s = floquet_operator(parts, rtol=rtol, atol=atol)
-    states = np.empty((times.size, dim), dtype=complex)
-    grid = states[:last + 1]
+    samples = _Samples(times.size, n, dim, weights, last)
 
     def windows(m, starts, s_end, first_step):
         """Integrate windows m, m + 1, ... from their starts, the columns of
-        `starts` (each already its window's first row), to offset s_end."""
-        width = starts.shape[1]
-        samples = min(n, last + 1 - m * n)  # those of window m
-        return _integrate_windows(
-            parts, starts, 0.0, s_end, offsets[1:samples],
-            lambda i: grid[m * n + 1 + i:last + 1:n][:width], rtol, atol, first_step)
+        `starts` (each already recorded), to offset s_end."""
+        count = min(n, last + 1 - m * n)  # the samples of window m
+
+        def sink(i, rows):
+            first = m * n + 1 + i
+            samples.put(first, rows[:len(range(first, last + 1, n))])
+
+        return _integrate_windows(parts, starts, 0.0, s_end, offsets[1:count], sink,
+                                  rtol, atol, first_step)
 
     carried = None  # the step that the last integration would take next
     if s is None:
         state = psi0[:, None]
         for m in range(final + 1):
-            grid[m * n] = state[:, 0]
+            samples.put(m * n, state.T)
             s_end = tb if m < final else offsets[last - m * n]
             if s_end > 0:
                 state, carried = windows(m, state, s_end, carried)
     else:
-        state = grid[0] = psi0
-        for m in range(1, final + 1):
-            for _ in range(parts.boost_order):
-                state = s @ state
-            grid[m * n] = state
-        s = None
-        width = FLOQUET_CHUNK // 2
-        for m in range(0, _sampled_windows(last, n), width):
-            samples = min(n, last + 1 - m * n)
-            _, carried = windows(m, grid[m * n:last:n][:width].T, offsets[samples - 1], carried)
+        def boosted(s, state):
+            """psi(mT_B) = S^(dm) psi0 for m = 0..final, each recorded as it
+            is built; S is freed with the last."""
+            for m in range(final + 1):
+                if m:
+                    for _ in range(parts.boost_order):
+                        state = s @ state
+                samples.put(m * n, state[None])
+                yield state
 
+        starts = boosted(s, psi0)
+        s = None
+        if weights is None:  # build every start into the states, and free S
+            collections.deque(starts, maxlen=0)
+            starts = iter(samples.states[:last + 1:n])
+        width, sampled = FLOQUET_CHUNK // 2, _sampled_windows(last, n)
+        for m in range(0, sampled, width):
+            block = np.column_stack(list(itertools.islice(starts, min(width, sampled - m))))
+            _, carried = windows(m, block, offsets[min(n, last + 1 - m * n) - 1], carried)
+        collections.deque(starts, maxlen=0)  # a last window that holds only its start
+
+    end = samples.kept
     if times.size > last + 1:
-        end, _ = _integrate_windows(parts, grid[-1][:, None], offsets[last % n],
+        end, _ = _integrate_windows(parts, end[:, None], offsets[last % n],
                                     t_final - final * tb, None, None, rtol, atol, carried)
-        states[-1] = end[:, 0]
-    drift = abs(np.linalg.norm(states[-1]) - np.linalg.norm(psi0))
-    return EvolutionResult(times=times, states=states, norm_drift=float(drift))
+        samples.put(last + 1, end.T)
+        end = end[:, 0]
+    drift = abs(np.linalg.norm(end) - np.linalg.norm(psi0))
+    return EvolutionResult(times=times, states=samples.states, norm_drift=float(drift),
+                           weights=weights, values=samples.values)
 
 
 def _physical_memory() -> int:
@@ -518,9 +595,17 @@ def occupation_series(result: EvolutionResult, sector: SymmetrySector) -> Oscill
 
     The observable is diagonal in sector coordinates because the total
     upper-band number is translation invariant: N_b = sum_j w_j |psi_j|^2
-    with w = upper_fractions, one product over the real and imaginary parts
-    of all states at once that makes no temporary of their size.
+    with w = upper_fractions (`_weighted_norms`).  A result that kept its
+    states gets them from those; one that `evolve` streamed with
+    weights=sector.upper_fractions already holds them, with the same bits.
+    A result streamed with other weights raises ValueError.
     """
-    re_im = result.states.view(float).reshape(*result.states.shape, 2)
-    values = np.einsum("tjc,tjc,j->t", re_im, re_im, sector.upper_fractions)
+    w = sector.upper_fractions
+    if result.states is not None:
+        values = _weighted_norms(result.states, w)
+    elif np.array_equal(result.weights, w):
+        values = result.values
+    else:
+        raise ValueError("the result holds sum_j w_j |psi_j|^2 for weights other than "
+                         "the sector's upper_fractions")
     return OscillationTrace(times=result.times, values=values)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import starkband as sb
+from starkband import cli, propagation
 from starkband.cli import _fmt, build_parser, main
 
 SMALL_PARAMS = dict(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.030, w_b=0.018,
@@ -165,6 +166,30 @@ def test_span_too_long_to_hold_exits_2(capsys, argv):
     # allocated, where numpy used to fail with a MemoryError traceback
     size = [] if argv[0] == "single-particle" else ["--n", "2", "--l", "2"]
     assert main(argv + ["--preset", "v0_4", *size, "--t-final-tb", "1e15"]) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
+def test_continuous_evolve_needs_room_for_its_trace_not_its_states(capsys, monkeypatch):
+    # N_b is streamed, so each of the 130 samples at N = L = 3 (dim 20) costs
+    # its trace arrays and CSV line, not its 320-byte state: a machine with
+    # room for the trace and half the states runs it (as vectors, since S
+    # does not fit either), and one without room for the trace refuses it
+    argv = ["evolve", "--preset", "v0_4", "--n", "3", "--l", "3", "--t-final-tb", "4"]
+    assert main(argv) == 0
+    roomy = capsys.readouterr().out
+    samples = 4 * 32 + 2
+    trace = samples * (propagation.TRACE_BYTES_PER_SAMPLE + 3 * cli.CSV_BYTES_PER_VALUE)
+    monkeypatch.setattr(propagation, "_physical_memory", lambda: trace + samples * 16 * 20 // 2)
+    assert main(argv) == 0
+    tight = capsys.readouterr().out
+
+    def occupations(text):
+        return np.array([float(line.split(",")[2]) for line in text.splitlines()[2:]])
+
+    assert occupations(tight).size == samples - 1
+    assert np.abs(occupations(tight) - occupations(roomy)).max() < 1e-8
+    monkeypatch.setattr(propagation, "_physical_memory", lambda: trace - 1)
+    assert main(argv) == 2
     assert "physical memory" in capsys.readouterr().err
 
 

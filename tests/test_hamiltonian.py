@@ -212,6 +212,20 @@ def test_parts_reject_blocks_of_different_dimensions():
         replace(parts, hop_csr=hop)
 
 
+def test_parts_compare_by_identity():
+    # the generated == compared the Csr fields, tuples of arrays, and raised
+    # on two parts built alike; parts now compare, and hash, as objects
+    sector = sb.build_k0_sector(1, 2)
+    a, b = (sb.build_interaction_picture(PARAMS_12, sector) for _ in range(2))
+    assert a == a
+    assert not a == b
+    assert a != b
+    same = replace(a)
+    assert same is not a and same != a
+    assert same.static_csr is a.static_csr
+    assert len({a, b, same}) == 3
+
+
 @pytest.mark.parametrize("states", [1, 3])
 def test_parts_reject_a_charge_per_state_of_another_length(states):
     parts = sb.build_interaction_picture(PARAMS_12, sb.build_k0_sector(1, 2))

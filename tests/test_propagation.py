@@ -101,6 +101,8 @@ def test_evolve_validation():
         sb.evolve(np.array([1.0, 0.0]), parts, 1.0, samples_per_period=0)
     with pytest.raises(ValueError, match="dimension"):
         sb.evolve(np.array([1.0, 0.0, 0.0]), parts, 1.0, samples_per_period=4)
+    with pytest.raises(ValueError, match="weights"):
+        sb.evolve(np.array([1.0, 0.0]), parts, 1.0, samples_per_period=4, weights=[1.0])
 
 
 def test_evolve_sampling_grid():
@@ -204,6 +206,46 @@ def test_evolve_windows_match_lab_frame(n, l, per_period, span_tb, route, monkey
     assert result.times == pytest.approx(want, rel=1e-14, abs=0.0)
     assert np.abs(result.states.T - _lab_frame(parts, psi, result.times)).max() < 1e-9
     assert built == ([1] if route == "propagator" and span_tb >= 1 else [])
+
+
+# (samples per period, span in Bloch periods): whole periods, one sample per
+# period, and a t_final between two samples
+STREAM_CASES = [(8, 3.0), (1, 4.0), (4, 3.55)]
+
+
+@pytest.mark.parametrize("route", ["propagator", "vectors"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_streamed_occupations_match_the_states(n, route, monkeypatch):
+    # with weights evolve keeps only N_b of each sample; the integrations
+    # are those that keep the states, so N_b and the norm drift agree.  On
+    # the propagator route the blocks hold two windows (FLOQUET_CHUNK = 4),
+    # so the starts of later blocks are built from S as they are needed
+    parts = _parts_for(n, n)
+    sector = sb.build_k0_sector(n, n)
+    psi0 = sb.project_initial_state("unit-filling-lower", sector)
+    s = sb.floquet_operator(parts) if route == "propagator" else None
+    monkeypatch.setattr(propagation, "_propagator_pays", lambda *args: route == "propagator")
+    monkeypatch.setattr(propagation, "floquet_operator", lambda *args, **kw: s)
+    monkeypatch.setattr(propagation, "FLOQUET_CHUNK", 4)
+    for per_period, span_tb in STREAM_CASES:
+        t_final = span_tb * parts.t_bloch
+        kept = sb.evolve(psi0, parts, t_final, samples_per_period=per_period)
+        streamed = sb.evolve(psi0, parts, t_final, samples_per_period=per_period,
+                             weights=sector.upper_fractions)
+        assert streamed.states is None and kept.values is None
+        assert np.array_equal(streamed.times, kept.times)
+        want = sb.occupation_series(kept, sector).values
+        assert np.abs(sb.occupation_series(streamed, sector).values - want).max() <= 1e-14
+        assert streamed.norm_drift == kept.norm_drift
+
+
+def test_occupation_series_refuses_other_streamed_weights(small_system):
+    sector, parts, psi0 = small_system
+    result = sb.evolve(psi0, parts, parts.t_bloch, samples_per_period=4,
+                       weights=np.ones(sector.dim))
+    assert result.values == pytest.approx(np.ones(5), abs=1e-10)
+    with pytest.raises(ValueError, match="upper_fractions"):
+        sb.occupation_series(result, sector)
 
 
 def test_evolve_integrates_one_period_per_block(monkeypatch):
@@ -528,6 +570,24 @@ def test_evolve_memory_is_the_propagator_and_the_samples(preset_runs):
     result = results[0]
     assert result.states.shape == (1601, parts.basis_dim)
     assert copies <= len(result.times) + 40 * 32
+
+
+def test_streamed_evolve_memory_is_that_of_the_propagator(preset_runs):
+    # with weights no state of the 1,601 samples is kept: the peak is
+    # floquet_operator's own, Y and one chunk's stepper (1,650 vectors of
+    # dim 402 measured), and then S and one 32-column block of windows
+    # (about 1,400) stays below it; one block more is allowed
+    parts = preset_runs.parts(0.2)
+    dim, tb = parts.basis_dim, parts.t_bloch
+    building = peak_copies(lambda: sb.floquet_operator(parts), dim)
+    results = []
+
+    def run():
+        results.append(sb.evolve(preset_runs.psi0, parts, 50 * tb, samples_per_period=32,
+                                 weights=preset_runs.sector.upper_fractions))
+
+    assert peak_copies(run, dim) <= building + 32
+    assert results[0].values.shape == (1601,)
 
 
 def test_stroboscopic_occupations_memory_is_bounded(preset_runs):
