@@ -55,6 +55,9 @@ COLLAPSE_THRESHOLD = 0.5 + 0.5 / math.e
 # envelope prominence a revival peak must have over the post-collapse plateau
 REVIVAL_PROMINENCE = 0.05
 
+# neighbour spacing up to which quasi-energies count as one degenerate cluster
+CLUSTER_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class OscillationTrace:
@@ -278,7 +281,7 @@ def spectral_revival_estimate(spectrum) -> SpectralRevival:
     return SpectralRevival(omega_12=omega_12, omega_23=omega_23, t_rev=t_rev)
 
 
-def cluster_weights(spectrum, tol: float = 1e-10):
+def cluster_weights(spectrum):
     """Aggregate |c_n|^2 over numerically degenerate quasi-energy clusters.
 
     Without interactions the quasi-energies of states with different
@@ -287,7 +290,7 @@ def cluster_weights(spectrum, tol: float = 1e-10):
     are then basis-dependent while the per-cluster weight is physical.
     Returns (energies, weights) sorted by energy, where each energy is the
     weight-averaged quasi-energy of its cluster.  Clusters are groups with
-    neighbour spacing <= tol, including across the folding boundary.
+    neighbour spacing <= CLUSTER_TOL, including across the folding boundary.
     """
     eps = np.asarray(spectrum.quasi_energies, dtype=float)
     w = np.abs(np.asarray(spectrum.coefficients)) ** 2
@@ -297,12 +300,12 @@ def cluster_weights(spectrum, tol: float = 1e-10):
 
     groups = [[0]]
     for k in range(1, eps.size):
-        if eps[k] - eps[k - 1] <= tol:
+        if eps[k] - eps[k - 1] <= CLUSTER_TOL:
             groups[-1].append(k)
         else:
             groups.append([k])
     # the fold boundary can split one physical cluster in two
-    if len(groups) > 1 and (eps[groups[0][0]] + period) - eps[groups[-1][-1]] <= tol:
+    if len(groups) > 1 and (eps[groups[0][0]] + period) - eps[groups[-1][-1]] <= CLUSTER_TOL:
         first = groups.pop(0)
         eps = eps.copy()
         eps[first] += period
@@ -320,15 +323,15 @@ def cluster_weights(spectrum, tol: float = 1e-10):
     return np.asarray(energies)[order], np.asarray(weights)[order]
 
 
-def coefficient_width(spectrum, ladder_spacing: float | None = None) -> float | None:
+def coefficient_width(spectrum) -> float | None:
     """Width of the coefficient distribution over the quasi-energy ladder.
 
     The significant coefficients (|c_n|^2 > 1e-4) of a resonant run
     sit on a ladder of spacing ~ Omega_res; each is assigned its nearest
     rung index k and the |c_n|^2-weighted standard deviation of k is
-    returned.  The spacing defaults to the gap between the two largest
-    coefficients.  Returns None when no ladder is identifiable (fewer than
-    two significant coefficients would fix a vanishing spacing).
+    returned.  The spacing is the gap between the two largest coefficients,
+    unwrapped across the folding boundary.  Returns None when no ladder is
+    identifiable (those two are degenerate, so the spacing vanishes).
     """
     w = np.abs(np.asarray(spectrum.coefficients)) ** 2
     eps = np.asarray(spectrum.quasi_energies)
@@ -341,12 +344,10 @@ def coefficient_width(spectrum, ladder_spacing: float | None = None) -> float | 
     order = sig[np.argsort(w[sig], kind="stable")][::-1]  # by weight, descending
     anchor = eps[order[0]]
     eps_sig = _nearest_image(eps[sig], anchor, period)
-    if ladder_spacing is None:
-        second = _nearest_image(eps[order[1]], anchor, period)
-        ladder_spacing = abs(second - anchor)
-    if not ladder_spacing > 1e-12:
+    spacing = abs(_nearest_image(eps[order[1]], anchor, period) - anchor)
+    if not spacing > 1e-12:
         return None
-    rungs = np.round((eps_sig - anchor) / ladder_spacing)
+    rungs = np.round((eps_sig - anchor) / spacing)
     weights = w[sig] / w[sig].sum()
     mean = float(weights @ rungs)
     var = float(weights @ (rungs - mean) ** 2)

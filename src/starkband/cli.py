@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis
+from . import analysis, propagation
 from .fock import Csr, FockState, build_k0_sector, full_dimension, project_initial_state
 from .hamiltonian import TermMask, build_interaction_picture, build_single_particle_transformed
 from .model import (
@@ -49,6 +49,10 @@ DEFAULT_G_GRID = "0.05,0.1,0.15,0.2"
 # its text, joined and encoded, by tracemalloc (186 per 3-value line of a
 # stroboscopic evolve).
 CSV_BYTES_PER_VALUE = 50
+# Dense float64 copies of the single-particle model that diagonalising it holds
+# at once: the model, eigh's input copy and eigenvectors, and LAPACK's
+# divide-and-conquer workspace of 2 dim^2 doubles.
+SINGLE_PARTICLE_COPIES = 5
 
 
 @dataclass(frozen=True)
@@ -300,6 +304,12 @@ def cmd_single_particle(args) -> int:
     n_sites = 2 * args.window + 1
     # the phases, their product with the amplitudes and psi(t): 2 n_sites each
     _check_trace_memory(round(n_samples) + 1, 3 * 16 * 2 * n_sites, columns=4)
+    need = SINGLE_PARTICLE_COPIES * 8 * (2 * n_sites) ** 2
+    have = propagation._physical_memory()
+    if need > have:
+        raise ValueError(f"diagonalising the single-particle model of {2 * n_sites:,} states "
+                         f"needs about {need / 2**20:,.1f} MiB, more than the "
+                         f"{have / 2**20:,.1f} MiB of physical memory")
     h = build_single_particle_transformed(params, args.window)
     energies, vectors = np.linalg.eigh(h)
     psi0 = np.zeros(2 * n_sites)

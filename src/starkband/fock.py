@@ -32,12 +32,11 @@ __all__ = [
     "ring_hops",
     "build_k0_sector",
     "project_initial_state",
-    "DEFAULT_DIMENSION_CAP",
 ]
 
 # Guards in-memory enumeration; (7, 7) needs 77520 states, so this leaves
 # generous headroom without letting a typo exhaust memory.
-DEFAULT_DIMENSION_CAP = 2_000_000
+DIMENSION_CAP = 2_000_000
 
 
 class FockState(NamedTuple):
@@ -81,12 +80,13 @@ def _compositions(total, modes):
             yield (v,) + rest
 
 
-def enumerate_fock(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP):
-    """Complete, duplicate-free list of FockStates, leading occupation descending."""
+def enumerate_fock(n_particles, n_sites):
+    """Complete, duplicate-free list of FockStates, leading occupation descending.
+    A dimension above DIMENSION_CAP raises ValueError before any is listed."""
     dim = full_dimension(n_particles, n_sites)
-    if dim > dimension_cap:
+    if dim > DIMENSION_CAP:
         raise ValueError(
-            f"Fock dimension {dim} for N={n_particles}, L={n_sites} exceeds the cap {dimension_cap}"
+            f"Fock dimension {dim} for N={n_particles}, L={n_sites} exceeds the cap {DIMENSION_CAP}"
         )
     L = n_sites
     return [FockState(t[:L], t[L:]) for t in _compositions(n_particles, 2 * n_sites)]
@@ -177,11 +177,6 @@ class SymmetrySector:
     def full_dim(self) -> int:
         return len(self.index)
 
-    def lookup(self, state: FockState) -> int:
-        """Representative index of any same-(N, L) Fock state: one dict
-        lookup, KeyError for a state outside the full basis."""
-        return self.index[state]
-
     def matrix(self, rule, columns=None) -> Csr:
         """An operator in sector coordinates, from `rule(rep)`: the (target
         state, amplitude) pairs of the operator applied to a representative.
@@ -203,7 +198,7 @@ class SymmetrySector:
         return Csr.from_entries(rows, cols, vals, self.dim)
 
 
-def build_k0_sector(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP) -> SymmetrySector:
+def build_k0_sector(n_particles, n_sites) -> SymmetrySector:
     """Group the full Fock basis into translation orbits and assemble kappa=0.
 
     The representative of each orbit is its lexicographically smallest state;
@@ -213,7 +208,7 @@ def build_k0_sector(n_particles, n_sites, dimension_cap=DEFAULT_DIMENSION_CAP) -
     index = {}
     reps = []
     sizes = []
-    for state in enumerate_fock(n_particles, n_sites, dimension_cap):
+    for state in enumerate_fock(n_particles, n_sites):
         if state in index:
             continue
         orbit = [state]
@@ -303,5 +298,5 @@ def project_initial_state(spec, sector: SymmetrySector) -> np.ndarray:
             raise ValueError(f"negative occupation in {state}")
 
     coords = np.zeros(sector.dim, dtype=complex)
-    coords[sector.lookup(state)] = 1.0
+    coords[sector.index[state]] = 1.0
     return coords

@@ -17,8 +17,11 @@ The blocks are numpy `Csr` arrays, and `HamiltonianParts.apply` runs
 scipy's compiled CSR product on them, loaded straight from its extension
 file: importing scipy.sparse costs a run about 0.25 s (its array API shim
 loads numpy.f2py, numpy.testing, numpy.ma and numpy.random), and a run uses
-nothing else of it.  Only `_scipy_csr`, which builds the cached scipy.sparse
-views h_static, h_hop and h_hop_dag that no run reads, imports it.
+nothing else of it.  Only `_scipy_csr` imports it, to build the cached
+scipy.sparse views h_static, h_hop and h_hop_dag.  No run reads them: the
+benchmark's child process (perfbench/child.py) and the tests do.  The dense
+lab-frame H(t) that the tests integrate as an oracle is built from the `Csr`
+blocks in tests/oracles.py.
 """
 
 import importlib.machinery
@@ -45,9 +48,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-# Couplings J_m(delta_x) for delta_x ~ 0.3 drop below 1e-12 beyond m ~ 8.
-DEFAULT_BESSEL_CUTOFF = 8
 
 _MASK_ALIASES = {"c0": "coupling_c0"}
 
@@ -85,11 +85,6 @@ class TermMask:
         if not mask.any():
             raise ValueError("term mask selects nothing; at least one term is required")
         return mask
-
-    @classmethod
-    def density_cross_only(cls) -> "TermMask":
-        """All one-body terms on, interactions reduced to 2 g W_x n^a n^b."""
-        return cls(int_a=False, int_b=False, int_x_pair=False)
 
     def any(self) -> bool:
         return any(getattr(self, f.name) for f in fields(self))
@@ -181,7 +176,7 @@ class HamiltonianParts:
     `hop_csr`, so `replace(parts, hop_csr=...)` keeps H(t) Hermitian.  The
     properties h_static, h_hop and h_hop_dag are the blocks as
     scipy.sparse.csr_matrix, built (and scipy.sparse imported) on first
-    access and kept.
+    access and kept; only perfbench/child.py and the tests read them.
 
     `boost_order` is d = gcd(N, L), `boost_charge` each basis state's S mod d
     with S = sum_l l (n^a_l + n^b_l), sites l = 0..L-1.  The boost B^(L/d),
@@ -248,29 +243,23 @@ class HamiltonianParts:
         matrix of columns: W = e^{iDt} psi obeys i dW/dt = apply(t, W).
 
         Each call rephases shared data, so one instance must not be applied
-        from two threads at once.  `dense_at` is the lab-frame H(t).
+        from two threads at once.  The tests check it against the dense
+        lab-frame H(t) of tests/oracles.py.
         """
         return self._fused.apply(t, y)
 
-    def dense_at(self, t: float) -> np.ndarray:
-        phase = np.exp(1j * self.force * t)
-        return (self.h_static + phase * self.h_hop + np.conj(phase) * self.h_hop_dag).toarray()
-
 
 def hermiticity_defect(matrix) -> float:
-    """max |M - M^dag| over all entries (0 for an empty matrix) of a `Csr`,
-    a scipy sparse matrix or a dense array."""
+    """max |M - M^dag| over all entries (0 for an empty matrix) of a `Csr`
+    or a scipy sparse matrix (perfbench/child.py passes one)."""
     if hasattr(matrix, "tocsr"):
         m = matrix.tocsr()
         matrix = Csr(m.data, m.indices, m.indptr)
-    if isinstance(matrix, Csr):
-        # M's entries, then those of -M^dag: each position sums m_ij + (-conj(m_ji))
-        rows, cols = matrix.rows(), matrix.indices
-        defect = Csr.from_entries(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
-                                  np.concatenate((matrix.data, -matrix.data.conj())), matrix.dim)
-        return float(np.abs(defect.data).max()) if defect.data.size else 0.0
-    m = np.asarray(matrix)
-    return float(np.abs(m - m.conj().T).max())
+    # M's entries, then those of -M^dag: each position sums m_ij + (-conj(m_ji))
+    rows, cols = matrix.rows(), matrix.indices
+    defect = Csr.from_entries(np.concatenate((rows, cols)), np.concatenate((cols, rows)),
+                              np.concatenate((matrix.data, -matrix.data.conj())), matrix.dim)
+    return float(np.abs(defect.data).max()) if defect.data.size else 0.0
 
 
 def _diagonal_energy(lo, up, params: ModelParams, mask: TermMask) -> float:
@@ -365,36 +354,36 @@ def build_interaction_picture(
     )
 
 
-def build_single_particle_transformed(
-    params: ModelParams,
-    site_window: int,
-    bessel_cutoff: int = DEFAULT_BESSEL_CUTOFF,
-) -> np.ndarray:
+def _bessel_cutoff(x: float) -> int:
+    """The smallest order m whose next four couplings |J_(m+1..m+4)(x)| are
+    all below 1e-12: 8 at preset_v0_4's delta_x, 11 at F = 0.7, 15 at 0.3."""
+    m = 0
+    while np.abs(bessel_j(np.arange(m + 1, m + 5), x)).max() >= 1e-12:
+        m += 1
+    return m
+
+
+def build_single_particle_transformed(params: ModelParams, site_window: int) -> np.ndarray:
     """Dressed-site single-particle model on sites -M..M of both bands.
 
     After the gauge transformation that absorbs the hopping, the two bands
     couple directly between any two sites, with strength
     c0 * F * J_{l-n}(delta_x) between lower site l and upper site n; the
     diagonal is the bare ladder +-delta/2 + l*F.  Orders beyond
-    `bessel_cutoff` are dropped.  Returns a dense real symmetric matrix of
-    dimension 2*(2M+1), ordered [lower -M..M, upper -M..M].
+    `_bessel_cutoff(delta_x)`, whose couplings are below 1e-12, are dropped.
+    Returns a dense real symmetric matrix of dimension 2*(2M+1), ordered
+    [lower -M..M, upper -M..M].
 
-    Eigenpairs of states within ~bessel_cutoff sites of the window edge are
+    Eigenpairs of states within ~cutoff sites of the window edge are
     boundary-affected; analyses should use the central region.
     """
     m = int(site_window)
     if m < 1:
         raise ValueError(f"site window half-width must be >= 1, got {site_window}")
     dx = params.delta_x
-
-    tail = np.abs(bessel_j(np.arange(bessel_cutoff + 1, bessel_cutoff + 5), dx)).max()
-    if tail >= 1e-12:
-        warnings.warn(
-            f"bessel_cutoff={bessel_cutoff} drops couplings of size {tail:.2e} at delta_x={dx:.3g}",
-            stacklevel=2,
-        )
-    if m < bessel_cutoff:
-        lost = np.abs(bessel_j(np.arange(m + 1, bessel_cutoff + 1), dx)).max()
+    cutoff = _bessel_cutoff(dx)
+    if m < cutoff:
+        lost = np.abs(bessel_j(np.arange(m + 1, cutoff + 1), dx)).max()
         if lost >= 1e-12:
             warnings.warn(
                 f"site window {m} is smaller than the coupling range; "
@@ -405,7 +394,7 @@ def build_single_particle_transformed(
     sites = np.arange(-m, m + 1)
     ladder = sites * params.force
     offset = sites[:, None] - sites[None, :]  # l - n for lower site l, upper site n
-    near = np.abs(offset) <= bessel_cutoff
+    near = np.abs(offset) <= cutoff
     coupling = np.zeros(offset.shape)
     coupling[near] = params.c0 * params.force * bessel_j(offset[near], dx)
     return np.block([

@@ -328,7 +328,7 @@ def evolve(
     times = step * np.arange(last + 1)
     if times[-1] < t_final - 1e-9 * step:
         times = np.append(times, t_final)
-    offsets = step * np.arange(n)
+    offsets = step * np.arange(min(n, last + 1))  # a window holds at most last + 1 samples
     final = last // n  # the last window that holds a sample
     s = None
     if (final and _propagator_obstacle(parts) is None

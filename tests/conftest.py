@@ -47,7 +47,9 @@ class PresetRuns:
     def parts(self, g, mask_key="full"):
         key = (g, mask_key)
         if key not in self._parts:
-            mask = sb.TermMask() if mask_key == "full" else sb.TermMask.density_cross_only()
+            # interactions other than "full" reduced to 2 g W_x n^a n^b
+            mask = (sb.TermMask() if mask_key == "full"
+                    else sb.TermMask(int_a=False, int_b=False, int_x_pair=False))
             self._parts[key] = sb.build_interaction_picture(self.params(g), self.sector, mask)
         return self._parts[key]
 

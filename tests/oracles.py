@@ -1,6 +1,7 @@
 """Oracles for the tests: the embedding of kappa = 0 sector coordinates in
-the full Fock basis, the static Hamiltonian with the explicit tilt l*F there,
-and the Floquet spectrum from full dim x dim products."""
+the full Fock basis, the dense lab-frame H(t) of the sector, the static
+Hamiltonian with the explicit tilt l*F in the full basis, and the Floquet
+spectrum from full dim x dim products."""
 
 import math
 
@@ -26,6 +27,21 @@ def expand(sector, coords) -> np.ndarray:
             full[index[s]] += amp
             s = translate(s)
     return full
+
+
+def dense_hamiltonian(parts, t: float) -> np.ndarray:
+    """The lab-frame H(t) = h_static + e^{iFt} h_hop + e^{-iFt} h_hop^dag of
+    `parts` as a dense array, from its `Csr` blocks, each position summed in
+    that order."""
+    static, hop = parts.static_csr, parts.hop_csr
+    phase = np.exp(1j * parts.force * t)
+    h = np.zeros((static.dim,) * 2, dtype=complex)
+    h[static.rows(), static.indices] = static.data
+    hopping = np.zeros_like(h)
+    hopping[hop.rows(), hop.indices] = hop.data
+    h += phase * hopping
+    h += np.conj(phase) * hopping.conj().T
+    return h
 
 
 def _open_chain_hops(state: FockState, params, mask: TermMask):

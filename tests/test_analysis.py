@@ -252,10 +252,11 @@ def test_coefficient_width_single_coefficient():
 
 
 def test_coefficient_width_explicit_spacing():
-    # weights 0.5, 0.3, 0.2 on rungs 0, 1, 2
+    # weights 0.5, 0.3, 0.2 on rungs 0, 1, 2 of the spacing 0.0102 between
+    # the two heaviest, which the third sits off by 0.0005
     spec = _spectrum([0.0, 0.0102, 0.0199],
                      [math.sqrt(0.5), math.sqrt(0.3), math.sqrt(0.2)])
-    dn = sb.coefficient_width(spec, ladder_spacing=0.01)
+    dn = sb.coefficient_width(spec)
     mean = 0.3 + 0.4
     var = 0.5 * mean**2 + 0.3 * (1 - mean) ** 2 + 0.2 * (2 - mean) ** 2
     assert dn == pytest.approx(math.sqrt(var), rel=1e-12)
@@ -276,7 +277,7 @@ def test_cluster_weights_groups_degenerate_levels():
 def test_cluster_weights_merges_across_fold_boundary():
     # one physical cluster split by the fold at +-F/2 = +-5
     spec = _spectrum([-5.0 + 2e-13, 1.0, 5.0 - 2e-13], [0.6, 0.5, 0.6], force=10.0)
-    energies, weights = sb.cluster_weights(spec, tol=1e-12)
+    energies, weights = sb.cluster_weights(spec)
     assert energies.size == 2
     assert weights.max() == pytest.approx(0.72, rel=1e-12)
 

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import starkband as sb
-from starkband import cli, propagation
+from starkband import cli, fock, propagation
 from starkband.cli import _fmt, build_parser, main
+
+from oracles import dense_hamiltonian
 
 SMALL_PARAMS = dict(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.030, w_b=0.018,
                     w_x=0.012, g=0.0, n_particles=1, n_sites=2, resonance_order=2)
@@ -29,6 +31,16 @@ def params_file(tmp_path):
 def test_dims_record(capsys):
     assert main(["dims", "--n", "5", "--l", "5"]) == 0
     assert capsys.readouterr().out == "5,5,2002,402\n"
+
+
+def test_dims_beyond_the_dimension_cap_exits_2(capsys, monkeypatch):
+    # C(119, 40) states at N = L = 40: refused before any is listed
+    def forbidden(*args):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(fock, "_compositions", forbidden)
+    assert main(["dims", "--n", "40", "--l", "40"]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_dims_file_has_header(tmp_path):
@@ -169,6 +181,29 @@ def test_span_too_long_to_hold_exits_2(capsys, argv):
     assert "physical memory" in capsys.readouterr().err
 
 
+def test_single_particle_model_too_large_to_diagonalise_exits_2(capsys, monkeypatch):
+    # a window of 1e5 sites a side: a dense model of 400,002 states, whose
+    # eigh needs terabytes, is rejected before it is built, however short the trace
+    def forbidden(*args):
+        raise AssertionError("the model was built")
+
+    monkeypatch.setattr(cli, "build_single_particle_transformed", forbidden)
+    argv = ["single-particle", "--preset", "v0_4", "--window", "100000", "--t-final-tb", "1"]
+    assert main(argv) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
+def test_evolve_over_a_short_span_of_a_fine_grid_exits_0(capsys):
+    # 1e12 samples per period over 1e-9 of one: the samples are held, not
+    # the offsets of a whole period (7.3 TiB)
+    argv = ["evolve", "--preset", "v0_4", "--n", "2", "--l", "2", "--t-final-tb", "1e-9",
+            "--sample-per-tb", "1000000000000"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 1001
+    assert rows[0].startswith("0,0,")
+
+
 def test_continuous_evolve_needs_room_for_its_trace_not_its_states(capsys, monkeypatch):
     # N_b is streamed, so each of the 130 samples at N = L = 3 (dim 20) costs
     # its trace arrays and CSV line, not its 320-byte state: a machine with
@@ -253,7 +288,7 @@ def test_dump_matrix(params_file, tmp_path):
     p, _ = sb.load_params(params_file)
     sector = sb.build_k0_sector(1, 2)
     parts = sb.build_interaction_picture(p, sector)
-    assert np.abs(h - parts.dense_at(0.0)).max() < 1e-12
+    assert np.abs(h - dense_hamiltonian(parts, 0.0)).max() < 1e-12
 
 
 @pytest.mark.parametrize("n,l,g,terms", [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import starkband as sb
+from starkband import fock
 from starkband.fock import FockState
 
 from oracles import expand
@@ -38,9 +39,17 @@ def test_enumerate_complete_ordered():
     assert all(s.n_particles == 5 for s in basis)
 
 
-def test_enumerate_dimension_cap():
-    with pytest.raises(ValueError):
-        sb.enumerate_fock(5, 5, dimension_cap=2001)
+def test_enumerate_dimension_cap(monkeypatch):
+    # 2002 states at N = L = 5: one above the cap raises, before any is listed
+    monkeypatch.setattr(fock, "DIMENSION_CAP", 2001)
+    with pytest.raises(ValueError, match="exceeds the cap 2001"):
+        sb.enumerate_fock(5, 5)
+
+
+def test_sector_beyond_the_dimension_cap_raises():
+    # C(119, 40) states at N = L = 40: far more than could be listed
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        sb.build_k0_sector(40, 40)
 
 
 def test_translate():
@@ -106,13 +115,13 @@ def test_unit_filling_formula_prime_l():
 def test_lookup_translate_consistency():
     sector = sb.build_k0_sector(3, 4)
     for state in sb.enumerate_fock(3, 4):
-        assert sector.lookup(sb.translate(state)) == sector.lookup(state)
+        assert sector.index[sb.translate(state)] == sector.index[state]
 
 
 def test_lookup_roundtrip_representatives():
     sector = sb.build_k0_sector(3, 4)
     for i, rep in enumerate(sector.representatives):
-        assert sector.lookup(rep) == i
+        assert sector.index[rep] == i
 
 
 def test_expand_orthonormal():

@@ -17,7 +17,7 @@ from starkband import hamiltonian
 from starkband.fock import Csr, FockState
 from starkband.hamiltonian import _hop_forward, _static_entries, hermiticity_defect
 
-from oracles import build_static_tilted
+from oracles import build_static_tilted, dense_hamiltonian
 
 PARAMS_12 = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03,
                            w_b=0.018, w_x=0.012, g=0.7, force=2.2207,
@@ -35,7 +35,7 @@ def test_term_mask_from_names():
         sb.TermMask.from_names("hop_c")
     with pytest.raises(ValueError):
         sb.TermMask.from_names("")
-    dco = sb.TermMask.density_cross_only()
+    dco = sb.TermMask(int_a=False, int_b=False, int_x_pair=False)  # 2 g W_x n^a n^b only
     assert dco.int_x_density and not dco.int_a and not dco.int_b and not dco.int_x_pair
     assert dco.hop_a and dco.hop_b and dco.coupling_c0
 
@@ -106,7 +106,8 @@ def test_hermiticity(n, l, g):
     scale = max(np.abs(parts.h_static.data).max(), 1.0)
     assert hermiticity_defect(parts.h_static) < 1e-12 * scale
     for t in (0.0, 0.31, 2.2):
-        assert hermiticity_defect(parts.dense_at(t)) < 1e-12 * scale
+        h = dense_hamiltonian(parts, t)
+        assert np.abs(h - h.conj().T).max() < 1e-12 * scale
 
 
 def test_replaced_hopping_keeps_the_hamiltonian_hermitian():
@@ -118,8 +119,8 @@ def test_replaced_hopping_keeps_the_hamiltonian_hermitian():
     rotated = replace(parts, hop_csr=parts.hop_csr._replace(data=1j * parts.hop_csr.data))
     y = np.random.default_rng(7).normal(size=(parts.basis_dim, 3)) + 0j
     for t in (0.0, 0.31, 2.2):
-        h = rotated.dense_at(t)
-        assert hermiticity_defect(h) < 1e-14
+        h = dense_hamiltonian(rotated, t)
+        assert np.abs(h - h.conj().T).max() < 1e-14
         r = np.exp(1j * t * rotated.frame)
         h_frame = r[:, None] * (h - np.diag(rotated.frame)) * r.conj()[None, :]
         assert np.abs(rotated.apply(t, y) - h_frame @ y).max() < 1e-12 * np.abs(h).max()
@@ -138,7 +139,7 @@ def test_sector_matrix_is_scipys_csr(n):
         rows, cols, vals = [], [], []
         for j, rep in enumerate(sector.representatives):
             for target, amp in rule(rep):
-                i = sector.lookup(target)
+                i = sector.index[target]
                 rows.append(i)
                 cols.append(j)
                 vals.append(amp * math.sqrt(sizes[j] / sizes[i]))
@@ -320,7 +321,7 @@ def test_transformed_model_structure():
     sub = h[np.ix_(range(1, n), range(n + 1, 2 * n))]
     full = h[np.ix_(range(0, n - 1), range(n, 2 * n - 1))]
     assert np.abs(sub - full).max() < 1e-14
-    assert hermiticity_defect(h) == 0.0
+    assert np.abs(h - h.conj().T).max() == 0.0
 
 
 def test_transformed_model_bessel_identities():
@@ -330,7 +331,7 @@ def test_transformed_model_bessel_identities():
     for force in (2.2207, 0.7):
         p = replace(sb.preset_v0_4(), force=force)
         m = 12
-        h = sb.build_single_particle_transformed(p, m, bessel_cutoff=m)
+        h = sb.build_single_particle_transformed(p, m)  # cutoffs 8 and 11, both below m
         n = 2 * m + 1
         off = h[:n, n:]
         assert (off[m] ** 2).sum() == pytest.approx((p.c0 * p.force) ** 2, rel=1e-12)
@@ -356,8 +357,6 @@ def test_transformed_model_warnings():
     p = sb.preset_v0_4()
     with pytest.warns(UserWarning):
         sb.build_single_particle_transformed(p, site_window=2)  # window < coupling range
-    with pytest.warns(UserWarning):
-        sb.build_single_particle_transformed(p, 10, bessel_cutoff=2)  # cutoff too small
 
 
 def test_two_level_reduction():

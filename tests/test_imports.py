@@ -17,8 +17,8 @@ import `scipy.sparse` when it is imported: its `__init__` costs about
 0.25 s per process (its array API shim loads `numpy.f2py` and
 `numpy.testing`), and a run uses only its compiled CSR product, which
 `hamiltonian` loads from its extension file.  Only the scipy views of
-`HamiltonianParts`' blocks import it, inside a function, for callers that
-want scipy's arithmetic.  An
+`HamiltonianParts`' blocks import it, inside a function, for the callers
+that want scipy's arithmetic: perfbench/child.py and the tests.  An
 environment variable would be a setting that no flag, parameter file or
 output fingerprint shows, so no module under `src/` may read `os.environ`
 or call `os.getenv`.  A tuning constant that no code reads any more, left
@@ -27,10 +27,15 @@ every UPPER_CASE constant must be read somewhere in `src/` (by name or as
 a module attribute) or be listed in its module's `__all__`.  Likewise every
 module-level private function or class in `src/` must be read somewhere in
 `src/` outside its own definition: a helper that only the tests still call
-was left behind by a deletion.
+was left behind by a deletion.  And a parameter with a default that only
+the tests set is a knob no run turns, so every defaulted parameter of a
+function in `src/` must be passed, by position or by keyword, at some call
+in `src/` or in the benchmark's programs under `perfbench/`.  Calls are
+matched to functions by name alone, and a method's positions skip `self`.
 """
 
 import ast
+import collections
 import re
 from pathlib import Path
 
@@ -214,6 +219,72 @@ def test_detects_an_unread_constant():
     tree = ast.parse("import m\nA, B_2 = 1, 2\nC: int = 3\nD = E = 4\nlower = 5\n"
                      "__all__ = ['D']\nprint(A, m.C)\ndef f():\n    F = 6\n    return F\n")
     assert [n for n, _ in _constants(tree) if n not in _read_names(tree)] == ["B_2", "E"]
+
+
+def _defaulted_parameters(tree):
+    """(function, parameter, position or None for keyword-only, line) of
+    each parameter with a default, in every function of the tree.  The
+    position is that of the argument a call passes, so a method's, other
+    than a static method's, skips `self` or `cls`."""
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                           for d in node.decorator_list)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args, shift = node.args, id(node) in methods
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield node.name, arg.arg, i - shift, node.lineno
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None, node.lineno
+
+
+def _passed_arguments(trees):
+    """For each name called in `trees`, as `name(...)` or `x.name(...)`: the
+    positions and keywords its calls pass, with "*" for a `*` or `**` that
+    may pass any."""
+    passed = collections.defaultdict(set)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                passed[name].update(range(len(node.args)))
+                passed[name].update(k.arg or "*" for k in node.keywords)
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    passed[name].add("*")
+    return passed
+
+
+def _unpassed_defaults(tree, passed):
+    """The defaulted parameters of `tree`'s functions that no call in `passed` sets."""
+    return [f"{function}({parameter}) (line {line})"
+            for function, parameter, position, line in _defaulted_parameters(tree)
+            if not passed[function] & {position, parameter, "*"}]
+
+
+CALLERS = list(SRC_TREES.values()) + [ast.parse(p.read_text(), filename=str(p))
+                                      for p in sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+@pytest.mark.parametrize("path", list(SRC_TREES), ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_defaults_are_passed(path):
+    unpassed = _unpassed_defaults(SRC_TREES[path], _passed_arguments(CALLERS))
+    assert not unpassed, (f"{path.name} has defaulted parameters that no call in src/ or "
+                          f"perfbench/ passes: {', '.join(unpassed)}")
+
+
+def test_detects_an_unpassed_default():
+    tree = ast.parse("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+                     "class K:\n    def m(self, x=1, y=2):\n        pass\n"
+                     "    @staticmethod\n    def s(x=1, y=2):\n        pass\n"
+                     "    @classmethod\n    def c(cls, z=1):\n        pass\n"
+                     "def g(u=1, v=2):\n    pass\n"
+                     "f(0, 1, d=4)\nK().m(5)\nK.s(0)\nK.c()\ng(*args)\n")
+    assert _unpassed_defaults(tree, _passed_arguments([tree])) == [
+        "f(c) (line 1)", "m(y) (line 4)", "s(y) (line 7)", "c(z) (line 10)"]
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),

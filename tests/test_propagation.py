@@ -21,7 +21,7 @@ from starkband.fock import Csr, FockState
 from starkband.propagation import EIGEN_MIX
 
 from conftest import peak_copies
-from oracles import full_matrix_spectrum
+from oracles import dense_hamiltonian, full_matrix_spectrum
 
 SMALL = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03, w_b=0.018,
                        w_x=0.012, g=0.4, force=2.2201, n_particles=2, n_sites=3)
@@ -43,10 +43,10 @@ def _diagonal_parts(energies, force=2.0):
 
 
 def _lab_frame(parts, psi, times):
-    """Oracle: i dpsi/dt = dense_at(t) psi from psi(0) = psi, integrated by
+    """Oracle: i dpsi/dt = H(t) psi from psi(0) = psi, H(t) dense, integrated by
     DOP853 in the lab frame, not through `apply`; one column per time in
     `times`."""
-    sol = solve_ivp(lambda t, y: -1j * parts.dense_at(t) @ y, (0.0, times[-1]),
+    sol = solve_ivp(lambda t, y: -1j * dense_hamiltonian(parts, t) @ y, (0.0, times[-1]),
                     np.asarray(psi, dtype=complex), method="DOP853", rtol=1e-12, atol=1e-12,
                     t_eval=times)
     assert sol.success
@@ -54,12 +54,12 @@ def _lab_frame(parts, psi, times):
 
 
 def _lab_frame_period(parts, fraction=1):
-    """Oracle U(T_B / fraction): the matrix ODE i dU/dt = dense_at(t) U in
+    """Oracle U(T_B / fraction): the matrix ODE i dU/dt = H(t) U, H(t) dense, in
     the lab frame, independent of floquet_operator."""
     dim = parts.basis_dim
 
     def rhs(t, y):
-        return (-1j * parts.dense_at(t) @ y.reshape(dim, dim)).ravel()
+        return (-1j * dense_hamiltonian(parts, t) @ y.reshape(dim, dim)).ravel()
 
     sol = solve_ivp(rhs, (0.0, parts.t_bloch / fraction), np.eye(dim, dtype=complex).ravel(),
                     method="DOP853", rtol=1e-12, atol=1e-12)
@@ -145,14 +145,14 @@ def system44():
 
 def test_apply_matches_dense_hamiltonian(system44):
     # apply is the Hamiltonian in the frame of D = diag(h_static):
-    # e^{iDt} (H(t) - D) e^{-iDt}, with H(t) from the lab-frame dense_at.
+    # e^{iDt} (H(t) - D) e^{-iDt}, with the dense lab-frame H(t) of the oracle.
     # At N = 1, L = 3 the hopping blocks have diagonal entries of their own.
     one = sb.build_interaction_picture(replace(sb.preset_v0_4(0.2), n_particles=1, n_sites=3),
                                        sb.build_k0_sector(1, 3))
     rng = np.random.default_rng(3)
     for parts in (system44, one):
         t = 0.37 * parts.t_bloch
-        h = parts.dense_at(t)
+        h = dense_hamiltonian(parts, t)
         d = parts.h_static.diagonal().real
         r = np.exp(1j * t * d)
         h_frame = r[:, None] * (h - np.diag(d)) * r.conj()[None, :]
@@ -369,8 +369,8 @@ def test_boost_shifts_hamiltonian_by_a_fraction_of_the_period(n, l):
     phi = _boost_phase(parts)
     tau = parts.t_bloch / parts.boost_order
     for t in (0.0, 0.29 * parts.t_bloch):
-        boosted = phi.conj()[:, None] * parts.dense_at(t) * phi[None, :]
-        assert np.abs(boosted - parts.dense_at(t + tau)).max() < 1e-13
+        boosted = phi.conj()[:, None] * dense_hamiltonian(parts, t) * phi[None, :]
+        assert np.abs(boosted - dense_hamiltonian(parts, t + tau)).max() < 1e-13
 
 
 @pytest.mark.parametrize("n,l", BOOST_SHAPES)
@@ -651,6 +651,18 @@ def test_library_calls_reject_a_trace_beyond_physical_memory():
         sb.stroboscopic_occupations(spectrum, sector, 10**15)
     with pytest.raises(ValueError, match="physical memory"):
         sb.evolve(psi0, parts, 1e15 * parts.t_bloch, samples_per_period=32)
+
+
+def test_evolve_over_a_short_span_of_a_fine_grid(small_system):
+    # 1e12 samples per period, of which the span holds two: the offsets of a
+    # whole period would take 7.3 TiB, those of the two samples 16 bytes
+    _, parts, psi0 = small_system
+    n = 10**12
+    step = parts.t_bloch / n
+    result = sb.evolve(psi0, parts, step, samples_per_period=n)
+    assert np.array_equal(result.times, [0.0, step])
+    assert np.array_equal(result.states[0], psi0)
+    assert np.abs(result.states[1] - _lab_frame(parts, psi0, result.times)[:, 1]).max() < 1e-12
 
 
 def test_diagonalize_identity():
