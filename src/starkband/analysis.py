@@ -102,13 +102,10 @@ def upper_envelope(trace: OscillationTrace, window: float) -> OscillationTrace:
     n_windows = int(math.floor(trace.span / window * (1 + 1e-12)))
     edges = t0 + window * np.arange(n_windows + 1)
     idx = np.searchsorted(trace.times, edges)
-    centers, maxima = [], []
-    for k in range(n_windows):
-        lo, hi = idx[k], idx[k + 1]
-        if hi > lo:
-            centers.append(t0 + window * (k + 0.5))
-            maxima.append(trace.values[lo:hi].max())
-    return OscillationTrace(np.array(centers), np.array(maxima))
+    held = np.flatnonzero(idx[1:] > idx[:-1])  # the windows that hold a sample
+    # the sample after a held window is the first of the next held one, or past the last
+    maxima = np.maximum.reduceat(trace.values[:idx[-1]], idx[held])
+    return OscillationTrace(t0 + window * (held + 0.5), maxima)
 
 
 class _Peak(NamedTuple):
@@ -217,16 +214,12 @@ def collapse_time(trace: OscillationTrace, window: float) -> float | None:
     return float(t[k - 1] + frac * (t[k] - t[k - 1]))
 
 
-def revival_time(
-    trace: OscillationTrace,
-    t_coll: float,
-    window: float,
-    prominence: float = REVIVAL_PROMINENCE,
-) -> tuple[float, float] | None:
+def revival_time(trace: OscillationTrace, t_coll: float,
+                 window: float) -> tuple[float, float] | None:
     """Time and FWHM of the first envelope maximum after the collapse.
 
     The maximum must stand out from the post-collapse plateau by
-    `prominence`; its time is the envelope sample time (window center) of
+    REVIVAL_PROMINENCE; its time is the envelope sample time (window center) of
     the peak.  Returns (t_rev, fwhm) or None when no qualifying maximum
     exists (monotone decay, trace too short, ...).
     """
@@ -235,7 +228,7 @@ def revival_time(
     t, v = env.times[sel], env.values[sel]
     if t.size < 3:
         return None
-    peaks = _find_peaks(v, prominence)
+    peaks = _find_peaks(v, REVIVAL_PROMINENCE)
     if not peaks:
         return None
     return float(t[peaks[0].index]), peaks[0].width * window
@@ -354,12 +347,7 @@ def coefficient_width(spectrum) -> float | None:
     return math.sqrt(max(var, 0.0))
 
 
-def build_revival_report(
-    trace: OscillationTrace,
-    spectrum,
-    t_rev_universal: float | None,
-    revival_prominence: float = REVIVAL_PROMINENCE,
-) -> dict:
+def build_revival_report(trace: OscillationTrace, spectrum, t_rev_universal: float | None) -> dict:
     """Measured and predicted collapse and revival scales of one run, in output order.
 
     Each time is given in absolute units and, under its `_tb` key, in Bloch
@@ -371,7 +359,7 @@ def build_revival_report(
     t_coll = collapse_time(trace, window)
     t_rev = fwhm = None
     if t_coll is not None:
-        rev = revival_time(trace, t_coll, window, prominence=revival_prominence)
+        rev = revival_time(trace, t_coll, window)
         if rev is not None:
             t_rev, fwhm = rev
     try:

@@ -5,7 +5,10 @@ Subcommands: dims, evolve, floquet-spectrum, revival-report, sweep-g,
 single-particle.  Identical configurations produce byte-identical output
 files at a fixed BLAS thread count (threaded products round differently),
 and every output file starts with a `#` comment line holding the fully
-resolved parameter set.  Exit codes: 0 success, 2 validation error,
+resolved parameter set.  The integration tolerances
+(propagation.DEFAULT_RTOL and DEFAULT_ATOL) and the prominence a revival
+must have (analysis.REVIVAL_PROMINENCE) are constants, not flags; the
+header records the tolerances.  Exit codes: 0 success, 2 validation error,
 3 numerical failure.
 """
 
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, propagation
+from . import analysis
 from .fock import Csr, FockState, build_k0_sector, full_dimension, project_initial_state
 from .hamiltonian import TermMask, build_interaction_picture, build_single_particle_transformed
 from .model import (
@@ -39,6 +42,7 @@ from .propagation import (
     diagonalize_floquet,
     evolve,
     floquet_operator,
+    memory_shortfall,
     occupation_series,
     stroboscopic_occupations,
 )
@@ -63,15 +67,13 @@ class RunConfig:
     order: int | None
     initial_state: object  # descriptor accepted by project_initial_state
     mask: TermMask
-    rtol: float
-    atol: float
 
     def fingerprint(self, **extra) -> str:
         items = [(f.name, getattr(self.params, f.name)) for f in fields(ModelParams)]
         items += [
             ("order", self.order), ("initial", self.initial_state),
             ("terms", "+".join(self.mask.names())),
-            ("rtol", self.rtol), ("atol", self.atol),
+            ("rtol", DEFAULT_RTOL), ("atol", DEFAULT_ATOL),
         ]
         items += sorted(extra.items())
         return " ".join(f"{k}={v}" for k, v in items)
@@ -134,22 +136,15 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "l", None) is not None:
         params = replace(params, n_sites=args.l)
     mask = TermMask.from_names(args.terms) if getattr(args, "terms", None) else TermMask()
-    rtol = getattr(args, "rtol", DEFAULT_RTOL)
-    atol = getattr(args, "atol", DEFAULT_ATOL)
-    for name in ("rtol", "atol", "t_final_tb", "sample_per_tb"):
+    for name in ("t_final_tb", "sample_per_tb"):
         value = getattr(args, name, None)
         if value is not None and not (value > 0 and math.isfinite(value)):
             raise ValueError(f"--{name.replace('_', '-')} must be positive and finite, got {value}")
-    prominence = getattr(args, "prominence", None)
-    if prominence is not None and not (prominence >= 0 and math.isfinite(prominence)):
-        raise ValueError(f"--prominence must be non-negative and finite, got {prominence}")
     return RunConfig(
         params=params,
         order=order,
         initial_state=_parse_initial(getattr(args, "initial", "unit-filling-lower")),
         mask=mask,
-        rtol=rtol,
-        atol=atol,
     )
 
 
@@ -159,12 +154,6 @@ def _whole_periods(t_final_tb: float | None) -> int | None:
         raise ValueError(f"--t-final-tb must be a whole number of Bloch periods for a "
                          f"stroboscopic trace, got {t_final_tb}")
     return None if t_final_tb is None else int(t_final_tb)
-
-
-def _check_trace_memory(samples: int, state_bytes: int = 0, columns: int = 0):
-    """Reject, before it is allocated, a trace of `samples` samples, each with
-    `state_bytes` of states and a CSV line of `columns` values, beyond physical memory."""
-    check_trace_memory(samples, state_bytes + CSV_BYTES_PER_VALUE * columns)
 
 
 def _dump_matrix(parts, path):
@@ -198,13 +187,12 @@ def _build_sector_and_parts(cfg: RunConfig):
     return sector, parts, psi0
 
 
-def _spectrum(cfg, parts, psi0):
-    s = floquet_operator(parts, rtol=cfg.rtol, atol=cfg.atol)
-    return diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
+def _spectrum(parts, psi0):
+    return diagonalize_floquet(floquet_operator(parts), parts.boost_order, parts.t_bloch, psi0)
 
 
-def _stroboscopic_trace(cfg, sector, parts, psi0, n_periods):
-    spectrum = _spectrum(cfg, parts, psi0)
+def _stroboscopic_trace(sector, parts, psi0, n_periods):
+    spectrum = _spectrum(parts, psi0)
     return spectrum, stroboscopic_occupations(spectrum, sector, n_periods)
 
 
@@ -222,19 +210,19 @@ def cmd_dims(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = _resolve_config(args)
     n_periods = _whole_periods(args.t_final_tb) if args.mode == "stroboscopic" else None
-    sector, parts, psi0 = _build_sector_and_parts(cfg)
-    tb = parts.t_bloch
     # continuous: the grid and, maybe, t_final; N_b is streamed, so no state is kept
     samples = (n_periods + 1 if n_periods is not None
                else math.floor(args.t_final_tb * args.sample_per_tb) + 2)
-    _check_trace_memory(samples, columns=3)
+    check_trace_memory(samples, CSV_BYTES_PER_VALUE * 3)
+    sector, parts, psi0 = _build_sector_and_parts(cfg)
+    tb = parts.t_bloch
     if args.dump_matrix:
         _dump_matrix(parts, args.dump_matrix)
     if args.mode == "stroboscopic":
-        _, trace = _stroboscopic_trace(cfg, sector, parts, psi0, n_periods)
+        _, trace = _stroboscopic_trace(sector, parts, psi0, n_periods)
     else:
         result = evolve(psi0, parts, args.t_final_tb * tb, samples_per_period=args.sample_per_tb,
-                        rtol=cfg.rtol, atol=cfg.atol, weights=sector.upper_fractions)
+                        weights=sector.upper_fractions)
         trace = occupation_series(result, sector)
     header = cfg.fingerprint(mode=args.mode, t_final_tb=args.t_final_tb,
                              sample_per_tb=args.sample_per_tb)
@@ -248,13 +236,13 @@ def cmd_floquet_spectrum(args) -> int:
     sector, parts, psi0 = _build_sector_and_parts(cfg)
     if args.dump_matrix:
         _dump_matrix(parts, args.dump_matrix)
-    spectrum = _spectrum(cfg, parts, psi0)
+    spectrum = _spectrum(parts, psi0)
     _emit(_csv(cfg.fingerprint(unitarity_defect=spectrum.unitarity_defect), "eps_n,abs_cn",
                zip(spectrum.quasi_energies, np.abs(spectrum.coefficients))), args.out)
     return 0
 
 
-def _revival_record(cfg: RunConfig, n_periods: int | None, prominence: float) -> dict:
+def _revival_record(cfg: RunConfig, n_periods: int | None) -> dict:
     try:
         eq9 = revival_estimate_universal(cfg.params)
     except ValueError:
@@ -263,17 +251,17 @@ def _revival_record(cfg: RunConfig, n_periods: int | None, prominence: float) ->
         if eq9 is None:
             raise ValueError("priors give no revival estimate; set --t-final-tb explicitly")
         n_periods = int(math.ceil(1.6 * eq9 / cfg.params.t_bloch))
-    _check_trace_memory(n_periods + 1)
+    check_trace_memory(n_periods + 1)
     sector, parts, psi0 = _build_sector_and_parts(cfg)
-    spectrum, trace = _stroboscopic_trace(cfg, sector, parts, psi0, n_periods)
-    record = analysis.build_revival_report(trace, spectrum, eq9, revival_prominence=prominence)
+    spectrum, trace = _stroboscopic_trace(sector, parts, psi0, n_periods)
+    record = analysis.build_revival_report(trace, spectrum, eq9)
     record["fingerprint"] = cfg.fingerprint(t_final_tb=n_periods)
     return record
 
 
 def cmd_revival_report(args) -> int:
     cfg = _resolve_config(args)
-    record = _revival_record(cfg, _whole_periods(args.t_final_tb), args.prominence)
+    record = _revival_record(cfg, _whole_periods(args.t_final_tb))
     _emit(json.dumps(record, indent=2) + "\n", args.out)
     return 0
 
@@ -286,11 +274,12 @@ def cmd_sweep_g(args) -> int:
     n = _whole_periods(args.t_final_tb)
     rows = []
     for g in g_values:
-        rec = _revival_record(replace(cfg, params=replace(cfg.params, g=g)), n, args.prominence)
+        rec = _revival_record(replace(cfg, params=replace(cfg.params, g=g)), n)
         rows.append((g, 1.0 / g if g else None, rec["t_coll_measured"], rec["t_rev_measured"],
                      rec["t_rev_universal"], rec["t_rev_spectral"]))
-    _emit(_csv(cfg.fingerprint(g_grid=args.g_grid), "g,inv_g,t_coll,t_rev,t_rev_eq9,t_rev_eq10",
-               rows), args.out)
+    span = {} if n is None else {"t_final_tb": n}  # else each row's default span
+    _emit(_csv(cfg.fingerprint(g_grid=args.g_grid, **span),
+               "g,inv_g,t_coll,t_rev,t_rev_eq9,t_rev_eq10", rows), args.out)
     return 0
 
 
@@ -303,13 +292,11 @@ def cmd_single_particle(args) -> int:
     params = cfg.params
     n_sites = 2 * args.window + 1
     # the phases, their product with the amplitudes and psi(t): 2 n_sites each
-    _check_trace_memory(round(n_samples) + 1, 3 * 16 * 2 * n_sites, columns=4)
-    need = SINGLE_PARTICLE_COPIES * 8 * (2 * n_sites) ** 2
-    have = propagation._physical_memory()
-    if need > have:
-        raise ValueError(f"diagonalising the single-particle model of {2 * n_sites:,} states "
-                         f"needs about {need / 2**20:,.1f} MiB, more than the "
-                         f"{have / 2**20:,.1f} MiB of physical memory")
+    check_trace_memory(round(n_samples) + 1, 3 * 16 * 2 * n_sites + CSV_BYTES_PER_VALUE * 4)
+    problem = memory_shortfall(f"diagonalising the single-particle model of {2 * n_sites:,} "
+                               "states", SINGLE_PARTICLE_COPIES * 8 * (2 * n_sites) ** 2)
+    if problem:
+        raise ValueError(problem)
     h = build_single_particle_transformed(params, args.window)
     energies, vectors = np.linalg.eigh(h)
     psi0 = np.zeros(2 * n_sites)
@@ -346,8 +333,6 @@ def _add_model_flags(sp, many_body=True, g=True):
         sp.add_argument("--l", type=int, help="override the site count L")
         sp.add_argument("--terms", help="comma list of Hamiltonian terms "
                                         "(hop_a,hop_b,c0,int_a,int_b,int_x_density,int_x_pair)")
-        sp.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
-        sp.add_argument("--atol", type=float, default=DEFAULT_ATOL)
         sp.add_argument("--initial", default="unit-filling-lower",
                         help="initial state: unit-filling-lower, lower-band-ground, "
                              "or 'n1,..,nL;m1,..,mL'")
@@ -391,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sp)
     sp.add_argument("--t-final-tb", type=float, dest="t_final_tb",
                     help="trace length in Bloch periods (default: 1.6x the universal estimate)")
-    sp.add_argument("--prominence", type=float, default=analysis.REVIVAL_PROMINENCE,
-                    help="envelope prominence a revival must exceed")
     sp.set_defaults(func=cmd_revival_report)
 
     sp = add_parser("sweep-g", help="collapse/revival times over a g grid (CSV)")
@@ -400,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g-grid", default=DEFAULT_G_GRID, dest="g_grid",
                     help="comma list of g values")
     sp.add_argument("--t-final-tb", type=float, dest="t_final_tb")
-    sp.add_argument("--prominence", type=float, default=analysis.REVIVAL_PROMINENCE)
     sp.set_defaults(func=cmd_sweep_g)
 
     sp = add_parser("single-particle", help="dressed-site model trace vs closed-form prediction")

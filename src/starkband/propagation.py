@@ -57,6 +57,7 @@ __all__ = [
     "stroboscopic_occupations",
     "occupation_series",
     "check_trace_memory",
+    "memory_shortfall",
     "DEFAULT_RTOL",
     "DEFAULT_ATOL",
 ]
@@ -145,13 +146,12 @@ class FloquetSpectrum:
         return 2.0 * math.pi / self.t_bloch
 
 
-def _integrate_windows(parts, starts, s_start, s_end, offsets, sink, rtol, atol,
-                       first_step=None):
+def _integrate_windows(parts, starts, s_start, s_end, offsets, sink, first_step=None):
     """Integrate the columns of `starts`, each the lab-frame state at offset
     `s_start` of its own Bloch-period window, to offset `s_end`, and return
     their lab-frame states there as a dim x width block, and the step that
     the integrator would take next (see `dop853.integrate`; `first_step` is
-    its first).
+    its first), at DEFAULT_RTOL and DEFAULT_ATOL.
 
     H(mT_B + s) = H(s), so every window integrates i dW/ds = apply(s, W) on
     W = e^{iDs} psi from the same s_start.  At each of the sorted `offsets`,
@@ -174,7 +174,8 @@ def _integrate_windows(parts, starts, s_start, s_end, offsets, sink, rtol, atol,
         sink(i, rows)
 
     w0 = np.exp(1j * s_start * d)[:, None] * starts if s_start else starts  # e^0 = 1
-    end, step = integrate(rhs, w0.ravel(), s_start, s_end, rtol, atol, offsets, emit, first_step)
+    end, step = integrate(rhs, w0.ravel(), s_start, s_end, DEFAULT_RTOL, DEFAULT_ATOL, offsets,
+                          emit, first_step)
     return np.exp(-1j * s_end * d)[:, None] * end.reshape(dim, width), step
 
 
@@ -272,8 +273,6 @@ def evolve(
     t_final: float,
     *,
     samples_per_period: int,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
     weights=None,
 ) -> EvolutionResult:
     """Sample psi(t) of i d/dt psi = H(t) psi from psi(0) = psi0 at
@@ -334,7 +333,7 @@ def evolve(
     if (final and _propagator_obstacle(parts) is None
             and _propagator_pays(parts, last, n)):
         # before the states exist, so that S's working set does not add to them
-        s = floquet_operator(parts, rtol=rtol, atol=atol)
+        s = floquet_operator(parts)
     samples = _Samples(times.size, n, dim, weights, last)
 
     def windows(m, starts, s_end, first_step):
@@ -346,8 +345,7 @@ def evolve(
             first = m * n + 1 + i
             samples.put(first, rows[:len(range(first, last + 1, n))])
 
-        return _integrate_windows(parts, starts, 0.0, s_end, offsets[1:count], sink,
-                                  rtol, atol, first_step)
+        return _integrate_windows(parts, starts, 0.0, s_end, offsets[1:count], sink, first_step)
 
     carried = None  # the step that the last integration would take next
     if s is None:
@@ -382,7 +380,7 @@ def evolve(
     end = samples.kept
     if times.size > last + 1:
         end, _ = _integrate_windows(parts, end[:, None], offsets[last % n],
-                                    t_final - final * tb, None, None, rtol, atol, carried)
+                                    t_final - final * tb, None, None, carried)
         samples.put(last + 1, end.T)
         end = end[:, 0]
     drift = abs(np.linalg.norm(end) - np.linalg.norm(psi0))
@@ -395,15 +393,24 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def memory_shortfall(what: str, need: int) -> str | None:
+    """Why `what`, which needs about `need` bytes, cannot run here: it needs
+    more than the physical memory.  None when it fits."""
+    have = _physical_memory()
+    if need <= have:
+        return None
+    return (f"{what} needs about {need / 2**20:,.1f} MiB, more than the "
+            f"{have / 2**20:,.1f} MiB of physical memory")
+
+
 def check_trace_memory(samples: int, sample_bytes: int = 0):
     """Reject with ValueError, before it is allocated, a trace of `samples`
     samples beyond physical memory: each holds TRACE_BYTES_PER_SAMPLE of
-    trace arrays and `sample_bytes` more (its states, say)."""
-    need = samples * (TRACE_BYTES_PER_SAMPLE + sample_bytes)
-    have = _physical_memory()
-    if need > have:
-        raise ValueError(f"a trace of {samples:,} samples needs about {need / 2**20:,.1f} MiB, "
-                         f"more than the {have / 2**20:,.1f} MiB of physical memory")
+    trace arrays and `sample_bytes` more (its states or CSV line, say)."""
+    problem = memory_shortfall(f"a trace of {samples:,} samples",
+                               samples * (TRACE_BYTES_PER_SAMPLE + sample_bytes))
+    if problem:
+        raise ValueError(problem)
 
 
 def _propagator_bytes(dim: int) -> int:
@@ -423,12 +430,9 @@ def _propagator_obstacle(parts: HamiltonianParts) -> str | None:
     physical memory, or a block is complex or does not carry the boost
     charges."""
     dim = parts.basis_dim
-    need = _propagator_bytes(dim)
-    have = _physical_memory()
-    if need > have:
-        return (f"the propagator at sector dimension {dim} needs about "
-                f"{need / 2**20:,.1f} MiB, more than the {have / 2**20:,.1f} MiB "
-                "of physical memory")
+    problem = memory_shortfall(f"the propagator at sector dimension {dim}", _propagator_bytes(dim))
+    if problem:
+        return problem
     order, charge = parts.boost_order, parts.boost_charge
     for name, block, step in (("h_static", parts.static_csr, 0), ("h_hop", parts.hop_csr, 1)):
         if np.any(block.data.imag != 0.0):
@@ -438,7 +442,7 @@ def _propagator_obstacle(parts: HamiltonianParts) -> str | None:
     return None
 
 
-def _half_period_propagator(parts: HamiltonianParts, rtol: float, atol: float) -> np.ndarray:
+def _half_period_propagator(parts: HamiltonianParts) -> np.ndarray:
     """Y = U(T_B/(2d)), integrated FLOQUET_CHUNK columns at a time by
     `_integrate_windows`, each chunk from the matching columns of the
     identity with its own adaptive steps, the first of them the step that
@@ -450,16 +454,11 @@ def _half_period_propagator(parts: HamiltonianParts, rtol: float, atol: float) -
     for start in range(0, dim, FLOQUET_CHUNK):
         eye = np.eye(dim, min(FLOQUET_CHUNK, dim - start), -start, dtype=complex)
         y[:, start:start + eye.shape[1]], step = _integrate_windows(
-            parts, eye, 0.0, half, None, None, rtol, atol, step)
+            parts, eye, 0.0, half, None, None, step)
     return y
 
 
-def floquet_operator(
-    parts: HamiltonianParts,
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> np.ndarray:
+def floquet_operator(parts: HamiltonianParts) -> np.ndarray:
     """Boosted propagator S = Y^T Phi Y over T_B/d, d = parts.boost_order,
     from the matrix ODE over [0, T_B/(2d)] in the frame of the static
     diagonal.  The one-period propagator is U(T_B) = S^d; nothing forms it.
@@ -484,15 +483,15 @@ def floquet_operator(
     matrix, so the check holds S and one block.  ValueError is raised
     before any integration when the estimated working set of building and
     diagonalising S exceeds the physical memory.  The defect is checked
-    against UNITARITY_DEFECT_BUDGET; a failure suggests tightening the
-    tolerances.
+    against UNITARITY_DEFECT_BUDGET; a failure suggests tightening
+    DEFAULT_RTOL and DEFAULT_ATOL.
     """
     dim = parts.basis_dim
     problem = _propagator_obstacle(parts)
     if problem:
         raise ValueError(problem)
     order = parts.boost_order
-    y = _half_period_propagator(parts, rtol, atol)
+    y = _half_period_propagator(parts)
     phi = np.exp(-2j * math.pi * parts.boost_charge / order)[:, None]
     s = np.empty((dim, dim), dtype=complex)
     blocks = [slice(start, start + FLOQUET_CHUNK) for start in range(0, dim, FLOQUET_CHUNK)]
@@ -506,7 +505,7 @@ def floquet_operator(
         defect = max(defect, order * float(np.abs(gram).max()))
     if defect > UNITARITY_DEFECT_BUDGET:
         raise NumericalError(f"one-period propagator defect {defect:.3e} exceeds "
-                             f"{UNITARITY_DEFECT_BUDGET:.1e}; tighten rtol/atol")
+                             f"{UNITARITY_DEFECT_BUDGET:.1e}; tighten DEFAULT_RTOL/DEFAULT_ATOL")
     return s
 
 

@@ -55,6 +55,28 @@ def test_envelope_errors():
         sb.upper_envelope(_trace(t, np.zeros_like(t)), window=0.0)
 
 
+def test_envelope_skips_windows_without_samples():
+    # irregular samples with gaps wider than a window: each window that holds
+    # a sample gives its maximum at its center, one that holds none gives
+    # nothing, and the trailing partial window is dropped
+    rng = np.random.default_rng(7)
+    t = np.sort(rng.uniform(0.0, 40.0, 80))
+    t = t[(t < 9.0) | (t > 13.5)]
+    trace = _trace(t, rng.uniform(0.0, 1.0, t.size))
+    window = 0.7
+    env = sb.upper_envelope(trace, window)
+    n_windows = int(math.floor(trace.span / window * (1 + 1e-12)))
+    centers, maxima = [], []
+    for k in range(n_windows):
+        inside = (t >= t[0] + window * k) & (t < t[0] + window * (k + 1))
+        if inside.any():
+            centers.append(t[0] + window * (k + 0.5))
+            maxima.append(trace.values[inside].max())
+    assert len(centers) < n_windows - 6
+    assert np.array_equal(env.times, centers)
+    assert np.array_equal(env.values, maxima)
+
+
 def test_initial_period_sine_squared():
     omega = 3.7
     t = np.linspace(0.0, 40.0, 8001)

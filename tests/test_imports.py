@@ -32,6 +32,9 @@ the tests set is a knob no run turns, so every defaulted parameter of a
 function in `src/` must be passed, by position or by keyword, at some call
 in `src/` or in the benchmark's programs under `perfbench/`.  Calls are
 matched to functions by name alone, and a method's positions skip `self`.
+A private name is its module's own business, so no module in `src/` may
+read one of another module: neither import it nor read it as an attribute
+of a name that an import binds.
 """
 
 import ast
@@ -352,3 +355,34 @@ def test_detects_an_environment_read():
                      "def f():\n    return os.getenv('Y'), os.sysconf('SC_PAGE_SIZE')\n")
     assert _environment_reads(tree) == [
         ("os.getenv", 2), ("os.environ", 3), ("os.getenv", 5)]
+
+
+def _private_reads(tree):
+    """(name, line) of each private name of another module that the tree
+    reads: imported by name, or read as an attribute of an imported name."""
+    imported = {name for name, _ in _imported_names(tree)}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            reads += [(alias.name, node.lineno) for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.startswith("__")]
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and not node.attr.startswith("__")
+              and isinstance(node.value, ast.Name) and node.value.id in imported):
+            reads.append((f"{node.value.id}.{node.attr}", node.lineno))
+    return sorted(reads, key=lambda read: read[1])
+
+
+@pytest.mark.parametrize("path", list(SRC_TREES), ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_reads_no_private_name_of_another_module(path):
+    reads = [f"{name} (line {line})" for name, line in _private_reads(SRC_TREES[path])]
+    assert not reads, f"{path.name} reads private names of other modules: {', '.join(reads)}"
+
+
+def test_detects_a_private_read():
+    tree = ast.parse("import numpy as np\nfrom . import propagation as prop\n"
+                     "from .fock import _helper, Csr\nclass K:\n    def f(self, x):\n"
+                     "        return self._y, x._z, prop._memory(), np.__version__\n"
+                     "m = Csr._rows, _helper, np._core\n")
+    assert _private_reads(tree) == [
+        ("_helper", 3), ("prop._memory", 6), ("Csr._rows", 7), ("np._core", 7)]
