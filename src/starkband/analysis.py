@@ -168,7 +168,11 @@ def initial_period(trace: OscillationTrace) -> float:
     crests = [_refine_peak(trace.times, v, peak.index) for peak in _find_peaks(v, 0.25 * spread)]
     if len(crests) < 2:
         raise ValueError(f"found {len(crests)} qualifying maxima; need at least 2 for a period")
-    return float(np.median(np.diff(crests[:4])))
+    spacings = sorted(np.diff(crests[:4]).tolist())
+    half = len(spacings) // 2
+    if len(spacings) % 2:
+        return spacings[half]
+    return (spacings[half - 1] + spacings[half]) / 2  # np.median's mean, without numpy.ma
 
 
 def _refine_peak(times, values, p) -> float:

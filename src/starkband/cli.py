@@ -242,7 +242,9 @@ def cmd_floquet_spectrum(args) -> int:
     return 0
 
 
-def _revival_record(cfg: RunConfig, n_periods: int | None) -> dict:
+def _revival_record(cfg: RunConfig, n_periods: int | None) -> tuple[dict, int]:
+    """The revival report of `cfg` over n_periods Bloch periods, by default
+    the whole periods of 1.6 t_rev_eq9, and the periods it used."""
     try:
         eq9 = revival_estimate_universal(cfg.params)
     except ValueError:
@@ -256,12 +258,12 @@ def _revival_record(cfg: RunConfig, n_periods: int | None) -> dict:
     spectrum, trace = _stroboscopic_trace(sector, parts, psi0, n_periods)
     record = analysis.build_revival_report(trace, spectrum, eq9)
     record["fingerprint"] = cfg.fingerprint(t_final_tb=n_periods)
-    return record
+    return record, n_periods
 
 
 def cmd_revival_report(args) -> int:
     cfg = _resolve_config(args)
-    record = _revival_record(cfg, _whole_periods(args.t_final_tb))
+    record, _ = _revival_record(cfg, _whole_periods(args.t_final_tb))
     _emit(json.dumps(record, indent=2) + "\n", args.out)
     return 0
 
@@ -274,12 +276,12 @@ def cmd_sweep_g(args) -> int:
     n = _whole_periods(args.t_final_tb)
     rows = []
     for g in g_values:
-        rec = _revival_record(replace(cfg, params=replace(cfg.params, g=g)), n)
+        rec, periods = _revival_record(replace(cfg, params=replace(cfg.params, g=g)), n)
         rows.append((g, 1.0 / g if g else None, rec["t_coll_measured"], rec["t_rev_measured"],
-                     rec["t_rev_universal"], rec["t_rev_spectral"]))
-    span = {} if n is None else {"t_final_tb": n}  # else each row's default span
+                     rec["t_rev_universal"], rec["t_rev_spectral"], periods))
+    span = {} if n is None else {"t_final_tb": n}  # else each row gives its own
     _emit(_csv(cfg.fingerprint(g_grid=args.g_grid, **span),
-               "g,inv_g,t_coll,t_rev,t_rev_eq9,t_rev_eq10", rows), args.out)
+               "g,inv_g,t_coll,t_rev,t_rev_eq9,t_rev_eq10,t_final_tb", rows), args.out)
     return 0
 
 
@@ -382,7 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(sp, g=False)  # every row sets g
     sp.add_argument("--g-grid", default=DEFAULT_G_GRID, dest="g_grid",
                     help="comma list of g values")
-    sp.add_argument("--t-final-tb", type=float, dest="t_final_tb")
+    sp.add_argument("--t-final-tb", type=float, dest="t_final_tb",
+                    help="trace length in Bloch periods (default: 1.6x each g's universal "
+                         "estimate; the t_final_tb column holds each row's)")
     sp.set_defaults(func=cmd_sweep_g)
 
     sp = add_parser("single-particle", help="dressed-site model trace vs closed-form prediction")

@@ -20,21 +20,26 @@ steps of scipy.integrate.solve_ivp without importing scipy.integrate.
 The propagator is integrated over T_B/(2d): a boost of the ring shifts H(t)
 by T_B/d, and time reversal (h_static and h_hop are real in the kappa = 0
 basis) halves that span.  The resulting S is complex symmetric, so its
-eigenbasis comes from one real symmetric eigh, numpy's.
+eigenbasis comes from one real symmetric eigendecomposition: LAPACK's
+dsyevd, the routine of numpy's eigh, called in place on the real matrix.
 
-Memory stays within 3.5 dim x dim complex copies (see FLOQUET_*): the
+Memory stays within 2.5 dim x dim complex copies (see FLOQUET_*): the
 propagator is integrated in chunks of columns (Y and one chunk), S is
 formed and checked in blocks of columns (Y and S, then S), and its
-diagonalisation holds S, the real matrix it diagonalises and what eigh
-allocates.  The windows of `evolve` are integrated in blocks of half as
-many columns, each sample handed on as the step that holds it is accepted,
-and the stroboscopic trace in short blocks of periods.  `evolve` keeps
+diagonalisation holds S, the real matrix that dsyevd overwrites with the
+eigenvectors, and dsyevd's workspace.  The windows of `evolve` are
+integrated in blocks of half as many columns, each sample handed on as the
+step that holds it is accepted, and the stroboscopic trace in short blocks
+of periods.  `evolve` keeps
 either every state or, given weights w, only sum_j w_j |psi_j|^2 per
 sample: then it holds S (or one vector), one block of windows and the
 float trace, and no array of all the samples' states.
 """
 
 import collections
+import ctypes
+import functools
+import importlib.util
 import itertools
 import math
 import os
@@ -77,12 +82,13 @@ DEFAULT_ATOL = 1e-12
 #   at dim 86, 402 and 2076, 20.1 at dim 20, where width = dim);
 # - forming S in column blocks, then checking S^dag S in row blocks: Y, S and
 #   two blocks, then S and one (2.06 copies measured at dim 2076);
-# - diagonalize_floquet: S, Re S + mu Im S, and eigh's input copy, eigenvectors
-#   and divide-and-conquer workspace of 2 dim^2 doubles, FLOQUET_WORKING_COPIES
-#   in all (tracemalloc sees S, the mixture and the eigenvectors: 2.0).
+# - diagonalize_floquet: S, Re S + mu Im S, which dsyevd overwrites with the
+#   eigenvectors, and dsyevd's divide-and-conquer workspace of 2 dim^2 doubles,
+#   FLOQUET_WORKING_COPIES in all (tracemalloc sees S and the mixture, then S,
+#   V and V sorted: 2.0; numpy's eigh would add an input copy of the mixture).
 # The windows of evolve are integrated in blocks of FLOQUET_CHUNK // 2 columns.
 FLOQUET_CHUNK = 64
-FLOQUET_WORKING_COPIES = 3.5
+FLOQUET_WORKING_COPIES = 2.5
 FLOQUET_CHUNK_COPIES = 22
 # The fixed cost of one right-hand side call, in state entries of the sparse
 # products it matches: fitted to dop853.integrate at N = L = 3..6 (dim
@@ -509,13 +515,51 @@ def floquet_operator(parts: HamiltonianParts) -> np.ndarray:
     return s
 
 
+@functools.cache
+def _lapacke_dsyevd():
+    """LAPACKE_dsyevd of the OpenBLAS that numpy's linalg extension links
+    (the numpy wheels export it with 64-bit integers as
+    scipy_LAPACKE_dsyevd64_), found through that extension's file."""
+    name = "scipy_LAPACKE_dsyevd64_"
+    origin = importlib.util.find_spec("numpy.linalg._umath_linalg").origin
+    try:
+        dsyevd = getattr(ctypes.CDLL(origin), name)
+    except AttributeError:
+        raise ImportError(f"{name} not found: {origin} does not link it") from None
+    dsyevd.restype = ctypes.c_int64
+    dsyevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
+    return dsyevd
+
+
+def _symmetric_eigh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the real symmetric matrix whose lower
+    triangle the C-ordered square `a` holds in column-major order, which
+    LAPACK's dsyevd (divide and conquer) overwrites with its orthonormal
+    eigenvectors, one per row.  It is the routine, triangle and workspace
+    query of np.linalg.eigh(a.T), whose eigenvalues and eigenvectors (a.T)
+    it gives bit for bit without eigh's input copy and separate output.
+    LAPACK's error code raises NumericalError."""
+    n = len(a)
+    if a.dtype != np.float64 or a.shape != (n, n) or not a.flags.c_contiguous:
+        raise ValueError(f"need a C-ordered square float64 array, got {a.dtype} {a.shape}")
+    values = np.empty(n)
+    col_major = 102  # LAPACKE's LAPACK_COL_MAJOR
+    info = _lapacke_dsyevd()(col_major, b"V", b"L", n, a.ctypes.data, max(n, 1),
+                             values.ctypes.data)
+    if info:
+        raise NumericalError(f"LAPACK dsyevd failed with info {info}")
+    return values
+
+
 def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> FloquetSpectrum:
     """Quasi-energies, orthonormal eigenvectors and initial-state overlaps of
     U(T_B) = S^order, for S = floquet_operator(parts), order = parts.boost_order.
 
     S is complex symmetric and unitary, so Re S and Im S commute and share a
-    real orthonormal eigenbasis: that of the eigh (divide and conquer) of
-    Re S + mu Im S, mu = EIGEN_MIX, with eigenvalues sigma_j = v_j^T S v_j.
+    real orthonormal eigenbasis: that of the eigendecomposition (LAPACK's
+    dsyevd, divide and conquer, see `_symmetric_eigh`) of Re S + mu Im S,
+    mu = EIGEN_MIX, with eigenvalues sigma_j = v_j^T S v_j.
     Eigenvalues with equal cos(phi) + mu sin(phi) would mix; the residual
     max|SV - V Sigma| catches that, and an S that is not symmetric, with
     NumericalError above EIGEN_RESIDUAL_BUDGET.  U has the same vectors and
@@ -524,20 +568,22 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     max_j ||lambda_j|^2 - 1|, which with the residual check bounds the
     entrywise defect of V Lambda V^T.
 
-    Memory, in complex copies of S: besides S, the eigh holds the real
-    matrix it diagonalises, eigh's input copy and the eigenvectors (half a
-    copy each) and LAPACK's divide-and-conquer workspace of 2 dim^2 doubles
-    (one), 3.5 in all, of which tracemalloc sees 2.0 (numpy's linalg
-    allocates the input copy and the workspace itself).  Then sigma and the
-    residual are formed one block of FLOQUET_CHUNK columns of V at a time,
-    from S V[:, block], and so are the overlaps V[:, block]^T psi0, so no
-    dim x dim product or complex copy of V is made (2.0 copies with S, V
-    and V sorted by quasi-energy).
+    Memory, in complex copies of S: besides S, dsyevd holds the real matrix
+    it diagonalises, formed from S^T so that dsyevd overwrites it with V^T
+    in C order (half a copy), and its workspace of 2 dim^2 doubles (one),
+    2.5 in all, of which tracemalloc sees 1.5 (LAPACK allocates the
+    workspace itself); numpy's eigh, with the same bits, would add an input
+    copy and hold 3.5.  Then sigma and the residual are formed one block of
+    FLOQUET_CHUNK columns of V at a time, from S V[:, block], and so are the
+    overlaps V[:, block]^T psi0, so no dim x dim product or complex copy of
+    V is made (2.0 copies with S, V and V sorted by quasi-energy).
     """
-    mixed = EIGEN_MIX * s.imag
-    mixed += s.real
-    _, vectors = np.linalg.eigh(mixed)
-    del mixed
+    # the transpose of Re S + mu Im S, which dsyevd reads in column-major
+    # order as the matrix itself, lower triangle, and overwrites with V^T
+    vectors = np.multiply(EIGEN_MIX, s.T.imag, order="C")
+    vectors += s.T.real
+    _symmetric_eigh(vectors)
+    vectors = vectors.T
     psi0 = np.asarray(psi0, dtype=complex)
     sigma = np.empty(len(vectors), dtype=complex)
     overlaps = np.empty(len(vectors), dtype=complex)

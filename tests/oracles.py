@@ -95,8 +95,9 @@ def build_static_tilted(params, basis, mask: TermMask = TermMask()):
 
 def full_matrix_spectrum(y, parts, psi0):
     """S = Y^T (Phi Y) for the half-period propagator Y, and the sorted
-    quasi-energies and initial-state overlaps of S^d, each from one full
-    matrix product: S V and the residual max|SV - V Sigma| on it."""
+    quasi-energies, eigenvectors and initial-state overlaps of S^d: V from
+    numpy's eigh, the rest each from one full matrix product, S V and the
+    residual max|SV - V Sigma| on it."""
     order = parts.boost_order
     s = y.T @ (np.exp(-2j * math.pi * parts.boost_charge / order)[:, None] * y)
     _, vectors = np.linalg.eigh(s.real + EIGEN_MIX * s.imag)
@@ -105,4 +106,5 @@ def full_matrix_spectrum(y, parts, psi0):
     assert np.abs(sv - vectors * sigma).max() <= 1e-8
     eps = -np.angle(sigma ** order) / parts.t_bloch
     ranks = np.argsort(eps, kind="stable")
-    return s, eps[ranks], vectors[:, ranks].T @ np.asarray(psi0, dtype=complex)
+    vectors = vectors[:, ranks]
+    return s, eps[ranks], vectors, vectors.T @ np.asarray(psi0, dtype=complex)

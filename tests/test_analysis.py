@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import starkband as sb
-from starkband.analysis import OscillationTrace, _find_peaks
+from starkband.analysis import OscillationTrace, _find_peaks, _refine_peak
 
 
 def _trace(times, values):
@@ -82,6 +82,23 @@ def test_initial_period_sine_squared():
     t = np.linspace(0.0, 40.0, 8001)
     period = sb.initial_period(_trace(t, np.sin(0.5 * omega * t) ** 2))
     assert period == pytest.approx(2 * math.pi / omega, rel=5e-3)
+
+
+def test_initial_period_is_numpys_median_of_the_first_spacings():
+    # the middle of the sorted spacings of the first four crests, or the mean
+    # of the two middle ones, has the bits of np.median for 1, 2 and 3 spacings
+    rng = np.random.default_rng(3)
+    t = np.linspace(0.0, 20.0, 4001)
+    counts = set()
+    for _ in range(60):
+        centers = 1.0 + np.cumsum(rng.uniform(0.5, 3.0, rng.integers(2, 6)))
+        values = 0.9 * sum(np.exp(-((t - c) / 0.1) ** 2) for c in centers)
+        crests = [_refine_peak(t, values, peak.index)
+                  for peak in _find_peaks(values, 0.25 * (values.max() - values.min()))]
+        spacings = np.diff(crests[:4])
+        counts.add(spacings.size)
+        assert sb.initial_period(_trace(t, values)) == float(np.median(spacings))
+    assert counts == {1, 2, 3}
 
 
 def test_initial_period_undefined():

@@ -377,7 +377,7 @@ def test_sweep_g_rows_in_order(params_file, capsys):
     assert main(["sweep-g", "--params", params_file, "--initial", "1,0;0,0",
                  "--g-grid", "0.1,0.2", "--t-final-tb", "900"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[1] == "g,inv_g,t_coll,t_rev,t_rev_eq9,t_rev_eq10"
+    assert lines[1] == "g,inv_g,t_coll,t_rev,t_rev_eq9,t_rev_eq10,t_final_tb"
     first = lines[2].split(",")
     second = lines[3].split(",")
     assert float(first[0]) == 0.1 and float(second[0]) == 0.2
@@ -386,6 +386,8 @@ def test_sweep_g_rows_in_order(params_file, capsys):
     assert first[2] == "nan" and first[3] == "nan"
     # universal estimate halves when g doubles
     assert float(first[4]) == pytest.approx(2 * float(second[4]), rel=1e-9)
+    # each row records the span it was measured over
+    assert first[6] == second[6] == "900"
 
 
 def test_sweep_g_at_zero_g_prints_nan_inverse(capsys):
@@ -394,7 +396,7 @@ def test_sweep_g_at_zero_g_prints_nan_inverse(capsys):
     lines = capsys.readouterr().out.splitlines()
     zero, other = lines[2].split(","), lines[3].split(",")
     # without interactions nothing collapses, and 1/g is undefined
-    assert zero == ["0", "nan", "nan", "nan", "nan", "nan"]
+    assert zero == ["0", "nan", "nan", "nan", "nan", "nan", "3000"]
     assert float(other[1]) == pytest.approx(5.0)
 
 
@@ -480,4 +482,20 @@ def test_cli_runs_import_no_slow_scipy_subpackage(tmp_path):
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0, 0, 0] []"
+    assert json.loads(out.read_text())["t_rev_measured"] is not None
+
+
+def test_revival_report_imports_no_masked_arrays(tmp_path):
+    # np.median imports numpy.ma (about 18 ms and 0.5-0.9 MB per run) for the
+    # middle of at most three crest spacings; the report takes it itself, and
+    # diagonalises S with LAPACK's dsyevd, not through scipy.linalg
+    out = tmp_path / "report.json"
+    code = ("import sys; from starkband.cli import main; "
+            "status = main(['revival-report', '--preset', 'v0_4', '--n', '3', '--l', '3', "
+            f"'--g', '0.2', '--out', {str(out)!r}]); "
+            "print(status, [m for m in ('numpy.ma', 'scipy.sparse', 'scipy.linalg') "
+            "if m in sys.modules])")
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"
     assert json.loads(out.read_text())["t_rev_measured"] is not None

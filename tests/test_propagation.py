@@ -4,6 +4,7 @@ The heavyweight dim-402 cases live in the acceptance suite; here the same
 contracts are exercised on systems small enough to run in seconds.
 """
 
+import importlib.util
 import itertools
 import math
 from dataclasses import replace
@@ -482,11 +483,11 @@ def test_floquet_operator_memory_is_two_copies_of_s(preset_runs, monkeypatch):
 
 
 def test_diagonalize_floquet_memory_is_s_and_one_real_pair(preset_runs):
-    # S, then Re S + mu Im S and the eigenvectors, each half a copy of S; the
-    # residual and the overlaps take blocks of 64 columns of V, and V sorted
-    # by quasi-energy is the last half copy (2.0 copies with S and V, 2.06
-    # measured).  The eigh's input copy and LAPACK's workspace are not seen
-    # by tracemalloc.
+    # S, then Re S + mu Im S, half a copy of S, which dsyevd overwrites with
+    # the eigenvectors; the residual and the overlaps take blocks of 64
+    # columns of V, and V sorted by quasi-energy is the last half copy (2.0
+    # copies with S and V, 2.06 measured).  LAPACK's workspace is not seen by
+    # tracemalloc.
     parts = preset_runs.parts(0.2)
     s = sb.floquet_operator(parts)
     copies = 1 + peak_copies(lambda: sb.diagonalize_floquet(
@@ -498,15 +499,15 @@ def test_diagonalize_floquet_memory_is_s_and_one_real_pair(preset_runs):
 def test_propagator_estimate_covers_the_measured_peak(n):
     # the estimate prices the largest phase: at dim 86 and 402 the chunk
     # stepper while Y is integrated.  The diagonalisation's peak adds what
-    # numpy's eigh takes from outside tracemalloc's sight: its input copy
-    # (dim^2 doubles) and the workspace of LAPACK's dsyevd (2 dim^2)
+    # LAPACK's dsyevd takes from outside tracemalloc's sight: its workspace
+    # of 2 dim^2 doubles
     parts = _parts_for(n, n)
     dim = parts.basis_dim
     psi0 = sb.project_initial_state("unit-filling-lower", sb.build_k0_sector(n, n))
     built = []
     building = peak_copies(lambda: built.append(sb.floquet_operator(parts)), dim * dim)
     diagonalising = 1 + peak_copies(lambda: sb.diagonalize_floquet(
-        built[0], parts.boost_order, parts.t_bloch, psi0), dim * dim) + 3 * 8 / 16
+        built[0], parts.boost_order, parts.t_bloch, psi0), dim * dim) + 2 * 8 / 16
     assert propagation._propagator_bytes(dim) >= 16 * dim * dim * max(building, diagonalising)
 
 
@@ -532,7 +533,8 @@ def test_cli_refuses_a_propagator_it_cannot_diagonalise(n, monkeypatch, capsys):
 def test_blocked_floquet_path_is_bit_identical_to_full_products(n, monkeypatch):
     # S formed in column blocks, and sigma and the residual from column
     # blocks of V (one block at dim 20, two at 86, seven at 402), give the
-    # very bits of the full products Y^T (Phi Y) and S V
+    # very bits of the full products Y^T (Phi Y) and S V, and V those of
+    # numpy's eigh
     parts = _parts_for(n, n)
     psi0 = sb.project_initial_state("unit-filling-lower", sb.build_k0_sector(n, n))
     half_periods = []
@@ -545,10 +547,75 @@ def test_blocked_floquet_path_is_bit_identical_to_full_products(n, monkeypatch):
     monkeypatch.setattr(propagation, "_half_period_propagator", kept)
     s = sb.floquet_operator(parts)
     spectrum = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
-    s_full, eps, coefficients = full_matrix_spectrum(half_periods[0], parts, psi0)
+    s_full, eps, vectors, coefficients = full_matrix_spectrum(half_periods[0], parts, psi0)
     assert np.array_equal(s, s_full)
     assert np.array_equal(spectrum.quasi_energies, eps)
+    assert np.array_equal(spectrum.eigen_vectors, vectors)
     assert np.array_equal(spectrum.coefficients, coefficients)
+
+
+def _assert_is_numpys_eigh(matrix):
+    """_symmetric_eigh on the C-ordered transpose of `matrix` gives the very
+    bits of np.linalg.eigh(matrix): its eigenvalues, and its eigenvectors as
+    the transpose of what it overwrites."""
+    want_values, want_vectors = np.linalg.eigh(matrix)
+    a = np.ascontiguousarray(matrix.T)
+    values = propagation._symmetric_eigh(a)
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(a.T, want_vectors)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_symmetric_eigh_is_numpys_on_the_mixture_of_s(n):
+    # S is symmetric only up to its last bits, so both must read one triangle
+    s = sb.floquet_operator(_parts_for(n, n))
+    assert not np.array_equal(s, s.T)
+    _assert_is_numpys_eigh(s.real + EIGEN_MIX * s.imag)
+
+
+def test_symmetric_eigh_is_numpys_on_symmetric_matrices():
+    rng = np.random.default_rng(11)
+    for dim in (2, 7, 150):
+        m = rng.standard_normal((dim, dim))
+        _assert_is_numpys_eigh((m + m.T) / 2)  # exactly symmetric
+    # a doubly degenerate eigenvalue, whose eigenvectors LAPACK may mix
+    q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    m = (q * np.r_[1.0, 1.0, np.arange(2.0, 40.0)]) @ q.T
+    m = (m + m.T) / 2
+    values = np.linalg.eigvalsh(m)
+    assert values[1] - values[0] < 1e-13 < values[2] - values[1]
+    _assert_is_numpys_eigh(m)
+    _assert_is_numpys_eigh(np.array([[-2.5]]))
+
+
+def test_symmetric_eigh_errors(monkeypatch, capsys):
+    # LAPACK's error code: a NaN entry is refused by LAPACKE (info -5), and a
+    # failure to converge (info > 0, forced here) exits 3 through the CLI
+    with pytest.raises(sb.NumericalError, match="info -5"):
+        propagation._symmetric_eigh(np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match="C-ordered square float64"):
+        propagation._symmetric_eigh(np.eye(3)[:, :2])
+    monkeypatch.setattr(propagation, "_lapacke_dsyevd", lambda: lambda *args: 2)
+    with pytest.raises(sb.NumericalError, match="info 2"):
+        propagation._symmetric_eigh(np.eye(3))
+    assert main(["floquet-spectrum", "--preset", "v0_4", "--n", "3", "--l", "3",
+                 "--g", "0.2"]) == 3
+    assert "dsyevd failed with info 2" in capsys.readouterr().err
+
+
+def test_dsyevd_loader_names_a_missing_symbol(monkeypatch):
+    # no fallback to numpy's eigh: where numpy's linalg extension does not
+    # link the routine, the import fails and says which symbol and file
+    origin = importlib.util.find_spec("_ctypes").origin
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name: SimpleNamespace(origin=origin))
+    propagation._lapacke_dsyevd.cache_clear()
+    try:
+        with pytest.raises(ImportError, match="scipy_LAPACKE_dsyevd64_ not found") as err:
+            propagation._lapacke_dsyevd()
+    finally:
+        propagation._lapacke_dsyevd.cache_clear()
+    assert origin in str(err.value)
 
 
 def test_evolve_memory_is_the_propagator_and_the_samples(preset_runs):
