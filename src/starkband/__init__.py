@@ -20,10 +20,8 @@ from .fock import (
     FockState,
     SymmetrySector,
     build_k0_sector,
-    enumerate_fock,
     full_dimension,
     project_initial_state,
-    translate,
 )
 from .hamiltonian import (
     HamiltonianParts,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .fock import Csr, FockState, build_k0_sector, full_dimension, project_initial_state
+from .fock import Csr, FockState, build_k0_sector, memory_shortfall, project_initial_state
 from .hamiltonian import TermMask, build_interaction_picture, build_single_particle_transformed
 from .model import (
     PRESETS,
@@ -42,7 +42,6 @@ from .propagation import (
     diagonalize_floquet,
     evolve,
     floquet_operator,
-    memory_shortfall,
     occupation_series,
     stroboscopic_occupations,
 )
@@ -197,9 +196,8 @@ def _stroboscopic_trace(sector, parts, psi0, n_periods):
 
 
 def cmd_dims(args) -> int:
-    dim_full = full_dimension(args.n, args.l)
     sector = build_k0_sector(args.n, args.l)
-    record = f"{args.n},{args.l},{dim_full},{sector.dim}\n"
+    record = f"{args.n},{args.l},{sector.full_dim},{sector.dim}\n"
     if args.out:
         _emit(f"# n_particles={args.n} n_sites={args.l} kappa=0\n" + record, args.out)
     else:

@@ -1,13 +1,15 @@
 """Bosonic Fock basis for N particles on a two-band ring of L sites, and the
 translation-symmetric kappa = 0 sector built from its orbits.
 
-States are occupation tuples |n_1^a .. n_L^a ; n_1^b .. n_L^b>.  The full
-basis is enumerated in a fixed order (leading mode occupation descending),
-which fixes the order of the orbit representatives and so of the sector
-basis.  One dict from every full-basis state to its representative's index
-is the sector's only lookup.  Sector operators come out as `Csr`, numpy's
-arrays of a canonical compressed sparse row matrix, so that building one
-imports no scipy.sparse.  `Csr.from_entries`, the one rule that turns
+A state is a row of 2L integer occupations, n_1^a .. n_L^a, n_1^b .. n_L^b.
+The full basis is listed leading occupation descending, and a state's rank,
+its place in that order, is a sum of binomial coefficients read off its
+suffix sums (`_ranks`): below the full dimension, it cannot overflow.  The
+order fixes the order of the orbit representatives and so of the sector
+basis, and `SymmetrySector.orbit` maps each rank to its sector index.
+`move` is the one matrix-element rule.  Sector operators come out as `Csr`,
+numpy's arrays of a canonical compressed sparse row matrix, so that building
+one imports no scipy.sparse.  `Csr.from_entries`, the one rule that turns
 (row, column, value) entries into that form, builds, sums and mirrors them.
 
 On a ring the simultaneous cyclic shift of both bands commutes with the
@@ -15,8 +17,8 @@ gauge-transformed Hamiltonian; grouping the basis into translation orbits
 and keeping the equal-phase (kappa = 0) combination of each orbit cuts the
 dimension by a factor of order L.
 """
-
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,31 +29,30 @@ __all__ = [
     "Csr",
     "SymmetrySector",
     "full_dimension",
-    "enumerate_fock",
-    "translate",
-    "ring_hops",
+    "memory_shortfall",
+    "move",
     "build_k0_sector",
     "project_initial_state",
 ]
 
-# Guards in-memory enumeration; (7, 7) needs 77520 states, so this leaves
+# Guards in-memory enumeration; (8, 8) needs 490,314 states, so this leaves
 # generous headroom without letting a typo exhaust memory.
 DIMENSION_CAP = 2_000_000
+# Peak memory of building the sector, per full-basis state, beside
+# BASIS_COPIES copies of its occupations while they are listed: int64 words
+# for the rank table, the ranks, the shift as a permutation of them and two
+# of its powers, the orbit data and the per-orbit arrays (tracemalloc: at
+# most 10.1, at L = 1, where every orbit is a single state).
+BASIS_COPIES = 3
+SECTOR_WORDS = 11
 
 
 class FockState(NamedTuple):
-    """Occupation numbers per site for the lower (a) and upper (b) band."""
+    """Occupation numbers per site for the lower (a) and upper (b) band:
+    the type of an explicit initial state."""
 
     lower: tuple
     upper: tuple
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.lower)
-
-    @property
-    def n_particles(self) -> int:
-        return sum(self.lower) + sum(self.upper)
 
     def __str__(self):
         return "|%s;%s>" % (",".join(map(str, self.lower)), ",".join(map(str, self.upper)))
@@ -69,49 +70,77 @@ def full_dimension(n_particles: int, n_sites: int) -> int:
     return math.comb(n_particles + 2 * n_sites - 1, n_particles)
 
 
-def _compositions(total, modes):
-    # all occupation tuples of `modes` modes summing to `total`,
-    # leading occupation descending (so |N,0,...> comes first)
-    if modes == 1:
-        yield (total,)
-        return
-    for v in range(total, -1, -1):
-        for rest in _compositions(total - v, modes - 1):
-            yield (v,) + rest
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def enumerate_fock(n_particles, n_sites):
-    """Complete, duplicate-free list of FockStates, leading occupation descending.
-    A dimension above DIMENSION_CAP raises ValueError before any is listed."""
-    dim = full_dimension(n_particles, n_sites)
-    if dim > DIMENSION_CAP:
-        raise ValueError(
-            f"Fock dimension {dim} for N={n_particles}, L={n_sites} exceeds the cap {DIMENSION_CAP}"
-        )
-    L = n_sites
-    return [FockState(t[:L], t[L:]) for t in _compositions(n_particles, 2 * n_sites)]
+def memory_shortfall(what: str, need: int) -> str | None:
+    """Why `what`, which needs about `need` bytes, cannot run here: it needs
+    more than the physical memory.  None when it fits."""
+    have = _physical_memory()
+    if need <= have:
+        return None
+    return (f"{what} needs about {need / 2**20:,.1f} MiB, more than the "
+            f"{have / 2**20:,.1f} MiB of physical memory")
 
 
-def translate(state: FockState) -> FockState:
-    """Cyclic shift l -> l+1 (mod L) applied to both bands simultaneously."""
-    lo, up = state
-    return FockState(lo[-1:] + lo[:-1], up[-1:] + up[:-1])
+def _basis(n_particles: int, n_sites: int) -> np.ndarray:
+    """Every state of the full basis as a row of 2L occupations, leading
+    occupation descending.  Built from the last mode forward: the states of
+    each total t <= N on the trailing modes, totals ascending, give those of
+    total s on one more mode as the rows [s - t, tail] with t <= s (one level
+    of modes, the pieces of the next and their concatenation: BASIS_COPIES)."""
+    n, modes = n_particles, 2 * n_sites
+    dtype = np.min_scalar_type(n)
+    tails = np.arange(n + 1, dtype=dtype)[:, None]
+    totals = sums = np.arange(n + 1)
+    for _ in range(modes - 2):
+        ends = np.searchsorted(totals, sums, side="right")
+        tails = np.concatenate([np.column_stack(((s - totals[:end]).astype(dtype), tails[:end]))
+                                for s, end in zip(sums, ends)])
+        totals = np.repeat(sums, ends)
+    return np.column_stack(((n - totals).astype(dtype), tails))
 
 
-def ring_hops(occ: tuple):
-    """(occupations after the hop, sqrt(n_src (n_dst + 1))) for each l -> l+1
-    hop of one band on the ring; a single site has no distinct neighbour."""
-    L = len(occ)
-    if L < 2:
-        return
-    for src in range(L):
-        if occ[src] == 0:
-            continue
-        dst = (src + 1) % L
-        new = list(occ)
-        new[src] -= 1
-        new[dst] += 1
-        yield tuple(new), math.sqrt(occ[src] * (occ[dst] + 1))
+def _sector_bytes(n_particles: int, n_sites: int) -> int:
+    """Estimated peak bytes of `build_k0_sector` (BASIS_COPIES, SECTOR_WORDS)."""
+    listing = BASIS_COPIES * 2 * n_sites * np.min_scalar_type(n_particles).itemsize
+    return full_dimension(n_particles, n_sites) * (listing + 8 * SECTOR_WORDS)
+
+
+def _rank_table(n_particles: int, modes: int) -> np.ndarray:
+    """table[i - 1, s] = C(s + modes - i - 1, modes - i): the states before
+    one whose modes from i on hold s that agree with it up to mode i - 1."""
+    return np.array([[math.comb(s + modes - i - 1, modes - i) for s in range(n_particles + 1)]
+                     for i in range(1, modes)], dtype=np.int64)
+
+
+def _ranks(occupations: np.ndarray, table: np.ndarray, order) -> np.ndarray:
+    """The rank of each row of `occupations` with its modes read in `order`:
+    the sum over modes i >= 1 of table[i - 1, bosons in modes i and after]."""
+    rank = np.zeros(len(occupations), dtype=np.int64)
+    suffix = np.zeros_like(rank)
+    for i in range(len(order) - 1, 0, -1):
+        suffix += occupations[:, order[i]]
+        rank += table[i - 1][suffix]
+    return rank
+
+
+def move(occupations: np.ndarray, src: int, dst: int, k: int):
+    """Move k bosons from mode `src` to another mode `dst` in each row of
+    `occupations` that holds at least k in `src`: the indices of those rows,
+    their occupations after the move, and the amplitude
+    sqrt(perm(n_src, k) perm(n_dst + k, k)) of (c_dst^dag)^k (c_src)^k."""
+    rows = np.flatnonzero(occupations[:, src] >= k)
+    n_src, n_dst = (occupations[rows, mode].astype(np.int64) for mode in (src, dst))
+    weight = np.ones(len(rows))  # exact below 2**53, where int64 would wrap past 2**63
+    for j in range(k):
+        weight *= (n_src - j) * (n_dst + k - j)
+    targets = occupations[rows]
+    targets[:, src] -= k
+    targets[:, dst] += k
+    return rows, targets, np.sqrt(weight)
 
 
 class Csr(NamedTuple):
@@ -155,101 +184,106 @@ class Csr(NamedTuple):
 
 @dataclass(frozen=True)
 class SymmetrySector:
-    """The kappa = 0 translation-symmetric basis.
-
-    Each basis vector is the equal-amplitude, normalized sum over one
-    translation orbit.  `index` maps every state of the full basis to the
-    index of its orbit's representative, so it holds the whole basis.
+    """The kappa = 0 translation-symmetric basis: vector i is the normalized
+    equal-amplitude sum over orbit i, whose lexicographically smallest state
+    is row i of `occupations`.  `orbit` holds the sector index of every
+    full-basis state by rank, and `rank_table` what ranks a state (`_ranks`).
     """
 
     n_particles: int
     n_sites: int
-    representatives: tuple
+    occupations: np.ndarray  # (dim, 2L)
     orbit_sizes: np.ndarray
-    index: dict  # FockState -> representative index, for every full-basis state
+    orbit: np.ndarray  # (full_dim,)
+    rank_table: np.ndarray
     upper_fractions: np.ndarray  # per representative: sum(upper) / N
 
     @property
     def dim(self) -> int:
-        return len(self.representatives)
+        return len(self.occupations)
 
     @property
     def full_dim(self) -> int:
-        return len(self.index)
+        return len(self.orbit)
 
-    def matrix(self, rule, columns=None) -> Csr:
-        """An operator in sector coordinates, from `rule(rep)`: the (target
-        state, amplitude) pairs of the operator applied to a representative.
+    def locate(self, rows) -> np.ndarray:
+        """The sector index of the orbit of each row of 2L occupations of N bosons."""
+        rows = np.asarray(rows)
+        return self.orbit[_ranks(rows, self.rank_table, range(rows.shape[1]))]
 
-        The operator is applied to the representative of column j only, so
-        an element i <- j carries the orbit factor sqrt(orbit_j / orbit_i).
-        The entries go through `Csr.from_entries`.  Only the `columns` given
-        (all by default) are visited.
-        """
-        sizes, index = self.orbit_sizes, self.index
-        rows, cols, vals = [], [], []
-        for j in range(self.dim) if columns is None else columns:
-            for target, amp in rule(self.representatives[j]):
-                rows.append(index[target])
-                cols.append(j)
-                vals.append(amp)
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-        vals = np.asarray(vals) * np.sqrt(sizes[cols] / sizes[rows])
-        return Csr.from_entries(rows, cols, vals, self.dim)
+    def matrix(self, blocks) -> Csr:
+        """An operator in sector coordinates from blocks of (columns,
+        targets, amplitudes) arrays: `amplitudes[e]` of the state `targets[e]`
+        in the operator applied to the representative of `columns[e]`, and
+        so, with the orbit factor sqrt(orbit_j / orbit_i), element i <- j.
+        `Csr.from_entries` sums those at one position in block order."""
+        empty = (np.zeros(0, dtype=np.intp), self.occupations[:0], np.zeros(0))
+        columns, targets, amplitudes = (np.concatenate(part) for part in zip(empty, *blocks))
+        rows, sizes = self.locate(targets), self.orbit_sizes
+        values = amplitudes * np.sqrt(sizes[columns] / sizes[rows])
+        return Csr.from_entries(rows, columns, values, self.dim)
 
 
 def build_k0_sector(n_particles, n_sites) -> SymmetrySector:
     """Group the full Fock basis into translation orbits and assemble kappa=0.
 
-    The representative of each orbit is its lexicographically smallest state;
-    representatives are listed in order of first encounter during the full
-    enumeration, which makes the basis deterministic.
+    One rank pass over the basis with its sites shifted by one gives the
+    shift as a permutation of ranks.  Its L powers give each state's orbit:
+    the smallest rank, whose order is the sector's; the largest, the
+    representative; and the size, L over the shifts that fix the state.  A
+    full dimension above DIMENSION_CAP, or arrays beyond physical memory,
+    raise ValueError before anything is listed.
     """
-    index = {}
-    reps = []
-    sizes = []
-    for state in enumerate_fock(n_particles, n_sites):
-        if state in index:
-            continue
-        orbit = [state]
-        s = translate(state)
-        while s != state:
-            orbit.append(s)
-            s = translate(s)
-        index.update(dict.fromkeys(orbit, len(reps)))
-        reps.append(min(orbit))
-        sizes.append(len(orbit))
+    full = full_dimension(n_particles, n_sites)
+    if full > DIMENSION_CAP:
+        raise ValueError(
+            f"Fock dimension {full} for N={n_particles}, L={n_sites} exceeds the cap {DIMENSION_CAP}"
+        )
+    problem = memory_shortfall(f"the Fock basis of {full:,} states",
+                               _sector_bytes(n_particles, n_sites))
+    if problem:
+        raise ValueError(problem)
 
-    n = n_particles
-    fractions = np.array([sum(rep.upper) / n for rep in reps]) if n else np.zeros(len(reps))
+    table = _rank_table(n_particles, 2 * n_sites)
+    basis = _basis(n_particles, n_sites)
+    sites = (np.arange(n_sites) - 1) % n_sites
+    step = _ranks(basis, table, np.concatenate((sites, sites + n_sites)))  # rank -> rank shifted
+    ranks = np.arange(full)
+    first, last, fixed, rank = ranks.copy(), ranks.copy(), np.ones_like(ranks), ranks
+    for _ in range(1, n_sites):
+        rank = step[rank]
+        np.minimum(first, rank, out=first)
+        np.maximum(last, rank, out=last)
+        fixed += rank == ranks
+    leaders = first == ranks
+    occupations = basis[last[leaders]]
     return SymmetrySector(
         n_particles=n_particles,
         n_sites=n_sites,
-        representatives=tuple(reps),
-        orbit_sizes=np.asarray(sizes, dtype=np.int64),
-        index=index,
-        upper_fractions=fractions,
+        occupations=occupations,
+        orbit_sizes=n_sites // fixed[leaders],
+        orbit=(np.cumsum(leaders) - 1)[first],
+        rank_table=table,
+        upper_fractions=occupations[:, n_sites:].sum(axis=1) / max(n_particles, 1),
     )
 
 
 def _lower_band_ground(sector: SymmetrySector) -> np.ndarray:
     """Sector coordinates of the ground state of the untilted lower-band
     hopping Hamiltonian (g = 0, upper band empty)."""
-    zero_upper = [i for i, rep in enumerate(sector.representatives) if sum(rep.upper) == 0]
-    if not zero_upper:
-        raise ValueError("sector has no states with an empty upper band")
-
-    # F = sum_l a^dag_{l+1} a_l on the ring within the sub-basis, K = F + F^T;
-    # the hopping Hamiltonian is -t_a/2 * K, so its ground state maximizes K.
+    # F = sum_l a^dag_{l+1} a_l on the ring within the sub-basis of an empty
+    # upper band (which holds |N,0..;0..> at least), K = F + F^T; the hopping
+    # Hamiltonian is -t_a/2 * K, so its ground state maximizes K.
     # Lower-band hops keep the upper band empty, so F never leaves the sub-basis.
-    hops = sector.matrix(
-        lambda rep: ((FockState(new, rep.upper), amp) for new, amp in ring_hops(rep.lower)),
-        zero_upper,
-    )
-    sub = np.zeros(sector.dim, dtype=np.intp)  # sector index -> sub-basis index
-    sub[zero_upper] = np.arange(len(zero_upper))
+    L = sector.n_sites
+    (zero_upper,) = np.nonzero(sector.upper_fractions == 0)
+    occupations = sector.occupations[zero_upper]
+    sources = range(L) if L > 1 else ()  # a single site has no distinct neighbour
+    hops = sector.matrix((zero_upper[rows], targets, amplitudes) for rows, targets, amplitudes
+                         in (move(occupations, src, (src + 1) % L, 1) for src in sources))
     forward = np.zeros((len(zero_upper), len(zero_upper)))
-    forward[sub[hops.rows()], sub[hops.indices]] = hops.data.real
+    rows, cols = np.searchsorted(zero_upper, (hops.rows(), hops.indices))  # sub-basis indices
+    forward[rows, cols] = hops.data.real
     kin = forward + forward.T
 
     # dense solve keeps the result deterministic (no Lanczos start vector)
@@ -290,13 +324,13 @@ def project_initial_state(spec, sector: SymmetrySector) -> np.ndarray:
     else:
         lower, upper = spec
         state = FockState(tuple(lower), tuple(upper))
-        if state.n_sites != sector.n_sites or len(state.upper) != sector.n_sites:
+        if len(state.lower) != sector.n_sites or len(state.upper) != sector.n_sites:
             raise ValueError(f"state {state} does not match L={sector.n_sites}")
-        if state.n_particles != sector.n_particles:
+        if sum(state.lower) + sum(state.upper) != sector.n_particles:
             raise ValueError(f"state {state} does not hold N={sector.n_particles} particles")
         if any(n < 0 for n in state.lower + state.upper):
             raise ValueError(f"negative occupation in {state}")
 
     coords = np.zeros(sector.dim, dtype=complex)
-    coords[sector.index[state]] = 1.0
+    coords[sector.locate([state.lower + state.upper])[0]] = 1.0
     return coords

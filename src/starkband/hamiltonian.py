@@ -13,6 +13,9 @@ hopping of both bands with their printed signs (-t_a/2 lower, +t_b/2 upper).
 The phase convention is exactly exp(+iFt) on a^dag_{l+1} a_l; changing it
 shifts the resonances.
 
+Each term is formed at once for all the sector's representatives, rows of
+occupations: the diagonal by a loop over sites, all else by `fock.move`.
+
 The blocks are numpy `Csr` arrays, and `HamiltonianParts.apply` runs
 scipy's compiled CSR product on them, loaded straight from its extension
 file: importing scipy.sparse costs a run about 0.25 s (its array API shim
@@ -36,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import Csr, FockState, SymmetrySector, ring_hops
+from .fock import Csr, SymmetrySector, move
 from .model import ModelParams, bessel_j
 
 __all__ = [
@@ -262,69 +265,52 @@ def hermiticity_defect(matrix) -> float:
     return float(np.abs(defect.data).max()) if defect.data.size else 0.0
 
 
-def _diagonal_energy(lo, up, params: ModelParams, mask: TermMask) -> float:
-    """Band gap and interactions of one Fock state; the tilt is not included."""
-    g = params.g
-    e = 0.0
-    for na, nb in zip(lo, up):
-        e += 0.5 * params.delta * (nb - na)
+def _static_entries(occupations: np.ndarray, params: ModelParams, mask: TermMask):
+    """(columns, targets, amplitudes) blocks of h_static on the representatives
+    `occupations`: the band gap and density interactions (no tilt), then site
+    by site k = 1 boson moved at c0 F (b^dag_l a_l) and k = 2 at g W_x / 2
+    (b^dag_l b^dag_l a_l a_l), each a -> b and then b -> a: a Hermitian whole."""
+    L, g = params.n_sites, params.g
+    diagonal = np.zeros(len(occupations))
+    for l in range(L):
+        na, nb = occupations[:, l].astype(np.int64), occupations[:, L + l].astype(np.int64)
+        diagonal += 0.5 * params.delta * (nb - na)
         if mask.int_a:
-            e += 0.5 * g * params.w_a * na * (na - 1)
+            diagonal += 0.5 * g * params.w_a * na * (na - 1)
         if mask.int_b:
-            e += 0.5 * g * params.w_b * nb * (nb - 1)
+            diagonal += 0.5 * g * params.w_b * nb * (nb - 1)
         if mask.int_x_density:
-            e += 2.0 * g * params.w_x * na * nb
-    return e
-
-
-def _onsite_offdiagonal(rep: FockState, params: ModelParams, mask: TermMask):
-    """(target state, amplitude) pairs for the on-site band-changing terms:
-    k = 1 boson moved at coupling c0 F (b^dag_l a_l) and k = 2 at g W_x / 2
-    (b^dag_l b^dag_l a_l a_l), each with its Hermitian partner, so collecting
-    these for every column yields a Hermitian matrix.  Moving k bosons from
-    n_from to n_to has the amplitude sqrt(perm(n_from, k) perm(n_to + k, k)).
-    """
-    lo, up = rep.lower, rep.upper
+            diagonal += 2.0 * g * params.w_x * na * nb
+    (columns,) = np.nonzero(diagonal != 0.0)
+    yield columns, occupations[columns], diagonal[columns]
     terms = [(k, coupling) for k, coupling, on in (
         (1, params.c0 * params.force, mask.coupling_c0),
         (2, 0.5 * (params.g * params.w_x), mask.int_x_pair),
     ) if on and coupling != 0.0]
-    for l, (na, nb) in enumerate(zip(lo, up)):
+    for l in range(L):
         for k, coupling in terms:
-            for shift, n_from, n_to in ((k, na, nb), (-k, nb, na)):  # a -> b, then b -> a
-                if n_from >= k:
-                    new_lo = lo[:l] + (na - shift,) + lo[l + 1:]
-                    new_up = up[:l] + (nb + shift,) + up[l + 1:]
-                    amp = math.sqrt(math.perm(n_from, k) * math.perm(n_to + k, k))
-                    yield FockState(new_lo, new_up), coupling * amp
+            for src, dst in ((l, L + l), (L + l, l)):
+                columns, targets, amplitudes = move(occupations, src, dst, k)
+                yield columns, targets, coupling * amplitudes
 
 
-def _static_entries(rep: FockState, params: ModelParams, mask: TermMask):
-    """(target state, amplitude) pairs of h_static: the diagonal, then the
-    on-site band-changing terms."""
-    diag = _diagonal_energy(rep.lower, rep.upper, params, mask)
-    if diag != 0.0:
-        yield rep, diag
-    yield from _onsite_offdiagonal(rep, params, mask)
-
-
-def _hop_forward(rep: FockState, params: ModelParams, mask: TermMask):
-    """(target, amplitude) pairs for the directed l -> l+1 hopping sum on the ring."""
-    lo, up = rep.lower, rep.upper
-    if mask.hop_a:
-        for new, amp in ring_hops(lo):
-            yield FockState(new, up), -0.5 * params.t_a * amp
-    if mask.hop_b:
-        for new, amp in ring_hops(up):
-            yield FockState(lo, new), +0.5 * params.t_b * amp
+def _hop_forward(occupations: np.ndarray, params: ModelParams, mask: TermMask):
+    """(columns, targets, amplitudes) blocks of the l -> l+1 hops on the ring,
+    lower band first; a single site has no distinct neighbour."""
+    L = params.n_sites
+    for on, band, hop in ((mask.hop_a, 0, -0.5 * params.t_a), (mask.hop_b, L, +0.5 * params.t_b)):
+        for src in range(L) if on and L > 1 else ():
+            columns, targets, amplitudes = move(occupations, band + src, band + (src + 1) % L, 1)
+            yield columns, targets, hop * amplitudes
 
 
 def build_interaction_picture(
     params: ModelParams, sector: SymmetrySector, mask: TermMask = TermMask()
 ) -> HamiltonianParts:
     """Assemble h_static and h_hop directly in kappa = 0 sector coordinates
-    (`SymmetrySector.matrix`).  Matrix elements follow the second-quantized
-    rules a_l|..n..> = sqrt(n)|..n-1..>.
+    (`SymmetrySector.matrix`), every term vectorised over the
+    representatives.  Every off-diagonal element is `fock.move`, the
+    second-quantized rule a_l|..n..> = sqrt(n)|..n-1..> applied k times.
     """
     if (sector.n_particles, sector.n_sites) != (params.n_particles, params.n_sites):
         raise ValueError(
@@ -334,23 +320,23 @@ def build_interaction_picture(
     if mask.coupling_c0 and params.c0 == 0.0:
         log.info("coupling_c0 requested but c0 = 0; the bands stay uncoupled")
 
-    h_static = sector.matrix(lambda rep: _static_entries(rep, params, mask))
-    h_hop = sector.matrix(lambda rep: _hop_forward(rep, params, mask))
+    h_static = sector.matrix(_static_entries(sector.occupations, params, mask))
+    h_hop = sector.matrix(_hop_forward(sector.occupations, params, mask))
 
     defect = hermiticity_defect(h_static)
     scale = float(np.abs(h_static.data).max()) if h_static.data.size else 1.0
     if defect > 1e-12 * scale:
         raise AssertionError(f"h_static lost hermiticity: defect {defect:.3e} vs scale {scale:.3e}")
 
-    order = math.gcd(params.n_particles, params.n_sites)
-    charge = [sum(l * (na + nb) for l, (na, nb) in enumerate(zip(rep.lower, rep.upper))) % order
-              for rep in sector.representatives]
+    order, L = math.gcd(params.n_particles, params.n_sites), params.n_sites
+    sites = sector.occupations[:, :L].astype(np.int64) + sector.occupations[:, L:]
+    charge = (sites @ np.arange(L)) % order
     return HamiltonianParts(
         static_csr=h_static,
         hop_csr=h_hop,
         force=params.force,
         boost_order=order,
-        boost_charge=np.asarray(charge, dtype=np.int64),
+        boost_charge=charge,
     )
 
 

@@ -42,14 +42,13 @@ import functools
 import importlib.util
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import OscillationTrace
 from .dop853 import NumericalError, integrate
-from .fock import SymmetrySector
+from .fock import SymmetrySector, memory_shortfall
 from .hamiltonian import HamiltonianParts
 
 __all__ = [
@@ -62,7 +61,6 @@ __all__ = [
     "stroboscopic_occupations",
     "occupation_series",
     "check_trace_memory",
-    "memory_shortfall",
     "DEFAULT_RTOL",
     "DEFAULT_ATOL",
 ]
@@ -392,21 +390,6 @@ def evolve(
     drift = abs(np.linalg.norm(end) - np.linalg.norm(psi0))
     return EvolutionResult(times=times, states=samples.states, norm_drift=float(drift),
                            weights=weights, values=samples.values)
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def memory_shortfall(what: str, need: int) -> str | None:
-    """Why `what`, which needs about `need` bytes, cannot run here: it needs
-    more than the physical memory.  None when it fits."""
-    have = _physical_memory()
-    if need <= have:
-        return None
-    return (f"{what} needs about {need / 2**20:,.1f} MiB, more than the "
-            f"{have / 2**20:,.1f} MiB of physical memory")
 
 
 def check_trace_memory(samples: int, sample_bytes: int = 0):

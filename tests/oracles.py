@@ -1,32 +1,190 @@
-"""Oracles for the tests: the embedding of kappa = 0 sector coordinates in
-the full Fock basis, the dense lab-frame H(t) of the sector, the static
-Hamiltonian with the explicit tilt l*F in the full basis, and the Floquet
-spectrum from full dim x dim products."""
+"""Oracles for the tests: the full Fock basis and its translation orbits,
+the matrix elements of h_static and h_hop and the sector matrices they give,
+the embedding of kappa = 0 sector coordinates in the full Fock basis, the
+dense lab-frame H(t) of the sector, the static Hamiltonian with the explicit
+tilt l*F in the full basis, and the Floquet spectrum from full dim x dim
+products.
 
+The basis, the orbits and the matrix elements use nothing of the package's
+own: they work on one FockState tuple at a time, list the basis by stars
+and bars, find orbits by repeated translation with a dict from every state
+to its orbit, and write each amplitude from c|n> = sqrt(n)|n-1> and
+c^dag|n> = sqrt(n+1)|n+1>.  Entries come in the order the package sums
+them: column by column, and within a column the diagonal, then the on-site
+terms site by site (c0 F, then the W_x pair term; a -> b, then b -> a), or
+the lower band's hops and then the upper band's.
+"""
+
+import itertools
 import math
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
 
-from starkband.fock import FockState, enumerate_fock, translate
-from starkband.hamiltonian import TermMask, _diagonal_energy, _onsite_offdiagonal
+from starkband.fock import FockState
+from starkband.hamiltonian import TermMask
 from starkband.propagation import EIGEN_MIX
 
 
-def expand(sector, coords) -> np.ndarray:
-    """Embed sector coordinates as a full-Fock-basis vector, in the order of
-    enumerate_fock."""
-    coords = np.asarray(coords)
-    index = {s: i for i, s in enumerate(enumerate_fock(sector.n_particles, sector.n_sites))}
-    full = np.zeros(len(index), dtype=complex)
-    for i, rep in enumerate(sector.representatives):
-        size = int(sector.orbit_sizes[i])
-        amp = coords[i] / np.sqrt(size)
-        s = rep
-        for _ in range(size):
-            full[index[s]] += amp
+def fock_states(n_particles, n_sites):
+    """Every state of N bosons in 2L modes, leading occupation descending:
+    the 2L - 1 bars among N + 2L - 1 places, in reverse of the order in
+    which itertools lists them."""
+    modes = 2 * n_sites
+    places = n_particles + modes - 1
+    states = []
+    for bars in itertools.combinations(range(places), modes - 1):
+        edges = (-1, *bars, places)
+        occupations = tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+        states.append(FockState(occupations[:n_sites], occupations[n_sites:]))
+    return states[::-1]
+
+
+def translate(state: FockState) -> FockState:
+    """Cyclic shift l -> l+1 (mod L) applied to both bands simultaneously."""
+    lo, up = state
+    return FockState(lo[-1:] + lo[:-1], up[-1:] + up[:-1])
+
+
+class OracleSector(NamedTuple):
+    representatives: tuple  # the smallest state of each orbit
+    orbit_sizes: tuple
+    index: dict  # every FockState -> its orbit's sector index
+
+
+@cache
+def oracle_sector(n_particles, n_sites) -> OracleSector:
+    """The translation orbits of the full basis in order of first encounter."""
+    index, reps, sizes = {}, [], []
+    for state in fock_states(n_particles, n_sites):
+        if state in index:
+            continue
+        orbit = [state]
+        s = translate(state)
+        while s != state:
+            orbit.append(s)
             s = translate(s)
+        index.update(dict.fromkeys(orbit, len(reps)))
+        reps.append(min(orbit))
+        sizes.append(len(orbit))
+    return OracleSector(tuple(reps), tuple(sizes), index)
+
+
+def expand(sector, coords) -> np.ndarray:
+    """Embed the sector coordinates of `sector`'s (N, L) as a full-Fock-basis
+    vector, in the order of fock_states."""
+    coords = np.asarray(coords)
+    oracle = oracle_sector(sector.n_particles, sector.n_sites)
+    basis = fock_states(sector.n_particles, sector.n_sites)
+    full = np.zeros(len(basis), dtype=complex)
+    for i, state in enumerate(basis):
+        j = oracle.index[state]
+        full[i] = coords[j] / np.sqrt(oracle.orbit_sizes[j])
     return full
+
+
+def _moved(state: FockState, src, dst, k):
+    """(c_dst^dag)^k (c_src)^k |state> for modes numbered lower band first:
+    (the state after the move, its amplitude), or None where src holds fewer
+    than k bosons.  The k lowering and k raising factors multiply under one
+    square root."""
+    occupations = list(state.lower + state.upper)
+    n, m = occupations[src], occupations[dst]
+    if n < k:
+        return None
+    occupations[src] -= k
+    occupations[dst] += k
+    lowering = math.factorial(n) // math.factorial(n - k)
+    raising = math.factorial(m + k) // math.factorial(m)
+    L = len(state.lower)
+    return FockState(tuple(occupations[:L]), tuple(occupations[L:])), math.sqrt(lowering * raising)
+
+
+def _diagonal_energy(state: FockState, params, mask: TermMask) -> float:
+    """Band gap and interactions of one Fock state; the tilt is not included."""
+    g = params.g
+    e = 0.0
+    for na, nb in zip(state.lower, state.upper):
+        e += 0.5 * params.delta * (nb - na)
+        if mask.int_a:
+            e += 0.5 * g * params.w_a * na * (na - 1)
+        if mask.int_b:
+            e += 0.5 * g * params.w_b * nb * (nb - 1)
+        if mask.int_x_density:
+            e += 2.0 * g * params.w_x * na * nb
+    return e
+
+
+def _onsite_offdiagonal(state: FockState, params, mask: TermMask):
+    """(target, amplitude) pairs of the on-site band-changing terms: one
+    boson at c0 F (b^dag_l a_l) and two at g W_x / 2 (b^dag_l b^dag_l a_l
+    a_l), each with its Hermitian partner."""
+    terms = [(k, coupling) for k, coupling, on in (
+        (1, params.c0 * params.force, mask.coupling_c0),
+        (2, 0.5 * (params.g * params.w_x), mask.int_x_pair),
+    ) if on and coupling != 0.0]
+    L = len(state.lower)
+    for l in range(L):
+        for k, coupling in terms:
+            for src, dst in ((l, L + l), (L + l, l)):
+                moved = _moved(state, src, dst, k)
+                if moved:
+                    yield moved[0], coupling * moved[1]
+
+
+def _hops(state: FockState, params, mask: TermMask, links):
+    """(target, amplitude) pairs of the hops l -> l+1 over `links`, (l, l+1)
+    site pairs, in the lower band at -t_a/2 and then the upper at +t_b/2."""
+    L = len(state.lower)
+    for on, band, amplitude in ((mask.hop_a, 0, -0.5 * params.t_a),
+                                (mask.hop_b, L, +0.5 * params.t_b)):
+        for src, dst in links if on else ():
+            moved = _moved(state, band + src, band + dst, 1)
+            if moved:
+                yield moved[0], amplitude * moved[1]
+
+
+def static_entries(state: FockState, params, mask: TermMask):
+    """(target, amplitude) pairs of h_static applied to one state."""
+    diag = _diagonal_energy(state, params, mask)
+    if diag != 0.0:
+        yield state, diag
+    yield from _onsite_offdiagonal(state, params, mask)
+
+
+def hop_forward(state: FockState, params, mask: TermMask):
+    """(target, amplitude) pairs of h_hop, the l -> l+1 hops on the ring,
+    applied to one state; a single site has no distinct neighbour."""
+    L = len(state.lower)
+    yield from _hops(state, params, mask, [(l, (l + 1) % L) for l in range(L)] if L > 1 else [])
+
+
+def sector_entries(n_particles, n_sites, rule):
+    """(row, column, value) of each entry of `rule` on the orbit
+    representatives, column by column, with the orbit factor
+    sqrt(orbit_j / orbit_i) of an element i <- j."""
+    reps, sizes, index = oracle_sector(n_particles, n_sites)
+    for j, rep in enumerate(reps):
+        for target, amp in rule(rep):
+            i = index[target]
+            yield i, j, amp * math.sqrt(sizes[j] / sizes[i])
+
+
+def sector_csr(n_particles, n_sites, rule):
+    """(data, indices, indptr) of the sector matrix of `rule`: the entries at
+    one position summed, as complex numbers, in the order they come."""
+    sums = {}
+    for i, j, value in sector_entries(n_particles, n_sites, rule):
+        sums[i, j] = sums[i, j] + value if (i, j) in sums else complex(value)
+    keys = sorted(sums)
+    counts = [0] * len(oracle_sector(n_particles, n_sites).representatives)
+    for i, _ in keys:
+        counts[i] += 1
+    return (np.array([sums[key] for key in keys], dtype=complex),
+            np.array([j for _, j in keys], dtype=np.int32),
+            np.array([0, *itertools.accumulate(counts)], dtype=np.int32))
 
 
 def dense_hamiltonian(parts, t: float) -> np.ndarray:
@@ -44,24 +202,6 @@ def dense_hamiltonian(parts, t: float) -> np.ndarray:
     return h
 
 
-def _open_chain_hops(state: FockState, params, mask: TermMask):
-    """(target, amplitude) pairs for the l -> l+1 hops of both bands on an
-    open chain: -t_a/2 in the lower band, +t_b/2 in the upper."""
-    lo, up = state.lower, state.upper
-    for occ, amp, on, upper in ((lo, -0.5 * params.t_a, mask.hop_a, False),
-                                (up, +0.5 * params.t_b, mask.hop_b, True)):
-        if not on:
-            continue
-        for src in range(len(occ) - 1):
-            if occ[src] == 0:
-                continue
-            new = list(occ)
-            new[src] -= 1
-            new[src + 1] += 1
-            target = FockState(lo, tuple(new)) if upper else FockState(tuple(new), up)
-            yield target, amp * math.sqrt(occ[src] * (occ[src + 1] + 1))
-
-
 def build_static_tilted(params, basis, mask: TermMask = TermMask()):
     """Time-independent Hamiltonian with the explicit tilt l*F, on the full
     Fock basis with open boundary conditions (a tilt on a ring is ill-defined).
@@ -72,7 +212,7 @@ def build_static_tilted(params, basis, mask: TermMask = TermMask()):
     index = {s: i for i, s in enumerate(basis)}
     rows, cols, vals = [], [], []
     for j, state in enumerate(basis):
-        diag = _diagonal_energy(state.lower, state.upper, params, mask)
+        diag = _diagonal_energy(state, params, mask)
         diag += params.force * sum(l * (na + nb) for l, (na, nb)
                                    in enumerate(zip(state.lower, state.upper), start=1))
         if diag != 0.0:
@@ -83,8 +223,9 @@ def build_static_tilted(params, basis, mask: TermMask = TermMask()):
             rows.append(index[target])
             cols.append(j)
             vals.append(amp)
-        # forward hops plus their conjugates, no phases
-        for target, amp in _open_chain_hops(state, params, mask):
+        # forward hops on the open chain plus their conjugates, no phases
+        chain = [(l, l + 1) for l in range(len(state.lower) - 1)]
+        for target, amp in _hops(state, params, mask, chain):
             i = index[target]
             rows.extend((i, j))
             cols.extend((j, i))

@@ -38,9 +38,26 @@ def test_dims_beyond_the_dimension_cap_exits_2(capsys, monkeypatch):
     def forbidden(*args):
         raise AssertionError("the basis was enumerated")
 
-    monkeypatch.setattr(fock, "_compositions", forbidden)
+    monkeypatch.setattr(fock, "_basis", forbidden)
     assert main(["dims", "--n", "40", "--l", "40"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+def test_dims_beyond_physical_memory_exits_2(capsys, monkeypatch):
+    # the 2,002 states of N = L = 5 on a machine without room for their arrays
+    def forbidden(*args):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(fock, "_physical_memory", lambda: 2**16)
+    monkeypatch.setattr(fock, "_basis", forbidden)
+    assert main(["dims", "--n", "5", "--l", "5"]) == 2
+    assert "the Fock basis of 2,002 states needs about" in capsys.readouterr().err
+
+
+def test_dims_on_more_modes_than_the_recursion_limit(capsys):
+    # 1,200 modes, 1,200 states in 2 orbits
+    assert main(["dims", "--n", "1", "--l", "600"]) == 0
+    assert capsys.readouterr().out == "1,600,1200,2\n"
 
 
 def test_dims_file_has_header(tmp_path):
@@ -215,7 +232,7 @@ def test_continuous_evolve_needs_room_for_its_trace_not_its_states(capsys, monke
     roomy = capsys.readouterr().out
     samples = 4 * 32 + 2
     trace = samples * (propagation.TRACE_BYTES_PER_SAMPLE + 3 * cli.CSV_BYTES_PER_VALUE)
-    monkeypatch.setattr(propagation, "_physical_memory", lambda: trace + samples * 16 * 20 // 2)
+    monkeypatch.setattr(fock, "_physical_memory", lambda: trace + samples * 16 * 20 // 2)
     assert main(argv) == 0
     tight = capsys.readouterr().out
 
@@ -224,7 +241,7 @@ def test_continuous_evolve_needs_room_for_its_trace_not_its_states(capsys, monke
 
     assert occupations(tight).size == samples - 1
     assert np.abs(occupations(tight) - occupations(roomy)).max() < 1e-8
-    monkeypatch.setattr(propagation, "_physical_memory", lambda: trace - 1)
+    monkeypatch.setattr(fock, "_physical_memory", lambda: trace - 1)
     assert main(argv) == 2
     assert "physical memory" in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 """Fock enumeration, translation orbits, the kappa=0 sector and its state index."""
 
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -10,7 +11,12 @@ import starkband as sb
 from starkband import fock
 from starkband.fock import FockState
 
-from oracles import expand
+from oracles import expand, fock_states, oracle_sector, translate
+
+
+def _rows(states):
+    """FockStates as rows of 2L occupations, lower band first."""
+    return np.array([s.lower + s.upper for s in states])
 
 
 def test_full_dimension():
@@ -25,25 +31,34 @@ def test_full_dimension():
 
 
 def test_enumerate_small_cases():
-    assert sb.enumerate_fock(1, 1) == [FockState((1,), (0,)), FockState((0,), (1,))]
-    assert sb.enumerate_fock(2, 1) == [
+    assert fock._basis(1, 1).tolist() == [[1, 0], [0, 1]]
+    assert fock._basis(2, 1).tolist() == [[2, 0], [1, 1], [0, 2]]
+    assert fock._basis(0, 2).tolist() == [[0, 0, 0, 0]]
+    assert fock_states(2, 1) == [
         FockState((2,), (0,)), FockState((1,), (1,)), FockState((0,), (2,))]
 
 
 def test_enumerate_complete_ordered():
-    basis = sb.enumerate_fock(5, 5)
-    assert len(basis) == 2002
-    assert len(set(basis)) == 2002
-    concat = [s.lower + s.upper for s in basis]
-    assert all(a > b for a, b in zip(concat, concat[1:]))  # leading occupation descending
-    assert all(s.n_particles == 5 for s in basis)
+    basis = fock._basis(5, 5)
+    assert basis.shape == (2002, 10)
+    rows = [tuple(row) for row in basis.tolist()]
+    assert all(a > b for a, b in zip(rows, rows[1:]))  # leading occupation descending
+    assert np.all(basis.sum(axis=1) == 5)
+    assert rows == [s.lower + s.upper for s in fock_states(5, 5)]
+    # a state's rank is its place in the order
+    table = fock._rank_table(5, 10)
+    assert np.array_equal(fock._ranks(basis, table, range(10)), np.arange(2002))
 
 
 def test_enumerate_dimension_cap(monkeypatch):
     # 2002 states at N = L = 5: one above the cap raises, before any is listed
+    def forbidden(*args):
+        raise AssertionError("the basis was listed")
+
     monkeypatch.setattr(fock, "DIMENSION_CAP", 2001)
+    monkeypatch.setattr(fock, "_basis", forbidden)
     with pytest.raises(ValueError, match="exceeds the cap 2001"):
-        sb.enumerate_fock(5, 5)
+        sb.build_k0_sector(5, 5)
 
 
 def test_sector_beyond_the_dimension_cap_raises():
@@ -53,13 +68,16 @@ def test_sector_beyond_the_dimension_cap_raises():
 
 
 def test_translate():
-    assert sb.translate(FockState((1, 0), (0, 0))) == FockState((0, 1), (0, 0))
+    # the oracle's translation, against the package's orbits
+    assert translate(FockState((1, 0), (0, 0))) == FockState((0, 1), (0, 0))
     uniform = FockState((1, 1, 1, 1, 1), (0, 0, 0, 0, 0))
-    assert sb.translate(uniform) == uniform
-    for state in sb.enumerate_fock(2, 3):
+    assert translate(uniform) == uniform
+    sector = sb.build_k0_sector(2, 3)
+    for state in fock_states(2, 3):
         s = state
         for _ in range(3):
-            s = sb.translate(s)
+            s = translate(s)
+            assert sector.locate(_rows([s])) == sector.locate(_rows([state]))
         assert s == state  # L-fold application is the identity
 
 
@@ -84,11 +102,78 @@ def _burnside_orbit_count(n, l):
     return fixed // l
 
 
-@pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 7) for l in range(1, 7)])
+@pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 7) for l in range(1, 7)] + [(7, 7)])
 def test_sector_dimension_is_burnside_count(n, l):
     # every bosonic orbit carries a kappa = 0 vector, so dim = number of orbits;
-    # e.g. (2, 2): 10 states, the half-turn fixes (1,1;0,0) and (0,0;1,1) -> 6
+    # e.g. (2, 2): 10 states, the half-turn fixes (1,1;0,0) and (0,0;1,1) -> 6;
+    # (7, 7): 11,076
     assert sb.build_k0_sector(n, l).dim == _burnside_orbit_count(n, l)
+
+
+@pytest.mark.parametrize("n,l", [(n, l) for n in range(0, 7) for l in range(1, 7)])
+def test_sector_matches_the_oracle(n, l):
+    # representatives, orbit sizes and the sector index of every full-basis
+    # state, exactly as the oracle finds them state by state
+    sector = sb.build_k0_sector(n, l)
+    oracle = oracle_sector(n, l)
+    states = fock_states(n, l)
+    assert sector.full_dim == len(states) == sb.full_dimension(n, l)
+    assert sector.occupations.tolist() == _rows(oracle.representatives).tolist()
+    assert sector.orbit_sizes.dtype == np.int64
+    assert sector.orbit_sizes.tolist() == list(oracle.orbit_sizes)
+    assert sector.locate(_rows(states)).tolist() == [oracle.index[s] for s in states]
+    expected = [sum(rep.upper) / n if n else 0.0 for rep in oracle.representatives]
+    assert sector.upper_fractions.tobytes() == np.array(expected).tobytes()
+
+
+def test_dimension_one_site_beyond_the_recursion_limit():
+    # 1,200 modes: one particle on 600 sites, in one of two orbits
+    sector = sb.build_k0_sector(1, 600)
+    assert (sector.full_dim, sector.dim) == (1200, 2)
+    assert sector.orbit_sizes.tolist() == [600, 600]
+    # each represented by its smallest state: the boson on the last site
+    assert [np.flatnonzero(row).tolist() for row in sector.occupations] == [[599], [1199]]
+
+
+def test_sector_keeps_no_full_basis_of_states():
+    # after it returns, the sector keeps its representatives and one integer
+    # per full-basis state: 0.15 MiB at N = L = 6, where a dict from every
+    # FockState to its orbit kept 3.7 MiB (tracemalloc)
+    sb.build_k0_sector(2, 2)
+    tracemalloc.start()
+    try:
+        sector = sb.build_k0_sector(6, 6)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sector.full_dim == 12376
+    assert kept < 2**20
+
+
+@pytest.mark.parametrize("n,l", [(7, 7), (3, 40), (40, 2), (5000, 1), (1, 600)])
+def test_sector_memory_estimate_covers_the_build(n, l):
+    # what the physical-memory check prices is at least tracemalloc's peak
+    tracemalloc.start()
+    try:
+        sb.build_k0_sector(n, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= fock._sector_bytes(n, l)
+
+
+def test_sector_beyond_physical_memory_raises(monkeypatch):
+    # refused before the basis is listed
+    def forbidden(*args):
+        raise AssertionError("the basis was listed")
+
+    need = fock._sector_bytes(5, 5)
+    monkeypatch.setattr(fock, "_physical_memory", lambda: need)
+    assert sb.build_k0_sector(5, 5).dim == 402
+    monkeypatch.setattr(fock, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(fock, "_basis", forbidden)
+    with pytest.raises(ValueError, match="Fock basis of 2,002 states needs about .* physical memory"):
+        sb.build_k0_sector(5, 5)
 
 
 @pytest.mark.parametrize("n,l", [(1, 2), (2, 2), (3, 3), (2, 4), (4, 4), (5, 5), (3, 5)])
@@ -114,14 +199,34 @@ def test_unit_filling_formula_prime_l():
 
 def test_lookup_translate_consistency():
     sector = sb.build_k0_sector(3, 4)
-    for state in sb.enumerate_fock(3, 4):
-        assert sector.index[sb.translate(state)] == sector.index[state]
+    states = fock_states(3, 4)
+    located = sector.locate(_rows(states))
+    assert np.array_equal(sector.locate(_rows([translate(s) for s in states])), located)
+    rows = _rows(states)
+    shifted = np.concatenate((np.roll(rows[:, :4], 1, axis=1), np.roll(rows[:, 4:], 1, axis=1)), 1)
+    assert np.array_equal(sector.locate(shifted), located)
 
 
 def test_lookup_roundtrip_representatives():
     sector = sb.build_k0_sector(3, 4)
-    for i, rep in enumerate(sector.representatives):
-        assert sector.index[rep] == i
+    assert np.array_equal(sector.locate(sector.occupations), np.arange(sector.dim))
+
+
+def test_move():
+    # (c_dst^dag)^k (c_src)^k on each row holding k in src, with the amplitude
+    # sqrt(perm(n_src, k) perm(n_dst + k, k)): exact where the product is, and
+    # without wrapping where it passes 2**63
+    occupations = np.array([[3, 1, 0], [1, 0, 4], [2, 2, 2]], dtype=np.uint8)
+    rows, targets, amplitudes = fock.move(occupations, 0, 2, 2)
+    assert rows.tolist() == [0, 2]
+    assert targets.tolist() == [[1, 1, 2], [0, 2, 4]]
+    assert targets.dtype == np.uint8 and occupations[0].tolist() == [3, 1, 0]
+    assert amplitudes.tolist() == [math.sqrt(3 * 2 * 2 * 1), math.sqrt(2 * 1 * 4 * 3)]
+    big = np.array([[200_000, 100_000]])
+    _, targets, amplitudes = fock.move(big, 1, 0, 2)
+    assert targets.tolist() == [[200_002, 99_998]]
+    exact = math.sqrt(math.perm(100_000, 2) * math.perm(200_002, 2))
+    assert amplitudes[0] == pytest.approx(exact, rel=1e-15)
 
 
 def test_expand_orthonormal():
@@ -139,8 +244,7 @@ def test_project_unit_filling():
     assert np.linalg.norm(coords) == pytest.approx(1.0, rel=1e-14)
     (idx,) = np.nonzero(np.abs(coords) > 0)
     assert len(idx) == 1
-    rep = sector.representatives[idx[0]]
-    assert rep == FockState((1,) * 5, (0,) * 5)
+    assert sector.occupations[idx[0]].tolist() == [1] * 5 + [0] * 5
     assert sector.orbit_sizes[idx[0]] == 1
 
 
@@ -155,7 +259,7 @@ def test_project_explicit_state():
     coords = sb.project_initial_state(FockState((1, 0), (0, 0)), sector)
     full = expand(sector, coords)
     # the symmetrized orbit state (|10;00> + |01;00>)/sqrt(2)
-    basis = sb.enumerate_fock(1, 2)
+    basis = fock_states(1, 2)
     expected = {FockState((1, 0), (0, 0)): 1 / math.sqrt(2),
                 FockState((0, 1), (0, 0)): 1 / math.sqrt(2)}
     for state, amp in zip(basis, full):
@@ -226,6 +330,6 @@ def test_sector_vs_full_expectation():
     final = sb.evolve(psi, parts, 5.0, samples_per_period=1).states[-1]
     nb_sector = float((np.abs(final) ** 2) @ sector.upper_fractions) * p.n_particles
     full = expand(sector, final)
-    basis = sb.enumerate_fock(2, 3)
+    basis = fock_states(2, 3)
     nb_full = sum(abs(amp) ** 2 * sum(s.upper) for s, amp in zip(basis, full))
     assert nb_sector == pytest.approx(nb_full, abs=1e-12)

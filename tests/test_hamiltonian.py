@@ -15,9 +15,17 @@ from scipy.special import jv
 import starkband as sb
 from starkband import hamiltonian
 from starkband.fock import Csr, FockState
-from starkband.hamiltonian import _hop_forward, _static_entries, hermiticity_defect
+from starkband.hamiltonian import hermiticity_defect
 
-from oracles import build_static_tilted, dense_hamiltonian
+from oracles import (
+    build_static_tilted,
+    dense_hamiltonian,
+    fock_states,
+    hop_forward,
+    sector_csr,
+    sector_entries,
+    static_entries,
+)
 
 PARAMS_12 = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03,
                            w_b=0.018, w_x=0.012, g=0.7, force=2.2207,
@@ -61,8 +69,7 @@ def test_interaction_picture_two_particles_one_site():
     # term connects |2;0> <-> |0;2> with g*w_x, the c0 term with sqrt(2)*c0*F
     p = PARAMS_21
     sector = sb.build_k0_sector(2, 1)
-    assert [s for s in sector.representatives] == [
-        FockState((2,), (0,)), FockState((1,), (1,)), FockState((0,), (2,))]
+    assert sector.occupations.tolist() == [[2, 0], [1, 1], [0, 2]]
     parts = sb.build_interaction_picture(p, sector)
     g, cf = p.g, p.c0 * p.force
     s2 = math.sqrt(2)
@@ -128,25 +135,15 @@ def test_replaced_hopping_keeps_the_hamiltonian_hermitian():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_sector_matrix_is_scipys_csr(n):
-    # Oracle: the (i, j, value) entries that `SymmetrySector.matrix` collects,
-    # through scipy's coo -> csr conversion and sum_duplicates; bit for bit
+    # Oracle: the (i, j, value) entries of the oracle's matrix elements, through
+    # scipy's coo -> csr conversion and sum_duplicates; bit for bit
     params = replace(sb.preset_v0_4(0.2), n_particles=n, n_sites=n)
-    sector = sb.build_k0_sector(n, n)
-    sizes = sector.orbit_sizes
-    for entries in (_static_entries, _hop_forward):
-        def rule(rep):
-            return entries(rep, params, sb.TermMask())
-        rows, cols, vals = [], [], []
-        for j, rep in enumerate(sector.representatives):
-            for target, amp in rule(rep):
-                i = sector.index[target]
-                rows.append(i)
-                cols.append(j)
-                vals.append(amp * math.sqrt(sizes[j] / sizes[i]))
-        expected = sparse.coo_matrix((vals, (rows, cols)), shape=(sector.dim,) * 2,
+    parts = sb.build_interaction_picture(params, sb.build_k0_sector(n, n), sb.TermMask())
+    for entries, got in ((static_entries, parts.static_csr), (hop_forward, parts.hop_csr)):
+        rows, cols, vals = zip(*sector_entries(n, n, lambda rep: entries(rep, params, sb.TermMask())))
+        expected = sparse.coo_matrix((vals, (rows, cols)), shape=(got.dim,) * 2,
                                      dtype=complex).tocsr()
         expected.sum_duplicates()
-        got = sector.matrix(rule)
         assert len(rows) > got.data.size  # duplicates were summed
         _assert_scipys_csr(got, expected)
     # the rule itself, on seeded entries with duplicates, explicit zeros and
@@ -164,6 +161,29 @@ def test_sector_matrix_is_scipys_csr(n):
                                      dtype=complex).tocsr()
         expected.sum_duplicates()
         _assert_scipys_csr(Csr.from_entries(*entries, n), expected)
+
+
+_MASKS = [sb.TermMask(),
+          sb.TermMask(hop_a=False, hop_b=False),
+          sb.TermMask(int_a=False, int_b=False, int_x_pair=False),
+          sb.TermMask.from_names("int_x_pair,c0,hop_b"),
+          sb.TermMask.from_names("int_a,int_b,hop_a")]
+
+
+@pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 7) for l in range(1, 7)])
+def test_sector_matrices_match_the_oracle(n, l):
+    # h_static and h_hop, byte for byte, against the oracle's entries summed
+    # in the same order, under five term masks, with and without interactions
+    sector = sb.build_k0_sector(n, l)
+    for g in (0.0, 0.35):
+        params = replace(sb.preset_v0_4(g), n_particles=n, n_sites=l)
+        for mask in _MASKS:
+            parts = sb.build_interaction_picture(params, sector, mask)
+            for entries, got in ((static_entries, parts.static_csr), (hop_forward, parts.hop_csr)):
+                expected = sector_csr(n, l, lambda rep: entries(rep, params, mask))
+                for array, want in zip(got, expected):
+                    assert array.dtype == want.dtype
+                    assert array.tobytes() == want.tobytes()
 
 
 def _assert_scipys_csr(got, expected):
@@ -259,7 +279,7 @@ def test_static_tilted_single_particle_chain():
     # lower-band block is tridiagonal {F, 2F, 3F} - delta/2 with -t_a/2 hops
     p = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03, w_b=0.018,
                        w_x=0.012, g=0.0, force=2.2207, n_particles=1, n_sites=3)
-    basis = sb.enumerate_fock(1, 3)
+    basis = fock_states(1, 3)
     mask = sb.TermMask(coupling_c0=False)
     h = build_static_tilted(p, basis, mask).toarray().real
 
@@ -280,7 +300,7 @@ def test_static_tilted_single_particle_chain():
 
 
 def test_static_tilted_zero_particles():
-    basis = sb.enumerate_fock(0, 3)
+    basis = fock_states(0, 3)
     h = build_static_tilted(PARAMS_12, basis)
     assert h.shape == (1, 1)
     assert h.nnz == 0
@@ -289,10 +309,10 @@ def test_static_tilted_zero_particles():
 def test_static_tilted_number_conservation():
     p = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03, w_b=0.018,
                        w_x=0.012, g=0.9, force=2.2207, n_particles=2, n_sites=2)
-    basis = sb.enumerate_fock(2, 2)
+    basis = fock_states(2, 2)
     h = build_static_tilted(p, basis).tocoo()
     for i, j in zip(h.row, h.col):
-        assert basis[i].n_particles == basis[j].n_particles == 2
+        assert sum(basis[i].lower + basis[i].upper) == sum(basis[j].lower + basis[j].upper) == 2
 
 
 def test_transformed_model_zero_hopping_limit():

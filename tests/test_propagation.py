@@ -17,12 +17,13 @@ from scipy.integrate import solve_ivp
 
 import starkband as sb
 import starkband.propagation as propagation
+from starkband import fock
 from starkband.cli import main
 from starkband.fock import Csr, FockState
 from starkband.propagation import EIGEN_MIX
 
 from conftest import peak_copies
-from oracles import dense_hamiltonian, full_matrix_spectrum
+from oracles import dense_hamiltonian, full_matrix_spectrum, translate
 
 SMALL = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03, w_b=0.018,
                        w_x=0.012, g=0.4, force=2.2201, n_particles=2, n_sites=3)
@@ -316,7 +317,7 @@ def test_evolve_integrates_vectors_where_the_propagator_cannot_be_built(small_sy
     monkeypatch.setattr(propagation, "floquet_operator", refuse)
     for case in (rotated, parts):
         if case is parts:  # room for the trace (4.5 kB), not for S (53 kB)
-            monkeypatch.setattr(propagation, "_physical_memory", lambda: 10**4)
+            monkeypatch.setattr(fock, "_physical_memory", lambda: 10**4)
         assert propagation._propagator_obstacle(case)
         result = sb.evolve(psi0, case, 6.3 * tb, samples_per_period=4)
         assert result.times.size == 27
@@ -379,14 +380,14 @@ def test_boost_charge_is_constant_along_each_orbit(n, l):
     sector = sb.build_k0_sector(n, l)
     parts = _parts_for(n, l)
     d = parts.boost_order
-    for rep, size, charge in zip(sector.representatives, sector.orbit_sizes,
+    for rep, size, charge in zip(sector.occupations.tolist(), sector.orbit_sizes,
                                  parts.boost_charge):
-        state = rep
+        state = FockState(tuple(rep[:l]), tuple(rep[l:]))
         for _ in range(int(size)):
             s = sum(site * (na + nb)
                     for site, (na, nb) in enumerate(zip(state.lower, state.upper)))
             assert s % d == charge
-            state = sb.translate(state)
+            state = translate(state)
 
 
 def test_floquet_operator_matches_lab_frame_full_period():
@@ -519,7 +520,7 @@ def test_cli_refuses_a_propagator_it_cannot_diagonalise(n, monkeypatch, capsys):
     dim = sb.build_k0_sector(n, n).dim
     diagonalising = int(16 * dim * dim * propagation.FLOQUET_WORKING_COPIES)
     assert (propagation._propagator_bytes(dim) == diagonalising) == (n == 6)
-    monkeypatch.setattr(propagation, "_physical_memory", lambda: diagonalising - 1)
+    monkeypatch.setattr(fock, "_physical_memory", lambda: diagonalising - 1)
 
     def refuse(*args):
         raise AssertionError("apply called")
@@ -695,9 +696,9 @@ def test_floquet_memory_check(monkeypatch, capsys):
     # the working-set estimate is compared with physical memory before any
     # integration; the CLI turns the refusal into exit code 2
     parts = _diagonal_parts([0.1, 0.2, 0.3])
-    monkeypatch.setattr(propagation, "_physical_memory", lambda: 10**6)
+    monkeypatch.setattr(fock, "_physical_memory", lambda: 10**6)
     sb.floquet_operator(parts)
-    monkeypatch.setattr(propagation, "_physical_memory", lambda: 1000)
+    monkeypatch.setattr(fock, "_physical_memory", lambda: 1000)
     with pytest.raises(ValueError, match=r"needs about [\d.]+ MiB, more than .* physical memory"):
         sb.floquet_operator(parts)
     assert main(["floquet-spectrum", "--preset", "v0_4", "--n", "2", "--l", "2"]) == 2
