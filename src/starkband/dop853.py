@@ -18,9 +18,14 @@ with the same arguments, so its states agree with scipy's to round-off:
     the caller's `emit` as its step is accepted, so no array of all the
     samples is needed.
 
-The kernel.  One array, allocated per call, holds the stages, y, y_new and
-a work row for stage arguments and samples, and, when samples are asked
-for, the polynomial's seven rows.  Every stage sum, the step, the dense
+The kernel.  One work buffer holds the stages, y, y_new and a work row for
+stage arguments and samples, the three real vectors of the error scale,
+and, when samples are asked for, four rows of the polynomial; its first
+three rows go into the stages k[1..3], which nothing reads once the step is
+accepted.  `fun(t, y, out)` writes each right-hand side straight into its
+stage row.  The caller may pass the buffer (see `workspace`), so that a run
+of integrations, such as the chunks of a propagator, shares one; otherwise
+each call allocates its own.  Every stage sum, the step, the dense
 output's D product and both error estimates are written in place on real
 views: the tableau is real, so a complex stage is two real rows, which
 halves a complex product's flops and makes no temporaries.  |y_new| is kept
@@ -45,7 +50,7 @@ stepper of it.  tests/test_dop853.py pins this module to solve_ivp.
 
 import numpy as np
 
-__all__ = ["NumericalError", "integrate"]
+__all__ = ["NumericalError", "integrate", "workspace"]
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -144,13 +149,22 @@ def _rms(x) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, f0, interval, rtol, atol):
-    """Hairer's first step: one explicit Euler probe of the second derivative."""
-    scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+def _initial_step(fun, t0, y0, f0, interval, rtol, atol, scale, arg, out):
+    """Hairer's first step: one explicit Euler probe of the second derivative.
+    The scale goes into `scale`, the scaled states and the probe's argument
+    into the row `arg` and its right-hand side into the row `out`."""
+    np.abs(y0, out=scale)
+    scale *= rtol
+    scale += atol
+    d0 = _rms(np.divide(y0, scale, out=arg))
+    d1 = _rms(np.divide(f0, scale, out=arg))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
-    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    np.multiply(f0, h0, out=arg)
+    arg += y0
+    fun(t0 + h0, arg, out)
+    out -= f0
+    d2 = _rms(np.divide(out, scale, out=out)) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -186,14 +200,19 @@ def _stage_sum(weights, k, h, y, out):
     return out
 
 
-def _dense(fun, k, t_old, h, y_old, y, out, poly, times):
+def _dense(fun, k, t_old, h, y_old, y, out, high, times):
     """Yield the state at each of `times` in [t_old, t_old + h], the step
     from y_old to y with the stages k[:13], as the row `out`, which the next
-    state overwrites.  The three extra stages go into k[13:] and the seven
-    terms of the polynomial into the rows of `poly`, all on real views."""
+    state overwrites.  The three extra stages go into k[13:], the terms of
+    degree 3..6 of the polynomial into the four rows of `high` and then
+    those of degree 0..2 into k[1:4], whose stages nothing reads from there
+    on (the tableau gives them no weight past stage 4), all on real views."""
     for s in range(N_STAGES + 1, 16):
-        k[s] = fun(t_old + C[s] * h, _stage_sum(A[s, :s], k[:s], h, y_old, out))
-    k, y_old, y, p, real = (a.view(float) for a in (k, y_old, y, poly, out))
+        fun(t_old + C[s] * h, _stage_sum(A[s, :s], k[:s], h, y_old, out), k[s])
+    k, y_old, y, high, real = (a.view(float) for a in (k, y_old, y, high, out))
+    np.dot(D, k, out=high)
+    high *= h
+    p = [*k[1:4], *high]
     np.subtract(y, y_old, out=p[0])
     np.multiply(k[0], h, out=p[1])
     p[1] -= p[0]
@@ -201,8 +220,6 @@ def _dense(fun, k, t_old, h, y_old, y, out, poly, times):
     p[2] *= h
     np.multiply(p[0], 2, out=real)
     np.subtract(real, p[2], out=p[2])
-    np.dot(D, k, out=p[3:])
-    p[3:] *= h
     for t in times:
         x = (t - t_old) / h
         np.multiply(p[6], x, out=real)
@@ -213,17 +230,35 @@ def _dense(fun, k, t_old, h, y_old, y, out, poly, times):
         yield out
 
 
-def integrate(fun, y0, t0, t1, rtol, atol, t_eval=None, emit=None, first_step=None):
-    """Integrate y' = fun(t, y) from y(t0) = y0 over [t0, t1], t1 > t0, and
+def _rows(sampled) -> int:
+    """Rows of a state's size in the work buffer: the 13 stages, y, y_new
+    and the work row, and with samples the 3 extra stages and 4 rows of the
+    polynomial."""
+    return N_STAGES + 4 + 7 * bool(sampled)
+
+
+def workspace(size: int, dtype=complex, sampled: bool = False) -> np.ndarray:
+    """A work buffer that `integrate` can use for any state of at most
+    `size` entries of `dtype`, sampled (t_eval given) or not as `sampled`
+    says: float64 entries for `_rows` rows and three real vectors."""
+    return np.empty((_rows(sampled) * np.dtype(dtype).itemsize // 8 + 3) * size)
+
+
+def integrate(fun, y0, t0, t1, rtol, atol, t_eval=None, emit=None, first_step=None,
+              work=None):
+    """Integrate y' = f(t, y) from y(t0) = y0 over [t0, t1], t1 > t0, and
     return y(t1) and the step the stepper would take next, to be the
-    `first_step` of an integration that carries on from here.
+    `first_step` of an integration that carries on from here.  fun(t, y, out)
+    writes f(t, y) into the row `out`, which is not y.
 
     The first step is `first_step`, as solve_ivp's is, or else Hairer's
     probe.  With t_eval, sorted within [t0, t1], emit(i, y_i) receives y at
     t_eval[i] from the dense output of the step that holds it, in order of
     i, as soon as that step is accepted; y_i is a work row that the next
-    sample overwrites, so emit copies what it keeps.  NumericalError is
-    raised when a step falls below ten units in the last place of t.
+    sample overwrites, so emit copies what it keeps.  `work`, from
+    `workspace`, holds the working set, or else a buffer is allocated for
+    this call.  NumericalError is raised when a step falls below ten units
+    in the last place of t.
     """
     y0 = np.asarray(y0)
     y0 = y0.astype(np.result_type(y0.dtype, float), copy=False)
@@ -231,17 +266,24 @@ def integrate(fun, y0, t0, t1, rtol, atol, t_eval=None, emit=None, first_step=No
     if not t1 > t0:
         raise ValueError(f"integration needs t1 > t0, got [{t0}, {t1}]")
     rtol = max(rtol, 100 * np.finfo(float).eps)  # as solve_ivp clamps it
-    f0 = fun(t0, y0)
-    h_abs = (_initial_step(fun, t0, y0, f0, t1 - t0, rtol, atol) if first_step is None
-             else first_step)
+    size, sampled = y0.size, t_eval is not None
+    if work is None:
+        work = workspace(size, y0.dtype, sampled)
+    floats = _rows(sampled) * size * y0.itemsize // 8
+    if work.dtype != float or work.ndim != 1 or work.size < floats + 3 * size:
+        raise ValueError(f"work buffer of {work.size} {work.dtype} entries is too small for "
+                         f"{size} entries of {y0.dtype}")
     # the stages, then y, y_new and a row for stage arguments and samples,
-    # then the dense output's polynomial
-    stages = N_STAGES + 1 if t_eval is None else 16
-    work = np.empty((stages + 3 + 7 * (t_eval is not None), y0.size), dtype=y0.dtype)
-    k, (y, y_new, arg), poly = work[:stages], work[stages:stages + 3], work[stages + 3:]
-    k[0], y[...] = f0, y0
-    del f0  # k[0] holds it
-    abs_y, abs_new, scale = np.abs(y), np.empty(y.shape), np.empty(y.shape)
+    # then the dense output's terms of degree 3..6; |y|, |y_new| and the scale
+    stages = 16 if sampled else N_STAGES + 1
+    block = work[:floats].view(y0.dtype).reshape(-1, size)
+    k, (y, y_new, arg), high = block[:stages], block[stages:stages + 3], block[stages + 3:]
+    abs_y, abs_new, scale = work[floats:floats + 3 * size].reshape(3, size)
+    y[...] = y0
+    fun(t0, y, k[0])
+    h_abs = (_initial_step(fun, t0, y, k[0], t1 - t0, rtol, atol, scale, arg, k[1])
+             if first_step is None else first_step)
+    np.abs(y, out=abs_y)
     t, done = t0, 0
     while t < t1:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -255,8 +297,8 @@ def integrate(fun, y0, t0, t1, rtol, atol, t_eval=None, emit=None, first_step=No
             h = t_new - t
             h_abs = np.abs(h)
             for s in range(1, N_STAGES):
-                k[s] = fun(t + C[s] * h, _stage_sum(A[s, :s], k[:s], h, y, arg))
-            k[N_STAGES] = fun(t + h, _stage_sum(B, k[:N_STAGES], h, y, y_new))
+                fun(t + C[s] * h, _stage_sum(A[s, :s], k[:s], h, y, arg), k[s])
+            fun(t + h, _stage_sum(B, k[:N_STAGES], h, y, y_new), k[N_STAGES])
             np.abs(y_new, out=abs_new)
             np.maximum(abs_y, abs_new, out=scale)
             scale *= rtol
@@ -272,10 +314,10 @@ def integrate(fun, y0, t0, t1, rtol, atol, t_eval=None, emit=None, first_step=No
         t_old, t = t, t_new
         y, y_new = y_new, y
         abs_y, abs_new = abs_new, abs_y
-        if t_eval is not None:
+        if sampled:
             end = np.searchsorted(t_eval, t, side="right")
             if end > done:
-                for i, y_i in enumerate(_dense(fun, k, t_old, h, y_new, y, arg, poly,
+                for i, y_i in enumerate(_dense(fun, k, t_old, h, y_new, y, arg, high,
                                                t_eval[done:end]), done):
                     emit(i, y_i)
                 done = end

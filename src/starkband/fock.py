@@ -38,13 +38,13 @@ __all__ = [
 # Guards in-memory enumeration; (8, 8) needs 490,314 states, so this leaves
 # generous headroom without letting a typo exhaust memory.
 DIMENSION_CAP = 2_000_000
-# Peak memory of building the sector, per full-basis state, beside
-# BASIS_COPIES copies of its occupations while they are listed: int64 words
-# for the rank table, the ranks, the shift as a permutation of them and two
-# of its powers, the orbit data and the per-orbit arrays (tracemalloc: at
-# most 10.1, at L = 1, where every orbit is a single state).
-BASIS_COPIES = 3
-SECTOR_WORDS = 11
+# Peak memory of building the sector, per full-basis state, beside its
+# occupations, which are listed once: int64 words for the rank table, the
+# ranks, the shift as a permutation of them and two of its powers, the orbit
+# data and the per-orbit arrays (tracemalloc: at most 11.7, at N = 5000,
+# L = 1, where every orbit is a single state and the rank table weighs one
+# word; 8.5 at N = L = 7 and 8; the listing itself takes at most 7.5).
+SECTOR_WORDS = 12
 
 
 class FockState(NamedTuple):
@@ -87,26 +87,29 @@ def memory_shortfall(what: str, need: int) -> str | None:
 
 def _basis(n_particles: int, n_sites: int) -> np.ndarray:
     """Every state of the full basis as a row of 2L occupations, leading
-    occupation descending.  Built from the last mode forward: the states of
-    each total t <= N on the trailing modes, totals ascending, give those of
-    total s on one more mode as the rows [s - t, tail] with t <= s (one level
-    of modes, the pieces of the next and their concatenation: BASIS_COPIES)."""
-    n, modes = n_particles, 2 * n_sites
-    dtype = np.min_scalar_type(n)
-    tails = np.arange(n + 1, dtype=dtype)[:, None]
-    totals = sums = np.arange(n + 1)
-    for _ in range(modes - 2):
-        ends = np.searchsorted(totals, sums, side="right")
-        tails = np.concatenate([np.column_stack(((s - totals[:end]).astype(dtype), tails[:end]))
-                                for s, end in zip(sums, ends)])
-        totals = np.repeat(sums, ends)
-    return np.column_stack(((n - totals).astype(dtype), tails))
+    occupation descending: row r is the state of rank r (see `_ranks`),
+    unranked mode by mode into one preallocated array.  The bosons in modes
+    i and after are the largest s with table[i - 1, s] <= the rank left, and
+    that entry is taken off it."""
+    table = _rank_table(n_particles, 2 * n_sites)
+    basis = np.empty((full_dimension(n_particles, n_sites), 2 * n_sites),
+                     dtype=np.min_scalar_type(n_particles))
+    rank = np.arange(len(basis))
+    before = np.full(len(basis), n_particles)  # the bosons in modes i - 1 and after
+    for i, row in enumerate(table, 1):
+        after = np.searchsorted(row, rank, side="right") - 1
+        basis[:, i - 1] = before - after
+        rank -= row[after]
+        before = after
+    basis[:, -1] = before
+    return basis
 
 
 def _sector_bytes(n_particles: int, n_sites: int) -> int:
-    """Estimated peak bytes of `build_k0_sector` (BASIS_COPIES, SECTOR_WORDS)."""
-    listing = BASIS_COPIES * 2 * n_sites * np.min_scalar_type(n_particles).itemsize
-    return full_dimension(n_particles, n_sites) * (listing + 8 * SECTOR_WORDS)
+    """Estimated peak bytes of `build_k0_sector`: the occupations and
+    SECTOR_WORDS per full-basis state."""
+    occupations = 2 * n_sites * np.min_scalar_type(n_particles).itemsize
+    return full_dimension(n_particles, n_sites) * (occupations + 8 * SECTOR_WORDS)
 
 
 def _rank_table(n_particles: int, modes: int) -> np.ndarray:

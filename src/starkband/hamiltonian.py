@@ -241,6 +241,13 @@ class HamiltonianParts:
     def t_bloch(self) -> float:
         return 2.0 * math.pi / self.force
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the parts hold, the fused blocks included."""
+        arrays = (*self.static_csr, *self.hop_csr, self.boost_charge, self.frame,
+                  *vars(self._fused).values())
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+
     def apply(self, t: float, y):
         """e^{iDt} (H(t) - D) e^{-iDt} @ y, D = `frame`, for a vector or a
         matrix of columns: W = e^{iDt} psi obeys i dW/dt = apply(t, W).

@@ -23,17 +23,21 @@ basis) halves that span.  The resulting S is complex symmetric, so its
 eigenbasis comes from one real symmetric eigendecomposition: LAPACK's
 dsyevd, the routine of numpy's eigh, called in place on the real matrix.
 
-Memory stays within 2.5 dim x dim complex copies (see FLOQUET_*): the
-propagator is integrated in chunks of columns (Y and one chunk), S is
-formed and checked in blocks of columns (Y and S, then S), and its
+Memory stays within 2.5 dim x dim complex copies, and a few dim x 32 ones
+(see FLOQUET_*), phase by phase.  The propagator is integrated in chunks
+of FLOQUET_CHUNK = 32 columns (Y and one chunk's working set), all stepped
+in one DOP853 workspace, allocated once and freed before S is formed: a
+workspace per chunk would leave freed chunk-sized arrays in glibc's heap.
+S is formed and checked in blocks of columns (Y and S, then S), and its
 diagonalisation holds S, the real matrix that dsyevd overwrites with the
-eigenvectors, and dsyevd's workspace.  The windows of `evolve` are
-integrated in blocks of half as many columns, each sample handed on as the
-step that holds it is accepted, and the stroboscopic trace in short blocks
-of periods.  `evolve` keeps
-either every state or, given weights w, only sum_j w_j |psi_j|^2 per
-sample: then it holds S (or one vector), one block of windows and the
-float trace, and no array of all the samples' states.
+eigenvectors, and dsyevd's workspace.  `evolve` integrates its windows in
+the fewest blocks of at most FLOQUET_CHUNK windows, of balanced widths (49
+windows as 25 and 24), in one workspace shared by the blocks, each sample
+handed on as the step that holds it is accepted; the stroboscopic trace
+goes in short blocks of periods.  `evolve` keeps either every state or,
+given weights w, only sum_j w_j |psi_j|^2 per sample: then it holds S (or
+one vector), one block of windows and the float trace, and no array of all
+the samples' states.
 """
 
 import collections
@@ -47,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import OscillationTrace
-from .dop853 import NumericalError, integrate
+from .dop853 import NumericalError, integrate, workspace
 from .fock import SymmetrySector, memory_shortfall
 from .hamiltonian import HamiltonianParts
 
@@ -73,21 +77,37 @@ __all__ = [
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-12
 # The dense path, in dim x dim complex copies per phase (tracemalloc, plus
-# what LAPACK allocates out of its sight); _propagator_bytes prices the largest:
+# what LAPACK allocates out of its sight); _dense_bytes prices the largest:
 # - integrating Y = U(T_B/(2d)) in chunks of FLOQUET_CHUNK columns: Y, and
-#   FLOQUET_CHUNK_COPIES arrays of dim x FLOQUET_CHUNK for DOP853's stages and
-#   work rows, a right-hand side's result and the chunk's start (19.5 measured
-#   at dim 86, 402 and 2076, 20.1 at dim 20, where width = dim);
+#   FLOQUET_CHUNK_COPIES arrays of dim x FLOQUET_CHUNK: the one stepper
+#   workspace that every chunk shares (DOP853's 13 stages, y, y_new, a work
+#   row and the error scale, 17.5), a right-hand side's result, the chunk's
+#   start and its end (20.2 measured at dim 402, 20.6 at dim 86 and 21.4 at
+#   dim 20, where width = dim: the rephased CSR data of a call weighs more
+#   against a narrower chunk);
 # - forming S in column blocks, then checking S^dag S in row blocks: Y, S and
 #   two blocks, then S and one (2.06 copies measured at dim 2076);
 # - diagonalize_floquet: S, Re S + mu Im S, which dsyevd overwrites with the
 #   eigenvectors, and dsyevd's divide-and-conquer workspace of 2 dim^2 doubles,
 #   FLOQUET_WORKING_COPIES in all (tracemalloc sees S and the mixture, then S,
 #   V and V sorted: 2.0; numpy's eigh would add an input copy of the mixture).
-# The windows of evolve are integrated in blocks of FLOQUET_CHUNK // 2 columns.
-FLOQUET_CHUNK = 64
+# The windows of evolve are integrated in the fewest blocks of at most
+# FLOQUET_CHUNK columns, of balanced widths, in one workspace that also holds
+# the dense output's 3 extra stages and 4 more rows (DOP853 holds 25.5 copies
+# of a block, and a block of evolve 29.5 with its starts and sample rows).
+FLOQUET_CHUNK = 32
 FLOQUET_WORKING_COPIES = 2.5
 FLOQUET_CHUNK_COPIES = 22
+# Besides the dense arrays and the arrays of the parts, a process that builds
+# and diagonalises S holds the interpreter with numpy and the package
+# (PROCESS_BYTES: 30.3 MiB of RSS after importing starkband.cli), and, per
+# sector state, the sector's arrays, what glibc keeps in its heap of the
+# set-up's temporaries and of S's column blocks, and the BLAS buffers that
+# dsyevd's products touch (SPARE_BYTES_PER_STATE: at N = L = 6, dim 2076,
+# 14.8 MiB of a 211.2 MiB peak RSS, 7.3 KiB per state).  At N = L = 7 that
+# prices 4,809 MiB, where a run with 64-column chunks peaked at 4,793 MiB.
+PROCESS_BYTES = 32 * 2**20
+SPARE_BYTES_PER_STATE = 8 * 2**10
 # The fixed cost of one right-hand side call, in state entries of the sparse
 # products it matches: fitted to dop853.integrate at N = L = 3..6 (dim
 # 20..2076, widths 1..32), where a call costs about
@@ -150,12 +170,13 @@ class FloquetSpectrum:
         return 2.0 * math.pi / self.t_bloch
 
 
-def _integrate_windows(parts, starts, s_start, s_end, offsets, sink, first_step=None):
+def _integrate_windows(parts, starts, s_start, s_end, offsets, sink, first_step=None,
+                       work=None):
     """Integrate the columns of `starts`, each the lab-frame state at offset
     `s_start` of its own Bloch-period window, to offset `s_end`, and return
     their lab-frame states there as a dim x width block, and the step that
     the integrator would take next (see `dop853.integrate`; `first_step` is
-    its first), at DEFAULT_RTOL and DEFAULT_ATOL.
+    its first and `work` its work buffer), at DEFAULT_RTOL and DEFAULT_ATOL.
 
     H(mT_B + s) = H(s), so every window integrates i dW/ds = apply(s, W) on
     W = e^{iDs} psi from the same s_start.  At each of the sorted `offsets`,
@@ -166,10 +187,8 @@ def _integrate_windows(parts, starts, s_start, s_end, offsets, sink, first_step=
     dim, width = starts.shape
     d = parts.frame
 
-    def rhs(s, w):
-        out = parts.apply(s, w.reshape(dim, width))
-        out *= -1j
-        return out.ravel()
+    def rhs(s, w, row):
+        np.multiply(parts.apply(s, w.reshape(dim, width)), -1j, out=row.reshape(dim, width))
 
     rows = None if offsets is None else np.empty((width, dim), dtype=complex)
 
@@ -179,8 +198,9 @@ def _integrate_windows(parts, starts, s_start, s_end, offsets, sink, first_step=
 
     w0 = np.exp(1j * s_start * d)[:, None] * starts if s_start else starts  # e^0 = 1
     end, step = integrate(rhs, w0.ravel(), s_start, s_end, DEFAULT_RTOL, DEFAULT_ATOL, offsets,
-                          emit, first_step)
-    return np.exp(-1j * s_end * d)[:, None] * end.reshape(dim, width), step
+                          emit, first_step, work)
+    end = end.reshape(dim, width)
+    return np.multiply(np.exp(-1j * s_end * d)[:, None], end, out=end), step
 
 
 def _period_cost(dim: int, width: int, samples: int = 1) -> int:
@@ -203,28 +223,40 @@ def _sampled_windows(last: int, samples_per_period: int) -> int:
     return -(-last // samples_per_period) if samples_per_period > 1 else 0
 
 
+def _block_widths(windows: int) -> list[int]:
+    """The widths of the fewest blocks of at most FLOQUET_CHUNK windows,
+    widest first, no two more than one apart: 49 windows run as 25 and 24."""
+    blocks = -(-windows // FLOQUET_CHUNK)
+    width, wider = divmod(windows, max(blocks, 1))
+    return [width + (b < wider) for b in range(blocks)]
+
+
 def _propagator_pays(parts: HamiltonianParts, last: int, samples_per_period: int) -> bool:
     """Whether building S, taking d products S @ psi per window, and
     integrating the windows that hold a sample after their start (see
     `_sampled_windows`; `last` is the last sample on the grid) side by side
-    in blocks of FLOQUET_CHUNK // 2 costs less than integrating them one
+    in the blocks of `_block_widths` costs less than integrating them one
     after the other as a vector.  With one sample per period the S route
     integrates nothing, and the vector route integrates every window but
     the last, whose only sample is its start.
 
     S integrates its column chunks over T_B/(2d) in about 1.1 times the
-    calls of that fraction of a period: at N = L = 5 and 6 the first chunk,
+    calls of that fraction of a period.  At N = L = 5 and 6 the first chunk,
     from Hairer's probe step, takes 74 and 62 calls, each later one, from
     the step the chunk before would take next, 61 and 49 (12 more where
-    that step is rejected), 452 and 1,678 calls in all.  Its two dense
-    products, 5 to 20% more, are left to the fit.  A product S @ psi costs
-    about dim^2 / 40 state entries' worth (1.0 to 1.6 ns per entry against
-    44 ns per entry of a call).  Single timings of both routes on one core,
-    with every chunk of S from the step the one before would take next:
-    with 32 samples per period the vector route was faster over 12 periods
-    at N = L = 5 and over 150 at N = L = 6, S over 17 and over 200 (the
-    model breaks even at 15 and 166); with one sample per period at
-    N = L = 6, vectors over 100 periods and S over 140 (the model: 111).
+    that step is rejected): the same counts at 32 columns as at 64, so
+    twice the chunks take 818 and 3,270 calls in all, where 64 columns took
+    452 and 1,678.  Its two dense products, 5 to 20% more, are left to the
+    fit.  A product S @ psi costs about dim^2 / 40 state entries' worth (1.0
+    to 1.6 ns per entry against 44 ns per entry of a call).  Single timings
+    of both routes on one core, with 32 samples per period: at N = L = 5
+    the vector route was faster over 12 periods (0.48 s against 0.51 s,
+    medians of three) and S over 17 (0.55 s against 0.69 s); at N = L = 6
+    the vector route over 150 (23.4 s against 28.1 s) and S over 200
+    (34.1 s against 36.0 s).  The model breaks even at 16 and 169.  With
+    one sample per period at N = L = 6, vectors were faster over 100
+    periods (13.2 s against 17.9 s) and S over 140 (15.6 s against 16.9 s;
+    the model: 113).
     """
     dim, order, n = parts.basis_dim, parts.boost_order, samples_per_period
     full, rest = divmod(dim, FLOQUET_CHUNK)
@@ -234,9 +266,7 @@ def _propagator_pays(parts: HamiltonianParts, last: int, samples_per_period: int
     products = order * final * dim**2 / 40
     if n == 1:
         return propagator + products < final * _period_cost(dim, 1)
-    width = FLOQUET_CHUNK // 2
-    full, rest = divmod(windows, width)
-    blocks = full * _period_cost(dim, width, n) + (rest > 0) * _period_cost(dim, rest, n)
+    blocks = sum(_period_cost(dim, width, n) for width in _block_widths(windows))
     return propagator + products + blocks < windows * _period_cost(dim, 1, n)
 
 
@@ -296,14 +326,14 @@ def evolve(
     S = floquet_operator(parts).  Where `_propagator_pays`, the starts are
     built that way, and the windows that hold a sample after their start
     (all but a last one that holds only its start) are integrated side by
-    side over one period, as the columns of blocks of at most
-    FLOQUET_CHUNK // 2 windows (see `_integrate_windows`), so that a
-    block's working set, dense output included, stays below that of a
-    chunk of S.  The states keep every start, so they are all built first
-    and S is freed before the blocks integrate; with weights the starts of
-    each block are built from S just before it integrates, and S is held
-    to the last.  With one sample per period the starts are all the
-    samples, and nothing is integrated.  S costs dim^2 to build and apply,
+    side over one period, as the columns of the fewest blocks of at most
+    FLOQUET_CHUNK windows, of balanced widths (`_block_widths`, see
+    `_integrate_windows`), which all step in one workspace.  The states
+    keep every start, so they are all built first and S is freed before the
+    blocks integrate; with weights the starts of each block are built from
+    S just before it integrates, and S is held to the last.  With one
+    sample per period the starts are all the samples, and nothing is
+    integrated.  S costs dim^2 to build and apply,
     so it needs more windows as dim grows.  Otherwise, and when S cannot be
     built (complex blocks, or a working set beyond the physical memory),
     every window is one vector integration from the end of the one before.
@@ -349,10 +379,12 @@ def evolve(
             first = m * n + 1 + i
             samples.put(first, rows[:len(range(first, last + 1, n))])
 
-        return _integrate_windows(parts, starts, 0.0, s_end, offsets[1:count], sink, first_step)
+        return _integrate_windows(parts, starts, 0.0, s_end, offsets[1:count], sink, first_step,
+                                  work)
 
     carried = None  # the step that the last integration would take next
     if s is None:
+        work = workspace(dim, sampled=True)
         state = psi0[:, None]
         for m in range(final + 1):
             samples.put(m * n, state.T)
@@ -375,16 +407,19 @@ def evolve(
         if weights is None:  # build every start into the states, and free S
             collections.deque(starts, maxlen=0)
             starts = iter(samples.states[:last + 1:n])
-        width, sampled = FLOQUET_CHUNK // 2, _sampled_windows(last, n)
-        for m in range(0, sampled, width):
-            block = np.column_stack(list(itertools.islice(starts, min(width, sampled - m))))
+        widths = _block_widths(_sampled_windows(last, n))
+        work = workspace(dim * max(widths, default=1), sampled=True)
+        m = 0
+        for width in widths:
+            block = np.column_stack(list(itertools.islice(starts, width)))
             _, carried = windows(m, block, offsets[min(n, last + 1 - m * n) - 1], carried)
+            m += width
         collections.deque(starts, maxlen=0)  # a last window that holds only its start
 
     end = samples.kept
     if times.size > last + 1:
         end, _ = _integrate_windows(parts, end[:, None], offsets[last % n],
-                                    t_final - final * tb, None, None, carried)
+                                    t_final - final * tb, None, None, carried, work)
         samples.put(last + 1, end.T)
         end = end[:, 0]
     drift = abs(np.linalg.norm(end) - np.linalg.norm(psi0))
@@ -402,10 +437,11 @@ def check_trace_memory(samples: int, sample_bytes: int = 0):
         raise ValueError(problem)
 
 
-def _propagator_bytes(dim: int) -> int:
-    """Estimated peak bytes of `floquet_operator` and `diagonalize_floquet` at
-    sector dimension `dim`: the largest of their three phases, in dim x dim
-    and dim x FLOQUET_CHUNK complex arrays (see the FLOQUET_* constants)."""
+def _dense_bytes(dim: int) -> int:
+    """Estimated peak bytes of the dense arrays of `floquet_operator` and
+    `diagonalize_floquet` at sector dimension `dim`: the largest of their
+    three phases, in dim x dim and dim x FLOQUET_CHUNK complex arrays (see
+    the FLOQUET_* constants)."""
     width = min(dim, FLOQUET_CHUNK)
     copies = max(dim + FLOQUET_CHUNK_COPIES * width,  # integrating Y: Y and the stepper's chunk
                  2 * dim + 2 * width,  # forming and checking S: Y, S and two blocks
@@ -413,13 +449,22 @@ def _propagator_bytes(dim: int) -> int:
     return int(16 * dim * copies)
 
 
+def _propagator_bytes(parts: HamiltonianParts) -> int:
+    """Estimated peak bytes of a process that builds and diagonalises S for
+    `parts`: the dense arrays (`_dense_bytes`), the arrays of the parts,
+    PROCESS_BYTES and SPARE_BYTES_PER_STATE per sector state."""
+    dim = parts.basis_dim
+    return _dense_bytes(dim) + parts.nbytes + PROCESS_BYTES + SPARE_BYTES_PER_STATE * dim
+
+
 def _propagator_obstacle(parts: HamiltonianParts) -> str | None:
     """Why `floquet_operator` cannot build S for `parts`, or None: the
-    estimated working set of building and diagonalising S exceeds the
-    physical memory, or a block is complex or does not carry the boost
-    charges."""
+    estimated peak of a process that builds and diagonalises S
+    (`_propagator_bytes`) exceeds the physical memory, or a block is complex
+    or does not carry the boost charges."""
     dim = parts.basis_dim
-    problem = memory_shortfall(f"the propagator at sector dimension {dim}", _propagator_bytes(dim))
+    problem = memory_shortfall(f"the propagator at sector dimension {dim}",
+                               _propagator_bytes(parts))
     if problem:
         return problem
     order, charge = parts.boost_order, parts.boost_charge
@@ -435,15 +480,18 @@ def _half_period_propagator(parts: HamiltonianParts) -> np.ndarray:
     """Y = U(T_B/(2d)), integrated FLOQUET_CHUNK columns at a time by
     `_integrate_windows`, each chunk from the matching columns of the
     identity with its own adaptive steps, the first of them the step that
-    the chunk before would take next, into one preallocated dim x dim array."""
+    the chunk before would take next, into one preallocated dim x dim array.
+    All chunks share one stepper workspace, freed on return."""
     dim = parts.basis_dim
     half = 0.5 * parts.t_bloch / parts.boost_order
+    width = min(FLOQUET_CHUNK, dim)
     y = np.empty((dim, dim), dtype=complex)
+    work = workspace(dim * width)
     step = None
-    for start in range(0, dim, FLOQUET_CHUNK):
-        eye = np.eye(dim, min(FLOQUET_CHUNK, dim - start), -start, dtype=complex)
+    for start in range(0, dim, width):
+        eye = np.eye(dim, min(width, dim - start), -start, dtype=complex)
         y[:, start:start + eye.shape[1]], step = _integrate_windows(
-            parts, eye, 0.0, half, None, None, step)
+            parts, eye, 0.0, half, None, None, step, work)
     return y
 
 
@@ -464,14 +512,16 @@ def floquet_operator(parts: HamiltonianParts) -> np.ndarray:
 
     Memory: the columns of W are independent, so Y = U(T_B/(2d)) is
     integrated FLOQUET_CHUNK columns at a time into one preallocated array
-    (`_half_period_propagator`), and the stepper keeps only the chunk's end
-    state: Y and FLOQUET_CHUNK_COPIES arrays of the chunk's size.  S is then
+    (`_half_period_propagator`), every chunk in one stepper workspace, and
+    the stepper keeps only the chunk's end state: Y and FLOQUET_CHUNK_COPIES
+    arrays of the chunk's size.  The workspace is freed, and S is then
     written into a second array one column block of FLOQUET_CHUNK at a time,
     Y^T (Phi Y[:, block]), and Y is freed: two dim x dim copies.  The defect
     d max|S^dag S - 1| comes from row blocks S[:, rows]^H S of the Gram
     matrix, so the check holds S and one block.  ValueError is raised
-    before any integration when the estimated working set of building and
-    diagonalising S exceeds the physical memory.  The defect is checked
+    before any integration when the estimated peak of a process that builds
+    and diagonalises S (`_propagator_bytes`) exceeds the physical memory.
+    The defect is checked
     against UNITARITY_DEFECT_BUDGET; a failure suggests tightening
     DEFAULT_RTOL and DEFAULT_ATOL.
     """
