@@ -116,11 +116,13 @@ def _resolve_config(args) -> RunConfig:
     order = getattr(args, "order", None)
     if order is not None and order < 1:
         raise ValueError(f"--order must be positive, got {order}")
-    if getattr(args, "preset", None):
+    if args.preset is not None and args.params is not None:
+        raise ValueError("give either --preset or --params <file>, not both")
+    if args.preset is not None:
         if args.preset not in PRESETS:
             raise ValueError(f"unknown preset {args.preset!r}; available: {', '.join(PRESETS)}")
         params = PRESETS[args.preset]()
-    elif getattr(args, "params", None):
+    elif args.params is not None:
         params, file_order = load_params(args.params)
         if order is None:
             order = file_order
@@ -134,7 +136,8 @@ def _resolve_config(args) -> RunConfig:
         params = replace(params, n_particles=args.n)
     if getattr(args, "l", None) is not None:
         params = replace(params, n_sites=args.l)
-    mask = TermMask.from_names(args.terms) if getattr(args, "terms", None) else TermMask()
+    terms = getattr(args, "terms", None)
+    mask = TermMask() if terms is None else TermMask.from_names(terms)
     for name in ("t_final_tb", "sample_per_tb"):
         value = getattr(args, name, None)
         if value is not None and not (value > 0 and math.isfinite(value)):

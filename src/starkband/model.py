@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-def _require_number(name: str, value, integral: bool = False):
+def _require_number(name: str, value, integral: bool):
     """Reject bools, non-numbers, non-finite values and non-integer counts."""
     kind = Integral if integral else Real
     if isinstance(value, bool) or not isinstance(value, kind) or not math.isfinite(value):

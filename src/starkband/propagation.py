@@ -4,12 +4,13 @@ Everything rests on the propagator S over T_B/d, d = gcd(N, L), integrated
 once as a matrix ODE; the one-period propagator U(T_B) = S^d is never
 formed.  The eigenbasis of S is that of U and gives the stroboscopic
 long-time observables (collapse and revival live at thousands of Bloch
-periods).  S also gives continuous traces on the grid t_k = k T_B/n that
-`evolve` samples: psi(mT_B + s) = U(s) S^(dm) psi0, so every Bloch-period
-window holds the same offsets s = T_B/n * arange(n), and all the windows
-are integrated side by side over one period as the columns of a few
-blocks.  Where S costs more than it saves, or cannot be built, `evolve`
-integrates the windows one after the other as a vector instead.
+periods).  S also gives continuous traces of sum_j w_j |psi_j|^2 (N_b for
+w = upper_fractions) on the grid t_k = k T_B/n that `evolve` samples:
+psi(mT_B + s) = U(s) S^(dm) psi0, so every Bloch-period window holds the
+same offsets s = T_B/n * arange(n), and all the windows are integrated
+side by side over one period as the columns of a few blocks.  Where S
+costs more than it saves, or cannot be built, the same loop integrates the
+windows one after the other as a vector instead.
 
 Every integration solves i dW/dt = HamiltonianParts.apply(t, W) for
 W = e^{iDt} psi, in the frame of the static diagonal D (band gap and
@@ -33,18 +34,15 @@ diagonalisation holds S, the real matrix that dsyevd overwrites with the
 eigenvectors, and dsyevd's workspace.  `evolve` integrates its windows in
 the fewest blocks of at most FLOQUET_CHUNK windows, of balanced widths (49
 windows as 25 and 24), in one workspace shared by the blocks, each sample
-handed on as the step that holds it is accepted; the stroboscopic trace
-goes in short blocks of periods.  `evolve` keeps either every state or,
-given weights w, only sum_j w_j |psi_j|^2 per sample: then it holds S (or
-one vector), one block of windows and the float trace, and no array of all
-the samples' states.
+handed on as the step that holds it is accepted, and keeps only
+sum_j w_j |psi_j|^2 of it: it holds S (or one vector), one block of windows
+and the float trace.  The
+stroboscopic trace goes in short blocks of periods.
 """
 
-import collections
 import ctypes
 import functools
 import importlib.util
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,27 +117,20 @@ EIGEN_MIX = (math.sqrt(5.0) - 1.0) / 2.0
 EIGEN_RESIDUAL_BUDGET = 1e-8
 # floquet_operator: the budget of d max|S^dag S - 1|, to first order max|U^dag U - 1|
 UNITARITY_DEFECT_BUDGET = 1e-6
-# Bytes a trace holds per sample beside its states, by tracemalloc: six float64
+# Bytes a trace holds per sample beside its caller's, by tracemalloc: six float64
 # arrays (45 per period of revival-report measured).
 TRACE_BYTES_PER_SAMPLE = 48
 
 
 @dataclass(frozen=True)
 class EvolutionResult:
-    """The sample times of `evolve`, what it kept of the state at each, and
-    the norm drift of the last.
-
-    Without weights `evolve` keeps every state, one row of `states` per time
-    in kappa = 0 coordinates.  With weights w it keeps only
-    values[k] = sum_j w_j |psi_j(t_k)|^2 and `weights` itself, and `states`
-    is None.
-    """
+    """The sample times of `evolve`, values[k] = sum_j w_j |psi_j(t_k)|^2
+    for its weights w, and the norm drift of the last sample's state."""
 
     times: np.ndarray
-    states: np.ndarray | None
+    values: np.ndarray
+    weights: np.ndarray
     norm_drift: float
-    weights: np.ndarray | None = None
-    values: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -170,18 +161,18 @@ class FloquetSpectrum:
         return 2.0 * math.pi / self.t_bloch
 
 
-def _integrate_windows(parts, starts, s_start, s_end, offsets, sink, first_step=None,
-                       work=None):
+def _integrate_windows(parts, starts, s_start, s_end, offsets, sink, first_step, work):
     """Integrate the columns of `starts`, each the lab-frame state at offset
     `s_start` of its own Bloch-period window, to offset `s_end`, and return
-    their lab-frame states there as a dim x width block, and the step that
+    their lab-frame vectors there as a dim x width block, and the step that
     the integrator would take next (see `dop853.integrate`; `first_step` is
-    its first and `work` its work buffer), at DEFAULT_RTOL and DEFAULT_ATOL.
+    its first, None for Hairer's probe, and `work` its work buffer), at
+    DEFAULT_RTOL and DEFAULT_ATOL.
 
     H(mT_B + s) = H(s), so every window integrates i dW/ds = apply(s, W) on
     W = e^{iDs} psi from the same s_start.  At each of the sorted `offsets`,
     as the step that holds offsets[i] is accepted, sink(i, rows) receives
-    the states e^{-iDs} W, one row per column, in a width x dim work array
+    psi = e^{-iDs} W, one row per column, in a width x dim work array
     that the next sample overwrites.
     """
     dim, width = starts.shape
@@ -218,8 +209,8 @@ def _period_cost(dim: int, width: int, samples: int = 1) -> int:
 def _sampled_windows(last: int, samples_per_period: int) -> int:
     """How many Bloch-period windows hold a grid sample after their start,
     with samples 0..last on the grid of samples_per_period per period: the
-    windows that need integrating, all but the last when it holds only its
-    start."""
+    windows that the S route of `evolve` integrates, all but the last when
+    it holds only its start."""
     return -(-last // samples_per_period) if samples_per_period > 1 else 0
 
 
@@ -235,39 +226,35 @@ def _propagator_pays(parts: HamiltonianParts, last: int, samples_per_period: int
     """Whether building S, taking d products S @ psi per window, and
     integrating the windows that hold a sample after their start (see
     `_sampled_windows`; `last` is the last sample on the grid) side by side
-    in the blocks of `_block_widths` costs less than integrating them one
-    after the other as a vector.  With one sample per period the S route
-    integrates nothing, and the vector route integrates every window but
-    the last, whose only sample is its start.
+    in the blocks of `_block_widths` costs less than integrating
+    ceil(last/n) windows one after the other as a vector, one period each
+    (n = samples_per_period, see `evolve`).
 
     S integrates its column chunks over T_B/(2d) in about 1.1 times the
     calls of that fraction of a period.  At N = L = 5 and 6 the first chunk,
     from Hairer's probe step, takes 74 and 62 calls, each later one, from
     the step the chunk before would take next, 61 and 49 (12 more where
-    that step is rejected): the same counts at 32 columns as at 64, so
-    twice the chunks take 818 and 3,270 calls in all, where 64 columns took
-    452 and 1,678.  Its two dense products, 5 to 20% more, are left to the
-    fit.  A product S @ psi costs about dim^2 / 40 state entries' worth (1.0
-    to 1.6 ns per entry against 44 ns per entry of a call).  Single timings
-    of both routes on one core, with 32 samples per period: at N = L = 5
-    the vector route was faster over 12 periods (0.48 s against 0.51 s,
-    medians of three) and S over 17 (0.55 s against 0.69 s); at N = L = 6
-    the vector route over 150 (23.4 s against 28.1 s) and S over 200
-    (34.1 s against 36.0 s).  The model breaks even at 16 and 169.  With
-    one sample per period at N = L = 6, vectors were faster over 100
-    periods (13.2 s against 17.9 s) and S over 140 (15.6 s against 16.9 s;
-    the model: 113).
+    that step is rejected): 818 and 3,270 calls in all.  Its two dense
+    products, 5 to 20% more, are left to the fit.  A product S @ psi costs
+    about dim^2 / 40 state entries' worth (1.0 to 1.6 ns per entry against
+    44 ns per entry of a call).  Single timings of both routes on one core,
+    with 32 samples per period: at N = L = 5 the vector route was faster
+    over 12 periods (0.48 s against 0.51 s, medians of three) and S over 17
+    (0.55 s against 0.69 s); at N = L = 6 the vector route over 150 (23.4 s
+    against 28.1 s) and S over 200 (34.1 s against 36.0 s).  The model
+    breaks even at 16 and 169.  With one sample per period, where S
+    integrates nothing, at N = L = 6 vectors were faster over 100 periods
+    (13.2 s against 17.9 s) and S over 140 (15.6 s against 16.9 s; the
+    model: 113).
     """
     dim, order, n = parts.basis_dim, parts.boost_order, samples_per_period
     full, rest = divmod(dim, FLOQUET_CHUNK)
     propagator = 1.1 / (2 * order) * (full * _period_cost(dim, FLOQUET_CHUNK)
                                       + (rest > 0) * _period_cost(dim, rest))
-    final, windows = last // n, _sampled_windows(last, n)
-    products = order * final * dim**2 / 40
-    if n == 1:
-        return propagator + products < final * _period_cost(dim, 1)
-    blocks = sum(_period_cost(dim, width, n) for width in _block_widths(windows))
-    return propagator + products + blocks < windows * _period_cost(dim, 1, n)
+    products = order * (last // n) * dim**2 / 40
+    blocks = sum(_period_cost(dim, width, n)
+                 for width in _block_widths(_sampled_windows(last, n)))
+    return propagator + products + blocks < -(-last // n) * _period_cost(dim, 1, n)
 
 
 def _weighted_norms(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -278,68 +265,42 @@ def _weighted_norms(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("kjc,kjc,j->k", re_im, re_im, weights)
 
 
-class _Samples:
-    """What `evolve` keeps of its samples, spaced `stride` apart along the
-    rows a block hands over: every state, or with `weights` only
-    `_weighted_norms` of each; and either way a copy of the state at sample
-    `keep`, which the last short integration starts from."""
-
-    def __init__(self, size: int, stride: int, dim: int, weights, keep: int):
-        self.states = np.empty((size, dim), dtype=complex) if weights is None else None
-        self.values = np.empty(size) if weights is not None else None
-        self.weights, self.stride, self.keep, self.kept = weights, stride, keep, None
-
-    def put(self, first: int, rows: np.ndarray):
-        """Record rows[i] as sample first + i * stride."""
-        index = slice(first, first + len(rows) * self.stride, self.stride)
-        if self.states is None:
-            self.values[index] = _weighted_norms(rows, self.weights)
-        else:
-            self.states[index] = rows
-        i, r = divmod(self.keep - first, self.stride)
-        if r == 0 and 0 <= i < len(rows):
-            self.kept = rows[i].copy()
-
-
 def evolve(
     psi0,
     parts: HamiltonianParts,
     t_final: float,
     *,
     samples_per_period: int,
-    weights=None,
+    weights,
 ) -> EvolutionResult:
-    """Sample psi(t) of i d/dt psi = H(t) psi from psi(0) = psi0 at
-    t_k = k T_B/n, n = samples_per_period, up to t_final; a t_final between
-    two samples is the last sample, one short integration from the one
-    before.  Without `weights`, row k of the result's states is psi(t_k).
-    With weights w, one per basis state, the result keeps only
-    values[k] = sum_j w_j |psi_j(t_k)|^2, formed as each sample is reached
-    (w = sector.upper_fractions gives N_b, see `occupation_series`), and no
-    state but the one the last short integration starts from.  The two
-    differ only in what is kept: the integrations, and so the bits of every
-    sample, are the same.
+    """values[k] = sum_j w_j |psi_j(t_k)|^2, w = `weights` (one per basis
+    state; sector.upper_fractions gives N_b, see `occupation_series`), for
+    psi(t) of i d/dt psi = H(t) psi from psi(0) = psi0, at t_k = k T_B/n,
+    n = samples_per_period, up to t_final; a t_final between two samples is
+    the last sample, one short integration from the one before.  Each value
+    is formed as its sample is reached, and no state is kept but the one
+    that short integration starts from.
 
     Time is cut into Bloch-period windows [mT_B, (m+1)T_B), and window m
     holds the samples at mT_B + T_B/n * arange(n), the first of them its
-    start psi(mT_B).  H(t) has period T_B, so psi(mT_B) = S^(dm) psi0 with
-    S = floquet_operator(parts).  Where `_propagator_pays`, the starts are
-    built that way, and the windows that hold a sample after their start
-    (all but a last one that holds only its start) are integrated side by
-    side over one period, as the columns of the fewest blocks of at most
-    FLOQUET_CHUNK windows, of balanced widths (`_block_widths`, see
-    `_integrate_windows`), which all step in one workspace.  The states
-    keep every start, so they are all built first and S is freed before the
-    blocks integrate; with weights the starts of each block are built from
-    S just before it integrates, and S is held to the last.  With one
-    sample per period the starts are all the samples, and nothing is
-    integrated.  S costs dim^2 to build and apply,
-    so it needs more windows as dim grows.  Otherwise, and when S cannot be
-    built (complex blocks, or a working set beyond the physical memory),
-    every window is one vector integration from the end of the one before.
-    Either way the integrator hands each sample on as the step that holds
-    it is accepted, and every integration but the first starts from the
-    step that the one before would take next.
+    start psi(mT_B).  One loop integrates the windows that hold a sample
+    after their start in blocks, the columns of a block side by side (see
+    `_integrate_windows`), all in one workspace, each from the step that
+    the integration before would take next; the integrator hands each
+    sample on as the step that holds it is accepted.  The windows that hold
+    only their start are recorded after the loop.  The blocks come from one
+    of two routes:
+    - S: H(t) has period T_B, so psi(mT_B) = S^(dm) psi0 with
+      S = floquet_operator(parts).  Where `_propagator_pays`, the blocks
+      are the fewest of at most FLOQUET_CHUNK windows, of balanced widths
+      (`_block_widths`), each integrated to its last sample, and their
+      starts are built with S as each block is.  With one sample per period
+      the starts are all the samples, and nothing is integrated.  S costs
+      dim^2 to build and apply, so it needs more windows as dim grows.
+    - Vectors: otherwise, and when S cannot be built (complex blocks, or a
+      working set beyond the physical memory), ceil(last/n) blocks of one
+      window, each integrated over the whole period (a last window only to
+      its last sample) from the end of the one before.
     """
     if not 0 < t_final < math.inf:
         raise ValueError(f"t_final={t_final} must be positive and finite")
@@ -349,15 +310,13 @@ def evolve(
     dim, n, tb = parts.basis_dim, samples_per_period, parts.t_bloch
     if psi0.shape != (dim,):
         raise ValueError(f"state has dimension {psi0.shape}, expected ({dim},)")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (dim,):
-            raise ValueError(f"weights have shape {weights.shape}, expected ({dim},)")
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (dim,):
+        raise ValueError(f"weights have shape {weights.shape}, expected ({dim},)")
 
     step = tb / n
     last = int(math.floor(t_final / step + 1e-9))  # the last sample on the grid
-    # the grid and, maybe, t_final
-    check_trace_memory(last + 2, 16 * dim if weights is None else 0)
+    check_trace_memory(last + 2)  # the grid and, maybe, t_final
     times = step * np.arange(last + 1)
     if times[-1] < t_final - 1e-9 * step:
         times = np.append(times, t_final)
@@ -366,71 +325,65 @@ def evolve(
     s = None
     if (final and _propagator_obstacle(parts) is None
             and _propagator_pays(parts, last, n)):
-        # before the states exist, so that S's working set does not add to them
         s = floquet_operator(parts)
-    samples = _Samples(times.size, n, dim, weights, last)
-
-    def windows(m, starts, s_end, first_step):
-        """Integrate windows m, m + 1, ... from their starts, the columns of
-        `starts` (each already recorded), to offset s_end."""
-        count = min(n, last + 1 - m * n)  # the samples of window m
-
-        def sink(i, rows):
-            first = m * n + 1 + i
-            samples.put(first, rows[:len(range(first, last + 1, n))])
-
-        return _integrate_windows(parts, starts, 0.0, s_end, offsets[1:count], sink, first_step,
-                                  work)
-
-    carried = None  # the step that the last integration would take next
-    if s is None:
-        work = workspace(dim, sampled=True)
-        state = psi0[:, None]
-        for m in range(final + 1):
-            samples.put(m * n, state.T)
-            s_end = tb if m < final else offsets[last - m * n]
-            if s_end > 0:
-                state, carried = windows(m, state, s_end, carried)
-    else:
-        def boosted(s, state):
-            """psi(mT_B) = S^(dm) psi0 for m = 0..final, each recorded as it
-            is built; S is freed with the last."""
-            for m in range(final + 1):
-                if m:
-                    for _ in range(parts.boost_order):
-                        state = s @ state
-                samples.put(m * n, state[None])
-                yield state
-
-        starts = boosted(s, psi0)
-        s = None
-        if weights is None:  # build every start into the states, and free S
-            collections.deque(starts, maxlen=0)
-            starts = iter(samples.states[:last + 1:n])
         widths = _block_widths(_sampled_windows(last, n))
-        work = workspace(dim * max(widths, default=1), sampled=True)
-        m = 0
-        for width in widths:
-            block = np.column_stack(list(itertools.islice(starts, width)))
-            _, carried = windows(m, block, offsets[min(n, last + 1 - m * n) - 1], carried)
-            m += width
-        collections.deque(starts, maxlen=0)  # a last window that holds only its start
+    else:
+        widths = [1] * -(-last // n)
+    values = np.empty(times.size)
+    kept = None  # the state at sample `last`
 
-    end = samples.kept
+    def put(first, rows):
+        """Record rows[i] as sample first + i * n."""
+        nonlocal kept
+        values[first:first + len(rows) * n:n] = _weighted_norms(rows, weights)
+        i, r = divmod(last - first, n)
+        if r == 0 and 0 <= i < len(rows):
+            kept = rows[i].copy()
+
+    start = psi0  # psi(mT_B) of the last window m recorded, or to record next
+
+    def window_start(m):
+        """psi(mT_B), recorded; on the S route S^d psi((m - 1)T_B)."""
+        nonlocal start
+        if s is not None and m:
+            for _ in range(parts.boost_order):
+                start = s @ start
+        put(m * n, start[None])
+        return start
+
+    def sink(i, rows):
+        """Record sample i + 1 of windows m, m + 1, ... of the block."""
+        first = m * n + 1 + i
+        put(first, rows[:len(range(first, last + 1, n))])
+
+    work = workspace(dim * max(widths, default=1), sampled=True)
+    carried, m = None, 0  # the step that the last integration would take next
+    for width in widths:
+        count = min(n, last + 1 - m * n)  # the samples of window m
+        block = np.column_stack([window_start(m + j) for j in range(width)])
+        s_end = tb if s is None and m < final else offsets[count - 1]
+        end, carried = _integrate_windows(parts, block, 0.0, s_end, offsets[1:count], sink,
+                                          carried, work)
+        if s is None:
+            start = end[:, 0]
+        m += width
+    for m in range(m, final + 1):  # windows that hold only their start
+        window_start(m)
+
+    end = kept
     if times.size > last + 1:
         end, _ = _integrate_windows(parts, end[:, None], offsets[last % n],
                                     t_final - final * tb, None, None, carried, work)
-        samples.put(last + 1, end.T)
+        put(last + 1, end.T)
         end = end[:, 0]
     drift = abs(np.linalg.norm(end) - np.linalg.norm(psi0))
-    return EvolutionResult(times=times, states=samples.states, norm_drift=float(drift),
-                           weights=weights, values=samples.values)
+    return EvolutionResult(times=times, values=values, weights=weights, norm_drift=float(drift))
 
 
 def check_trace_memory(samples: int, sample_bytes: int = 0):
     """Reject with ValueError, before it is allocated, a trace of `samples`
     samples beyond physical memory: each holds TRACE_BYTES_PER_SAMPLE of
-    trace arrays and `sample_bytes` more (its states or CSV line, say)."""
+    trace arrays and `sample_bytes` more (its CSV line, say)."""
     problem = memory_shortfall(f"a trace of {samples:,} samples",
                                samples * (TRACE_BYTES_PER_SAMPLE + sample_bytes))
     if problem:
@@ -673,17 +626,11 @@ def occupation_series(result: EvolutionResult, sector: SymmetrySector) -> Oscill
 
     The observable is diagonal in sector coordinates because the total
     upper-band number is translation invariant: N_b = sum_j w_j |psi_j|^2
-    with w = upper_fractions (`_weighted_norms`).  A result that kept its
-    states gets them from those; one that `evolve` streamed with
-    weights=sector.upper_fractions already holds them, with the same bits.
-    A result streamed with other weights raises ValueError.
+    with w = upper_fractions, the values of a result that `evolve` formed
+    with weights=sector.upper_fractions.  A result with other weights
+    raises ValueError.
     """
-    w = sector.upper_fractions
-    if result.states is not None:
-        values = _weighted_norms(result.states, w)
-    elif np.array_equal(result.weights, w):
-        values = result.values
-    else:
+    if not np.array_equal(result.weights, sector.upper_fractions):
         raise ValueError("the result holds sum_j w_j |psi_j|^2 for weights other than "
                          "the sector's upper_fractions")
-    return OscillationTrace(times=result.times, values=values)
+    return OscillationTrace(times=result.times, values=result.values)

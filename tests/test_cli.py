@@ -129,10 +129,18 @@ def test_evolve_requires_model_source():
     assert main(["evolve", "--t-final-tb", "3"]) == 2
 
 
-@pytest.mark.parametrize("term", ["hop_q", "tilt"])
+@pytest.mark.parametrize("term", ["hop_q", "tilt", "", " , "])
 def test_evolve_rejects_unknown_term(params_file, term):
     assert main(["evolve", "--params", params_file, "--initial", "1,0;0,0",
                  "--t-final-tb", "2", "--terms", term]) == 2
+
+
+def test_preset_and_params_together_exit_2(params_file, capsys):
+    # one of the two would be ignored, even a file that does not exist
+    for path in (params_file, "/nonexistent.json"):
+        assert main(["floquet-spectrum", "--preset", "v0_4", "--params", path]) == 2
+        err = capsys.readouterr().err
+        assert "--preset" in err and "--params" in err and "not both" in err
 
 
 def test_bad_params_file_exits_2(tmp_path):

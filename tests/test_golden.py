@@ -12,10 +12,13 @@ and any change to one must be explained where the change is recorded.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import starkband as sb
+import starkband.propagation as propagation
 from starkband.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -31,6 +34,8 @@ CSV_CASES = {
                                 "--t-final-tb", "20"],
     "evolve_lower_band_ground.csv": ["evolve", *SMALL, "--initial", "lower-band-ground",
                                      "--t-final-tb", "2"],
+    "evolve_vectors.csv": ["evolve", "--preset", "v0_4", "--n", "4", "--l", "4", "--g", "0.2",
+                           "--t-final-tb", "1.7", "--sample-per-tb", "8"],
     "floquet_spectrum.csv": ["floquet-spectrum", *SMALL],
     "sweep_g.csv": ["sweep-g", "--preset", "v0_4", "--n", "3", "--l", "3",
                     "--g-grid", "0.1,0.2"],
@@ -43,6 +48,15 @@ CSV_CASES = {
 def test_csv_matches_golden(name, capsys):
     assert main(CSV_CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_vector_golden_takes_the_vector_route():
+    # the other evolve goldens build S; evolve_vectors.csv pins the bytes of
+    # the vector route and of the short integration to an off-grid t_final:
+    # samples 0..13 on the grid of 8 per period, then 1.7 T_B
+    params = replace(sb.preset_v0_4(0.2), n_particles=4, n_sites=4)
+    parts = sb.build_interaction_picture(params, sb.build_k0_sector(4, 4))
+    assert not propagation._propagator_pays(parts, 13, 8)
 
 
 def test_revival_report_matches_golden(capsys):

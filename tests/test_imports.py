@@ -32,8 +32,10 @@ module-level private function or class in `src/` must be read somewhere in
 was left behind by a deletion.  And a parameter with a default that only
 the tests set is a knob no run turns, so every defaulted parameter of a
 function in `src/` must be passed, by position or by keyword, at some call
-in `src/` or in the benchmark's programs under `perfbench/`.  Calls are
-matched to functions by name alone, and a method's positions skip `self`.
+in `src/` or in the benchmark's programs under `perfbench/`.  Conversely a
+default that every call passes, in `src/`, `perfbench/` or `tests/`, is
+one that nothing uses, so some call must omit it.  Calls are matched to
+functions by name alone, and a method's positions skip `self`.
 A private name is its module's own business, so no module in `src/` may
 read one of another module: neither import it nor read it as an attribute
 of a name that an import binds.
@@ -247,38 +249,60 @@ def _defaulted_parameters(tree):
                     yield node.name, arg.arg, None, node.lineno
 
 
-def _passed_arguments(trees):
-    """For each name called in `trees`, as `name(...)` or `x.name(...)`: the
-    positions and keywords its calls pass, with "*" for a `*` or `**` that
-    may pass any."""
-    passed = collections.defaultdict(set)
+def _calls(trees):
+    """For each name called in `trees`, as `name(...)` or `x.name(...)`: one
+    set per call of the positions and keywords it passes, with "*" for a
+    `*` or `**` that may pass any."""
+    calls = collections.defaultdict(list)
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-                passed[name].update(range(len(node.args)))
-                passed[name].update(k.arg or "*" for k in node.keywords)
+                passed = set(range(len(node.args))) | {k.arg or "*" for k in node.keywords}
                 if any(isinstance(a, ast.Starred) for a in node.args):
-                    passed[name].add("*")
-    return passed
+                    passed.add("*")
+                calls[name].append(passed)
+    return calls
 
 
-def _unpassed_defaults(tree, passed):
-    """The defaulted parameters of `tree`'s functions that no call in `passed` sets."""
+def _unpassed_defaults(tree, calls):
+    """The defaulted parameters of `tree`'s functions that no call in `calls` sets."""
     return [f"{function}({parameter}) (line {line})"
             for function, parameter, position, line in _defaulted_parameters(tree)
-            if not passed[function] & {position, parameter, "*"}]
+            if not set().union(*calls[function]) & {position, parameter, "*"}]
 
 
-CALLERS = list(SRC_TREES.values()) + [ast.parse(p.read_text(), filename=str(p))
-                                      for p in sorted((ROOT / "perfbench").glob("*.py"))]
+def _dead_defaults(tree, calls):
+    """The defaulted parameters of `tree`'s functions that every call in
+    `calls` passes: there is one at least, and none with a `*` or `**`,
+    which may omit it."""
+    return [f"{function}({parameter}) (line {line})"
+            for function, parameter, position, line in _defaulted_parameters(tree)
+            if calls[function] and all({position, parameter} & passed and "*" not in passed
+                                       for passed in calls[function])]
+
+
+def _trees(paths):
+    return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+
+
+CALLERS = list(SRC_TREES.values()) + _trees(sorted((ROOT / "perfbench").glob("*.py")))
+ALL_CALLERS = list(SRC_TREES.values()) + _trees(
+    sorted(p for d in ("perfbench", "tests") for p in (ROOT / d).rglob("*.py")))
 
 
 @pytest.mark.parametrize("path", list(SRC_TREES), ids=lambda p: str(p.relative_to(ROOT)))
 def test_src_defaults_are_passed(path):
-    unpassed = _unpassed_defaults(SRC_TREES[path], _passed_arguments(CALLERS))
+    unpassed = _unpassed_defaults(SRC_TREES[path], _calls(CALLERS))
     assert not unpassed, (f"{path.name} has defaulted parameters that no call in src/ or "
                           f"perfbench/ passes: {', '.join(unpassed)}")
+
+
+@pytest.mark.parametrize("path", list(SRC_TREES), ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_defaults_are_omitted(path):
+    dead = _dead_defaults(SRC_TREES[path], _calls(ALL_CALLERS))
+    assert not dead, (f"{path.name} has defaulted parameters that every call in src/, "
+                      f"perfbench/ and tests/ passes: {', '.join(dead)}")
 
 
 def test_detects_an_unpassed_default():
@@ -288,8 +312,20 @@ def test_detects_an_unpassed_default():
                      "    @classmethod\n    def c(cls, z=1):\n        pass\n"
                      "def g(u=1, v=2):\n    pass\n"
                      "f(0, 1, d=4)\nK().m(5)\nK.s(0)\nK.c()\ng(*args)\n")
-    assert _unpassed_defaults(tree, _passed_arguments([tree])) == [
+    assert _unpassed_defaults(tree, _calls([tree])) == [
         "f(c) (line 1)", "m(y) (line 4)", "s(y) (line 7)", "c(z) (line 10)"]
+
+
+def test_detects_a_default_every_call_passes():
+    tree = ast.parse("def f(a, b=1, *, c=2, d=3):\n    pass\n"
+                     "class K:\n    def m(self, x=1, y=2):\n        pass\n"
+                     "def g(u=1):\n    pass\n"
+                     "def h(v=1):\n    pass\n"
+                     "def unused(w=1):\n    pass\n"
+                     "f(0, 1, c=2, d=3)\nf(0, b=2, d=4)\nK().m(5)\nK().m(x=6, y=7)\n"
+                     "g(1)\ng(*args)\nh(1)\nh(**kw)\n")
+    assert _dead_defaults(tree, _calls([tree])) == [
+        "f(b) (line 1)", "f(d) (line 1)", "m(x) (line 4)"]
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),

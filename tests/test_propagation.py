@@ -45,6 +45,16 @@ def _diagonal_parts(energies, force=2.0):
                                force=force)
 
 
+def _random_weights(dim, seed=7):
+    """A seeded random w for the oracles sum_j w_j |psi_j|^2 of `evolve`."""
+    return np.random.default_rng(seed).normal(size=dim)
+
+
+def _weighted(w, states):
+    """w @ |states|^2: sum_j w_j |psi_j|^2 of each column of `states`."""
+    return w @ np.abs(states) ** 2
+
+
 def _lab_frame(parts, psi, times):
     """Oracle: i dpsi/dt = H(t) psi from psi(0) = psi, H(t) dense, integrated by
     DOP853 in the lab frame, not through `apply`; one column per time in
@@ -74,10 +84,10 @@ def test_diagonal_evolution_exact():
     energies = np.array([0.3, -1.1, 2.7])
     parts = _diagonal_parts(energies)
     psi0 = np.array([0.5, 0.5j, math.sqrt(0.5)], dtype=complex)
-    result = sb.evolve(psi0, parts, 5.0, samples_per_period=4)
-    assert result.times[-1] == 5.0 and result.states.shape == (8, 3)
-    expected = psi0 * np.exp(-1j * np.outer(result.times, energies))
-    assert np.abs(result.states - expected).max() < 1e-10
+    w = _random_weights(3)
+    result = sb.evolve(psi0, parts, 5.0, samples_per_period=4, weights=w)
+    assert result.times[-1] == 5.0 and result.values.shape == (8,)
+    assert np.abs(result.values - _weighted(w, psi0)).max() < 1e-10
 
 
 def test_evolve_two_level_closed_form():
@@ -87,7 +97,7 @@ def test_evolve_two_level_closed_form():
     mask = sb.TermMask(hop_a=False, hop_b=False)
     parts = sb.build_interaction_picture(p, sector, mask)
     psi0 = sb.project_initial_state(FockState((1, 0), (0, 0)), sector)
-    result = sb.evolve(psi0, parts, 10.0, samples_per_period=56)
+    result = sb.evolve(psi0, parts, 10.0, samples_per_period=56, weights=sector.upper_fractions)
     trace = sb.occupation_series(result, sector)
     v = p.c0 * p.force
     half_gap = math.hypot(0.5 * p.delta, v)
@@ -97,13 +107,14 @@ def test_evolve_two_level_closed_form():
 
 def test_evolve_validation():
     parts = _diagonal_parts([1.0, 2.0])
+    w = np.ones(2)
     for t_final in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="t_final"):
-            sb.evolve(np.array([1.0, 0.0]), parts, t_final, samples_per_period=4)
+            sb.evolve(np.array([1.0, 0.0]), parts, t_final, samples_per_period=4, weights=w)
     with pytest.raises(ValueError, match="samples_per_period"):
-        sb.evolve(np.array([1.0, 0.0]), parts, 1.0, samples_per_period=0)
+        sb.evolve(np.array([1.0, 0.0]), parts, 1.0, samples_per_period=0, weights=w)
     with pytest.raises(ValueError, match="dimension"):
-        sb.evolve(np.array([1.0, 0.0, 0.0]), parts, 1.0, samples_per_period=4)
+        sb.evolve(np.array([1.0, 0.0, 0.0]), parts, 1.0, samples_per_period=4, weights=w)
     with pytest.raises(ValueError, match="weights"):
         sb.evolve(np.array([1.0, 0.0]), parts, 1.0, samples_per_period=4, weights=[1.0])
 
@@ -112,10 +123,11 @@ def test_evolve_sampling_grid():
     # t_k = k T_B/n up to t_final, then t_final itself when it falls between
     # two samples (T_B = pi here)
     parts = _diagonal_parts([0.5, -0.5])
-    result = sb.evolve(np.array([1.0, 0.0], dtype=complex), parts, 1.0, samples_per_period=8)
+    psi0, w = np.array([1.0, 0.0], dtype=complex), np.ones(2)
+    result = sb.evolve(psi0, parts, 1.0, samples_per_period=8, weights=w)
     assert result.times == pytest.approx([0.0, np.pi / 8, np.pi / 4, 1.0], rel=1e-15, abs=0.0)
-    assert result.states.shape == (4, 2)
-    result = sb.evolve(np.array([1.0, 0.0], dtype=complex), parts, np.pi / 2, samples_per_period=8)
+    assert result.values.shape == (4,)
+    result = sb.evolve(psi0, parts, np.pi / 2, samples_per_period=8, weights=w)
     assert result.times == pytest.approx(np.pi / 8 * np.arange(5), rel=1e-15, abs=0.0)
 
 
@@ -136,8 +148,9 @@ def test_floquet_unitarity_and_periodicity(small_system):
     # both match two periods integrated in the lab frame
     oracle = _lab_frame(parts, psi0, [2 * parts.t_bloch])[:, -1]
     assert np.abs(u @ (u @ psi0) - oracle).max() < 1e-9
-    result = sb.evolve(psi0, parts, 2 * parts.t_bloch, samples_per_period=1)
-    assert np.abs(result.states[-1] - oracle).max() < 1e-9
+    w = _random_weights(sector.dim)
+    result = sb.evolve(psi0, parts, 2 * parts.t_bloch, samples_per_period=1, weights=w)
+    assert abs(result.values[-1] - _weighted(w, oracle)) < 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -170,9 +183,10 @@ def test_evolve_matches_lab_frame(system44):
     rng = np.random.default_rng(5)
     psi = rng.normal(size=parts.basis_dim) + 1j * rng.normal(size=parts.basis_dim)
     psi /= np.linalg.norm(psi)
-    result = sb.evolve(psi, parts, 1.5 * parts.t_bloch, samples_per_period=8)
+    w = _random_weights(parts.basis_dim)
+    result = sb.evolve(psi, parts, 1.5 * parts.t_bloch, samples_per_period=8, weights=w)
     assert result.times.size == 13
-    assert np.abs(result.states.T - _lab_frame(parts, psi, result.times)).max() < 1e-9
+    assert np.abs(result.values - _weighted(w, _lab_frame(parts, psi, result.times))).max() < 1e-9
 
 
 # (samples per period, span in Bloch periods): whole periods, one sample per
@@ -202,45 +216,14 @@ def test_evolve_windows_match_lab_frame(n, l, per_period, span_tb, route, monkey
     rng = np.random.default_rng(11)
     psi = rng.normal(size=parts.basis_dim) + 1j * rng.normal(size=parts.basis_dim)
     psi /= np.linalg.norm(psi)
-    result = sb.evolve(psi, parts, span_tb * tb, samples_per_period=per_period)
+    w = _random_weights(parts.basis_dim)
+    result = sb.evolve(psi, parts, span_tb * tb, samples_per_period=per_period, weights=w)
     want = tb / per_period * np.arange(math.floor(span_tb * per_period + 1e-9) + 1)
     if want[-1] < span_tb * tb * (1 - 1e-12):
         want = np.append(want, span_tb * tb)
     assert result.times == pytest.approx(want, rel=1e-14, abs=0.0)
-    assert np.abs(result.states.T - _lab_frame(parts, psi, result.times)).max() < 1e-9
+    assert np.abs(result.values - _weighted(w, _lab_frame(parts, psi, result.times))).max() < 1e-9
     assert built == ([1] if route == "propagator" and span_tb >= 1 else [])
-
-
-# (samples per period, span in Bloch periods): whole periods, one sample per
-# period, and a t_final between two samples
-STREAM_CASES = [(8, 3.0), (1, 4.0), (4, 3.55)]
-
-
-@pytest.mark.parametrize("route", ["propagator", "vectors"])
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_streamed_occupations_match_the_states(n, route, monkeypatch):
-    # with weights evolve keeps only N_b of each sample; the integrations
-    # are those that keep the states, so N_b and the norm drift agree.  On
-    # the propagator route the blocks hold at most two windows
-    # (FLOQUET_CHUNK = 2), so the starts of later blocks are built from S as
-    # they are needed
-    parts = _parts_for(n, n)
-    sector = sb.build_k0_sector(n, n)
-    psi0 = sb.project_initial_state("unit-filling-lower", sector)
-    s = sb.floquet_operator(parts) if route == "propagator" else None
-    monkeypatch.setattr(propagation, "_propagator_pays", lambda *args: route == "propagator")
-    monkeypatch.setattr(propagation, "floquet_operator", lambda *args, **kw: s)
-    monkeypatch.setattr(propagation, "FLOQUET_CHUNK", 2)
-    for per_period, span_tb in STREAM_CASES:
-        t_final = span_tb * parts.t_bloch
-        kept = sb.evolve(psi0, parts, t_final, samples_per_period=per_period)
-        streamed = sb.evolve(psi0, parts, t_final, samples_per_period=per_period,
-                             weights=sector.upper_fractions)
-        assert streamed.states is None and kept.values is None
-        assert np.array_equal(streamed.times, kept.times)
-        want = sb.occupation_series(kept, sector).values
-        assert np.abs(sb.occupation_series(streamed, sector).values - want).max() <= 1e-14
-        assert streamed.norm_drift == kept.norm_drift
 
 
 def test_occupation_series_refuses_other_streamed_weights(small_system):
@@ -269,7 +252,8 @@ def test_evolve_integrates_one_period_per_block(monkeypatch):
     counts = {}
     for periods in (10, 30):
         calls.clear()
-        sb.evolve(psi, parts, periods * parts.t_bloch, samples_per_period=32)
+        sb.evolve(psi, parts, periods * parts.t_bloch, samples_per_period=32,
+                  weights=np.ones(parts.basis_dim))
         counts[periods] = len(calls)
         assert set(calls) == {(parts.basis_dim, periods)}
     assert built == [1, 1]
@@ -297,7 +281,8 @@ def test_evolve_work_at_the_preset(preset_runs, monkeypatch):
     monkeypatch.setattr(sb.HamiltonianParts, "apply",
                         lambda self, t, y: widths.append(y.shape[1]) or apply(self, t, y))
     monkeypatch.setattr(propagation, "floquet_operator", counted)
-    sb.evolve(preset_runs.psi0, parts, 50 * parts.t_bloch, samples_per_period=32)
+    sb.evolve(preset_runs.psi0, parts, 50 * parts.t_bloch, samples_per_period=32,
+              weights=preset_runs.sector.upper_fractions)
     assert len(built) == 1
     propagator, blocks = widths[:built[0]], widths[built[0]:]
     assert len(propagator) == 818
@@ -329,7 +314,8 @@ def test_evolve_balances_its_blocks_of_windows(monkeypatch):
     monkeypatch.setattr(sb.HamiltonianParts, "apply",
                         lambda self, t, y: widths.append(y.shape[1]) or apply(self, t, y))
     psi = sb.project_initial_state("unit-filling-lower", sb.build_k0_sector(3, 3))
-    sb.evolve(psi, parts, 49 * parts.t_bloch, samples_per_period=32)
+    sb.evolve(psi, parts, 49 * parts.t_bloch, samples_per_period=32,
+              weights=np.ones(parts.basis_dim))
     assert list(dict.fromkeys(widths)) == [25, 24]
 
 
@@ -360,7 +346,8 @@ def test_every_right_hand_side_goes_through_apply(monkeypatch):
     sb.floquet_operator(parts)
     for route in (True, False):
         monkeypatch.setattr(propagation, "_propagator_pays", lambda *args: route)
-        sb.evolve(psi, parts, 4 * parts.t_bloch, samples_per_period=32)
+        sb.evolve(psi, parts, 4 * parts.t_bloch, samples_per_period=32,
+                  weights=np.ones(parts.basis_dim))
     assert counts["apply"] == counts["rhs"] > 0
 
 
@@ -371,6 +358,7 @@ def test_evolve_integrates_vectors_where_the_propagator_cannot_be_built(small_sy
     _, parts, psi0 = small_system
     rotated = replace(parts, hop_csr=parts.hop_csr._replace(data=1j * parts.hop_csr.data))
     tb = parts.t_bloch
+    w = _random_weights(parts.basis_dim)
 
     def refuse(*args, **kw):
         raise AssertionError("floquet_operator called")
@@ -380,9 +368,10 @@ def test_evolve_integrates_vectors_where_the_propagator_cannot_be_built(small_sy
         if case is parts:  # room for the trace (4.5 kB), not for S (32 MiB with the process)
             monkeypatch.setattr(fock, "_physical_memory", lambda: 10**4)
         assert propagation._propagator_obstacle(case)
-        result = sb.evolve(psi0, case, 6.3 * tb, samples_per_period=4)
+        result = sb.evolve(psi0, case, 6.3 * tb, samples_per_period=4, weights=w)
         assert result.times.size == 27
-        assert np.abs(result.states.T - _lab_frame(case, psi0, result.times)).max() < 1e-9
+        oracle = _weighted(w, _lab_frame(case, psi0, result.times))
+        assert np.abs(result.values - oracle).max() < 1e-9
 
 
 def _break_even(dim, order, samples_per_period):
@@ -747,28 +736,6 @@ def test_dsyevd_loader_names_a_missing_symbol(monkeypatch):
     assert origin in str(err.value)
 
 
-def test_evolve_memory_is_the_propagator_and_the_samples(preset_runs):
-    # 50 periods at 32 samples per period: S is built before the 1,601
-    # samples exist, and freed before the two blocks of 25 windows
-    # integrate, writing each sample straight into its row.  The peak is
-    # the samples plus one block's working set: the shared workspace
-    # (DOP853's 16 stages, its 3 work rows, 4 rows of the dense output's
-    # polynomial and the error scale), the block's starts, its sample rows
-    # and a right-hand side call's result (the samples plus 29.5 arrays of
-    # 25 columns measured)
-    parts = preset_runs.parts(0.2)
-    tb = parts.t_bloch
-    results = []
-
-    def run():
-        results.append(sb.evolve(preset_runs.psi0, parts, 50 * tb, samples_per_period=32))
-
-    copies = peak_copies(run, parts.basis_dim)
-    result = results[0]
-    assert result.states.shape == (1601, parts.basis_dim)
-    assert copies <= len(result.times) + 31 * 25
-
-
 def test_streamed_evolve_memory_is_that_of_the_propagator(preset_runs):
     # with weights no state of the 1,601 samples is kept.  The peak is
     # either floquet_operator's own, Y and one chunk's stepper (1,048
@@ -849,7 +816,8 @@ def test_library_calls_reject_a_trace_beyond_physical_memory():
     with pytest.raises(ValueError, match="physical memory"):
         sb.stroboscopic_occupations(spectrum, sector, 10**15)
     with pytest.raises(ValueError, match="physical memory"):
-        sb.evolve(psi0, parts, 1e15 * parts.t_bloch, samples_per_period=32)
+        sb.evolve(psi0, parts, 1e15 * parts.t_bloch, samples_per_period=32,
+                  weights=sector.upper_fractions)
 
 
 def test_evolve_over_a_short_span_of_a_fine_grid(small_system):
@@ -858,10 +826,12 @@ def test_evolve_over_a_short_span_of_a_fine_grid(small_system):
     _, parts, psi0 = small_system
     n = 10**12
     step = parts.t_bloch / n
-    result = sb.evolve(psi0, parts, step, samples_per_period=n)
+    w = _random_weights(parts.basis_dim)
+    result = sb.evolve(psi0, parts, step, samples_per_period=n, weights=w)
     assert np.array_equal(result.times, [0.0, step])
-    assert np.array_equal(result.states[0], psi0)
-    assert np.abs(result.states[1] - _lab_frame(parts, psi0, result.times)[:, 1]).max() < 1e-12
+    assert result.values[0] == propagation._weighted_norms(psi0[None], w)[0]
+    oracle = _weighted(w, _lab_frame(parts, psi0, result.times)[:, 1])
+    assert abs(result.values[1] - oracle) < 1e-12
 
 
 def test_diagonalize_identity():
@@ -929,8 +899,9 @@ def test_stroboscopic_vs_direct(small_system):
     m = 50
     oracle = np.linalg.matrix_power(_lab_frame_period(parts), m) @ psi0
     assert np.abs(_stroboscopic_state(spec, m) - oracle).max() < 1e-5
-    direct = sb.evolve(psi0, parts, m * parts.t_bloch, samples_per_period=1)
-    assert np.abs(direct.states[-1] - oracle).max() < 1e-5
+    w = _random_weights(sector.dim)
+    direct = sb.evolve(psi0, parts, m * parts.t_bloch, samples_per_period=1, weights=w)
+    assert abs(direct.values[-1] - _weighted(w, oracle)) < 1e-5
 
 
 def test_quasi_energy_refolding_is_harmless(small_system):
@@ -966,20 +937,25 @@ def test_stroboscopic_occupation_trace(small_system):
 
 
 def test_occupation_series_trivial_states():
+    # N_b is 0 in a lower-band state and 1 in an upper-band one, and with
+    # the hopping, the inter-band coupling and the pair exchange masked off
+    # the bands keep their particles
+    params = replace(sb.preset_v0_4(0.2), n_particles=2, n_sites=2)
     sector = sb.build_k0_sector(2, 2)
-    lower = sb.project_initial_state(FockState((1, 1), (0, 0)), sector)
-    upper = sb.project_initial_state(FockState((0, 0), (1, 1)), sector)
-    result = sb.EvolutionResult(times=np.array([0.0, 1.0]), states=np.stack([lower, upper]),
-                                norm_drift=0.0)
-    tr = sb.occupation_series(result, sector)
-    assert tr.values[0] == 0.0
-    assert tr.values[1] == 1.0
+    parts = sb.build_interaction_picture(params, sector, sb.TermMask.from_names("int_a,int_b"))
+    for bands, nb in ((((1, 1), (0, 0)), 0.0), (((0, 0), (1, 1)), 1.0)):
+        psi0 = sb.project_initial_state(FockState(*bands), sector)
+        result = sb.evolve(psi0, parts, parts.t_bloch, samples_per_period=4,
+                           weights=sector.upper_fractions)
+        tr = sb.occupation_series(result, sector)
+        assert tr.values[0] == nb
+        assert np.abs(tr.values - nb).max() < 1e-12
 
 
 def test_norm_drift_small_system(small_system):
     sector, parts, psi0 = small_system
     tb = parts.t_bloch
-    result = sb.evolve(psi0, parts, 200 * tb, samples_per_period=1)
+    result = sb.evolve(psi0, parts, 200 * tb, samples_per_period=1, weights=sector.upper_fractions)
     # drift budget is 1e-8 per 1e3 Bloch periods
     assert result.norm_drift / (200 / 1000) < 1e-8
 
