@@ -243,9 +243,11 @@ def cmd_floquet_spectrum(args) -> int:
     return 0
 
 
-def _revival_record(cfg: RunConfig, n_periods: int | None) -> tuple[dict, int]:
-    """The revival report of `cfg` over n_periods Bloch periods, by default
-    the whole periods of 1.6 t_rev_eq9, and the periods it used."""
+def _revival_span(cfg: RunConfig, n_periods: int | None) -> tuple[float | None, int]:
+    """t_rev_eq9 of `cfg`, None where the priors give none, and the Bloch
+    periods its revival report covers: n_periods, by default the whole
+    periods of 1.6 t_rev_eq9.  A span without an estimate, or beyond
+    physical memory, raises ValueError."""
     try:
         eq9 = revival_estimate_universal(cfg.params)
     except ValueError:
@@ -255,16 +257,21 @@ def _revival_record(cfg: RunConfig, n_periods: int | None) -> tuple[dict, int]:
             raise ValueError("priors give no revival estimate; set --t-final-tb explicitly")
         n_periods = int(math.ceil(1.6 * eq9 / cfg.params.t_bloch))
     check_trace_memory(n_periods + 1)
+    return eq9, n_periods
+
+
+def _revival_record(cfg: RunConfig, eq9: float | None, n_periods: int) -> dict:
+    """The revival report of `cfg` over the span of `_revival_span`."""
     sector, parts, psi0 = _build_sector_and_parts(cfg)
     spectrum, trace = _stroboscopic_trace(sector, parts, psi0, n_periods)
     record = analysis.build_revival_report(trace, spectrum, eq9)
     record["fingerprint"] = cfg.fingerprint(t_final_tb=n_periods)
-    return record, n_periods
+    return record
 
 
 def cmd_revival_report(args) -> int:
     cfg = _resolve_config(args)
-    record, _ = _revival_record(cfg, _whole_periods(args.t_final_tb))
+    record = _revival_record(cfg, *_revival_span(cfg, _whole_periods(args.t_final_tb)))
     _emit(json.dumps(record, indent=2) + "\n", args.out)
     return 0
 
@@ -275,9 +282,13 @@ def cmd_sweep_g(args) -> int:
     if not g_values:
         raise ValueError("empty --g-grid")
     n = _whole_periods(args.t_final_tb)
+    # every row's parameters and span before the first integration, so that
+    # a g that cannot run is refused up front
+    runs = [replace(cfg, params=replace(cfg.params, g=g)) for g in g_values]
+    spans = [_revival_span(run, n) for run in runs]
     rows = []
-    for g in g_values:
-        rec, periods = _revival_record(replace(cfg, params=replace(cfg.params, g=g)), n)
+    for g, run, (eq9, periods) in zip(g_values, runs, spans):
+        rec = _revival_record(run, eq9, periods)
         rows.append((g, 1.0 / g if g else None, rec["t_coll_measured"], rec["t_rev_measured"],
                      rec["t_rev_universal"], rec["t_rev_spectral"], periods))
     span = {} if n is None else {"t_final_tb": n}  # else each row gives its own

@@ -22,22 +22,23 @@ The propagator is integrated over T_B/(2d): a boost of the ring shifts H(t)
 by T_B/d, and time reversal (h_static and h_hop are real in the kappa = 0
 basis) halves that span.  The resulting S is complex symmetric, so its
 eigenbasis comes from one real symmetric eigendecomposition: LAPACK's
-dsyevd, the routine of numpy's eigh, called in place on the real matrix.
+dsyevd, the routine of numpy's eigh, called inside S's own buffer.
 
-Memory stays within 2.5 dim x dim complex copies, and a few dim x 32 ones
+Memory stays within 2.0 dim x dim complex copies, and a few dim x 32 ones
 (see FLOQUET_*), phase by phase.  The propagator is integrated in chunks
 of FLOQUET_CHUNK = 32 columns (Y and one chunk's working set), all stepped
 in one DOP853 workspace, allocated once and freed before S is formed: a
 workspace per chunk would leave freed chunk-sized arrays in glibc's heap.
 S is formed and checked in blocks of columns (Y and S, then S), and its
-diagonalisation holds S, the real matrix that dsyevd overwrites with the
-eigenvectors, and dsyevd's workspace.  `evolve` integrates its windows in
+diagonalisation consumes S: it holds S's buffer, rewritten in place into
+the real matrix that dsyevd overwrites with the eigenvectors, and
+dsyevd's workspace.  `evolve` integrates its windows in
 the fewest blocks of at most FLOQUET_CHUNK windows, of balanced widths (49
 windows as 25 and 24), in one workspace shared by the blocks, each sample
 handed on as the step that holds it is accepted, and keeps only
 sum_j w_j |psi_j|^2 of it: it holds S (or one vector), one block of windows
-and the float trace.  The
-stroboscopic trace goes in short blocks of periods.
+and the float trace.  The stroboscopic trace goes in blocks of about
+TRACE_BLOCK_PHASES phases.
 """
 
 import ctypes
@@ -85,16 +86,17 @@ DEFAULT_ATOL = 1e-12
 #   against a narrower chunk);
 # - forming S in column blocks, then checking S^dag S in row blocks: Y, S and
 #   two blocks, then S and one (2.06 copies measured at dim 2076);
-# - diagonalize_floquet: S, Re S + mu Im S, which dsyevd overwrites with the
-#   eigenvectors, and dsyevd's divide-and-conquer workspace of 2 dim^2 doubles,
-#   FLOQUET_WORKING_COPIES in all (tracemalloc sees S and the mixture, then S,
-#   V and V sorted: 2.0; numpy's eigh would add an input copy of the mixture).
+# - diagonalize_floquet: S's buffer, which it rewrites in place into Re S +
+#   mu Im S and Im S, real, side by side, and dsyevd's divide-and-conquer
+#   workspace of 2 dim^2 doubles, FLOQUET_WORKING_COPIES in all (tracemalloc
+#   sees S, then S and one real array, (B V)^T, then V sorted: 1.5; dsyevd on
+#   a separate real matrix would add half a copy, numpy's eigh one more).
 # The windows of evolve are integrated in the fewest blocks of at most
 # FLOQUET_CHUNK columns, of balanced widths, in one workspace that also holds
 # the dense output's 3 extra stages and 4 more rows (DOP853 holds 25.5 copies
 # of a block, and a block of evolve 29.5 with its starts and sample rows).
 FLOQUET_CHUNK = 32
-FLOQUET_WORKING_COPIES = 2.5
+FLOQUET_WORKING_COPIES = 2.0
 FLOQUET_CHUNK_COPIES = 22
 # Besides the dense arrays and the arrays of the parts, a process that builds
 # and diagonalises S holds the interpreter with numpy and the package
@@ -102,17 +104,19 @@ FLOQUET_CHUNK_COPIES = 22
 # sector state, the sector's arrays, what glibc keeps in its heap of the
 # set-up's temporaries and of S's column blocks, and the BLAS buffers that
 # dsyevd's products touch (SPARE_BYTES_PER_STATE: at N = L = 6, dim 2076,
-# 14.8 MiB of a 211.2 MiB peak RSS, 7.3 KiB per state).  At N = L = 7 that
-# prices 4,809 MiB, where a run with 64-column chunks peaked at 4,793 MiB.
+# 13.6 MiB of a 179.1 MiB peak RSS, 6.7 KiB per state).  At N = L = 7 that
+# prices 3,873 MiB, where a run with 64-column chunks and a separate real
+# matrix for dsyevd peaked at 4,793 MiB.
 PROCESS_BYTES = 32 * 2**20
-SPARE_BYTES_PER_STATE = 8 * 2**10
+SPARE_BYTES_PER_STATE = 7 * 2**10
 # The fixed cost of one right-hand side call, in state entries of the sparse
 # products it matches: fitted to dop853.integrate at N = L = 3..6 (dim
 # 20..2076, widths 1..32), where a call costs about
 # (600 + (width + 1) * dim) * 44 ns on one core (rms error 16%)
 EVOLVE_CALL_OVERHEAD = 600
 # diagonalize_floquet: the weight of Im S in its eigh (irrational, so no rational
-# symmetry of the spectrum makes eigenvalues collide) and the eigenpair residual budget.
+# symmetry of the spectrum makes eigenvalues collide), and the budget of the
+# eigenpair residual and of S's asymmetry max|S - S^T|.
 EIGEN_MIX = (math.sqrt(5.0) - 1.0) / 2.0
 EIGEN_RESIDUAL_BUDGET = 1e-8
 # floquet_operator: the budget of d max|S^dag S - 1|, to first order max|U^dag U - 1|
@@ -120,6 +124,10 @@ UNITARITY_DEFECT_BUDGET = 1e-6
 # Bytes a trace holds per sample beside its caller's, by tracemalloc: six float64
 # arrays (45 per period of revival-report measured).
 TRACE_BYTES_PER_SAMPLE = 48
+# stroboscopic_occupations: the phases of one block of periods, about 25,000
+# (a block of 62 periods at dim 402: its phases and their two real products
+# with V are 32 bytes per phase, 0.8 MB)
+TRACE_BLOCK_PHASES = 25_000
 
 
 @dataclass(frozen=True)
@@ -520,75 +528,111 @@ def _lapacke_dsyevd():
 
 def _symmetric_eigh(a: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, of the real symmetric matrix whose lower
-    triangle the C-ordered square `a` holds in column-major order, which
-    LAPACK's dsyevd (divide and conquer) overwrites with its orthonormal
-    eigenvectors, one per row.  It is the routine, triangle and workspace
-    query of np.linalg.eigh(a.T), whose eigenvalues and eigenvectors (a.T)
-    it gives bit for bit without eigh's input copy and separate output.
-    LAPACK's error code raises NumericalError."""
+    triangle the square `a` holds in column-major order, which LAPACK's
+    dsyevd (divide and conquer) overwrites with its orthonormal
+    eigenvectors, one per row.  `a` is C-ordered, or the leading columns of
+    a wider C-ordered array: its row stride is LAPACK's leading dimension
+    lda, and dsyevd neither reads nor writes the columns beyond.  It is the
+    routine, triangle and workspace query of np.linalg.eigh(a.T), whose
+    eigenvalues and eigenvectors (a.T) it gives bit for bit without eigh's
+    input copy and separate output.  LAPACK's error code raises
+    NumericalError."""
     n = len(a)
-    if a.dtype != np.float64 or a.shape != (n, n) or not a.flags.c_contiguous:
-        raise ValueError(f"need a C-ordered square float64 array, got {a.dtype} {a.shape}")
+    if (a.dtype != np.float64 or a.shape != (n, n) or not a.flags.writeable
+            or (n > 1 and a.strides[1] != 8) or a.strides[0] % 8 or a.strides[0] < 8 * n):
+        raise ValueError(f"need a C-ordered square float64 array, or the leading columns of "
+                         f"one, got {a.dtype} {a.shape} with strides {a.strides}")
     values = np.empty(n)
     col_major = 102  # LAPACKE's LAPACK_COL_MAJOR
-    info = _lapacke_dsyevd()(col_major, b"V", b"L", n, a.ctypes.data, max(n, 1),
+    info = _lapacke_dsyevd()(col_major, b"V", b"L", n, a.ctypes.data, max(a.strides[0] // 8, 1),
                              values.ctypes.data)
     if info:
         raise NumericalError(f"LAPACK dsyevd failed with info {info}")
     return values
 
 
+def _rewrite_rows(s: np.ndarray, rows: slice) -> float:
+    """Rewrite `rows` of S's buffer, viewed as a dim x 2 dim real array, as
+    the same rows of M = Re S + mu Im S and of B = Im S side by side, both
+    read from S's lower triangle and mirrored, and return max|S - S^T| over
+    them.  Row j of M and B is read from column j of S, rows j and below,
+    so blocks of rows go top down.  The entries of M left of the block keep
+    S's bits: dsyevd reads only M's lower triangle in column-major order."""
+    mixture, imag = np.hsplit(s.view(float), 2)
+    start = rows.start
+    cols = s[start:, rows].copy()  # S[i, j] for i >= start
+    asymmetry = float(np.abs(s[rows, start:] - cols.T).max())
+    top = cols[:cols.shape[1]]  # the diagonal block, mirrored from its lower triangle
+    upper = np.triu_indices(len(top), 1)
+    top[upper] = top.T[upper]
+    m = np.multiply(EIGEN_MIX, cols.imag)
+    m += cols.real
+    mixture[rows, start:] = m.T
+    imag[rows, start:] = cols.imag.T
+    imag[rows, :start] = imag[:start, rows].T
+    return asymmetry
+
+
 def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> FloquetSpectrum:
     """Quasi-energies, orthonormal eigenvectors and initial-state overlaps of
     U(T_B) = S^order, for S = floquet_operator(parts), order = parts.boost_order.
+    S is consumed: its buffer is the working space.
 
     S is complex symmetric and unitary, so Re S and Im S commute and share a
     real orthonormal eigenbasis: that of the eigendecomposition (LAPACK's
-    dsyevd, divide and conquer, see `_symmetric_eigh`) of Re S + mu Im S,
-    mu = EIGEN_MIX, with eigenvalues sigma_j = v_j^T S v_j.
-    Eigenvalues with equal cos(phi) + mu sin(phi) would mix; the residual
-    max|SV - V Sigma| catches that, and an S that is not symmetric, with
-    NumericalError above EIGEN_RESIDUAL_BUDGET.  U has the same vectors and
-    the eigenvalues lambda = sigma^order, so quasi-energies are
+    dsyevd, see `_symmetric_eigh`) of M = Re S + mu Im S, mu = EIGEN_MIX,
+    with eigenvalues m_j.  With B = Im S and b_j = v_j^T B v_j, S has the
+    eigenvalues sigma_j = (m_j - mu b_j) + i b_j; M and B are read from S's
+    lower triangle (`_rewrite_rows`).  NumericalError is raised above
+    EIGEN_RESIDUAL_BUDGET by max|S - S^T|, before dsyevd runs, and by the
+    residual max|BV - V diag(b)|, which catches eigenvalues with equal
+    cos(phi) + mu sin(phi), as they would mix; with dsyevd's backward error
+    the two bound max|SV - V Sigma|.  U has the same vectors and the
+    eigenvalues lambda = sigma^order, so quasi-energies are
     -arg(lambda)/T_B, in [-F/2, F/2), and the unitarity defect is
     max_j ||lambda_j|^2 - 1|, which with the residual check bounds the
     entrywise defect of V Lambda V^T.
 
-    Memory, in complex copies of S: besides S, dsyevd holds the real matrix
-    it diagonalises, formed from S^T so that dsyevd overwrites it with V^T
-    in C order (half a copy), and its workspace of 2 dim^2 doubles (one),
-    2.5 in all, of which tracemalloc sees 1.5 (LAPACK allocates the
-    workspace itself); numpy's eigh, with the same bits, would add an input
-    copy and hold 3.5.  Then sigma and the residual are formed one block of
-    FLOQUET_CHUNK columns of V at a time, from S V[:, block], and so are the
-    overlaps V[:, block]^T psi0, so no dim x dim product or complex copy of
-    V is made (2.0 copies with S, V and V sorted by quasi-energy).
+    Memory, in complex copies of S: dsyevd runs on the first half of S's
+    buffer, viewed as a dim x 2 dim real array (lda = 2 dim), and adds only
+    its workspace of 2 dim^2 doubles (one copy, out of tracemalloc's sight):
+    2.0 in all.  Then one real product V^T B = (B V)^T gives b and the
+    residual, in an array that then takes V sorted by quasi-energy (half a
+    copy); the overlaps and the residual go FLOQUET_CHUNK rows at a time.
+    Products of single blocks would tie the bits of b to FLOQUET_CHUNK:
+    OpenBLAS's dgemm rounds the last columns of a narrow block otherwise
+    than the full product.
     """
-    # the transpose of Re S + mu Im S, which dsyevd reads in column-major
-    # order as the matrix itself, lower triangle, and overwrites with V^T
-    vectors = np.multiply(EIGEN_MIX, s.T.imag, order="C")
-    vectors += s.T.real
-    _symmetric_eigh(vectors)
-    vectors = vectors.T
+    dim = len(s)
+    if s.dtype != complex or s.shape != (dim, dim) or not s.flags.c_contiguous:
+        raise ValueError(f"need a C-ordered square complex array, got {s.dtype} {s.shape}")
+    blocks = [slice(start, start + FLOQUET_CHUNK) for start in range(0, dim, FLOQUET_CHUNK)]
+    asymmetry = max(_rewrite_rows(s, rows) for rows in blocks)
+    if asymmetry > EIGEN_RESIDUAL_BUDGET:
+        raise NumericalError(f"Floquet operator asymmetry max|S - S^T| {asymmetry:.3e} exceeds "
+                             f"{EIGEN_RESIDUAL_BUDGET:.0e}")
+    mixture, imag = np.hsplit(s.view(float), 2)
+    values = _symmetric_eigh(mixture)  # row j of `mixture` is now v_j
     psi0 = np.asarray(psi0, dtype=complex)
-    sigma = np.empty(len(vectors), dtype=complex)
-    overlaps = np.empty(len(vectors), dtype=complex)
+    overlaps = np.concatenate([mixture[rows] @ psi0 for rows in blocks])
+    products = mixture @ imag  # V^T B = (B V)^T, as B is symmetric; later V^T sorted
+    b = np.einsum("ij,ij->i", mixture, products)
     residual = 0.0
-    for start in range(0, len(vectors), FLOQUET_CHUNK):
-        cols = slice(start, start + FLOQUET_CHUNK)
-        sv = s @ vectors[:, cols]
-        sigma[cols] = np.einsum("ij,ij->j", vectors[:, cols], sv)
-        residual = max(residual, float(np.abs(sv - vectors[:, cols] * sigma[cols]).max()))
-        overlaps[cols] = vectors[:, cols].T @ psi0
+    for rows in blocks:
+        block = products[rows]
+        block -= np.einsum("i,ij->ij", b[rows], mixture[rows])  # no ufunc buffer
+        residual = max(residual, float(np.abs(block, out=block).max()))
     if residual > EIGEN_RESIDUAL_BUDGET:
         raise NumericalError(f"Floquet eigenvector residual {residual:.3e} exceeds "
                              f"{EIGEN_RESIDUAL_BUDGET:.0e}")
-    lam = sigma ** order
+    lam = (values - EIGEN_MIX * b + 1j * b) ** order
     eps = -np.angle(lam) / t_bloch
     ranks = np.argsort(eps, kind="stable")
+    for rows in blocks:
+        products[rows] = mixture[ranks[rows]]
     return FloquetSpectrum(
         quasi_energies=eps[ranks],
-        eigen_vectors=vectors[:, ranks],
+        eigen_vectors=products.T,
         coefficients=overlaps[ranks],
         unitarity_defect=float(np.abs(np.abs(lam) ** 2 - 1.0).max()),
         t_bloch=t_bloch,
@@ -608,16 +652,22 @@ def stroboscopic_occupations(
     ms = np.arange(n_periods + 1)
     values = np.empty(ms.size)
     vt = spectrum.eigen_vectors.T
-    # periods per block: about 100,000 phases, one complex array of 1.6 MB
-    chunk = max(1, 100_000 // max(1, spectrum.dim))
-    buffer = np.empty((min(chunk, ms.size), spectrum.dim), dtype=complex)
+    # periods per block: about TRACE_BLOCK_PHASES phases, in arrays of the
+    # phases and their two real products with V allocated once
+    chunk = max(1, TRACE_BLOCK_PHASES // max(1, spectrum.dim))
+    phase_rows = np.empty((min(chunk, ms.size), spectrum.dim), dtype=complex)
+    re_rows, im_rows = np.empty((2, *phase_rows.shape))
     for start in range(0, ms.size, chunk):
         block = ms[start:start + chunk]
-        phases = buffer[:block.size]
-        np.multiply(-1j, np.outer(block * spectrum.t_bloch, spectrum.quasi_energies), out=phases)
+        phases, re, im = phase_rows[:block.size], re_rows[:block.size], im_rows[:block.size]
+        np.multiply(-1j, np.outer(block * spectrum.t_bloch, spectrum.quasi_energies, out=re),
+                    out=phases)
         np.exp(phases, out=phases)
         phases *= spectrum.coefficients
-        values[start:start + chunk] = ((phases.real @ vt) ** 2 + (phases.imag @ vt) ** 2) @ w
+        np.square(np.matmul(phases.real, vt, out=re), out=re)
+        np.square(np.matmul(phases.imag, vt, out=im), out=im)
+        re += im
+        values[start:start + chunk] = re @ w
     return OscillationTrace(times=ms * spectrum.t_bloch, values=values)
 
 

@@ -236,15 +236,20 @@ def build_static_tilted(params, basis, mask: TermMask = TermMask()):
 
 def full_matrix_spectrum(y, parts, psi0):
     """S = Y^T (Phi Y) for the half-period propagator Y, and the sorted
-    quasi-energies, eigenvectors and initial-state overlaps of S^d: V from
-    numpy's eigh, the rest each from one full matrix product, S V and the
-    residual max|SV - V Sigma| on it."""
+    quasi-energies, eigenvectors and initial-state overlaps of S^d: V and the
+    eigenvalues m of M = Re S + mu Im S from numpy's eigh, which reads M's
+    lower triangle; B, Im S's lower triangle mirrored, b_j = v_j^T B v_j and
+    the residual max|BV - V diag(b)| from one full product V^T B; and S's
+    eigenvalues sigma = (m - mu b) + i b."""
     order = parts.boost_order
     s = y.T @ (np.exp(-2j * math.pi * parts.boost_charge / order)[:, None] * y)
-    _, vectors = np.linalg.eigh(s.real + EIGEN_MIX * s.imag)
-    sv = s @ vectors
-    sigma = np.einsum("ij,ij->j", vectors, sv)
-    assert np.abs(sv - vectors * sigma).max() <= 1e-8
+    values, vectors = np.linalg.eigh(s.real + EIGEN_MIX * s.imag)
+    b_matrix = np.tril(s.imag) + np.tril(s.imag, -1).T
+    rows = np.ascontiguousarray(vectors.T)  # the eigenvectors as rows, as dsyevd writes them
+    bvt = rows @ b_matrix
+    b = np.einsum("ij,ij->i", rows, bvt)
+    assert np.abs(bvt - b[:, None] * rows).max() <= 1e-8
+    sigma = values - EIGEN_MIX * b + 1j * b
     eps = -np.angle(sigma ** order) / parts.t_bloch
     ranks = np.argsort(eps, kind="stable")
     vectors = vectors[:, ranks]

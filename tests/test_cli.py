@@ -415,6 +415,22 @@ def test_sweep_g_rows_in_order(params_file, capsys):
     assert first[6] == second[6] == "900"
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("0.1,0.2,-0.1", "interaction scale g must be non-negative, got -0.1"),
+    ("0.2,0", "priors give no revival estimate"),
+], ids=["negative-g", "g-without-estimate"])
+def test_sweep_g_refuses_a_bad_g_before_integrating(monkeypatch, capsys, grid, message):
+    # every row's parameters and span are built before the first
+    # integration: a g that cannot run exits 2 at once, where the first
+    # points used to be integrated (minutes at N = L = 6) and then dropped
+    def refuse(*args):
+        raise AssertionError("apply called")
+
+    monkeypatch.setattr(sb.HamiltonianParts, "apply", refuse)
+    assert main(["sweep-g", "--preset", "v0_4", "--g-grid", grid]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_g_at_zero_g_prints_nan_inverse(capsys):
     assert main(["sweep-g", "--preset", "v0_4", "--n", "3", "--l", "3",
                  "--g-grid", "0,0.2", "--t-final-tb", "3000"]) == 0

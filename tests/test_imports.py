@@ -38,7 +38,10 @@ one that nothing uses, so some call must omit it.  Calls are matched to
 functions by name alone, and a method's positions skip `self`.
 A private name is its module's own business, so no module in `src/` may
 read one of another module: neither import it nor read it as an attribute
-of a name that an import binds.
+of a name that an import binds.  A function that consumes its argument,
+as `diagonalize_floquet` overwrites S, must be handed a temporary in
+`src/`: every call there passes a call expression, such as
+`floquet_operator(parts)`, not a name that could be read afterwards.
 """
 
 import ast
@@ -424,3 +427,42 @@ def test_detects_a_private_read():
                      "m = Csr._rows, _helper, np._core\n")
     assert _private_reads(tree) == [
         ("_helper", 3), ("prop._memory", 6), ("Csr._rows", 7), ("np._core", 7)]
+
+
+CONSUMERS = {"diagonalize_floquet": "s"}  # function: the parameter it consumes
+
+
+def _kept_consumed_arguments(tree):
+    """(function, line) of each call of a function in CONSUMERS whose
+    consumed argument, by position (the first) or keyword, is not a call
+    expression."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            if name in CONSUMERS:
+                passed = node.args[:1] + [k.value for k in node.keywords
+                                          if k.arg == CONSUMERS[name]]
+                if not passed or not all(isinstance(arg, ast.Call) for arg in passed):
+                    found.append((name, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", list(SRC_TREES), ids=lambda p: str(p.relative_to(ROOT)))
+def test_src_hands_consumed_arguments_a_temporary(path):
+    kept = [f"{name} (line {line})" for name, line in _kept_consumed_arguments(SRC_TREES[path])]
+    assert not kept, (f"{path.name} passes a name that could be read afterwards to a "
+                      f"function that consumes it: {', '.join(kept)}")
+
+
+def test_detects_a_consumed_argument_kept():
+    tree = ast.parse("diagonalize_floquet(floquet_operator(p), 1, t, psi)\n"
+                     "sb.diagonalize_floquet(s.copy(), 1, t, psi)\n"
+                     "diagonalize_floquet(s, 1, t, psi)\n"
+                     "prop.diagonalize_floquet(s=u, order=1, t_bloch=t, psi0=psi)\n"
+                     "diagonalize_floquet(*args)\n"
+                     "diagonalize_floquet(x[0], 1, t, psi)\n"
+                     "floquet_operator(p)\n")
+    assert _kept_consumed_arguments(tree) == [
+        ("diagonalize_floquet", 3), ("diagonalize_floquet", 4), ("diagonalize_floquet", 5),
+        ("diagonalize_floquet", 6)]

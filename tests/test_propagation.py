@@ -480,7 +480,7 @@ def test_quasi_energies_are_those_of_the_full_period(n, l):
     rng = np.random.default_rng(11)
     psi0 = rng.normal(size=parts.basis_dim) + 1j * rng.normal(size=parts.basis_dim)
     s = sb.floquet_operator(parts)
-    spec = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
+    spec = sb.diagonalize_floquet(s.copy(), parts.boost_order, parts.t_bloch, psi0)
     assert _quasi_energy_mismatch(spec, s, parts.boost_order) < 1e-12
 
 
@@ -566,26 +566,27 @@ def test_floquet_operator_memory_is_two_copies_of_s(preset_runs, monkeypatch):
 
 
 def test_diagonalize_floquet_memory_is_s_and_one_real_pair(preset_runs):
-    # S, then Re S + mu Im S, half a copy of S, which dsyevd overwrites with
-    # the eigenvectors; the residual and the overlaps take blocks of 64
-    # columns of V, and V sorted by quasi-energy is the last half copy (2.0
-    # copies with S and V, 2.06 measured).  LAPACK's workspace is not seen by
-    # tracemalloc.
+    # S's buffer is rewritten in place into Re S + mu Im S and Im S, which
+    # dsyevd overwrites with the eigenvectors; then one real array takes
+    # (B V)^T and, after the residual, V sorted by quasi-energy: half a copy
+    # (1.55 copies with S and one block's temporaries measured).  LAPACK's
+    # workspace is not seen by tracemalloc.
     parts = preset_runs.parts(0.2)
     s = sb.floquet_operator(parts)
     copies = 1 + peak_copies(lambda: sb.diagonalize_floquet(
         s, parts.boost_order, parts.t_bloch, preset_runs.psi0), s.size)
-    assert copies <= 2.25
+    assert copies <= 1.6
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_propagator_estimate_covers_the_measured_peak(n, monkeypatch):
     # the dense estimate prices the largest phase: at dim 86 and 402 the
-    # chunk stepper while Y is integrated.  LAPACK's dsyevd takes its
-    # workspace of 2 dim^2 doubles from outside tracemalloc's sight, and
-    # only while it runs: the diagonalisation's peak is the larger of
-    # tracemalloc's peak and what tracemalloc holds as dsyevd starts plus
-    # that workspace (S, the mixture and the workspace: 2.5 copies)
+    # chunk stepper while Y is integrated, then forming S.  LAPACK's dsyevd
+    # takes its workspace of 2 dim^2 doubles from outside tracemalloc's
+    # sight, and only while it runs: the diagonalisation's peak is the
+    # larger of tracemalloc's peak and what tracemalloc holds as dsyevd
+    # starts plus that workspace (S, rewritten in place, and the
+    # workspace: 2.0 copies, below forming S's Y, S and two blocks)
     parts = _parts_for(n, n)
     dim = parts.basis_dim
     psi0 = sb.project_initial_state("unit-filling-lower", sb.build_k0_sector(n, n))
@@ -601,6 +602,7 @@ def test_propagator_estimate_covers_the_measured_peak(n, monkeypatch):
     traced = peak_copies(lambda: sb.diagonalize_floquet(
         built[0], parts.boost_order, parts.t_bloch, psi0), dim * dim)
     diagonalising = 1 + max(traced, held[0] + 2 * 8 / 16)
+    assert diagonalising < 2 + 2 * propagation.FLOQUET_CHUNK / dim  # below forming S
     assert propagation._dense_bytes(dim) >= 16 * dim * dim * max(building, diagonalising)
     # the process estimate adds the parts and the interpreter's base
     assert (propagation._propagator_bytes(parts) - propagation._dense_bytes(dim)
@@ -609,14 +611,16 @@ def test_propagator_estimate_covers_the_measured_peak(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_cli_refuses_a_propagator_it_cannot_diagonalise(n, monkeypatch, capsys):
-    # physical memory just below the estimate.  At N = L = 6 (dim 2076) the
-    # diagonalisation is the dense path's largest phase: it would hold the
-    # integration and S, so only the pricing of the eigh refuses.  Nothing
+    # physical memory just below the estimate.  At N = L = 6 (dim 2076)
+    # forming S (Y, S and two blocks) is the dense path's largest phase,
+    # above the integration and the diagonalisation (S and dsyevd's
+    # workspace), so only its pricing, and the process's, refuses.  Nothing
     # is integrated first.
     parts = _parts_for(n, n)
     dim = parts.basis_dim
-    diagonalising = int(16 * dim * dim * propagation.FLOQUET_WORKING_COPIES)
-    assert (propagation._dense_bytes(dim) == diagonalising) == (n == 6)
+    forming = 16 * dim * (2 * dim + 2 * min(dim, propagation.FLOQUET_CHUNK))
+    assert (propagation._dense_bytes(dim) == forming) == (n == 6)
+    assert forming > 16 * dim * dim * propagation.FLOQUET_WORKING_COPIES
     monkeypatch.setattr(fock, "_physical_memory",
                         lambda: propagation._propagator_bytes(parts) - 1)
 
@@ -630,13 +634,14 @@ def test_cli_refuses_a_propagator_it_cannot_diagonalise(n, monkeypatch, capsys):
 
 
 def test_cli_refuses_n7_between_the_dense_estimate_and_the_process_peak(monkeypatch, capsys):
-    # at N = L = 7 (dim 11,076) the dense arrays alone come to 4,680 MiB, and
-    # a revival-report peaked at 4,793 MiB of RSS.  On 4,750 MiB of physical
-    # memory the run must refuse before anything is integrated, as the
-    # pricing of the process does; the sector and parts build in about 0.2 s
+    # at N = L = 7 (dim 11,076) the dense arrays alone come to 3,755 MiB,
+    # while S is formed, and the process is priced at 3,873 MiB.  On 3,800
+    # MiB of physical memory the run must refuse before anything is
+    # integrated, as the pricing of the process does; the sector and parts
+    # build in about 0.2 s
     mib = 2**20
-    monkeypatch.setattr(fock, "_physical_memory", lambda: 4_750 * mib)
-    assert propagation._dense_bytes(11_076) < 4_750 * mib
+    monkeypatch.setattr(fock, "_physical_memory", lambda: 3_800 * mib)
+    assert propagation._dense_bytes(11_076) < 3_800 * mib
 
     def refuse(*args):
         raise AssertionError("apply called")
@@ -649,10 +654,11 @@ def test_cli_refuses_n7_between_the_dense_estimate_and_the_process_peak(monkeypa
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_blocked_floquet_path_is_bit_identical_to_full_products(n, monkeypatch):
-    # S formed in column blocks, and sigma and the residual from column
-    # blocks of V (one block at dim 20, two at 86, seven at 402), give the
-    # very bits of the full products Y^T (Phi Y) and S V, and V those of
-    # numpy's eigh
+    # S formed in column blocks, M and B written into S's own buffer a block
+    # of rows at a time, and the overlaps from blocks of V's rows (one block
+    # at dim 20, three at 86, thirteen at 402) give the very bits of the
+    # full products Y^T (Phi Y) and V^T psi0; V and m are those of numpy's
+    # eigh, and b is that of one product V^T B
     parts = _parts_for(n, n)
     psi0 = sb.project_initial_state("unit-filling-lower", sb.build_k0_sector(n, n))
     half_periods = []
@@ -664,7 +670,7 @@ def test_blocked_floquet_path_is_bit_identical_to_full_products(n, monkeypatch):
 
     monkeypatch.setattr(propagation, "_half_period_propagator", kept)
     s = sb.floquet_operator(parts)
-    spectrum = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
+    spectrum = sb.diagonalize_floquet(s.copy(), parts.boost_order, parts.t_bloch, psi0)
     s_full, eps, vectors, coefficients = full_matrix_spectrum(half_periods[0], parts, psi0)
     assert np.array_equal(s, s_full)
     assert np.array_equal(spectrum.quasi_energies, eps)
@@ -704,6 +710,26 @@ def test_symmetric_eigh_is_numpys_on_symmetric_matrices():
     assert values[1] - values[0] < 1e-13 < values[2] - values[1]
     _assert_is_numpys_eigh(m)
     _assert_is_numpys_eigh(np.array([[-2.5]]))
+
+
+def test_symmetric_eigh_takes_the_leading_columns_of_a_wider_array():
+    # with lda = 2 dim, as diagonalize_floquet calls it, dsyevd gives
+    # numpy's bits, and reads neither the strict upper triangle nor the
+    # columns beyond (NaN here), which keep their bits
+    rng = np.random.default_rng(5)
+    for dim in (1, 7, 150):
+        m = rng.standard_normal((dim, dim))
+        m = (m + m.T) / 2
+        want_values, want_vectors = np.linalg.eigh(m)
+        wide = np.full((dim, 2 * dim), np.nan)
+        lower = np.triu_indices(dim)  # the lower triangle in column-major order
+        wide[:, :dim][lower] = m.T[lower]
+        values = propagation._symmetric_eigh(wide[:, :dim])
+        assert np.array_equal(values, want_values)
+        assert np.array_equal(wide[:, :dim].T, want_vectors)
+        assert np.isnan(wide[:, dim:]).all()
+    with pytest.raises(ValueError, match="C-ordered square float64"):
+        propagation._symmetric_eigh(wide[:, ::2])
 
 
 def test_symmetric_eigh_errors(monkeypatch, capsys):
@@ -756,19 +782,24 @@ def test_streamed_evolve_memory_is_that_of_the_propagator(preset_runs):
 
 def test_stroboscopic_occupations_memory_is_bounded(preset_runs):
     # one 3,082 x 402 block of phases took about 40 MB of temporaries at the
-    # preset.  The blocks of 248 periods at dim 402 are built in one
-    # array of 248 x 402 phases, and their products with V take another
-    # (2.03 such arrays, 3.24 MB, measured); the blocks must still join up
+    # preset, and blocks of 248 periods 3.24 MB.  Blocks of 62 periods
+    # (TRACE_BLOCK_PHASES // 402) hold one block at a time: its phases and
+    # their two real products with V, 32 bytes per phase (797,568 bytes),
+    # one of numpy's ufunc buffers (np.getbufsize() complex entries) and
+    # the trace's own arrays (0.98 MB in all measured); the blocks must
+    # still join up
     spectrum = preset_runs.spectrum(0.2)
     traces = []
 
     def run():
         traces.append(sb.stroboscopic_occupations(spectrum, preset_runs.sector, 3081))
 
-    assert peak_copies(run, 248 * 402) <= 2.2
+    block = 32 * 62 * 402
+    held = block + 16 * np.getbufsize() + propagation.TRACE_BYTES_PER_SAMPLE * 3082
+    assert peak_copies(run, 1) * 16 <= held
     trace = traces[0]
     assert trace.values.size == 3082
-    for m in (247, 248, 3081):
+    for m in (61, 62, 247, 248, 3081):
         psi = _stroboscopic_state(spectrum, m)
         nb = float((np.abs(psi) ** 2) @ preset_runs.sector.upper_fractions)
         assert trace.values[m] == pytest.approx(nb, abs=1e-12)
@@ -840,6 +871,33 @@ def test_diagonalize_identity():
     assert np.abs(spec.quasi_energies).max() == 0.0
     assert np.abs(np.sort(np.abs(spec.coefficients)) - np.array([0.6, 0.8])).max() < 1e-14
     assert spec.unitarity_defect < 1e-15
+
+
+def test_diagonalize_rejects_an_asymmetric_s(small_system):
+    # S is symmetric up to round-off; one off-diagonal entry moved by 1e-6
+    # breaks that, and is refused before dsyevd runs, in either triangle
+    _, parts, psi0 = small_system
+    s = sb.floquet_operator(parts)
+    for entry in ((3, 1), (1, 3)):
+        broken = s.copy()
+        broken[entry] += 1e-6
+        with pytest.raises(sb.NumericalError, match=r"asymmetry max\|S - S\^T\| 1\.0"):
+            sb.diagonalize_floquet(broken, parts.boost_order, parts.t_bloch, psi0)
+    sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
+
+
+def test_diagonalize_consumes_s(small_system):
+    # S's buffer is rewritten into the real matrices and, by dsyevd, into
+    # the eigenvectors, and holds no S on return; the input must be a
+    # C-ordered complex square
+    _, parts, psi0 = small_system
+    s = sb.floquet_operator(parts)
+    kept = s.copy()
+    sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
+    assert not np.array_equal(s, kept)
+    for bad in (kept.T, kept.real.copy(), kept[:, :-1].copy()):
+        with pytest.raises(ValueError, match="C-ordered square complex"):
+            sb.diagonalize_floquet(bad, parts.boost_order, parts.t_bloch, psi0)
 
 
 def test_diagonalize_rejects_colliding_eigenvalues():
