@@ -219,14 +219,16 @@ def cmd_evolve(args) -> int:
     tb = parts.t_bloch
     if args.dump_matrix:
         _dump_matrix(parts, args.dump_matrix)
+    checks = {}
     if args.mode == "stroboscopic":
         _, trace = _stroboscopic_trace(sector, parts, psi0, n_periods)
     else:
         result = evolve(psi0, parts, args.t_final_tb * tb, samples_per_period=args.sample_per_tb,
                         weights=sector.upper_fractions)
         trace = occupation_series(result, sector)
+        checks["norm_drift"] = result.norm_drift
     header = cfg.fingerprint(mode=args.mode, t_final_tb=args.t_final_tb,
-                             sample_per_tb=args.sample_per_tb)
+                             sample_per_tb=args.sample_per_tb, **checks)
     _emit(_csv(header, "t,t_over_TB,Nb", zip(trace.times, trace.times / tb, trace.values)),
           args.out)
     return 0

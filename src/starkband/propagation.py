@@ -24,18 +24,18 @@ basis) halves that span.  The resulting S is complex symmetric, so its
 eigenbasis comes from one real symmetric eigendecomposition: LAPACK's
 dsyevd, the routine of numpy's eigh, called inside S's own buffer.
 
-Memory stays within 2.0 dim x dim complex copies, and a few dim x 32 ones
+Memory stays within 2.0 dim x dim complex copies, and a few dim x 16 ones
 (see FLOQUET_*), phase by phase.  The propagator is integrated in chunks
-of FLOQUET_CHUNK = 32 columns (Y and one chunk's working set), all stepped
+of FLOQUET_CHUNK = 16 columns (Y and one chunk's working set), all stepped
 in one DOP853 workspace, allocated once and freed before S is formed: a
 workspace per chunk would leave freed chunk-sized arrays in glibc's heap.
-S is formed and checked in blocks of columns (Y and S, then S), and its
-diagonalisation consumes S: it holds S's buffer, rewritten in place into
-the real matrix that dsyevd overwrites with the eigenvectors, and
-dsyevd's workspace.  `evolve` integrates its windows in
-the fewest blocks of at most FLOQUET_CHUNK windows, of balanced widths (49
-windows as 25 and 24), in one workspace shared by the blocks, each sample
-handed on as the step that holds it is accepted, and keeps only
+S is formed in Y's own buffer and checked, in blocks of columns (one copy
+and two blocks), and its diagonalisation consumes S: it holds S's buffer,
+rewritten in place into the real matrix that dsyevd overwrites with the
+eigenvectors, and dsyevd's workspace.  `evolve` integrates its windows in
+the fewest blocks of at most FLOQUET_CHUNK windows, of balanced widths (50
+windows as 13, 13, 12 and 12), in one workspace shared by the blocks, each
+sample handed on as the step that holds it is accepted, and keeps only
 sum_j w_j |psi_j|^2 of it: it holds S (or one vector), one block of windows
 and the float trace.  The stroboscopic trace goes in blocks of about
 TRACE_BLOCK_PHASES phases.
@@ -81,34 +81,38 @@ DEFAULT_ATOL = 1e-12
 #   FLOQUET_CHUNK_COPIES arrays of dim x FLOQUET_CHUNK: the one stepper
 #   workspace that every chunk shares (DOP853's 13 stages, y, y_new, a work
 #   row and the error scale, 17.5), a right-hand side's result, the chunk's
-#   start and its end (20.2 measured at dim 402, 20.6 at dim 86 and 21.4 at
-#   dim 20, where width = dim: the rephased CSR data of a call weighs more
-#   against a narrower chunk);
-# - forming S in column blocks, then checking S^dag S in row blocks: Y, S and
-#   two blocks, then S and one (2.06 copies measured at dim 2076);
+#   start and its end (20.6 measured at dim 402, 20.7 at dim 86 and 21.1 at
+#   dim 20: the rephased CSR data of a call weighs more against a narrower
+#   chunk);
+# - forming S in Y's buffer in column blocks, then checking S^dag S in row
+#   blocks: one copy and two blocks (1.08 copies measured at dim 402 with
+#   blocks of 8);
 # - diagonalize_floquet: S's buffer, which it rewrites in place into Re S +
 #   mu Im S and Im S, real, side by side, and dsyevd's divide-and-conquer
-#   workspace of 2 dim^2 doubles, FLOQUET_WORKING_COPIES in all (tracemalloc
-#   sees S, then S and one real array, (B V)^T, then V sorted: 1.5; dsyevd on
-#   a separate real matrix would add half a copy, numpy's eigh one more).
+#   workspace of 2 dim^2 + 6 dim doubles and 5 dim integers,
+#   FLOQUET_WORKING_COPIES in all and 8 vectors of dim for the rest of the
+#   workspace, the eigenvalues and the bookkeeping (6.4 measured at dim 402;
+#   tracemalloc sees S, then S and one real array, (B V)^T, then V sorted:
+#   1.5; dsyevd on a separate real matrix would add half a copy, numpy's
+#   eigh one more).  This phase is the largest from dim 402 on.
 # The windows of evolve are integrated in the fewest blocks of at most
 # FLOQUET_CHUNK columns, of balanced widths, in one workspace that also holds
 # the dense output's 3 extra stages and 4 more rows (DOP853 holds 25.5 copies
 # of a block, and a block of evolve 29.5 with its starts and sample rows).
-FLOQUET_CHUNK = 32
+FLOQUET_CHUNK = 16
 FLOQUET_WORKING_COPIES = 2.0
 FLOQUET_CHUNK_COPIES = 22
 # Besides the dense arrays and the arrays of the parts, a process that builds
 # and diagonalises S holds the interpreter with numpy and the package
 # (PROCESS_BYTES: 30.3 MiB of RSS after importing starkband.cli), and, per
-# sector state, the sector's arrays, what glibc keeps in its heap of the
-# set-up's temporaries and of S's column blocks, and the BLAS buffers that
-# dsyevd's products touch (SPARE_BYTES_PER_STATE: at N = L = 6, dim 2076,
-# 13.6 MiB of a 179.1 MiB peak RSS, 6.7 KiB per state).  At N = L = 7 that
-# prices 3,873 MiB, where a run with 64-column chunks and a separate real
-# matrix for dsyevd peaked at 4,793 MiB.
+# sector state, the sector's arrays, the part of glibc's heap that
+# malloc_trim cannot hand back, and the BLAS buffers that dsyevd's products
+# touch (SPARE_BYTES_PER_STATE: at N = L = 6, dim 2076, 9.2 MiB of a 172.9
+# MiB peak RSS, 4.5 KiB per state).  At N = L = 7 that prices 3,842 MiB,
+# where a run with 64-column chunks and a separate real matrix for dsyevd
+# peaked at 4,793 MiB.
 PROCESS_BYTES = 32 * 2**20
-SPARE_BYTES_PER_STATE = 7 * 2**10
+SPARE_BYTES_PER_STATE = 5 * 2**10
 # The fixed cost of one right-hand side call, in state entries of the sparse
 # products it matches: fitted to dop853.integrate at N = L = 3..6 (dim
 # 20..2076, widths 1..32), where a call costs about
@@ -230,6 +234,16 @@ def _block_widths(windows: int) -> list[int]:
     return [width + (b < wider) for b in range(blocks)]
 
 
+def _blocks(dim: int) -> list[slice]:
+    """The column (or row) blocks in which S is formed, checked and
+    rewritten: FLOQUET_CHUNK of dim each, the last with the rest too (18
+    at dim 402).  A last block of 2 would be a product of 2 rows and 2
+    columns, which OpenBLAS's zgemm, with two threads, rounds otherwise
+    than the full product."""
+    starts = range(0, max(dim - FLOQUET_CHUNK, 0) + 1, FLOQUET_CHUNK)
+    return [slice(start, end) for start, end in zip(starts, [*starts[1:], dim])]
+
+
 def _propagator_pays(parts: HamiltonianParts, last: int, samples_per_period: int) -> bool:
     """Whether building S, taking d products S @ psi per window, and
     integrating the windows that hold a sample after their start (see
@@ -241,19 +255,22 @@ def _propagator_pays(parts: HamiltonianParts, last: int, samples_per_period: int
     S integrates its column chunks over T_B/(2d) in about 1.1 times the
     calls of that fraction of a period.  At N = L = 5 and 6 the first chunk,
     from Hairer's probe step, takes 74 and 62 calls, each later one, from
-    the step the chunk before would take next, 61 and 49 (12 more where
-    that step is rejected): 818 and 3,270 calls in all.  Its two dense
-    products, 5 to 20% more, are left to the fit.  A product S @ psi costs
+    the step the chunk before would take next, 61 and 49 (12 more each time
+    that step is rejected, in 4 of 25 and 13 of 129 later chunks): 1,647
+    and 6,551 calls in all.  Its two dense products, 7% more at N = L = 5
+    and 36% at N = L = 6, are left to the fit.  A product S @ psi costs
     about dim^2 / 40 state entries' worth (1.0 to 1.6 ns per entry against
-    44 ns per entry of a call).  Single timings of both routes on one core,
-    with 32 samples per period: at N = L = 5 the vector route was faster
-    over 12 periods (0.48 s against 0.51 s, medians of three) and S over 17
-    (0.55 s against 0.69 s); at N = L = 6 the vector route over 150 (23.4 s
-    against 28.1 s) and S over 200 (34.1 s against 36.0 s).  The model
-    breaks even at 16 and 169.  With one sample per period, where S
-    integrates nothing, at N = L = 6 vectors were faster over 100 periods
-    (13.2 s against 17.9 s) and S over 140 (15.6 s against 16.9 s; the
-    model: 113).
+    44 ns per entry of a call).  CPU times of both routes on one core, with
+    32 samples per period: at N = L = 5 the vector route was faster over 10
+    periods (0.39 s against 0.54 s, medians of five), about even over 14
+    (0.58 s against 0.59 s) and S over 18 (0.68 s against 0.76 s); at
+    N = L = 6 the vector route over 160 (24.4 s against 25.7 s) and S over
+    210 (28.4 s against 29.1 s).  The model breaks even at 18 and 184.
+    With one sample per period, where S integrates nothing, at N = L = 5
+    vectors were faster over 10 periods (0.34 s against 0.45 s) and S over
+    12 (0.36 s against 0.41 s; the model: 16), and at N = L = 6 vectors
+    over 100 (11.7 s against 14.5 s, wall) and S over 140 (14.7 s against
+    19.6 s; the model: 118).
     """
     dim, order, n = parts.basis_dim, parts.boost_order, samples_per_period
     full, rest = divmod(dim, FLOQUET_CHUNK)
@@ -401,13 +418,13 @@ def check_trace_memory(samples: int, sample_bytes: int = 0):
 def _dense_bytes(dim: int) -> int:
     """Estimated peak bytes of the dense arrays of `floquet_operator` and
     `diagonalize_floquet` at sector dimension `dim`: the largest of their
-    three phases, in dim x dim and dim x FLOQUET_CHUNK complex arrays (see
-    the FLOQUET_* constants)."""
+    three phases, in complex vectors of dim entries (see the FLOQUET_*
+    constants)."""
     width = min(dim, FLOQUET_CHUNK)
-    copies = max(dim + FLOQUET_CHUNK_COPIES * width,  # integrating Y: Y and the stepper's chunk
-                 2 * dim + 2 * width,  # forming and checking S: Y, S and two blocks
-                 FLOQUET_WORKING_COPIES * dim)  # diagonalising S
-    return int(16 * dim * copies)
+    vectors = max(dim + FLOQUET_CHUNK_COPIES * width,  # integrating Y: Y and the stepper's chunk
+                  dim + 2 * width,  # forming and checking S in Y's buffer: one copy and two blocks
+                  FLOQUET_WORKING_COPIES * dim + 8)  # diagonalising S, with dsyevd's 8 vectors
+    return int(16 * dim * vectors)
 
 
 def _propagator_bytes(parts: HamiltonianParts) -> int:
@@ -476,14 +493,18 @@ def floquet_operator(parts: HamiltonianParts) -> np.ndarray:
     (`_half_period_propagator`), every chunk in one stepper workspace, and
     the stepper keeps only the chunk's end state: Y and FLOQUET_CHUNK_COPIES
     arrays of the chunk's size.  The workspace is freed, and S is then
-    written into a second array one column block of FLOQUET_CHUNK at a time,
-    Y^T (Phi Y[:, block]), and Y is freed: two dim x dim copies.  The defect
-    d max|S^dag S - 1| comes from row blocks S[:, rows]^H S of the Gram
-    matrix, so the check holds S and one block.  ValueError is raised
-    before any integration when the estimated peak of a process that builds
-    and diagonalises S (`_propagator_bytes`) exceeds the physical memory.
-    The defect is checked
-    against UNITARITY_DEFECT_BUDGET; a failure suggests tightening
+    written over Y one column block at a time (`_blocks`), in order: S's
+    lower part S[i:, block] = Y[:, i:]^T (Phi Y[:, block]), from i = the
+    block's first column, reads only the columns of Y from i on, which no
+    block before has overwritten, and goes over Y[i:, block]; then the
+    block's upper part, S[:i, block] and the upper half of its diagonal
+    block, is mirrored from the lower, so S is exactly symmetric.  That is
+    one dim x dim copy and two blocks.  The defect d max|S^dag S - 1| comes
+    from row blocks S[:, rows]^H S of the Gram matrix, so the check holds
+    S and one block.  ValueError is raised before any integration when the
+    estimated peak of a process that builds and diagonalises S
+    (`_propagator_bytes`) exceeds the physical memory.  The defect is
+    checked against UNITARITY_DEFECT_BUDGET; a failure suggests tightening
     DEFAULT_RTOL and DEFAULT_ATOL.
     """
     dim = parts.basis_dim
@@ -491,13 +512,16 @@ def floquet_operator(parts: HamiltonianParts) -> np.ndarray:
     if problem:
         raise ValueError(problem)
     order = parts.boost_order
-    y = _half_period_propagator(parts)
+    s = _half_period_propagator(parts)  # Y, overwritten by S
     phi = np.exp(-2j * math.pi * parts.boost_charge / order)[:, None]
-    s = np.empty((dim, dim), dtype=complex)
-    blocks = [slice(start, start + FLOQUET_CHUNK) for start in range(0, dim, FLOQUET_CHUNK)]
-    for cols in blocks:
-        s[:, cols] = y.T @ (phi * y[:, cols])
-    del y
+    blocks = _blocks(dim)
+    for cols in blocks:  # S[i:, cols] reads only Y[:, i:], which no block before overwrote
+        i = cols.start
+        s[i:, cols] = s[:, i:].T @ (phi * s[:, cols])
+        s[:i, cols] = s[cols, :i].T  # the upper triangle, mirrored from the lower
+        diagonal = s[cols, cols]
+        upper = np.triu_indices(len(diagonal), 1)
+        diagonal[upper] = diagonal.T[upper]
     defect = 0.0
     for rows in blocks:
         gram = s[:, rows].conj().T @ s
@@ -507,6 +531,19 @@ def floquet_operator(parts: HamiltonianParts) -> np.ndarray:
         raise NumericalError(f"one-period propagator defect {defect:.3e} exceeds "
                              f"{UNITARITY_DEFECT_BUDGET:.1e}; tighten DEFAULT_RTOL/DEFAULT_ATOL")
     return s
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's malloc_trim, which hands the free pages of malloc's heap back
+    to the system, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc, or no dlopen(NULL) here
+        return None
+    trim.restype = ctypes.c_int
+    trim.argtypes = [ctypes.c_size_t]
+    return trim
 
 
 @functools.cache
@@ -584,8 +621,9 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     with eigenvalues m_j.  With B = Im S and b_j = v_j^T B v_j, S has the
     eigenvalues sigma_j = (m_j - mu b_j) + i b_j; M and B are read from S's
     lower triangle (`_rewrite_rows`).  NumericalError is raised above
-    EIGEN_RESIDUAL_BUDGET by max|S - S^T|, before dsyevd runs, and by the
-    residual max|BV - V diag(b)|, which catches eigenvalues with equal
+    EIGEN_RESIDUAL_BUDGET by max|S - S^T| (0 for the S of
+    `floquet_operator`, a guard on what other callers pass), before dsyevd
+    runs, and by the residual max|BV - V diag(b)|, which catches eigenvalues with equal
     cos(phi) + mu sin(phi), as they would mix; with dsyevd's backward error
     the two bound max|SV - V Sigma|.  U has the same vectors and the
     eigenvalues lambda = sigma^order, so quasi-energies are
@@ -596,9 +634,12 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     Memory, in complex copies of S: dsyevd runs on the first half of S's
     buffer, viewed as a dim x 2 dim real array (lda = 2 dim), and adds only
     its workspace of 2 dim^2 doubles (one copy, out of tracemalloc's sight):
-    2.0 in all.  Then one real product V^T B = (B V)^T gives b and the
+    2.0 in all.  Before it runs, glibc's malloc_trim (`_malloc_trim`) hands
+    back the free pages that the set-up's and S's temporaries left in the
+    heap, which would otherwise stay resident beside it (0.85 MiB at the
+    preset).  Then one real product V^T B = (B V)^T gives b and the
     residual, in an array that then takes V sorted by quasi-energy (half a
-    copy); the overlaps and the residual go FLOQUET_CHUNK rows at a time.
+    copy); the overlaps and the residual go in the row blocks of `_blocks`.
     Products of single blocks would tie the bits of b to FLOQUET_CHUNK:
     OpenBLAS's dgemm rounds the last columns of a narrow block otherwise
     than the full product.
@@ -606,12 +647,15 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     dim = len(s)
     if s.dtype != complex or s.shape != (dim, dim) or not s.flags.c_contiguous:
         raise ValueError(f"need a C-ordered square complex array, got {s.dtype} {s.shape}")
-    blocks = [slice(start, start + FLOQUET_CHUNK) for start in range(0, dim, FLOQUET_CHUNK)]
+    blocks = _blocks(dim)
     asymmetry = max(_rewrite_rows(s, rows) for rows in blocks)
     if asymmetry > EIGEN_RESIDUAL_BUDGET:
         raise NumericalError(f"Floquet operator asymmetry max|S - S^T| {asymmetry:.3e} exceeds "
                              f"{EIGEN_RESIDUAL_BUDGET:.0e}")
     mixture, imag = np.hsplit(s.view(float), 2)
+    trim = _malloc_trim()
+    if trim is not None:  # what the heap freed need not stay resident under dsyevd's workspace
+        trim(0)
     values = _symmetric_eigh(mixture)  # row j of `mixture` is now v_j
     psi0 = np.asarray(psi0, dtype=complex)
     overlaps = np.concatenate([mixture[rows] @ psi0 for rows in blocks])

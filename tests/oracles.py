@@ -234,15 +234,21 @@ def build_static_tilted(params, basis, mask: TermMask = TermMask()):
     return sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex).tocsr()
 
 
+def full_product(y, parts):
+    """S = Y^T (Phi Y), one full product, for the half-period propagator Y:
+    symmetric only up to its last bits."""
+    return y.T @ (np.exp(-2j * math.pi * parts.boost_charge / parts.boost_order)[:, None] * y)
+
+
 def full_matrix_spectrum(y, parts, psi0):
-    """S = Y^T (Phi Y) for the half-period propagator Y, and the sorted
-    quasi-energies, eigenvectors and initial-state overlaps of S^d: V and the
-    eigenvalues m of M = Re S + mu Im S from numpy's eigh, which reads M's
-    lower triangle; B, Im S's lower triangle mirrored, b_j = v_j^T B v_j and
-    the residual max|BV - V diag(b)| from one full product V^T B; and S's
-    eigenvalues sigma = (m - mu b) + i b."""
+    """S = Y^T (Phi Y) for the half-period propagator Y (`full_product`), and
+    the sorted quasi-energies, eigenvectors and initial-state overlaps of
+    S^d: V and the eigenvalues m of M = Re S + mu Im S from numpy's eigh,
+    which reads M's lower triangle; B, Im S's lower triangle mirrored,
+    b_j = v_j^T B v_j and the residual max|BV - V diag(b)| from one full
+    product V^T B; and S's eigenvalues sigma = (m - mu b) + i b."""
     order = parts.boost_order
-    s = y.T @ (np.exp(-2j * math.pi * parts.boost_charge / order)[:, None] * y)
+    s = full_product(y, parts)
     values, vectors = np.linalg.eigh(s.real + EIGEN_MIX * s.imag)
     b_matrix = np.tril(s.imag) + np.tril(s.imag, -1).T
     rows = np.ascontiguousarray(vectors.T)  # the eigenvectors as rows, as dsyevd writes them

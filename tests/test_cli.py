@@ -310,6 +310,17 @@ def test_header_records_every_setting(capsys, command):
         assert recorded.get(_HEADER_KEYS[flag][0], "None") != "None", flag
 
 
+def test_continuous_evolve_header_records_its_norm_drift(capsys):
+    # beside the settings, the header records the run's own check, as
+    # floquet-spectrum's records its unitarity defect: here the norm drift
+    # of the last state of the trace
+    assert main(["evolve", "--mode", "continuous", "--t-final-tb", "2.5", "--preset", "v0_4",
+                 "--n", "3", "--l", "3"]) == 0
+    header = capsys.readouterr().out.splitlines()[0].removeprefix("# ")
+    recorded = dict(item.split("=", 1) for item in header.split(" "))
+    assert 0 <= float(recorded["norm_drift"]) < 1e-8
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", "--preset", "v0_4", "--t-final-tb", "1", "--order", "3"],
     ["single-particle", "--preset", "v0_4", "--t-final-tb", "1", "--g", "0.2"],

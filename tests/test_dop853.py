@@ -90,7 +90,7 @@ def test_tableau_is_scipys():
 
 
 def test_propagator_chunk_matches_scipy():
-    # the first FLOQUET_CHUNK = 32 columns of W over T_B/(2d), as
+    # the first FLOQUET_CHUNK = 16 columns of W over T_B/(2d), as
     # floquet_operator integrates them; N = L = 4 (dim 86, d = 4) is the
     # smallest ring with a full chunk
     _, parts = _preset_parts(4)
@@ -138,8 +138,8 @@ def test_block_of_windows_matches_scipy():
 
 def test_carried_step_on_a_chunk_matches_scipy():
     # floquet_operator's later chunks start from the step that the chunk
-    # before would take next: here the last 32 columns at N = L = 4 from
-    # the first 32's, which is scipy's next step to the round-off of the
+    # before would take next: here the last 16 columns at N = L = 4 from
+    # the first 16's, which is scipy's next step to the round-off of the
     # error estimate on the clipped last step
     _, parts = _preset_parts(4)
     dim, width = parts.basis_dim, FLOQUET_CHUNK
@@ -174,7 +174,7 @@ def test_carried_step_on_a_window_matches_scipy():
 
 
 def test_working_set_of_a_chunk_and_of_a_sampled_block(preset_runs):
-    # at the preset (dim 402), in arrays of the state's size: a 32-column
+    # at the preset (dim 402), in arrays of the state's size: a 16-column
     # chunk without samples holds its 13 stages, y, y_new and one work row,
     # the three real vectors of the error scale and the result of a
     # right-hand side call, which goes straight into its stage row (18.5

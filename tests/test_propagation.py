@@ -24,7 +24,7 @@ from starkband.fock import Csr, FockState
 from starkband.propagation import EIGEN_MIX
 
 from conftest import peak_copies
-from oracles import dense_hamiltonian, full_matrix_spectrum, translate
+from oracles import dense_hamiltonian, full_matrix_spectrum, full_product, translate
 
 SMALL = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03, w_b=0.018,
                        w_x=0.012, g=0.4, force=2.2201, n_particles=2, n_sites=3)
@@ -237,8 +237,8 @@ def test_occupation_series_refuses_other_streamed_weights(small_system):
 
 def test_evolve_integrates_one_period_per_block(monkeypatch):
     # N = L = 4 at 32 samples per period takes the propagator route; 10 and
-    # 30 periods integrate windows 0..9 and 0..29 (window 10 or 30 holds
-    # only its start), each one block of at most FLOQUET_CHUNK = 32
+    # 16 periods integrate windows 0..9 and 0..15 (window 10 or 16 holds
+    # only its start), each one block of at most FLOQUET_CHUNK = 16
     # columns, so both integrate one period, in about the same number of
     # right-hand side calls (S is built once, outside the count)
     parts = _parts_for(4, 4)
@@ -250,61 +250,65 @@ def test_evolve_integrates_one_period_per_block(monkeypatch):
                         lambda self, t, y: calls.append(y.shape) or apply(self, t, y))
     psi = sb.project_initial_state("unit-filling-lower", sb.build_k0_sector(4, 4))
     counts = {}
-    for periods in (10, 30):
+    for periods in (10, 16):
         calls.clear()
         sb.evolve(psi, parts, periods * parts.t_bloch, samples_per_period=32,
                   weights=np.ones(parts.basis_dim))
         counts[periods] = len(calls)
         assert set(calls) == {(parts.basis_dim, periods)}
     assert built == [1, 1]
-    assert abs(counts[30] - counts[10]) <= 0.1 * counts[10]
+    assert abs(counts[16] - counts[10]) <= 0.1 * counts[10]
 
 
 def test_evolve_work_at_the_preset(preset_runs, monkeypatch):
     # deterministic work counters at 50 periods and 32 samples per period:
-    # S's 13 chunks of columns (twelve of 32, one of 18) take 818 right-hand
+    # S's 26 chunks of columns (25 of 16, one of 2) take 1,647 right-hand
     # side calls, each chunk after the first from the step the one before
-    # would take next, but 25,154 column-calls (the sum of their widths),
-    # where 7 chunks of 64 took 452 calls and 25,570 column-calls; then
-    # windows 0..49 run as two blocks of 25 columns (window 50 holds only
-    # its start), 1,317 calls, as many as blocks of 32 and 18 took
+    # would take next, and 25,330 column-calls (the sum of their widths),
+    # where 13 chunks of 32 took 818 calls and 25,154 column-calls; then
+    # windows 0..49 run as four blocks of 13, 13, 12 and 12 columns (window
+    # 50 holds only its start), 2,621 calls and 32,757 column-calls, where
+    # two blocks of 25 took 1,317 calls and 32,925 column-calls
     parts = preset_runs.parts(0.2)
-    widths, built = [], []
+    widths, integrations = [], []
     apply = sb.HamiltonianParts.apply
-    floquet_operator = propagation.floquet_operator
+    integrate_windows = propagation._integrate_windows
 
-    def counted(*args, **kw):
-        s = floquet_operator(*args, **kw)
-        built.append(len(widths))
-        return s
+    def counted(parts, starts, *args):
+        integrations.append((starts.shape[1], len(widths)))
+        return integrate_windows(parts, starts, *args)
 
     monkeypatch.setattr(sb.HamiltonianParts, "apply",
                         lambda self, t, y: widths.append(y.shape[1]) or apply(self, t, y))
-    monkeypatch.setattr(propagation, "floquet_operator", counted)
+    monkeypatch.setattr(propagation, "_integrate_windows", counted)
     sb.evolve(preset_runs.psi0, parts, 50 * parts.t_bloch, samples_per_period=32,
               weights=preset_runs.sector.upper_fractions)
-    assert len(built) == 1
-    propagator, blocks = widths[:built[0]], widths[built[0]:]
-    assert len(propagator) == 818
-    assert sum(propagator) <= 25_570
-    assert len(blocks) <= 1_330
-    assert list(dict.fromkeys(propagator)) == [32, 18]
-    assert list(dict.fromkeys(blocks)) == [25]
+    ends = [first for _, first in integrations[1:]] + [len(widths)]
+    calls = [widths[first:end] for (_, first), end in zip(integrations, ends)]
+    assert all(set(block) == {width} for (width, _), block in zip(integrations, calls))
+    chunks, blocks = integrations[:26], integrations[26:]
+    assert [width for width, _ in chunks] == [16] * 25 + [2]
+    assert [width for width, _ in blocks] == [13, 13, 12, 12]
+    propagator, windows = sum(calls[:26], []), sum(calls[26:], [])
+    assert len(propagator) == 1_647
+    assert len(windows) == 2_621
+    assert sum(propagator) == pytest.approx(25_154, rel=0.01)
+    assert sum(windows) == pytest.approx(32_925, rel=0.01)
 
 
 def test_evolve_balances_its_blocks_of_windows(monkeypatch):
     # the fewest blocks of at most FLOQUET_CHUNK windows, widest first, no
-    # two more than one apart: 49 windows run as 25 and 24, not 32 and 17,
-    # the same two integrations with the same column work
+    # two more than one apart: 49 windows run as 13, 12, 12 and 12, not 16,
+    # 16, 16 and 1, the same four integrations with the same column work
     for windows in range(200):
         widths = propagation._block_widths(windows)
         assert sum(widths) == windows
         assert len(widths) == -(-windows // propagation.FLOQUET_CHUNK)
         assert widths == sorted(widths, reverse=True)
         assert not widths or widths[0] - widths[-1] <= 1
-    assert propagation._block_widths(49) == [25, 24]
-    # evolve integrates them so: 49 periods at 32 samples per period sample
-    # windows 0..48 after their starts, N = L = 3
+    assert propagation._block_widths(49) == [13, 12, 12, 12]
+    # evolve integrates them so: 25 periods at 32 samples per period sample
+    # windows 0..24 after their starts, N = L = 3
     parts = _parts_for(3, 3)
     s = sb.floquet_operator(parts)
     widths = []
@@ -314,9 +318,9 @@ def test_evolve_balances_its_blocks_of_windows(monkeypatch):
     monkeypatch.setattr(sb.HamiltonianParts, "apply",
                         lambda self, t, y: widths.append(y.shape[1]) or apply(self, t, y))
     psi = sb.project_initial_state("unit-filling-lower", sb.build_k0_sector(3, 3))
-    sb.evolve(psi, parts, 49 * parts.t_bloch, samples_per_period=32,
+    sb.evolve(psi, parts, 25 * parts.t_bloch, samples_per_period=32,
               weights=np.ones(parts.basis_dim))
-    assert list(dict.fromkeys(widths)) == [25, 24]
+    assert list(dict.fromkeys(widths)) == [13, 12]
 
 
 def test_every_right_hand_side_goes_through_apply(monkeypatch):
@@ -384,20 +388,23 @@ def _break_even(dim, order, samples_per_period):
 
 
 def test_propagator_pays_beyond_a_break_even_that_grows_with_dim():
-    # 32 samples per period; with S in chunks of 32 columns the model breaks
-    # even at 3 periods at dim 86, 16 at the preset (dim 402) and 169 at
-    # N = L = 6 (dim 2076).  Timings of both routes on one core: at the
-    # preset the vector route took 0.48 s against 0.51 s over 12 periods,
-    # and 0.69 s against 0.55 s over 17 (medians of three); at N = L = 6,
-    # 23.4 s against 28.1 s over 150 periods and 36.0 s against 34.1 s
-    # over 200
+    # 32 samples per period; with S in chunks of 16 columns the model breaks
+    # even at 3 periods at dim 86, 18 at the preset (dim 402) and 184 at
+    # N = L = 6 (dim 2076).  CPU times of both routes on one core: at the
+    # preset the vector route took 0.58 s against 0.59 s over 14 periods,
+    # and 0.76 s against 0.68 s over 18 (medians of five); at N = L = 6,
+    # 24.4 s against 25.7 s over 160 periods and 29.1 s against 28.4 s
+    # over 210
     assert _break_even(86, 4, 32) <= 3
-    assert 12 < _break_even(402, 5, 32) <= 17
-    assert 150 < _break_even(2076, 6, 32) <= 200
+    assert 14 < _break_even(402, 5, 32) <= 18
+    assert 160 < _break_even(2076, 6, 32) <= 210
     # one sample per period at N = L = 6, where S integrates nothing: the
-    # model gives 113; vectors took 13.2 s against 17.9 s over 100 periods
-    # and 16.9 s against 15.6 s over 140
+    # model gives 118; vectors took 11.7 s against 14.5 s over 100 periods
+    # and 19.6 s against 14.7 s over 140
     assert 100 < _break_even(2076, 6, 1) <= 140
+    # the 50 periods of the benchmark's evolve at the preset take S
+    assert propagation._propagator_pays(SimpleNamespace(basis_dim=402, boost_order=5),
+                                        50 * 32, 32)
 
 
 # (N, L) with boost order d = gcd(N, L) = 1, 2, 3, 4
@@ -525,11 +532,11 @@ def test_floquet_operator_integrates_a_fraction_of_the_period(system44, monkeypa
 
 
 def test_floquet_operator_shares_one_stepper_workspace(preset_runs, monkeypatch):
-    # S's 13 chunks at the preset (twelve of 32 columns, one of 18) all step
-    # in one workspace, allocated for 32 columns.  Every buffer handed to the
+    # S's 26 chunks at the preset (25 of 16 columns, one of 2) all step in
+    # one workspace, allocated for 16 columns.  Every buffer handed to the
     # stepper is kept here, so the peak would count one per chunk if each
-    # chunk had its own: it is Y and one chunk's working set (20.2 chunks of
-    # 32 columns measured: the workspace's 17.5, the chunk's start and end
+    # chunk had its own: it is Y and one chunk's working set (20.6 chunks of
+    # 16 columns measured: the workspace's 17.5, the chunk's start and end
     # and a right-hand side's result)
     parts = preset_runs.parts(0.2)
     dim = parts.basis_dim
@@ -551,18 +558,32 @@ def test_floquet_operator_shares_one_stepper_workspace(preset_runs, monkeypatch)
     monkeypatch.setattr(propagation, "integrate", recorded)
     monkeypatch.setattr(propagation, "_half_period_propagator", integrating_y)
     copies = peak_copies(lambda: sb.floquet_operator(parts), dim)
-    assert chunks == [13]
+    assert chunks == [26]
     assert copies <= dim + 21 * propagation.FLOQUET_CHUNK
 
 
-def test_floquet_operator_memory_is_two_copies_of_s(preset_runs, monkeypatch):
-    # the dense matrix ODE held about 37 copies of S at the preset.  With
-    # chunks of 8 columns, so that the stepper does not mask the later
-    # phases, the peak is Y, S and two 8-column blocks while S is formed
-    # (2.07 measured), then S and one row block of S^dag S
+def test_floquet_operator_memory_is_one_copy_of_s(preset_runs, monkeypatch):
+    # the dense matrix ODE held about 37 copies of S at the preset, and Y,
+    # S and two blocks while S was formed in a second array (2.07 copies
+    # measured).  With chunks of 8 columns, so that the stepper does not
+    # mask the later phases, and counted from the end of the integration: S
+    # is formed in Y's buffer, one copy, with two blocks of at most 10
+    # columns and one of numpy's ufunc buffers (1.081 copies measured), then
+    # checked with S and one row block of S^dag S
     parts = preset_runs.parts(0.2)
+    dim = parts.basis_dim
     monkeypatch.setattr(propagation, "FLOQUET_CHUNK", 8)
-    assert peak_copies(lambda: sb.floquet_operator(parts), parts.basis_dim ** 2) <= 2.25
+    assert max(block.stop - block.start for block in propagation._blocks(dim)) == 10
+    half_period = propagation._half_period_propagator
+
+    def integrated(parts):
+        y = half_period(parts)
+        tracemalloc.reset_peak()
+        return y
+
+    monkeypatch.setattr(propagation, "_half_period_propagator", integrated)
+    copies = peak_copies(lambda: sb.floquet_operator(parts), dim * dim)
+    assert copies <= 1 + (2 * 10 * dim + np.getbufsize()) / dim**2
 
 
 def test_diagonalize_floquet_memory_is_s_and_one_real_pair(preset_runs):
@@ -580,13 +601,14 @@ def test_diagonalize_floquet_memory_is_s_and_one_real_pair(preset_runs):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_propagator_estimate_covers_the_measured_peak(n, monkeypatch):
-    # the dense estimate prices the largest phase: at dim 86 and 402 the
-    # chunk stepper while Y is integrated, then forming S.  LAPACK's dsyevd
-    # takes its workspace of 2 dim^2 doubles from outside tracemalloc's
-    # sight, and only while it runs: the diagonalisation's peak is the
-    # larger of tracemalloc's peak and what tracemalloc holds as dsyevd
-    # starts plus that workspace (S, rewritten in place, and the
-    # workspace: 2.0 copies, below forming S's Y, S and two blocks)
+    # the dense estimate prices the largest phase: at dim 86 the chunk
+    # stepper while Y is integrated, at dim 402 the diagonalisation, as S is
+    # formed in Y's buffer.  LAPACK's dsyevd takes its workspace of
+    # 1 + 6 dim + 2 dim^2 doubles and 3 + 5 dim 64-bit integers from outside
+    # tracemalloc's sight, and only while it runs: the diagonalisation's
+    # peak is the larger of tracemalloc's peak and what tracemalloc holds as
+    # dsyevd starts plus that workspace (S, rewritten in place, and the
+    # workspace: 2.0 copies and 6.4 vectors of dim at dim 402)
     parts = _parts_for(n, n)
     dim = parts.basis_dim
     psi0 = sb.project_initial_state("unit-filling-lower", sb.build_k0_sector(n, n))
@@ -601,8 +623,9 @@ def test_propagator_estimate_covers_the_measured_peak(n, monkeypatch):
     building = peak_copies(lambda: built.append(sb.floquet_operator(parts)), dim * dim)
     traced = peak_copies(lambda: sb.diagonalize_floquet(
         built[0], parts.boost_order, parts.t_bloch, psi0), dim * dim)
-    diagonalising = 1 + max(traced, held[0] + 2 * 8 / 16)
-    assert diagonalising < 2 + 2 * propagation.FLOQUET_CHUNK / dim  # below forming S
+    dsyevd = 8 * (1 + 6 * dim + 2 * dim**2 + 3 + 5 * dim)
+    diagonalising = 1 + max(traced, held[0] + dsyevd / (16 * dim * dim))
+    assert (diagonalising > building) == (n == 5)
     assert propagation._dense_bytes(dim) >= 16 * dim * dim * max(building, diagonalising)
     # the process estimate adds the parts and the interpreter's base
     assert (propagation._propagator_bytes(parts) - propagation._dense_bytes(dim)
@@ -611,16 +634,16 @@ def test_propagator_estimate_covers_the_measured_peak(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 6])
 def test_cli_refuses_a_propagator_it_cannot_diagonalise(n, monkeypatch, capsys):
-    # physical memory just below the estimate.  At N = L = 6 (dim 2076)
-    # forming S (Y, S and two blocks) is the dense path's largest phase,
-    # above the integration and the diagonalisation (S and dsyevd's
-    # workspace), so only its pricing, and the process's, refuses.  Nothing
-    # is integrated first.
+    # physical memory just below the estimate.  At N = L = 6 (dim 2076) the
+    # diagonalisation (S and dsyevd's workspace) is the dense path's largest
+    # phase, above the integration (Y and one chunk's stepper) and forming S
+    # in Y's buffer (one copy and two blocks); at N = L = 3 the integration
+    # is.  Either way the pricing of the process refuses.  Nothing is
+    # integrated first.
     parts = _parts_for(n, n)
     dim = parts.basis_dim
-    forming = 16 * dim * (2 * dim + 2 * min(dim, propagation.FLOQUET_CHUNK))
-    assert (propagation._dense_bytes(dim) == forming) == (n == 6)
-    assert forming > 16 * dim * dim * propagation.FLOQUET_WORKING_COPIES
+    diagonalising = int(16 * dim * (propagation.FLOQUET_WORKING_COPIES * dim + 8))
+    assert (propagation._dense_bytes(dim) == diagonalising) == (n == 6)
     monkeypatch.setattr(fock, "_physical_memory",
                         lambda: propagation._propagator_bytes(parts) - 1)
 
@@ -634,9 +657,9 @@ def test_cli_refuses_a_propagator_it_cannot_diagonalise(n, monkeypatch, capsys):
 
 
 def test_cli_refuses_n7_between_the_dense_estimate_and_the_process_peak(monkeypatch, capsys):
-    # at N = L = 7 (dim 11,076) the dense arrays alone come to 3,755 MiB,
-    # while S is formed, and the process is priced at 3,873 MiB.  On 3,800
-    # MiB of physical memory the run must refuse before anything is
+    # at N = L = 7 (dim 11,076) the dense arrays alone come to 3,745 MiB,
+    # while S is diagonalised, and the process is priced at 3,842 MiB.  On
+    # 3,800 MiB of physical memory the run must refuse before anything is
     # integrated, as the pricing of the process does; the sector and parts
     # build in about 0.2 s
     mib = 2**20
@@ -654,25 +677,30 @@ def test_cli_refuses_n7_between_the_dense_estimate_and_the_process_peak(monkeypa
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_blocked_floquet_path_is_bit_identical_to_full_products(n, monkeypatch):
-    # S formed in column blocks, M and B written into S's own buffer a block
-    # of rows at a time, and the overlaps from blocks of V's rows (one block
-    # at dim 20, three at 86, thirteen at 402) give the very bits of the
-    # full products Y^T (Phi Y) and V^T psi0; V and m are those of numpy's
-    # eigh, and b is that of one product V^T B
+    # S formed in Y's own buffer a column block at a time, its lower
+    # triangle from Y's later columns and its upper mirrored, M and B
+    # written into S's buffer a block of rows at a time, and the overlaps
+    # from blocks of V's rows (one block at dim 20, five at 86, twenty-five
+    # at 402) give the very bits of the lower triangle of the full product
+    # Y^T (Phi Y), mirrored, so S is exactly symmetric where the full
+    # product is not, and of V^T psi0; V and m are those of numpy's eigh,
+    # and b is that of one product V^T B
     parts = _parts_for(n, n)
     psi0 = sb.project_initial_state("unit-filling-lower", sb.build_k0_sector(n, n))
     half_periods = []
     integrate = propagation._half_period_propagator
 
     def kept(*args):
-        half_periods.append(integrate(*args))
-        return half_periods[-1]
+        y = integrate(*args)
+        half_periods.append(y.copy())  # floquet_operator overwrites y with S
+        return y
 
     monkeypatch.setattr(propagation, "_half_period_propagator", kept)
     s = sb.floquet_operator(parts)
     spectrum = sb.diagonalize_floquet(s.copy(), parts.boost_order, parts.t_bloch, psi0)
     s_full, eps, vectors, coefficients = full_matrix_spectrum(half_periods[0], parts, psi0)
-    assert np.array_equal(s, s_full)
+    assert np.array_equal(s, np.tril(s_full) + np.tril(s_full, -1).T)
+    assert np.array_equal(s, s.T) and not np.array_equal(s_full, s_full.T)
     assert np.array_equal(spectrum.quasi_energies, eps)
     assert np.array_equal(spectrum.eigen_vectors, vectors)
     assert np.array_equal(spectrum.coefficients, coefficients)
@@ -691,8 +719,10 @@ def _assert_is_numpys_eigh(matrix):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_symmetric_eigh_is_numpys_on_the_mixture_of_s(n):
-    # S is symmetric only up to its last bits, so both must read one triangle
-    s = sb.floquet_operator(_parts_for(n, n))
+    # the full product Y^T (Phi Y) is symmetric only up to its last bits, so
+    # both must read one triangle
+    parts = _parts_for(n, n)
+    s = full_product(propagation._half_period_propagator(parts), parts)
     assert not np.array_equal(s, s.T)
     _assert_is_numpys_eigh(s.real + EIGEN_MIX * s.imag)
 
@@ -764,10 +794,11 @@ def test_dsyevd_loader_names_a_missing_symbol(monkeypatch):
 
 def test_streamed_evolve_memory_is_that_of_the_propagator(preset_runs):
     # with weights no state of the 1,601 samples is kept.  The peak is
-    # either floquet_operator's own, Y and one chunk's stepper (1,048
-    # vectors of dim 402 measured), or S and one block of 25 windows with
-    # the shared workspace (1,142 measured, the larger now); 7 chunks of 64
-    # columns took 1,650
+    # either floquet_operator's own, Y and one 16-column chunk's stepper
+    # (about 732 vectors of dim 402), or S and one block of 13 windows with
+    # the shared workspace (793 measured, the larger); two copies while S
+    # was formed, 7 chunks of 64 columns and blocks of 25 windows took 1,142
+    # and 1,650
     parts = preset_runs.parts(0.2)
     dim, tb = parts.basis_dim, parts.t_bloch
     results = []
@@ -776,8 +807,32 @@ def test_streamed_evolve_memory_is_that_of_the_propagator(preset_runs):
         results.append(sb.evolve(preset_runs.psi0, parts, 50 * tb, samples_per_period=32,
                                  weights=preset_runs.sector.upper_fractions))
 
-    assert peak_copies(run, dim) <= 1_200
+    assert peak_copies(run, dim) <= 850
     assert results[0].values.shape == (1601,)
+
+
+def test_evolve_windows_hold_s_and_one_block(preset_runs, monkeypatch):
+    # counted from the end of floquet_operator: the S route holds S, one
+    # block of at most 13 windows in the shared workspace (DOP853's 25.5
+    # copies of a block, its starts, its end and a work array of sample
+    # rows: 29.5) and one of numpy's ufunc buffers (793 vectors of dim 402
+    # measured)
+    parts = preset_runs.parts(0.2)
+    dim = parts.basis_dim
+    floquet_operator = propagation.floquet_operator
+
+    def built(parts):
+        s = floquet_operator(parts)
+        tracemalloc.reset_peak()
+        return s
+
+    monkeypatch.setattr(propagation, "floquet_operator", built)
+    widest = max(propagation._block_widths(50))
+    assert widest == 13
+    vectors = peak_copies(lambda: sb.evolve(preset_runs.psi0, parts, 50 * parts.t_bloch,
+                                            samples_per_period=32,
+                                            weights=preset_runs.sector.upper_fractions), dim)
+    assert vectors <= dim + 29.5 * widest + np.getbufsize() / dim
 
 
 def test_stroboscopic_occupations_memory_is_bounded(preset_runs):
@@ -898,6 +953,26 @@ def test_diagonalize_consumes_s(small_system):
     for bad in (kept.T, kept.real.copy(), kept[:, :-1].copy()):
         with pytest.raises(ValueError, match="C-ordered square complex"):
             sb.diagonalize_floquet(bad, parts.boost_order, parts.t_bloch, psi0)
+
+
+def test_diagonalize_hands_the_free_heap_back_before_dsyevd(small_system, monkeypatch):
+    # glibc's malloc_trim runs once, just before dsyevd, and moves no bit;
+    # where the C library has none the diagonalisation goes on without it
+    _, parts, psi0 = small_system
+    s = sb.floquet_operator(parts)
+    trim = propagation._malloc_trim()
+    assert trim is None or trim(0) in (0, 1)
+    calls = []
+    symmetric_eigh = propagation._symmetric_eigh
+    monkeypatch.setattr(propagation, "_symmetric_eigh",
+                        lambda a: calls.append("dsyevd") or symmetric_eigh(a))
+    monkeypatch.setattr(propagation, "_malloc_trim", lambda: lambda pad: calls.append(pad) or 1)
+    trimmed = sb.diagonalize_floquet(s.copy(), parts.boost_order, parts.t_bloch, psi0)
+    assert calls == [0, "dsyevd"]
+    monkeypatch.setattr(propagation, "_malloc_trim", lambda: None)
+    spectrum = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
+    for name in ("quasi_energies", "eigen_vectors", "coefficients"):
+        assert np.array_equal(getattr(trimmed, name), getattr(spectrum, name)), name
 
 
 def test_diagonalize_rejects_colliding_eigenvalues():
