@@ -7,10 +7,12 @@ its place in that order, is a sum of binomial coefficients read off its
 suffix sums (`_ranks`): below the full dimension, it cannot overflow.  The
 order fixes the order of the orbit representatives and so of the sector
 basis, and `SymmetrySector.orbit` maps each rank to its sector index.
-`move` is the one matrix-element rule.  Sector operators come out as `Csr`,
-numpy's arrays of a canonical compressed sparse row matrix, so that building
-one imports no scipy.sparse.  `Csr.from_entries`, the one rule that turns
-(row, column, value) entries into that form, builds, sums and mirrors them.
+`ladder` is the one matrix-element rule, and `SymmetrySector.operator`
+applies it to each nonzero entry of a one-body matrix and a two-body tensor,
+both given entry by entry.  Sector operators come out as `Csr`, numpy's
+arrays of a canonical compressed sparse row matrix, so that building one
+imports no scipy.sparse.  `Csr.from_entries`, the one rule that turns (row,
+column, value) entries into that form, builds, sums and mirrors them.
 
 On a ring the simultaneous cyclic shift of both bands commutes with the
 gauge-transformed Hamiltonian; grouping the basis into translation orbits
@@ -30,7 +32,7 @@ __all__ = [
     "SymmetrySector",
     "full_dimension",
     "memory_shortfall",
-    "move",
+    "ladder",
     "build_k0_sector",
     "project_initial_state",
 ]
@@ -130,20 +132,21 @@ def _ranks(occupations: np.ndarray, table: np.ndarray, order) -> np.ndarray:
     return rank
 
 
-def move(occupations: np.ndarray, src: int, dst: int, k: int):
-    """Move k bosons from mode `src` to another mode `dst` in each row of
-    `occupations` that holds at least k in `src`: the indices of those rows,
-    their occupations after the move, and the amplitude
-    sqrt(perm(n_src, k) perm(n_dst + k, k)) of (c_dst^dag)^k (c_src)^k."""
-    rows = np.flatnonzero(occupations[:, src] >= k)
-    n_src, n_dst = (occupations[rows, mode].astype(np.int64) for mode in (src, dst))
-    weight = np.ones(len(rows))  # exact below 2**53, where int64 would wrap past 2**63
-    for j in range(k):
-        weight *= (n_src - j) * (n_dst + k - j)
-    targets = occupations[rows]
-    targets[:, src] -= k
-    targets[:, dst] += k
-    return rows, targets, np.sqrt(weight)
+def ladder(occupations: np.ndarray, creations, annihilations):
+    """The normal-ordered string c^dag_i.. c_k.. of modes `creations` and
+    `annihilations` on each row of `occupations`: the rows it does not
+    annihilate, their occupations after it (same dtype) and the root of the
+    product of its factors, n for each c and n + 1 for each c^dag."""
+    targets = occupations.copy()
+    weight = np.ones(len(targets))  # exact below 2**53, where int64 would wrap past 2**63
+    for mode in reversed(annihilations):
+        weight *= targets[:, mode]  # 0 on the rows the string annihilates, from here on
+        targets[:, mode] -= 1
+    for mode in reversed(creations):
+        targets[:, mode] += 1
+        weight *= targets[:, mode]
+    (rows,) = np.nonzero(weight)
+    return rows, targets[rows], np.sqrt(weight[rows])
 
 
 class Csr(NamedTuple):
@@ -214,14 +217,31 @@ class SymmetrySector:
         rows = np.asarray(rows)
         return self.orbit[_ranks(rows, self.rank_table, range(rows.shape[1]))]
 
-    def matrix(self, blocks) -> Csr:
-        """An operator in sector coordinates from blocks of (columns,
-        targets, amplitudes) arrays: `amplitudes[e]` of the state `targets[e]`
-        in the operator applied to the representative of `columns[e]`, and
-        so, with the orbit factor sqrt(orbit_j / orbit_i), element i <- j.
-        `Csr.from_entries` sums those at one position in block order."""
-        empty = (np.zeros(0, dtype=np.intp), self.occupations[:0], np.zeros(0))
-        columns, targets, amplitudes = (np.concatenate(part) for part in zip(empty, *blocks))
+    def operator(self, one_body, two_body=None) -> Csr:
+        """sum_ij h_ij c^dag_i c_j + sum_ijkl v_ijkl c^dag_i c^dag_j c_k c_l
+        in sector coordinates, for h and v given by their entries, mappings
+        from modes (i, j) and (i, j, k, l) to coefficients (a dense array m
+        as {modes: m[modes] for modes in zip(*np.nonzero(m))}): one `ladder`
+        per nonzero entry, h's then v's, each in row-major order.  Strings
+        that keep every occupation have integer amplitudes, summed per
+        coefficient and each sum scaled once into the diagonal, the first
+        block; any other entry from column j's representative into orbit i
+        is element i <- j, times sqrt(orbit_j / orbit_i).  `Csr.from_entries`
+        sums each position in entry order."""
+        strings = [(modes[:len(modes) // 2], modes[len(modes) // 2:], table[modes])
+                   for table in (one_body, two_body or {}) for modes in sorted(table)
+                   if table[modes]]
+        counts, blocks = {}, []
+        for creations, annihilations, value in strings:
+            columns, targets, amplitudes = ladder(self.occupations, creations, annihilations)
+            if sorted(creations) == sorted(annihilations):
+                counts.setdefault(value, np.zeros(self.dim))[columns] += amplitudes
+            else:
+                blocks.append((columns, targets, value * amplitudes))
+        diagonal = sum((value * count for value, count in counts.items()), np.zeros(self.dim))
+        (columns,) = np.nonzero(diagonal)
+        blocks.insert(0, (columns, self.occupations[columns], diagonal[columns]))
+        columns, targets, amplitudes = (np.concatenate(part) for part in zip(*blocks))
         rows, sizes = self.locate(targets), self.orbit_sizes
         values = amplitudes * np.sqrt(sizes[columns] / sizes[rows])
         return Csr.from_entries(rows, columns, values, self.dim)
@@ -273,29 +293,16 @@ def build_k0_sector(n_particles, n_sites) -> SymmetrySector:
 
 def _lower_band_ground(sector: SymmetrySector) -> np.ndarray:
     """Sector coordinates of the ground state of the untilted lower-band
-    hopping Hamiltonian (g = 0, upper band empty)."""
-    # F = sum_l a^dag_{l+1} a_l on the ring within the sub-basis of an empty
-    # upper band (which holds |N,0..;0..> at least), K = F + F^T; the hopping
-    # Hamiltonian is -t_a/2 * K, so its ground state maximizes K.
-    # Lower-band hops keep the upper band empty, so F never leaves the sub-basis.
-    L = sector.n_sites
-    (zero_upper,) = np.nonzero(sector.upper_fractions == 0)
-    occupations = sector.occupations[zero_upper]
-    sources = range(L) if L > 1 else ()  # a single site has no distinct neighbour
-    hops = sector.matrix((zero_upper[rows], targets, amplitudes) for rows, targets, amplitudes
-                         in (move(occupations, src, (src + 1) % L, 1) for src in sources))
-    forward = np.zeros((len(zero_upper), len(zero_upper)))
-    rows, cols = np.searchsorted(zero_upper, (hops.rows(), hops.indices))  # sub-basis indices
-    forward[rows, cols] = hops.data.real
-    kin = forward + forward.T
-
-    # dense solve keeps the result deterministic (no Lanczos start vector)
-    _, vecs = np.linalg.eigh(-kin)
-    ground = vecs[:, 0]
-    if ground[int(np.argmax(np.abs(ground)))] < 0:
-        ground = -ground
+    hopping (g = 0, upper band empty), the q = 0 condensate: sqrt(N! /
+    prod_l n_l!) L^(-N/2) on each state, so sqrt(orbit size) times that on
+    each orbit with an empty upper band, the root of an exact integer ratio."""
+    n, L = sector.n_particles, sector.n_sites
+    (empty,) = np.nonzero(sector.upper_fractions == 0)
     coords = np.zeros(sector.dim, dtype=complex)
-    coords[zero_upper] = ground
+    coords[empty] = [
+        math.sqrt(math.factorial(n) // math.prod(map(math.factorial, row)) * int(size) / L**n)
+        for row, size in zip(sector.occupations[empty, :L].tolist(), sector.orbit_sizes[empty])
+    ]
     return coords
 
 

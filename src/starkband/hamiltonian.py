@@ -13,8 +13,10 @@ hopping of both bands with their printed signs (-t_a/2 lower, +t_b/2 upper).
 The phase convention is exactly exp(+iFt) on a^dag_{l+1} a_l; changing it
 shifts the resonances.
 
-Each term is formed at once for all the sector's representatives, rows of
-occupations: the diagonal by a loop over sites, all else by `fock.move`.
+The model is data (`_model`), the entries of one-body matrices and a
+two-body tensor over the 2L modes, and `SymmetrySector.operator` turns each
+into a sector matrix, one `fock.ladder` per nonzero entry, for all
+representatives at once.
 
 The blocks are numpy `Csr` arrays, and `HamiltonianParts.apply` runs
 scipy's compiled CSR product on them, loaded straight from its extension
@@ -39,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fock import Csr, SymmetrySector, move
+from .fock import Csr, SymmetrySector
 from .model import ModelParams, bessel_j
 
 __all__ = [
@@ -272,53 +274,38 @@ def hermiticity_defect(matrix) -> float:
     return float(np.abs(defect.data).max()) if defect.data.size else 0.0
 
 
-def _static_entries(occupations: np.ndarray, params: ModelParams, mask: TermMask):
-    """(columns, targets, amplitudes) blocks of h_static on the representatives
-    `occupations`: the band gap and density interactions (no tilt), then site
-    by site k = 1 boson moved at c0 F (b^dag_l a_l) and k = 2 at g W_x / 2
-    (b^dag_l b^dag_l a_l a_l), each a -> b and then b -> a: a Hermitian whole."""
+def _model(params: ModelParams, mask: TermMask):
+    """The entries of h_static's one-body matrix (the gap -+delta/2,
+    c0 F b^dag_l a_l + h.c.) and two-body tensor (on each site 0.5 g W_a
+    a^dag a^dag a a, 2 g W_x a^dag b^dag b a, 0.5 g W_b b^dag b^dag b b,
+    0.5 g W_x b^dag b^dag a a + h.c.), and of h_hop's one-body matrix
+    (l -> l+1 on the ring, -t_a/2 lower, +t_b/2 upper), each a mapping from
+    modes to coefficients over the 2L modes, lower band first: 6L one-body
+    and 5L two-body entries.  The entries of the terms `mask` turns off are
+    zero."""
     L, g = params.n_sites, params.g
-    diagonal = np.zeros(len(occupations))
-    for l in range(L):
-        na, nb = occupations[:, l].astype(np.int64), occupations[:, L + l].astype(np.int64)
-        diagonal += 0.5 * params.delta * (nb - na)
-        if mask.int_a:
-            diagonal += 0.5 * g * params.w_a * na * (na - 1)
-        if mask.int_b:
-            diagonal += 0.5 * g * params.w_b * nb * (nb - 1)
-        if mask.int_x_density:
-            diagonal += 2.0 * g * params.w_x * na * nb
-    (columns,) = np.nonzero(diagonal != 0.0)
-    yield columns, occupations[columns], diagonal[columns]
-    terms = [(k, coupling) for k, coupling, on in (
-        (1, params.c0 * params.force, mask.coupling_c0),
-        (2, 0.5 * (params.g * params.w_x), mask.int_x_pair),
-    ) if on and coupling != 0.0]
-    for l in range(L):
-        for k, coupling in terms:
-            for src, dst in ((l, L + l), (L + l, l)):
-                columns, targets, amplitudes = move(occupations, src, dst, k)
-                yield columns, targets, coupling * amplitudes
-
-
-def _hop_forward(occupations: np.ndarray, params: ModelParams, mask: TermMask):
-    """(columns, targets, amplitudes) blocks of the l -> l+1 hops on the ring,
-    lower band first; a single site has no distinct neighbour."""
-    L = params.n_sites
-    for on, band, hop in ((mask.hop_a, 0, -0.5 * params.t_a), (mask.hop_b, L, +0.5 * params.t_b)):
-        for src in range(L) if on and L > 1 else ():
-            columns, targets, amplitudes = move(occupations, band + src, band + (src + 1) % L, 1)
-            yield columns, targets, hop * amplitudes
+    static, two_body, hop = {}, {}, {}
+    for a, b in zip(range(L), range(L, 2 * L)):
+        static[a, a], static[b, b] = -0.5 * params.delta, 0.5 * params.delta
+        static[a, b] = static[b, a] = params.c0 * params.force if mask.coupling_c0 else 0.0
+        two_body[a, a, a, a] = 0.5 * g * params.w_a if mask.int_a else 0.0
+        two_body[b, b, b, b] = 0.5 * g * params.w_b if mask.int_b else 0.0
+        two_body[a, b, b, a] = 2.0 * g * params.w_x if mask.int_x_density else 0.0
+        two_body[b, b, a, a] = two_body[a, a, b, b] = (
+            0.5 * (g * params.w_x) if mask.int_x_pair else 0.0)
+        if L > 1:  # a single site has no distinct neighbour
+            hop[(a + 1) % L, a] = -0.5 * params.t_a if mask.hop_a else 0.0
+            hop[(a + 1) % L + L, b] = +0.5 * params.t_b if mask.hop_b else 0.0
+    return static, two_body, hop
 
 
 def build_interaction_picture(
     params: ModelParams, sector: SymmetrySector, mask: TermMask = TermMask()
 ) -> HamiltonianParts:
-    """Assemble h_static and h_hop directly in kappa = 0 sector coordinates
-    (`SymmetrySector.matrix`), every term vectorised over the
-    representatives.  Every off-diagonal element is `fock.move`, the
-    second-quantized rule a_l|..n..> = sqrt(n)|..n-1..> applied k times.
-    """
+    """Assemble h_static and h_hop in kappa = 0 sector coordinates from the
+    model as data (`_model`), each one `SymmetrySector.operator`, whose rule
+    `fock.ladder` applies c|n> = sqrt(n)|n-1> and c^dag|n> = sqrt(n+1)|n+1>
+    to all representatives at once."""
     if (sector.n_particles, sector.n_sites) != (params.n_particles, params.n_sites):
         raise ValueError(
             f"sector built for (N={sector.n_particles}, L={sector.n_sites}) does not match "
@@ -327,8 +314,9 @@ def build_interaction_picture(
     if mask.coupling_c0 and params.c0 == 0.0:
         log.info("coupling_c0 requested but c0 = 0; the bands stay uncoupled")
 
-    h_static = sector.matrix(_static_entries(sector.occupations, params, mask))
-    h_hop = sector.matrix(_hop_forward(sector.occupations, params, mask))
+    static, two_body, hop = _model(params, mask)
+    h_static = sector.operator(static, two_body)
+    h_hop = sector.operator(hop)
 
     defect = hermiticity_defect(h_static)
     scale = float(np.abs(h_static.data).max()) if h_static.data.size else 1.0

@@ -38,7 +38,7 @@ windows as 13, 13, 12 and 12), in one workspace shared by the blocks, each
 sample handed on as the step that holds it is accepted, and keeps only
 sum_j w_j |psi_j|^2 of it: it holds S (or one vector), one block of windows
 and the float trace.  The stroboscopic trace goes in blocks of about
-TRACE_BLOCK_PHASES phases.
+TRACE_BLOCK_PHASES phases and at least TRACE_BLOCK_PERIODS periods.
 """
 
 import ctypes
@@ -130,8 +130,10 @@ UNITARITY_DEFECT_BUDGET = 1e-6
 TRACE_BYTES_PER_SAMPLE = 48
 # stroboscopic_occupations: the phases of one block of periods, about 25,000
 # (a block of 62 periods at dim 402: its phases and their two real products
-# with V are 32 bytes per phase, 0.8 MB)
+# with V are 32 bytes per phase, 0.8 MB), but at least TRACE_BLOCK_PERIODS
+# periods, as each block streams all of V twice
 TRACE_BLOCK_PHASES = 25_000
+TRACE_BLOCK_PERIODS = 62
 
 
 @dataclass(frozen=True)
@@ -696,9 +698,9 @@ def stroboscopic_occupations(
     ms = np.arange(n_periods + 1)
     values = np.empty(ms.size)
     vt = spectrum.eigen_vectors.T
-    # periods per block: about TRACE_BLOCK_PHASES phases, in arrays of the
-    # phases and their two real products with V allocated once
-    chunk = max(1, TRACE_BLOCK_PHASES // max(1, spectrum.dim))
+    # about TRACE_BLOCK_PHASES phases a block, but TRACE_BLOCK_PERIODS periods at
+    # least, in arrays of the phases and their two products with V allocated once
+    chunk = max(TRACE_BLOCK_PERIODS, TRACE_BLOCK_PHASES // max(1, spectrum.dim))
     phase_rows = np.empty((min(chunk, ms.size), spectrum.dim), dtype=complex)
     re_rows, im_rows = np.empty((2, *phase_rows.shape))
     for start in range(0, ms.size, chunk):

@@ -9,10 +9,14 @@ The basis, the orbits and the matrix elements use nothing of the package's
 own: they work on one FockState tuple at a time, list the basis by stars
 and bars, find orbits by repeated translation with a dict from every state
 to its orbit, and write each amplitude from c|n> = sqrt(n)|n-1> and
-c^dag|n> = sqrt(n+1)|n+1>.  Entries come in the order the package sums
-them: column by column, and within a column the diagonal, then the on-site
-terms site by site (c0 F, then the W_x pair term; a -> b, then b -> a), or
-the lower band's hops and then the upper band's.
+c^dag|n> = sqrt(n+1)|n+1>.  Entries come column by column, and within a
+column the diagonal first, each term's integer occupation sum scaled once as
+the package does it.  Every other entry at one position comes from one term
+in one direction, site by site, as in the package, except that the package
+lists a band's hops by the site they reach and the oracle by the site they
+leave, a rotation that leaves every tested sum bit for bit the same.
+`full_operator` applies any one-body matrix and two-body tensor to the full
+basis, one operator at a time.
 """
 
 import itertools
@@ -103,17 +107,20 @@ def _moved(state: FockState, src, dst, k):
 
 
 def _diagonal_energy(state: FockState, params, mask: TermMask) -> float:
-    """Band gap and interactions of one Fock state; the tilt is not included."""
-    g = params.g
+    """Band gap and interactions of one Fock state; the tilt is not included.
+    Each term's integer occupation sum is scaled once, and the terms are
+    added in the order the package adds them."""
+    g, lower, upper = params.g, state.lower, state.upper
+    terms = [(-0.5 * params.delta, sum(lower), True),
+             (0.5 * params.delta, sum(upper), True),
+             (0.5 * g * params.w_a, sum(n * (n - 1) for n in lower), mask.int_a),
+             (2.0 * g * params.w_x, sum(na * nb for na, nb in zip(lower, upper)),
+              mask.int_x_density),
+             (0.5 * g * params.w_b, sum(n * (n - 1) for n in upper), mask.int_b)]
     e = 0.0
-    for na, nb in zip(state.lower, state.upper):
-        e += 0.5 * params.delta * (nb - na)
-        if mask.int_a:
-            e += 0.5 * g * params.w_a * na * (na - 1)
-        if mask.int_b:
-            e += 0.5 * g * params.w_b * nb * (nb - 1)
-        if mask.int_x_density:
-            e += 2.0 * g * params.w_x * na * nb
+    for coefficient, count, on in terms:
+        if on:
+            e += coefficient * count
     return e
 
 
@@ -185,6 +192,43 @@ def sector_csr(n_particles, n_sites, rule):
     return (np.array([sums[key] for key in keys], dtype=complex),
             np.array([j for _, j in keys], dtype=np.int32),
             np.array([0, *itertools.accumulate(counts)], dtype=np.int32))
+
+
+def _string(state: FockState, creations, annihilations):
+    """c^dag_i1 .. c^dag_ip c_k1 .. c_kq |state> for modes numbered lower
+    band first, one operator at a time from the right, each amplitude a
+    factor sqrt(n) or sqrt(n + 1): (the state after it, its amplitude), or
+    None where a c meets an empty mode."""
+    occupations = list(state.lower + state.upper)
+    amplitude = 1.0
+    for mode in reversed(annihilations):
+        if occupations[mode] == 0:
+            return None
+        amplitude *= math.sqrt(occupations[mode])
+        occupations[mode] -= 1
+    for mode in reversed(creations):
+        occupations[mode] += 1
+        amplitude *= math.sqrt(occupations[mode])
+    L = len(state.lower)
+    return FockState(tuple(occupations[:L]), tuple(occupations[L:])), amplitude
+
+
+def full_operator(n_particles, n_sites, one_body, two_body) -> np.ndarray:
+    """sum h_ij c^dag_i c_j + sum v_ijkl c^dag_i c^dag_j c_k c_l as a dense
+    matrix on the full basis, in the order of fock_states: state by state
+    and entry by entry, each through `_string`."""
+    basis = fock_states(n_particles, n_sites)
+    index = {state: i for i, state in enumerate(basis)}
+    terms = [((i,), (j,), one_body[i, j]) for i, j in np.ndindex(one_body.shape)]
+    terms += [((i, j), (k, l), two_body[i, j, k, l]) for i, j, k, l in np.ndindex(two_body.shape)]
+    terms = [term for term in terms if term[2] != 0.0]
+    full = np.zeros((len(basis),) * 2)
+    for column, state in enumerate(basis):
+        for creations, annihilations, value in terms:
+            moved = _string(state, creations, annihilations)
+            if moved:
+                full[index[moved[0]], column] += value * moved[1]
+    return full
 
 
 def dense_hamiltonian(parts, t: float) -> np.ndarray:

@@ -11,7 +11,7 @@ import starkband as sb
 from starkband import fock
 from starkband.fock import FockState
 
-from oracles import expand, fock_states, oracle_sector, translate
+from oracles import expand, fock_states, full_operator, oracle_sector, translate
 
 
 def _rows(states):
@@ -240,21 +240,91 @@ def test_lookup_roundtrip_representatives():
     assert np.array_equal(sector.locate(sector.occupations), np.arange(sector.dim))
 
 
-def test_move():
-    # (c_dst^dag)^k (c_src)^k on each row holding k in src, with the amplitude
-    # sqrt(perm(n_src, k) perm(n_dst + k, k)): exact where the product is, and
-    # without wrapping where it passes 2**63
+def test_ladder():
+    # a normal-ordered string on each row it does not annihilate, with the
+    # root of the product of its factors n and n + 1: exact where the
+    # product is, and without wrapping where it passes 2**63
     occupations = np.array([[3, 1, 0], [1, 0, 4], [2, 2, 2]], dtype=np.uint8)
-    rows, targets, amplitudes = fock.move(occupations, 0, 2, 2)
+    rows, targets, amplitudes = fock.ladder(occupations, (2, 2), (0, 0))
     assert rows.tolist() == [0, 2]
     assert targets.tolist() == [[1, 1, 2], [0, 2, 4]]
-    assert targets.dtype == np.uint8 and occupations[0].tolist() == [3, 1, 0]
+    assert targets.dtype == np.uint8
+    assert occupations.tolist() == [[3, 1, 0], [1, 0, 4], [2, 2, 2]]
     assert amplitudes.tolist() == [math.sqrt(3 * 2 * 2 * 1), math.sqrt(2 * 1 * 4 * 3)]
     big = np.array([[200_000, 100_000]])
-    _, targets, amplitudes = fock.move(big, 1, 0, 2)
+    _, targets, amplitudes = fock.ladder(big, (0, 0), (1, 1))
     assert targets.tolist() == [[200_002, 99_998]]
     exact = math.sqrt(math.perm(100_000, 2) * math.perm(200_002, 2))
     assert amplitudes[0] == pytest.approx(exact, rel=1e-15)
+    # c^dag_0 c^dag_1 c_1 c_0 = n_0 n_1, each row onto itself
+    rows, targets, amplitudes = fock.ladder(occupations, (0, 1), (1, 0))
+    assert rows.tolist() == [0, 2]
+    assert np.array_equal(targets, occupations[rows])
+    assert amplitudes.tolist() == [3.0, 4.0]
+    # c^dag_0 c_1 annihilates the row with mode 1 empty, and (c_1)^3 every row
+    rows, targets, amplitudes = fock.ladder(occupations, (0,), (1,))
+    assert rows.tolist() == [0, 2]
+    assert targets.tolist() == [[4, 0, 0], [3, 1, 2]]
+    assert amplitudes.tolist() == [math.sqrt(1 * 4), math.sqrt(2 * 3)]
+    rows, targets, amplitudes = fock.ladder(occupations, (), (1, 1, 1))
+    assert rows.size == 0 and targets.shape == (0, 3) and amplitudes.size == 0
+
+
+def _translation_invariant(n_sites, one_templates, two_templates, rng):
+    """A real Hermitian one-body matrix and two-body tensor on the 2L modes,
+    each template, a string of (band, site offset) modes, at a seeded
+    coefficient on every site l, with its Hermitian conjugate."""
+    def mode(band, offset, site):
+        return band * n_sites + (site + offset) % n_sites
+
+    one_body = np.zeros((2 * n_sites,) * 2)
+    two_body = np.zeros((2 * n_sites,) * 4)
+    for table, templates in ((one_body, one_templates), (two_body, two_templates)):
+        for template in templates:
+            value = rng.normal()
+            for site in range(n_sites):
+                modes = tuple(mode(band, offset, site) for band, offset in template)
+                table[modes] += value
+                table[modes[::-1]] += value
+    return one_body, two_body
+
+
+def _entries(table):
+    """The nonzero entries of a dense table, the form `operator` takes."""
+    return {modes: table[modes] for modes in zip(*np.nonzero(table))}
+
+
+@pytest.mark.parametrize("n,l", [(2, 3), (3, 3), (2, 4)])
+def test_operator_matches_the_full_basis(n, l):
+    # Oracle: E^dag H_full E, with H_full from the scalar rule term by term on
+    # the full basis and E the embedding of the sector; h holds next-nearest
+    # and inter-band neighbour hops, v nearest-neighbour density and pair terms
+    a, b = 0, 1
+    one_body, two_body = _translation_invariant(
+        l,
+        [((a, 0), (a, 0)), ((b, 0), (b, 0)), ((a, 1), (a, 0)), ((b, 2), (b, 0)),
+         ((a, 2), (a, 0)), ((b, 0), (a, 0)), ((b, 1), (a, 0)), ((a, 1), (b, 0))],
+        [((a, 0), (a, 0), (a, 0), (a, 0)), ((a, 0), (a, 1), (a, 1), (a, 0)),
+         ((a, 0), (b, 1), (b, 1), (a, 0)), ((b, 0), (b, 1), (b, 1), (b, 0)),
+         ((b, 0), (b, 1), (a, 1), (a, 0)), ((b, 0), (b, 0), (a, 1), (a, 1)),
+         ((a, 0), (b, 0), (b, 1), (a, 1))],
+        np.random.default_rng(10 * n + l))
+    sector = sb.build_k0_sector(n, l)
+    got = sector.operator(_entries(one_body), _entries(two_body))
+    matrix = np.zeros((sector.dim,) * 2, dtype=complex)
+    matrix[got.rows(), got.indices] = got.data
+    embedding = np.array([expand(sector, column) for column in np.eye(sector.dim)]).T
+    full = full_operator(n, l, one_body, two_body)
+    expected = embedding.conj().T @ full @ embedding
+    assert np.abs(expected).max() > 1.0 and np.abs(expected - expected.T).max() < 1e-12
+    assert np.abs(matrix - expected).max() < 1e-12
+    # the one-body part alone, and entries that are all zero
+    matrix[:] = 0
+    one = sector.operator(_entries(one_body))
+    matrix[one.rows(), one.indices] = one.data
+    full = full_operator(n, l, one_body, np.zeros_like(two_body))
+    assert np.abs(matrix - embedding.conj().T @ full @ embedding).max() < 1e-12
+    assert sector.operator({(0, 0): 0.0}, {(0, 1, 1, 0): 0.0}).data.size == 0
 
 
 def test_expand_orthonormal():

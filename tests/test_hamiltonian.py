@@ -4,7 +4,7 @@ structural invariants (hermiticity, g-linearity, number conservation)."""
 import importlib.util
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,6 +62,18 @@ def test_interaction_picture_one_particle_two_sites():
     expected_hop = np.diag([-p.t_a / 2, p.t_b / 2])
     assert np.abs(parts.h_static.toarray() - expected_static).max() < 1e-14
     assert np.abs(parts.h_hop.toarray() - expected_hop).max() < 1e-14
+
+
+def test_interaction_picture_one_particle_on_a_long_ring():
+    # the same two orbits on 600 sites: the model's 6L one-body and 5L
+    # two-body entries, never a (2L)^4 table, which would take 15 TiB here
+    p = replace(PARAMS_12, n_sites=600)
+    sector = sb.build_k0_sector(1, 600)
+    parts = sb.build_interaction_picture(p, sector)
+    assert sector.upper_fractions.tolist() == [0.0, 1.0]
+    cf = p.c0 * p.force
+    assert np.abs(parts.h_static.toarray() - [[-p.delta / 2, cf], [cf, p.delta / 2]]).max() < 1e-14
+    assert np.abs(parts.h_hop.toarray() - np.diag([-p.t_a / 2, p.t_b / 2])).max() < 1e-14
 
 
 def test_interaction_picture_two_particles_one_site():
@@ -167,13 +179,15 @@ _MASKS = [sb.TermMask(),
           sb.TermMask(hop_a=False, hop_b=False),
           sb.TermMask(int_a=False, int_b=False, int_x_pair=False),
           sb.TermMask.from_names("int_x_pair,c0,hop_b"),
-          sb.TermMask.from_names("int_a,int_b,hop_a")]
+          sb.TermMask.from_names("int_a,int_b,hop_a"),
+          # each term off alone, so that every --terms name is pinned to its entries
+          *(sb.TermMask(**{f.name: False}) for f in fields(sb.TermMask))]
 
 
 @pytest.mark.parametrize("n,l", [(n, l) for n in range(1, 7) for l in range(1, 7)])
 def test_sector_matrices_match_the_oracle(n, l):
     # h_static and h_hop, byte for byte, against the oracle's entries summed
-    # in the same order, under five term masks, with and without interactions
+    # in the same order, under twelve term masks, with and without interactions
     sector = sb.build_k0_sector(n, l)
     for g in (0.0, 0.35):
         params = replace(sb.preset_v0_4(g), n_particles=n, n_sites=l)
