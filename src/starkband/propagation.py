@@ -36,7 +36,8 @@ eigenvectors, and dsyevd's workspace.  `evolve` integrates its windows in
 the fewest blocks of at most FLOQUET_CHUNK windows, of balanced widths (50
 windows as 13, 13, 12 and 12), in one workspace shared by the blocks, each
 sample handed on as the step that holds it is accepted, and keeps only
-sum_j w_j |psi_j|^2 of it: it holds S (or one vector), one block of windows
+sum_j w_j |psi_j|^2 of it: it holds the window starts, built from S before
+S is freed, where they fit (else S, or one vector), one block of windows
 and the float trace.  The stroboscopic trace goes in blocks of about
 TRACE_BLOCK_PHASES phases and at least TRACE_BLOCK_PERIODS periods.
 """
@@ -98,7 +99,9 @@ DEFAULT_ATOL = 1e-12
 # The windows of evolve are integrated in the fewest blocks of at most
 # FLOQUET_CHUNK columns, of balanced widths, in one workspace that also holds
 # the dense output's 3 extra stages and 4 more rows (DOP853 holds 25.5 copies
-# of a block, and a block of evolve 29.5 with its starts and sample rows).
+# of a block, and a block of evolve 29.5 with its starts and sample rows),
+# beside S or, where they fit, all the window starts in its place (see
+# evolve).
 FLOQUET_CHUNK = 16
 FLOQUET_WORKING_COPIES = 2.0
 FLOQUET_CHUNK_COPIES = 22
@@ -284,6 +287,16 @@ def _propagator_pays(parts: HamiltonianParts, last: int, samples_per_period: int
     return propagator + products + blocks < -(-last // n) * _period_cost(dim, 1, n)
 
 
+def _window_starts(s: np.ndarray, psi0: np.ndarray, order: int):
+    """psi(mT_B) = S^(order m) psi0 for m = 0, 1, ..., each `order` products
+    S @ psi from the one before, formed as it is asked for."""
+    start = psi0
+    while True:
+        yield start
+        for _ in range(order):
+            start = s @ start
+
+
 def _weighted_norms(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_j weights_j |rows[k, j]|^2 for each row k: one product over the
     real and imaginary parts of all rows at once that makes no temporary of
@@ -318,12 +331,20 @@ def evolve(
     only their start are recorded after the loop.  The blocks come from one
     of two routes:
     - S: H(t) has period T_B, so psi(mT_B) = S^(dm) psi0 with
-      S = floquet_operator(parts).  Where `_propagator_pays`, the blocks
+      S = floquet_operator(parts), each start d products S @ psi from the
+      one before (`_window_starts`).  Where `_propagator_pays`, the blocks
       are the fewest of at most FLOQUET_CHUNK windows, of balanced widths
-      (`_block_widths`), each integrated to its last sample, and their
-      starts are built with S as each block is.  With one sample per period
-      the starts are all the samples, and nothing is integrated.  S costs
-      dim^2 to build and apply, so it needs more windows as dim grows.
+      (`_block_widths`), each integrated to its last sample.  The starts of
+      windows 0..final are all built before the first block, and S is freed
+      before the blocks' workspace is allocated, where final + 1 <=
+      min(dim, FLOQUET_CHUNK_COPIES * min(dim, FLOQUET_CHUNK)): the starts
+      then weigh no more than S, which they replace in the blocks' phase,
+      and S and the starts together no more than the propagator's
+      integration just before.  Longer spans build each block's starts
+      with S as the block is reached.  The products and their order are
+      the same either way.  With one sample per period the starts are all
+      the samples, and nothing is integrated.  S costs dim^2 to build and
+      apply, so it needs more windows as dim grows.
     - Vectors: otherwise, and when S cannot be built (complex blocks, or a
       working set beyond the physical memory), ceil(last/n) blocks of one
       window, each integrated over the whole period (a last window only to
@@ -349,13 +370,16 @@ def evolve(
         times = np.append(times, t_final)
     offsets = step * np.arange(min(n, last + 1))  # a window holds at most last + 1 samples
     final = last // n  # the last window that holds a sample
-    s = None
+    starts, widths = None, [1] * -(-last // n)  # the vector route, unless S pays
     if (final and _propagator_obstacle(parts) is None
             and _propagator_pays(parts, last, n)):
-        s = floquet_operator(parts)
         widths = _block_widths(_sampled_windows(last, n))
-    else:
-        widths = [1] * -(-last // n)
+        starts = _window_starts(floquet_operator(parts), psi0, parts.boost_order)
+        if final + 1 <= min(dim, FLOQUET_CHUNK_COPIES * min(dim, FLOQUET_CHUNK)):
+            ahead = np.empty((final + 1, dim), dtype=complex)
+            for row, start in zip(ahead, starts):
+                row[...] = start
+            starts = iter(ahead)  # the last reference to S goes with its generator
     values = np.empty(times.size)
     kept = None  # the state at sample `last`
 
@@ -370,11 +394,10 @@ def evolve(
     start = psi0  # psi(mT_B) of the last window m recorded, or to record next
 
     def window_start(m):
-        """psi(mT_B), recorded; on the S route S^d psi((m - 1)T_B)."""
+        """psi(mT_B), recorded; on the S route the next of `starts`."""
         nonlocal start
-        if s is not None and m:
-            for _ in range(parts.boost_order):
-                start = s @ start
+        if starts is not None:
+            start = next(starts)
         put(m * n, start[None])
         return start
 
@@ -388,10 +411,10 @@ def evolve(
     for width in widths:
         count = min(n, last + 1 - m * n)  # the samples of window m
         block = np.column_stack([window_start(m + j) for j in range(width)])
-        s_end = tb if s is None and m < final else offsets[count - 1]
+        s_end = tb if starts is None and m < final else offsets[count - 1]
         end, carried = _integrate_windows(parts, block, 0.0, s_end, offsets[1:count], sink,
                                           carried, work)
-        if s is None:
+        if starts is None:
             start = end[:, 0]
         m += width
     for m in range(m, final + 1):  # windows that hold only their start

@@ -59,6 +59,19 @@ def test_vector_golden_takes_the_vector_route():
     assert not propagation._propagator_pays(parts, 13, 8)
 
 
+def test_continuous_golden_builds_its_window_starts_before_its_windows():
+    # evolve_continuous.csv takes S (4 periods at 32 samples per period at
+    # N = L = 3, dim 20) and builds its 5 window starts before the first
+    # block of windows, 5 <= min(dim, FLOQUET_CHUNK_COPIES * FLOQUET_CHUNK);
+    # the starts streamed from S past that are checked against the lab frame
+    # in tests/test_propagation.py
+    params = replace(sb.preset_v0_4(0.2), n_particles=3, n_sites=3)
+    parts = sb.build_interaction_picture(params, sb.build_k0_sector(3, 3))
+    assert propagation._propagator_pays(parts, 4 * 32, 32)
+    assert 4 + 1 <= min(parts.basis_dim,
+                        propagation.FLOQUET_CHUNK_COPIES * propagation.FLOQUET_CHUNK)
+
+
 def test_revival_report_matches_golden(capsys):
     assert main(["revival-report", *SMALL]) == 0
     got = json.loads(capsys.readouterr().out)

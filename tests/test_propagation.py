@@ -192,9 +192,11 @@ def test_evolve_matches_lab_frame(system44):
 # (samples per period, span in Bloch periods): whole periods, one sample per
 # period (every sample on a window start, so no window needs integration on
 # the propagator route), spans that end on a sample inside a window and
-# between two samples, and a span shorter than one period
+# between two samples, a span shorter than one period, and 41 window starts,
+# more than the sector's dim, which the propagator route streams from S
 GRID_CASES = {"whole-periods": (8, 3.0), "one-per-period": (1, 5.0),
-              "span-3.5TB": (8, 3.5), "span-4.55TB": (4, 4.55), "span-0.6TB": (8, 0.6)}
+              "span-3.5TB": (8, 3.5), "span-4.55TB": (4, 4.55), "span-0.6TB": (8, 0.6),
+              "forty-periods": (1, 40.0)}
 
 
 @pytest.mark.parametrize("route", ["propagator", "vectors"])
@@ -204,12 +206,29 @@ def test_evolve_windows_match_lab_frame(n, l, per_period, span_tb, route, monkey
     # both routes through the windows: starts from powers of S, integrated
     # side by side in blocks of at most two windows (FLOQUET_CHUNK = 2, so
     # window 0 shares the first block, blocks join up, and the last may hold
-    # a partial window), and window-by-window vector integrations
-    built = []
-    floquet_operator = propagation.floquet_operator
+    # a partial window), and window-by-window vector integrations.  The
+    # propagator route builds all final + 1 starts before the windows'
+    # workspace where they fit, final + 1 <= min(dim, FLOQUET_CHUNK_COPIES * 2),
+    # and otherwise (40 periods at dim 20 and 10) none
+    built, drawn, before_windows = [], [], []
+    floquet_operator, window_starts = propagation.floquet_operator, propagation._window_starts
+    workspace = propagation.workspace
     monkeypatch.setattr(propagation, "_propagator_pays", lambda *args: route == "propagator")
     monkeypatch.setattr(propagation, "floquet_operator",
                         lambda *args, **kw: built.append(1) or floquet_operator(*args, **kw))
+
+    def counted_starts(*args):
+        for start in window_starts(*args):
+            drawn.append(1)
+            yield start
+
+    def windows(size, sampled=False):
+        if sampled:
+            before_windows.append(len(drawn))
+        return workspace(size, sampled=sampled)
+
+    monkeypatch.setattr(propagation, "_window_starts", counted_starts)
+    monkeypatch.setattr(propagation, "workspace", windows)
     monkeypatch.setattr(propagation, "FLOQUET_CHUNK", 2)
     parts = _parts_for(n, l)
     tb = parts.t_bloch
@@ -224,6 +243,10 @@ def test_evolve_windows_match_lab_frame(n, l, per_period, span_tb, route, monkey
     assert result.times == pytest.approx(want, rel=1e-14, abs=0.0)
     assert np.abs(result.values - _weighted(w, _lab_frame(parts, psi, result.times))).max() < 1e-9
     assert built == ([1] if route == "propagator" and span_tb >= 1 else [])
+    final = math.floor(span_tb + 1e-9)
+    fit = final + 1 <= min(parts.basis_dim, propagation.FLOQUET_CHUNK_COPIES * 2)
+    assert fit == (span_tb < 40)
+    assert before_windows == [final + 1 if built and fit else 0]
 
 
 def test_occupation_series_refuses_other_streamed_weights(small_system):
@@ -793,46 +816,83 @@ def test_dsyevd_loader_names_a_missing_symbol(monkeypatch):
 
 
 def test_streamed_evolve_memory_is_that_of_the_propagator(preset_runs):
-    # with weights no state of the 1,601 samples is kept.  The peak is
-    # either floquet_operator's own, Y and one 16-column chunk's stepper
-    # (about 732 vectors of dim 402), or S and one block of 13 windows with
-    # the shared workspace (793 measured, the larger); two copies while S
-    # was formed, 7 chunks of 64 columns and blocks of 25 windows took 1,142
-    # and 1,650
+    # with weights no state of the 1,601 samples is kept, and S is freed
+    # before the windows, so the peak is floquet_operator's own, Y and one
+    # 16-column chunk's stepper (732.0 vectors of dim 402 measured), with
+    # the times of the samples beside it (733.6 measured; the times and
+    # values of the 1,601 samples weigh 4.0 vectors).  With S kept through
+    # the windows it was S and one block of 13 windows (793 measured); two
+    # copies while S was formed, 7 chunks of 64 columns and blocks of 25
+    # windows took 1,142 and 1,650
     parts = preset_runs.parts(0.2)
     dim, tb = parts.basis_dim, parts.t_bloch
+    propagator = peak_copies(lambda: sb.floquet_operator(parts), dim)
     results = []
 
     def run():
         results.append(sb.evolve(preset_runs.psi0, parts, 50 * tb, samples_per_period=32,
                                  weights=preset_runs.sector.upper_fractions))
 
-    assert peak_copies(run, dim) <= 850
+    assert peak_copies(run, dim) <= propagator + 4
     assert results[0].values.shape == (1601,)
 
 
-def test_evolve_windows_hold_s_and_one_block(preset_runs, monkeypatch):
-    # counted from the end of floquet_operator: the S route holds S, one
-    # block of at most 13 windows in the shared workspace (DOP853's 25.5
-    # copies of a block, its starts, its end and a work array of sample
-    # rows: 29.5) and one of numpy's ufunc buffers (793 vectors of dim 402
-    # measured)
+def _evolve_phases(preset_runs, monkeypatch, periods, samples_per_period):
+    """tracemalloc's peaks of `evolve` at the preset over `periods` Bloch
+    periods, in vectors of dim: from the end of floquet_operator to the
+    allocation of the windows' workspace, and from there to the end."""
     parts = preset_runs.parts(0.2)
     dim = parts.basis_dim
-    floquet_operator = propagation.floquet_operator
+    floquet_operator, workspace = propagation.floquet_operator, propagation.workspace
+    phases = []
 
     def built(parts):
         s = floquet_operator(parts)
         tracemalloc.reset_peak()
         return s
 
+    def windows(size, sampled=False):
+        if sampled:
+            phases.append(tracemalloc.get_traced_memory()[1] / (16 * dim))
+            tracemalloc.reset_peak()
+        return workspace(size, sampled=sampled)
+
     monkeypatch.setattr(propagation, "floquet_operator", built)
+    monkeypatch.setattr(propagation, "workspace", windows)
+    phases.append(peak_copies(lambda: sb.evolve(
+        preset_runs.psi0, parts, periods * parts.t_bloch, samples_per_period=samples_per_period,
+        weights=preset_runs.sector.upper_fractions), dim))
+    return phases
+
+
+def test_evolve_windows_hold_the_starts_and_one_block(preset_runs, monkeypatch):
+    # 50 periods at 32 samples per period: the 51 window starts fit (51 <=
+    # min(402, 22 * 16)).  From the end of floquet_operator until the
+    # windows' workspace: S, the starts, the sample times and the products
+    # in flight (458.7 vectors of dim 402 measured).  From then on, no S:
+    # the starts, one block of at most 13 windows in the shared workspace
+    # (DOP853's 25.5 copies of a block, its starts, its end and a work array
+    # of sample rows: 29.5) and one of numpy's ufunc buffers (442.0
+    # measured; with S in place of the starts, 793)
+    dim, starts = 402, 51
     widest = max(propagation._block_widths(50))
     assert widest == 13
-    vectors = peak_copies(lambda: sb.evolve(preset_runs.psi0, parts, 50 * parts.t_bloch,
-                                            samples_per_period=32,
-                                            weights=preset_runs.sector.upper_fractions), dim)
-    assert vectors <= dim + 29.5 * widest + np.getbufsize() / dim
+    building, windows = _evolve_phases(preset_runs, monkeypatch, 50, 32)
+    assert building <= dim + starts + 8
+    assert windows <= starts + 29.5 * widest + np.getbufsize() / dim
+
+
+def test_evolve_streams_the_starts_that_do_not_fit(preset_runs, monkeypatch):
+    # 400 periods at one sample per period: 401 starts > 22 * 16, so they
+    # come from S one window at a time, and no point after floquet_operator
+    # holds more than S, a one-column workspace (nothing is integrated: 29.5
+    # vectors priced for a window) and one of numpy's ufunc buffers (403.5
+    # and 431.2 vectors of dim 402 measured); all 401 starts beside S would
+    # be 803
+    dim = 402
+    assert propagation._sampled_windows(400, 1) == 0
+    for phase in _evolve_phases(preset_runs, monkeypatch, 400, 1):
+        assert phase <= dim + 29.5 + np.getbufsize() / dim
 
 
 def test_stroboscopic_occupations_memory_is_bounded(preset_runs):
