@@ -31,7 +31,6 @@ blocks in tests/oracles.py.
 
 import importlib.machinery
 import importlib.util
-import logging
 import math
 import os
 import sys
@@ -51,8 +50,6 @@ __all__ = [
     "build_single_particle_transformed",
     "hermiticity_defect",
 ]
-
-log = logging.getLogger(__name__)
 
 _MASK_ALIASES = {"c0": "coupling_c0"}
 
@@ -311,9 +308,6 @@ def build_interaction_picture(
             f"sector built for (N={sector.n_particles}, L={sector.n_sites}) does not match "
             f"params (N={params.n_particles}, L={params.n_sites})"
         )
-    if mask.coupling_c0 and params.c0 == 0.0:
-        log.info("coupling_c0 requested but c0 = 0; the bands stay uncoupled")
-
     static, two_body, hop = _model(params, mask)
     h_static = sector.operator(static, two_body)
     h_hop = sector.operator(hop)

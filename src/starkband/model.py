@@ -13,7 +13,6 @@ natural time unit of the driven problem.
 import json
 import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -44,8 +43,9 @@ def _require_number(name: str, value, integral: bool):
 
 def _bessel_j(n: int, x: float) -> float:
     order, half = abs(n), 0.5 * x
-    # the first term (x/2)^|n| / |n|! in exact rationals: rounded once, and no power overflows
-    term = float(Fraction(half) ** order / math.factorial(order))
+    # the first term (x/2)^|n| / |n|! as one int ratio, which true division rounds once
+    num, den = half.as_integer_ratio()
+    term = num**order / (den**order * math.factorial(order))
     terms, peak, k = [term], abs(term), 0
     # the terms grow while k < |x|/2, then fall off faster than geometrically
     while term != 0.0 and (k < abs(half) or abs(term) > 1e-20 * peak):

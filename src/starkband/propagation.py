@@ -28,9 +28,10 @@ Memory stays within 2.0 dim x dim complex copies, and a few dim x 16 ones
 (see FLOQUET_*), phase by phase.  The propagator is integrated in chunks
 of FLOQUET_CHUNK = 16 columns (Y and one chunk's working set), all stepped
 in one DOP853 workspace, allocated once and freed before S is formed: a
-workspace per chunk would leave freed chunk-sized arrays in glibc's heap.
-S is formed in Y's own buffer and checked, in blocks of columns (one copy
-and two blocks), and its diagonalisation consumes S: it holds S's buffer,
+workspace per chunk would leave freed chunk-sized arrays in glibc's heap,
+whose free pages malloc_trim hands back before Y and before dsyevd.  S is
+formed in Y's own buffer and checked, in blocks of columns (one copy and
+two blocks), and its diagonalisation consumes S: it holds S's buffer,
 rewritten in place into the real matrix that dsyevd overwrites with the
 eigenvectors, and dsyevd's workspace.  `evolve` integrates its windows in
 the fewest blocks of at most FLOQUET_CHUNK windows, of balanced widths (50
@@ -107,7 +108,7 @@ FLOQUET_WORKING_COPIES = 2.0
 FLOQUET_CHUNK_COPIES = 22
 # Besides the dense arrays and the arrays of the parts, a process that builds
 # and diagonalises S holds the interpreter with numpy and the package
-# (PROCESS_BYTES: 30.3 MiB of RSS after importing starkband.cli), and, per
+# (PROCESS_BYTES: 29.7 MiB of RSS after importing starkband.cli), and, per
 # sector state, the sector's arrays, the part of glibc's heap that
 # malloc_trim cannot hand back, and the BLAS buffers that dsyevd's products
 # touch (SPARE_BYTES_PER_STATE: at N = L = 6, dim 2076, 9.2 MiB of a 172.9
@@ -406,7 +407,7 @@ def evolve(
         first = m * n + 1 + i
         put(first, rows[:len(range(first, last + 1, n))])
 
-    work = workspace(dim * max(widths, default=1), sampled=True)
+    work = workspace(dim * max(widths), sampled=True) if widths else None  # a lone tail allocates its own
     carried, m = None, 0  # the step that the last integration would take next
     for width in widths:
         count = min(n, last + 1 - m * n)  # the samples of window m
@@ -484,7 +485,11 @@ def _half_period_propagator(parts: HamiltonianParts) -> np.ndarray:
     `_integrate_windows`, each chunk from the matching columns of the
     identity with its own adaptive steps, the first of them the step that
     the chunk before would take next, into one preallocated dim x dim array.
-    All chunks share one stepper workspace, freed on return."""
+    All chunks share one stepper workspace, freed on return.  First glibc's
+    malloc_trim (`_malloc_trim`) hands back the heap's free pages."""
+    trim = _malloc_trim()
+    if trim is not None:  # what the set-up freed need not stay resident under Y
+        trim(0)
     dim = parts.basis_dim
     half = 0.5 * parts.t_bloch / parts.boost_order
     width = min(FLOQUET_CHUNK, dim)
@@ -660,9 +665,9 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     buffer, viewed as a dim x 2 dim real array (lda = 2 dim), and adds only
     its workspace of 2 dim^2 doubles (one copy, out of tracemalloc's sight):
     2.0 in all.  Before it runs, glibc's malloc_trim (`_malloc_trim`) hands
-    back the free pages that the set-up's and S's temporaries left in the
-    heap, which would otherwise stay resident beside it (0.85 MiB at the
-    preset).  Then one real product V^T B = (B V)^T gives b and the
+    back the free pages that the stepper workspace and S's temporaries left
+    in the heap, which would otherwise stay resident beside it (0.8 MiB at
+    the preset).  Then one real product V^T B = (B V)^T gives b and the
     residual, in an array that then takes V sorted by quasi-energy (half a
     copy); the overlaps and the residual go in the row blocks of `_blocks`.
     Products of single blocks would tie the bits of b to FLOQUET_CHUNK:

@@ -98,3 +98,21 @@ def test_matches_scipy_on_the_model_domain():
     orders = np.arange(-12, 13)
     worst = max(np.abs(bessel_j(orders, x) - jv(orders, x)).max() for x in xs)
     assert worst <= 4e-16
+
+
+def test_first_term_is_the_exact_rational_rounded_once(monkeypatch):
+    # (x/2)^n / n! from the integer ratio of x/2 is the rational that
+    # Fraction holds, rounded once by int true division: the same value and
+    # sign, also at 0, -0 and subnormal x; math.fsum is watched for the
+    # series' first term
+    rng = np.random.default_rng(34)
+    xs = [0.0, -0.0, 3e-310, -3e-310, *rng.uniform(-1.0, 1.0, 8), *rng.uniform(-700, 700, 8)]
+    firsts, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: firsts.append(terms[0]) or fsum(terms))
+    for x in xs:
+        for n in range(60):
+            firsts.clear()
+            bessel_j(n, x)
+            want = float(Fraction(0.5 * x) ** n / math.factorial(n))
+            assert [(t, math.copysign(1.0, t)) for t in firsts] == [
+                (want, math.copysign(1.0, want))], (n, x)

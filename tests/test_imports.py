@@ -20,7 +20,11 @@ import `scipy.sparse` when it is imported: its `__init__` costs about
 `numpy.testing`), and a run uses only its compiled CSR product, which
 `hamiltonian` loads from its extension file.  Only the scipy views of
 `HamiltonianParts`' blocks import it, inside a function, for the callers
-that want scipy's arithmetic: perfbench/child.py and the tests.  An
+that want scipy's arithmetic: perfbench/child.py and the tests.  Importing
+`starkband.cli`, as every run does, loads none of `logging`, `fractions`,
+`decimal`, `numpy.ma`, `scipy` and `scipy.sparse`: each one costs resident
+memory in every run (`logging` about 0.55 MB, `fractions` with `decimal`
+about 0.40 MB), and a run needs none of them.  An
 environment variable would be a setting that no flag, parameter file or
 output fingerprint shows, so no module under `src/` may read `os.environ`
 or call `os.getenv`.  A tuning constant that no code reads any more, left
@@ -46,7 +50,10 @@ as `diagonalize_floquet` overwrites S, must be handed a temporary in
 
 import ast
 import collections
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -366,6 +373,19 @@ def test_detects_scipy_sparse_imported_on_import():
     assert sorted(found, key=lambda item: item[1]) == [
         ("scipy.sparse", 1), ("scipy.sparse", 2), ("scipy.sparse", 4),
         ("scipy.sparse.csr_matrix", 6), ("scipy.sparse.linalg", 9)]
+
+
+UNUSED_BY_A_RUN = ("logging", "fractions", "decimal", "numpy.ma", "scipy", "scipy.sparse")
+
+
+def test_cli_loads_no_module_a_run_does_not_use():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = (f"import sys, starkband.cli\n"
+             f"print(*[m for m in {UNUSED_BY_A_RUN!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          check=True)
+    assert proc.stdout.split() == []
 
 
 ENVIRONMENT_READERS = ("environ", "getenv")
