@@ -43,6 +43,7 @@ from .propagation import (
     evolve,
     floquet_operator,
     occupation_series,
+    spectral_trace,
     stroboscopic_occupations,
 )
 
@@ -306,24 +307,20 @@ def cmd_single_particle(args) -> int:
         raise ValueError(f"--t-final-tb {args.t_final_tb} is not a whole number of samples "
                          f"at --sample-per-tb {args.sample_per_tb}")
     params = cfg.params
-    n_sites = 2 * args.window + 1
-    # the phases, their product with the amplitudes and psi(t): 2 n_sites each
-    check_trace_memory(round(n_samples) + 1, 3 * 16 * 2 * n_sites + CSV_BYTES_PER_VALUE * 4)
+    n_sites, samples = 2 * args.window + 1, round(n_samples) + 1
+    check_trace_memory(samples, CSV_BYTES_PER_VALUE * 4)
     problem = memory_shortfall(f"diagonalising the single-particle model of {2 * n_sites:,} "
                                "states", SINGLE_PARTICLE_COPIES * 8 * (2 * n_sites) ** 2)
     if problem:
         raise ValueError(problem)
     h = build_single_particle_transformed(params, args.window)
     energies, vectors = np.linalg.eigh(h)
-    psi0 = np.zeros(2 * n_sites)
-    psi0[args.window] = 1.0  # central lower-band site
-    amp0 = vectors.T @ psi0
-
     tb = params.t_bloch
-    times = (tb / args.sample_per_tb) * np.arange(round(n_samples) + 1)
-    phases = np.exp(-1j * np.outer(times, energies))
-    psi_t = (phases * amp0) @ vectors.T
-    nb = (np.abs(psi_t[:, n_sites:]) ** 2).sum(axis=1)
+    step = tb / args.sample_per_tb
+    # from the central lower-band site; N_b weighs the upper band's sites
+    nb = spectral_trace(energies, vectors, vectors[args.window], np.repeat([0.0, 1.0], n_sites),
+                        step, samples)
+    times = step * np.arange(samples)
 
     if cfg.order is not None:
         predicted = build_resonant_two_level(params, cfg.order).occupation(times)

@@ -39,8 +39,10 @@ windows as 13, 13, 12 and 12), in one workspace shared by the blocks, each
 sample handed on as the step that holds it is accepted, and keeps only
 sum_j w_j |psi_j|^2 of it: it holds the window starts, built from S before
 S is freed, where they fit (else S, or one vector), one block of windows
-and the float trace.  The stroboscopic trace goes in blocks of about
-TRACE_BLOCK_PHASES phases and at least TRACE_BLOCK_PERIODS periods.
+and the float trace.  Every trace from an eigendecomposition, the
+stroboscopic N_b and the single-particle command's, is one kernel,
+`spectral_trace`: blocks of about TRACE_BLOCK_PHASES phases and at least
+TRACE_BLOCK_PERIODS samples, each turned from the block before.
 """
 
 import ctypes
@@ -63,6 +65,7 @@ __all__ = [
     "evolve",
     "floquet_operator",
     "diagonalize_floquet",
+    "spectral_trace",
     "stroboscopic_occupations",
     "occupation_series",
     "check_trace_memory",
@@ -132,10 +135,10 @@ UNITARITY_DEFECT_BUDGET = 1e-6
 # Bytes a trace holds per sample beside its caller's, by tracemalloc: six float64
 # arrays (45 per period of revival-report measured).
 TRACE_BYTES_PER_SAMPLE = 48
-# stroboscopic_occupations: the phases of one block of periods, about 25,000
-# (a block of 62 periods at dim 402: its phases and their two real products
-# with V are 32 bytes per phase, 0.8 MB), but at least TRACE_BLOCK_PERIODS
-# periods, as each block streams all of V twice
+# spectral_trace: the phases of one block of samples, about 25,000 (a block
+# of 62 periods at dim 402: its phases and their two real products with V
+# are 32 bytes per phase, 0.8 MB), but at least TRACE_BLOCK_PERIODS samples,
+# as each block streams all of V twice
 TRACE_BLOCK_PHASES = 25_000
 TRACE_BLOCK_PERIODS = 62
 
@@ -530,8 +533,9 @@ def floquet_operator(parts: HamiltonianParts) -> np.ndarray:
     block's upper part, S[:i, block] and the upper half of its diagonal
     block, is mirrored from the lower, so S is exactly symmetric.  That is
     one dim x dim copy and two blocks.  The defect d max|S^dag S - 1| comes
-    from row blocks S[:, rows]^H S of the Gram matrix, so the check holds
-    S and one block.  ValueError is raised before any integration when the
+    from the row blocks S[:, rows]^H S[:, :rows.stop] of the Hermitian Gram
+    matrix, the columns left of and on its diagonal, so the check holds S
+    and one block.  ValueError is raised before any integration when the
     estimated peak of a process that builds and diagonalises S
     (`_propagator_bytes`) exceeds the physical memory.  The defect is
     checked against UNITARITY_DEFECT_BUDGET; a failure suggests tightening
@@ -553,8 +557,8 @@ def floquet_operator(parts: HamiltonianParts) -> np.ndarray:
         upper = np.triu_indices(len(diagonal), 1)
         diagonal[upper] = diagonal.T[upper]
     defect = 0.0
-    for rows in blocks:
-        gram = s[:, rows].conj().T @ s
+    for rows in blocks:  # S^dag S is Hermitian: the blocks left of and on its diagonal
+        gram = s[:, rows].conj().T @ s[:, :rows.stop]
         gram[:, rows][np.diag_indices(gram.shape[0])] -= 1.0
         defect = max(defect, order * float(np.abs(gram).max()))
     if defect > UNITARITY_DEFECT_BUDGET:
@@ -713,6 +717,35 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     )
 
 
+def spectral_trace(energies, vectors, coefficients, weights, step, samples) -> np.ndarray:
+    """values[k] = sum_j w_j |psi_j(k step)|^2 for k < samples, where
+    psi_j(t) = sum_n V_jn c_n e^{-i E_n t}: the columns of `vectors` V are
+    eigenvectors of energies E, c the coefficients and w the weights.
+
+    The samples go in blocks of about TRACE_BLOCK_PHASES phases c_n
+    e^{-i E_n t}, at least TRACE_BLOCK_PERIODS samples.  Only the first
+    block is exponentiated; each later one is the block before turned in
+    place by e^{-i E_n chunk step}, one exp of dim entries.  The phases and
+    their two real products with V, 32 bytes per phase, are allocated
+    once.  A trace beyond physical memory raises ValueError first."""
+    check_trace_memory(samples)
+    values = np.empty(samples)
+    chunk = min(samples, max(TRACE_BLOCK_PERIODS, TRACE_BLOCK_PHASES // max(1, len(energies))))
+    phases = np.empty((chunk, len(energies)), dtype=complex)
+    re, im = np.empty((2, *phases.shape))
+    np.multiply(-1j, np.outer(np.arange(chunk) * step, energies, out=re), out=phases)
+    np.exp(phases, out=phases)
+    phases *= coefficients
+    turn = np.exp(-1j * (chunk * step) * energies)
+    for start in range(0, samples, chunk):
+        np.square(np.matmul(phases.real, vectors.T, out=re), out=re)
+        np.square(np.matmul(phases.imag, vectors.T, out=im), out=im)
+        re += im
+        values[start:start + chunk] = (re @ weights)[:samples - start]  # the last may be short
+        phases *= turn  # the next block
+    return values
+
+
 def stroboscopic_occupations(
     spectrum: FloquetSpectrum,
     sector: SymmetrySector,
@@ -721,28 +754,10 @@ def stroboscopic_occupations(
     """Upper-band occupation N_b at t = 0, T_B, ..., n_periods*T_B."""
     if spectrum.dim != sector.dim:
         raise ValueError(f"spectrum dimension {spectrum.dim} does not match sector {sector.dim}")
-    check_trace_memory(n_periods + 1)
-    w = sector.upper_fractions
-    ms = np.arange(n_periods + 1)
-    values = np.empty(ms.size)
-    vt = spectrum.eigen_vectors.T
-    # about TRACE_BLOCK_PHASES phases a block, but TRACE_BLOCK_PERIODS periods at
-    # least, in arrays of the phases and their two products with V allocated once
-    chunk = max(TRACE_BLOCK_PERIODS, TRACE_BLOCK_PHASES // max(1, spectrum.dim))
-    phase_rows = np.empty((min(chunk, ms.size), spectrum.dim), dtype=complex)
-    re_rows, im_rows = np.empty((2, *phase_rows.shape))
-    for start in range(0, ms.size, chunk):
-        block = ms[start:start + chunk]
-        phases, re, im = phase_rows[:block.size], re_rows[:block.size], im_rows[:block.size]
-        np.multiply(-1j, np.outer(block * spectrum.t_bloch, spectrum.quasi_energies, out=re),
-                    out=phases)
-        np.exp(phases, out=phases)
-        phases *= spectrum.coefficients
-        np.square(np.matmul(phases.real, vt, out=re), out=re)
-        np.square(np.matmul(phases.imag, vt, out=im), out=im)
-        re += im
-        values[start:start + chunk] = re @ w
-    return OscillationTrace(times=ms * spectrum.t_bloch, values=values)
+    values = spectral_trace(spectrum.quasi_energies, spectrum.eigen_vectors,
+                            spectrum.coefficients, sector.upper_fractions, spectrum.t_bloch,
+                            n_periods + 1)
+    return OscillationTrace(times=np.arange(n_periods + 1) * spectrum.t_bloch, values=values)
 
 
 def occupation_series(result: EvolutionResult, sector: SymmetrySector) -> OscillationTrace:

@@ -2,8 +2,8 @@
 the matrix elements of h_static and h_hop and the sector matrices they give,
 the embedding of kappa = 0 sector coordinates in the full Fock basis, the
 dense lab-frame H(t) of the sector, the static Hamiltonian with the explicit
-tilt l*F in the full basis, and the Floquet spectrum from full dim x dim
-products.
+tilt l*F in the full basis, the Floquet spectrum from full dim x dim
+products, and an eigendecomposed trace from every sample's own phases.
 
 The basis, the orbits and the matrix elements use nothing of the package's
 own: they work on one FockState tuple at a time, list the basis by stars
@@ -304,3 +304,16 @@ def full_matrix_spectrum(y, parts, psi0):
     ranks = np.argsort(eps, kind="stable")
     vectors = vectors[:, ranks]
     return s, eps[ranks], vectors, vectors.T @ np.asarray(psi0, dtype=complex)
+
+
+def direct_trace(energies, vectors, coefficients, weights, times):
+    """sum_j w_j |psi_j(t)|^2 at each of `times`, psi(t) = V (c e^{-i E t}),
+    with every sample's phases exponentiated and one complex product with V,
+    the route of the single-particle command before its trace streamed;
+    500 samples at a time."""
+    values = []
+    for start in range(0, len(times), 500):
+        phases = np.exp(-1j * np.outer(times[start:start + 500], energies))
+        psi_t = (phases * coefficients) @ vectors.T
+        values.append((np.abs(psi_t) ** 2) @ weights)
+    return np.concatenate(values)

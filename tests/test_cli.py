@@ -15,7 +15,8 @@ import starkband as sb
 from starkband import cli, fock, propagation
 from starkband.cli import _fmt, build_parser, main
 
-from oracles import dense_hamiltonian
+from conftest import peak_copies
+from oracles import dense_hamiltonian, direct_trace
 
 SMALL_PARAMS = dict(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.030, w_b=0.018,
                     w_x=0.012, g=0.0, n_particles=1, n_sites=2, resonance_order=2)
@@ -461,6 +462,40 @@ def test_single_particle_prediction_column(capsys):
     for line in lines[2:6]:
         t, _, _, predicted = (float(x) for x in line.split(","))
         assert predicted == pytest.approx(float(sb.rabi_occupation(t, p)), abs=1e-9)
+
+
+def test_single_particle_trace_is_every_sample_exponentiated(capsys):
+    # 100 periods at 8 samples per period: 801 samples at dim 42, a block of
+    # 595 and one of 206 turned from it, against every sample's own phases
+    # from the central lower-band site, weighing the upper band
+    assert main(["single-particle", "--preset", "v0_4", "--window", "10",
+                 "--t-final-tb", "100", "--sample-per-tb", "8"]) == 0
+    nb = [float(line.split(",")[2]) for line in capsys.readouterr().out.splitlines()[2:]]
+    params = sb.preset_v0_4()
+    energies, vectors = np.linalg.eigh(sb.build_single_particle_transformed(params, 10))
+    want = direct_trace(energies, vectors, vectors[10], np.repeat([0.0, 1.0], 21),
+                        params.t_bloch / 8 * np.arange(801))
+    assert len(nb) == 801
+    assert np.abs(np.array(nb) - want).max() <= 1e-12
+
+
+def test_single_particle_trace_holds_one_block(monkeypatch):
+    # 8,001 samples at dim 42: one block of 595 samples, its phases and
+    # their two real products with the eigenvectors at 32 bytes per phase,
+    # beside the trace's own arrays and one of numpy's ufunc buffers (1.10
+    # MB measured, without the CSV text); the phases of the whole trace,
+    # their product with the amplitudes and psi(t), held at once as
+    # oracles.direct_trace would in one slice, take 16.3 MB
+    monkeypatch.setattr(cli, "_csv", lambda *args: "")
+    monkeypatch.setattr(cli, "_emit", lambda text, out: None)
+
+    def run():
+        assert main(["single-particle", "--preset", "v0_4", "--window", "10",
+                     "--t-final-tb", "1000", "--sample-per-tb", "8"]) == 0
+
+    block = 32 * (propagation.TRACE_BLOCK_PHASES // 42) * 42
+    held = block + 16 * np.getbufsize() + propagation.TRACE_BYTES_PER_SAMPLE * 8001
+    assert peak_copies(run, 1) * 16 <= held
 
 
 def test_single_particle_rejects_a_partial_last_sample(capsys):

@@ -24,7 +24,8 @@ from starkband.fock import Csr, FockState
 from starkband.propagation import EIGEN_MIX
 
 from conftest import peak_copies
-from oracles import dense_hamiltonian, full_matrix_spectrum, full_product, translate
+from oracles import (dense_hamiltonian, direct_trace, full_matrix_spectrum, full_product,
+                     translate)
 
 SMALL = sb.ModelParams(delta=4.39, c0=-0.15, t_a=0.062, t_b=0.62, w_a=0.03, w_b=0.018,
                        w_x=0.012, g=0.4, force=2.2201, n_particles=2, n_sites=3)
@@ -540,6 +541,35 @@ def test_unitarity_gate_scales_with_the_boost_order(monkeypatch, capsys):
     assert "tighten" in capsys.readouterr().err
 
 
+def test_unitarity_check_reads_half_of_the_hermitian_gram_matrix(monkeypatch):
+    # the check reads the blocks of S^dag S left of and on its diagonal; with
+    # column 40 of Y (third of six blocks at dim 86) scaled by 1 + 1e-6, the
+    # defect the gate sees is that of the full Gram matrix, about 1e-5
+    parts = _parts_for(4, 4)
+    half_period = propagation._half_period_propagator
+    seen = []
+
+    def scaled(parts):
+        y = half_period(parts)
+        y[:, 40] *= 1 + 1e-6
+        return y
+
+    class Budget(float):  # records the defect it is compared with
+        def __lt__(self, defect):
+            seen.append(defect)
+            return float(self) < defect
+
+    monkeypatch.setattr(propagation, "_half_period_propagator", scaled)
+    monkeypatch.setattr(propagation, "UNITARITY_DEFECT_BUDGET", Budget(math.inf))
+    s = sb.floquet_operator(parts)
+    full = parts.boost_order * np.abs(s.conj().T @ s - np.eye(parts.basis_dim)).max()
+    assert full > 1e-6
+    assert seen == [pytest.approx(full, rel=0, abs=1e-15)]
+    monkeypatch.setattr(propagation, "UNITARITY_DEFECT_BUDGET", 1e-6)
+    with pytest.raises(sb.NumericalError, match=f"defect {full:.3e} exceeds 1.0e-06"):
+        sb.floquet_operator(parts)
+
+
 def test_floquet_operator_integrates_a_fraction_of_the_period(system44, monkeypatch):
     # deterministic work counter, in columns of Y pushed through the
     # right-hand side: T_B/8 at N = L = 4 takes 89.1 dim (two chunks of
@@ -924,6 +954,22 @@ def test_stroboscopic_occupations_memory_is_bounded(preset_runs):
         psi = _stroboscopic_state(spectrum, m)
         nb = float((np.abs(psi) ** 2) @ preset_runs.sector.upper_fractions)
         assert trace.values[m] == pytest.approx(nb, abs=1e-12)
+
+
+@pytest.mark.parametrize("samples", [10_001, 62 * 3 + 17])
+def test_spectral_trace_is_every_sample_exponentiated(preset_runs, samples):
+    # 10,000 periods are 162 blocks of 62, each turned from the block before,
+    # and 203 samples end 17 into the fourth block; every sample against its
+    # own phases exponentiated and one complex product with V
+    spectrum = preset_runs.spectrum(0.2)
+    w = preset_runs.sector.upper_fractions
+    values = propagation.spectral_trace(spectrum.quasi_energies, spectrum.eigen_vectors,
+                                        spectrum.coefficients, w, spectrum.t_bloch, samples)
+    want = direct_trace(spectrum.quasi_energies, spectrum.eigen_vectors, spectrum.coefficients,
+                        w, np.arange(samples) * spectrum.t_bloch)
+    assert np.abs(values - want).max() <= 1e-12
+    trace = sb.stroboscopic_occupations(spectrum, preset_runs.sector, samples - 1)
+    assert np.array_equal(trace.values, values)
 
 
 def test_floquet_rejects_broken_boost_symmetry():
