@@ -21,19 +21,21 @@ steps of scipy.integrate.solve_ivp without importing scipy.integrate.
 The propagator is integrated over T_B/(2d): a boost of the ring shifts H(t)
 by T_B/d, and time reversal (h_static and h_hop are real in the kappa = 0
 basis) halves that span.  The resulting S is complex symmetric, so its
-eigenbasis comes from one real symmetric eigendecomposition: LAPACK's
-dsyevd, the routine of numpy's eigh, called inside S's own buffer.
+eigenbasis comes from one real symmetric eigendecomposition: the three
+stages of LAPACK's dsyevd, the routine of numpy's eigh, called inside S's
+own buffer.
 
-Memory stays within 2.0 dim x dim complex copies, and a few dim x 16 ones
+Memory stays within 1.5 dim x dim complex copies, and a few dim x 16 ones
 (see FLOQUET_*), phase by phase.  The propagator is integrated in chunks
 of FLOQUET_CHUNK = 16 columns (Y and one chunk's working set), all stepped
 in one DOP853 workspace, allocated once and freed before S is formed: a
 workspace per chunk would leave freed chunk-sized arrays in glibc's heap,
-whose free pages malloc_trim hands back before Y and before dsyevd.  S is
-formed in Y's own buffer and checked, in blocks of columns (one copy and
-two blocks), and its diagonalisation consumes S: it holds S's buffer,
-rewritten in place into the real matrix that dsyevd overwrites with the
-eigenvectors, and dsyevd's workspace.  `evolve` integrates its windows in
+whose free pages malloc_trim hands back before Y and before LAPACK runs.
+S is formed in Y's own buffer and checked, in blocks of columns (one copy
+and two blocks), and its diagonalisation consumes S: it holds S's buffer,
+whose first half is rewritten in place into the real matrix that LAPACK
+reduces and whose second half takes the eigenvectors, and LAPACK's
+workspace of half a copy.  `evolve` integrates its windows in
 the fewest blocks of at most FLOQUET_CHUNK windows, of balanced widths (50
 windows as 13, 13, 12 and 12), in one workspace shared by the blocks, each
 sample handed on as the step that holds it is accepted, and keeps only
@@ -92,14 +94,19 @@ DEFAULT_ATOL = 1e-12
 # - forming S in Y's buffer in column blocks, then checking S^dag S in row
 #   blocks: one copy and two blocks (1.08 copies measured at dim 402 with
 #   blocks of 8);
-# - diagonalize_floquet: S's buffer, which it rewrites in place into Re S +
-#   mu Im S and Im S, real, side by side, and dsyevd's divide-and-conquer
-#   workspace of 2 dim^2 + 6 dim doubles and 5 dim integers,
-#   FLOQUET_WORKING_COPIES in all and 8 vectors of dim for the rest of the
-#   workspace, the eigenvalues and the bookkeeping (6.4 measured at dim 402;
-#   tracemalloc sees S, then S and one real array, (B V)^T, then V sorted:
-#   1.5; dsyevd on a separate real matrix would add half a copy, numpy's
-#   eigh one more).  This phase is the largest from dim 402 on.
+# - diagonalize_floquet: S's buffer, whose first half it rewrites in place
+#   into Re S + mu Im S with Im S's strict triangle in the triangle that
+#   LAPACK leaves alone, and into whose second half dstedc writes the
+#   eigenvectors, and the workspace that dstedc and dormtr share, 1 + 4 dim +
+#   dim^2 doubles and 3 + 5 dim integers; then one real array that takes
+#   (B V)^T and, after the residual, V sorted: FLOQUET_WORKING_COPIES in all.
+#   FLOQUET_WORKING_VECTORS vectors of dim cover the rest: the eigenvalues,
+#   the overlaps and the bookkeeping, and one row block's temporaries of
+#   fewer than 2 FLOQUET_CHUNK rows of doubles (tracemalloc, which sees the
+#   workspace, measured 15.8 at dim 402 with blocks of up to 18 rows, and
+#   20.0 at dim 2076 with 28; LAPACKE_dsytrd's own workspace, dim * 32
+#   doubles, comes and goes before the shared one).  This phase is the
+#   largest above dim 656, from N = L = 6 on.
 # The windows of evolve are integrated in the fewest blocks of at most
 # FLOQUET_CHUNK columns, of balanced widths, in one workspace that also holds
 # the dense output's 3 extra stages and 4 more rows (DOP853 holds 25.5 copies
@@ -107,19 +114,20 @@ DEFAULT_ATOL = 1e-12
 # beside S or, where they fit, all the window starts in its place (see
 # evolve).
 FLOQUET_CHUNK = 16
-FLOQUET_WORKING_COPIES = 2.0
+FLOQUET_WORKING_COPIES = 1.5
+FLOQUET_WORKING_VECTORS = 24
 FLOQUET_CHUNK_COPIES = 22
 # Besides the dense arrays and the arrays of the parts, a process that builds
 # and diagonalises S holds the interpreter with numpy and the package
 # (PROCESS_BYTES: 29.7 MiB of RSS after importing starkband.cli), and, per
 # sector state, the sector's arrays, the part of glibc's heap that
-# malloc_trim cannot hand back, and the BLAS buffers that dsyevd's products
-# touch (SPARE_BYTES_PER_STATE: at N = L = 6, dim 2076, 9.2 MiB of a 172.9
-# MiB peak RSS, 4.5 KiB per state).  At N = L = 7 that prices 3,842 MiB,
-# where a run with 64-column chunks and a separate real matrix for dsyevd
-# peaked at 4,793 MiB.
+# malloc_trim cannot hand back, and the BLAS buffers that LAPACK's and the
+# residual's products touch (SPARE_BYTES_PER_STATE: at N = L = 6, dim 2076,
+# 11.5 MiB of a 142.3 MiB peak RSS, 5.7 KiB per state).  At N = L = 7 that
+# prices 2,919 MiB; a run with 64-column chunks and a separate real matrix
+# for dsyevd, 2.5 copies, peaked at 4,793 MiB.
 PROCESS_BYTES = 32 * 2**20
-SPARE_BYTES_PER_STATE = 5 * 2**10
+SPARE_BYTES_PER_STATE = 6 * 2**10
 # The fixed cost of one right-hand side call, in state entries of the sparse
 # products it matches: fitted to dop853.integrate at N = L = 3..6 (dim
 # 20..2076, widths 1..32), where a call costs about
@@ -452,7 +460,7 @@ def _dense_bytes(dim: int) -> int:
     width = min(dim, FLOQUET_CHUNK)
     vectors = max(dim + FLOQUET_CHUNK_COPIES * width,  # integrating Y: Y and the stepper's chunk
                   dim + 2 * width,  # forming and checking S in Y's buffer: one copy and two blocks
-                  FLOQUET_WORKING_COPIES * dim + 8)  # diagonalising S, with dsyevd's 8 vectors
+                  FLOQUET_WORKING_COPIES * dim + FLOQUET_WORKING_VECTORS)  # diagonalising S
     return int(16 * dim * vectors)
 
 
@@ -581,55 +589,100 @@ def _malloc_trim():
 
 
 @functools.cache
-def _lapacke_dsyevd():
-    """LAPACKE_dsyevd of the OpenBLAS that numpy's linalg extension links
-    (the numpy wheels export it with 64-bit integers as
-    scipy_LAPACKE_dsyevd64_), found through that extension's file."""
-    name = "scipy_LAPACKE_dsyevd64_"
+def _lapacke():
+    """The three stages of LAPACK's dsyevd, LAPACKE_dsytrd, LAPACKE_dstedc_work
+    and LAPACKE_dormtr_work, from the OpenBLAS that numpy's linalg extension
+    links (the numpy wheels export them with 64-bit integers as
+    scipy_LAPACKE_*64_), found through that extension's file."""
     origin = importlib.util.find_spec("numpy.linalg._umath_linalg").origin
-    try:
-        dsyevd = getattr(ctypes.CDLL(origin), name)
-    except AttributeError:
-        raise ImportError(f"{name} not found: {origin} does not link it") from None
-    dsyevd.restype = ctypes.c_int64
-    dsyevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]
-    return dsyevd
+    library = ctypes.CDLL(origin)
+    size, pointer, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+    routines = []
+    for name, argtypes in (
+            ("dsytrd", [char, size, pointer, size, pointer, pointer, pointer]),
+            ("dstedc_work", [char, size, pointer, pointer, pointer, size, pointer, size, pointer,
+                             size]),
+            ("dormtr_work", [char, char, char, size, size, pointer, size, pointer, pointer, size,
+                             pointer, size])):
+        symbol = f"scipy_LAPACKE_{name}64_"
+        try:
+            routine = getattr(library, symbol)
+        except AttributeError:
+            raise ImportError(f"{symbol} not found: {origin} does not link it") from None
+        routine.restype = size
+        routine.argtypes = [ctypes.c_int, *argtypes]  # the matrix layout first
+        routines.append(routine)
+    return routines
 
 
-def _symmetric_eigh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of the real symmetric matrix whose lower
-    triangle the square `a` holds in column-major order, which LAPACK's
-    dsyevd (divide and conquer) overwrites with its orthonormal
-    eigenvectors, one per row.  `a` is C-ordered, or the leading columns of
-    a wider C-ordered array: its row stride is LAPACK's leading dimension
-    lda, and dsyevd neither reads nor writes the columns beyond.  It is the
-    routine, triangle and workspace query of np.linalg.eigh(a.T), whose
-    eigenvalues and eigenvectors (a.T) it gives bit for bit without eigh's
-    input copy and separate output.  LAPACK's error code raises
-    NumericalError."""
-    n = len(a)
+def _leading_dimension(a: np.ndarray, n: int) -> int:
+    """LAPACK's leading dimension of `a`, an n x n C-ordered float64 array, or
+    the leading columns of a wider one, read in column-major order: its row
+    stride.  Anything else raises ValueError."""
     if (a.dtype != np.float64 or a.shape != (n, n) or not a.flags.writeable
             or (n > 1 and a.strides[1] != 8) or a.strides[0] % 8 or a.strides[0] < 8 * n):
         raise ValueError(f"need a C-ordered square float64 array, or the leading columns of "
                          f"one, got {a.dtype} {a.shape} with strides {a.strides}")
-    values = np.empty(n)
-    col_major = 102  # LAPACKE's LAPACK_COL_MAJOR
-    info = _lapacke_dsyevd()(col_major, b"V", b"L", n, a.ctypes.data, max(a.strides[0] // 8, 1),
-                             values.ctypes.data)
+    return max(a.strides[0] // 8, 1)
+
+
+def _lapack_check(name: str, info: int):
+    """Raise NumericalError for LAPACK routine `name`'s nonzero error code."""
     if info:
-        raise NumericalError(f"LAPACK dsyevd failed with info {info}")
+        raise NumericalError(f"LAPACK {name} failed with info {info}")
+
+
+def _symmetric_eigh(a: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the real symmetric matrix whose lower
+    triangle the square `a` holds in column-major order; its orthonormal
+    eigenvectors go into the square `vectors`, one per row.  Each is
+    C-ordered, or the leading columns of a wider C-ordered array, whose row
+    stride is LAPACK's leading dimension; the two must not overlap.
+
+    These are the three stages of LAPACK's dsyevd, the routine of
+    np.linalg.eigh: dsytrd reduces the triangle to tridiagonal form and
+    writes its reflectors over it, dstedc (divide and conquer) writes the
+    tridiagonal matrix's eigenvectors into `vectors`, and dormtr applies the
+    reflectors there.  dstedc and dormtr share one workspace of 1 + 4n + n^2
+    doubles and 3 + 5n integers, the sizes dsyevd passes them (dormtr's
+    blocking, and so its bits, depend on it), and LAPACKE_dsytrd allocates
+    the workspace that dsytrd queries, which blocks it as dsyevd does.  So
+    the eigenvalues and eigenvectors (vectors.T) are np.linalg.eigh(a.T)'s
+    bit for bit, with half a copy of workspace where dsyevd takes a whole
+    one, its own eigenvector matrix besides.  The strict upper triangle of
+    `a` in column-major order is neither read nor written.  dsyevd's
+    rescaling of a matrix with an entry beyond 1e146, or all below 1e-146,
+    is left out.  LAPACKE_dsytrd refuses a NaN in the triangle (info -4); a
+    nonzero error code raises NumericalError naming its routine."""
+    n = len(a)
+    lda, ldz = _leading_dimension(a, n), _leading_dimension(vectors, n)
+    dsytrd, dstedc, dormtr = _lapacke()
+    col_major = 102  # LAPACKE's LAPACK_COL_MAJOR
+    values = np.empty(n)
+    off_diagonal, tau = np.empty((2, n))
+    _lapack_check("dsytrd", dsytrd(col_major, b"L", n, a.ctypes.data, lda, values.ctypes.data,
+                                   off_diagonal.ctypes.data, tau.ctypes.data))
+    work, iwork = np.empty(1 + 4 * n + n * n), np.empty(3 + 5 * n, dtype=np.int64)
+    _lapack_check("dstedc", dstedc(col_major, b"I", n, values.ctypes.data,
+                                   off_diagonal.ctypes.data, vectors.ctypes.data, ldz,
+                                   work.ctypes.data, work.size, iwork.ctypes.data, iwork.size))
+    _lapack_check("dormtr", dormtr(col_major, b"L", b"L", b"N", n, n, a.ctypes.data, lda,
+                                   tau.ctypes.data, vectors.ctypes.data, ldz, work.ctypes.data,
+                                   work.size))
     return values
 
 
-def _rewrite_rows(s: np.ndarray, rows: slice) -> float:
-    """Rewrite `rows` of S's buffer, viewed as a dim x 2 dim real array, as
-    the same rows of M = Re S + mu Im S and of B = Im S side by side, both
-    read from S's lower triangle and mirrored, and return max|S - S^T| over
-    them.  Row j of M and B is read from column j of S, rows j and below,
-    so blocks of rows go top down.  The entries of M left of the block keep
-    S's bits: dsyevd reads only M's lower triangle in column-major order."""
-    mixture, imag = np.hsplit(s.view(float), 2)
+def _rewrite_rows(s: np.ndarray, rows: slice, diagonal: np.ndarray) -> float:
+    """Rewrite `rows` of the first half of S's buffer, viewed as a dim x 2 dim
+    real array, as the same rows of M = Re S + mu Im S on and right of the
+    diagonal and of B = Im S left of it, put B's diagonal on those rows into
+    `diagonal`, and return max|S - S^T| over them.  Both are read from S's
+    lower triangle, so B is symmetric: row j of M from column j of S, rows j
+    and below, and row j of B from row j of S, columns below j.  So rows are
+    read before they are written, and blocks of rows go top down.  LAPACK,
+    in column-major order, reads M's lower triangle and leaves B's strict
+    upper one alone; the second half of the buffer is left free."""
+    packed = s.view(float)[:, :len(s)]
     start = rows.start
     cols = s[start:, rows].copy()  # S[i, j] for i >= start
     asymmetry = float(np.abs(s[rows, start:] - cols.T).max())
@@ -638,9 +691,11 @@ def _rewrite_rows(s: np.ndarray, rows: slice) -> float:
     top[upper] = top.T[upper]
     m = np.multiply(EIGEN_MIX, cols.imag)
     m += cols.real
-    mixture[rows, start:] = m.T
-    imag[rows, start:] = cols.imag.T
-    imag[rows, :start] = imag[:start, rows].T
+    diagonal[rows] = top.imag.diagonal()
+    packed[rows, :start] = s[rows, :start].imag
+    packed[rows, start:] = m.T
+    lower = np.tril_indices(len(top), -1)
+    packed[rows, rows][lower] = top.imag[lower]  # B below the diagonal of the block
     return asymmetry
 
 
@@ -650,30 +705,34 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     S is consumed: its buffer is the working space.
 
     S is complex symmetric and unitary, so Re S and Im S commute and share a
-    real orthonormal eigenbasis: that of the eigendecomposition (LAPACK's
-    dsyevd, see `_symmetric_eigh`) of M = Re S + mu Im S, mu = EIGEN_MIX,
-    with eigenvalues m_j.  With B = Im S and b_j = v_j^T B v_j, S has the
-    eigenvalues sigma_j = (m_j - mu b_j) + i b_j; M and B are read from S's
-    lower triangle (`_rewrite_rows`).  NumericalError is raised above
-    EIGEN_RESIDUAL_BUDGET by max|S - S^T| (0 for the S of
-    `floquet_operator`, a guard on what other callers pass), before dsyevd
-    runs, and by the residual max|BV - V diag(b)|, which catches eigenvalues with equal
-    cos(phi) + mu sin(phi), as they would mix; with dsyevd's backward error
-    the two bound max|SV - V Sigma|.  U has the same vectors and the
-    eigenvalues lambda = sigma^order, so quasi-energies are
-    -arg(lambda)/T_B, in [-F/2, F/2), and the unitarity defect is
-    max_j ||lambda_j|^2 - 1|, which with the residual check bounds the
-    entrywise defect of V Lambda V^T.
+    real orthonormal eigenbasis: that of the eigendecomposition (the stages
+    of LAPACK's dsyevd, see `_symmetric_eigh`) of M = Re S + mu Im S,
+    mu = EIGEN_MIX, with eigenvalues m_j.  With B = Im S and
+    b_j = v_j^T B v_j, S has the eigenvalues sigma_j = (m_j - mu b_j) + i b_j;
+    M and B are read from S's lower triangle (`_rewrite_rows`).
+    NumericalError is raised above EIGEN_RESIDUAL_BUDGET by max|S - S^T| (0
+    for the S of `floquet_operator`, a guard on what other callers pass),
+    before LAPACK runs, and by the residual max|BV - V diag(b)|, which
+    catches eigenvalues with equal cos(phi) + mu sin(phi), as they would
+    mix; with LAPACK's backward error the two bound max|SV - V Sigma|.  U
+    has the same vectors and the eigenvalues lambda = sigma^order, so
+    quasi-energies are -arg(lambda)/T_B, in [-F/2, F/2), and the unitarity
+    defect is max_j ||lambda_j|^2 - 1|, which with the residual check bounds
+    the entrywise defect of V Lambda V^T.
 
-    Memory, in complex copies of S: dsyevd runs on the first half of S's
-    buffer, viewed as a dim x 2 dim real array (lda = 2 dim), and adds only
-    its workspace of 2 dim^2 doubles (one copy, out of tracemalloc's sight):
-    2.0 in all.  Before it runs, glibc's malloc_trim (`_malloc_trim`) hands
-    back the free pages that the stepper workspace and S's temporaries left
-    in the heap, which would otherwise stay resident beside it (0.8 MiB at
-    the preset).  Then one real product V^T B = (B V)^T gives b and the
-    residual, in an array that then takes V sorted by quasi-energy (half a
-    copy); the overlaps and the residual go in the row blocks of `_blocks`.
+    Memory, in complex copies of S: S's buffer is viewed as a dim x 2 dim
+    real array, and its first half is rewritten into M, with B's strict
+    lower triangle in the triangle of M that LAPACK does not read and B's
+    diagonal in a vector (`_rewrite_rows`).  Then glibc's malloc_trim
+    (`_malloc_trim`) hands back the free pages that the stepper workspace
+    and S's temporaries left in the heap, which would otherwise stay
+    resident beside LAPACK's workspace (0.8 MiB at the preset).  LAPACK
+    reduces the first half (lda = 2 dim) and writes the eigenvectors into
+    the second, with a workspace of half a copy: 1.5 in all.  B is then
+    mirrored back over the reflectors, and one real product V^T B = (B V)^T
+    gives b and the residual, in an array that then takes V sorted by
+    quasi-energy (half a copy, once LAPACK's workspace is freed); the
+    overlaps and the residual go in the row blocks of `_blocks`.
     Products of single blocks would tie the bits of b to FLOQUET_CHUNK:
     OpenBLAS's dgemm rounds the last columns of a narrow block otherwise
     than the full product.
@@ -682,23 +741,30 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     if s.dtype != complex or s.shape != (dim, dim) or not s.flags.c_contiguous:
         raise ValueError(f"need a C-ordered square complex array, got {s.dtype} {s.shape}")
     blocks = _blocks(dim)
-    asymmetry = max(_rewrite_rows(s, rows) for rows in blocks)
+    diagonal = np.empty(dim)  # B's
+    asymmetry = max(_rewrite_rows(s, rows, diagonal) for rows in blocks)
     if asymmetry > EIGEN_RESIDUAL_BUDGET:
         raise NumericalError(f"Floquet operator asymmetry max|S - S^T| {asymmetry:.3e} exceeds "
                              f"{EIGEN_RESIDUAL_BUDGET:.0e}")
-    mixture, imag = np.hsplit(s.view(float), 2)
+    packed, vectors = np.hsplit(s.view(float), 2)
     trim = _malloc_trim()
-    if trim is not None:  # what the heap freed need not stay resident under dsyevd's workspace
+    if trim is not None:  # what the heap freed need not stay resident under LAPACK's workspace
         trim(0)
-    values = _symmetric_eigh(mixture)  # row j of `mixture` is now v_j
+    values = _symmetric_eigh(packed, vectors)  # row j of `vectors` is now v_j
+    for rows in blocks:  # B over the reflectors, mirrored from its strict lower triangle
+        packed[rows, rows.stop:] = packed[rows.stop:, rows].T
+        square = packed[rows, rows]
+        upper = np.triu_indices(len(square), 1)
+        square[upper] = square.T[upper]
+        np.fill_diagonal(square, diagonal[rows])
     psi0 = np.asarray(psi0, dtype=complex)
-    overlaps = np.concatenate([mixture[rows] @ psi0 for rows in blocks])
-    products = mixture @ imag  # V^T B = (B V)^T, as B is symmetric; later V^T sorted
-    b = np.einsum("ij,ij->i", mixture, products)
+    overlaps = np.concatenate([vectors[rows] @ psi0 for rows in blocks])
+    products = vectors @ packed  # V^T B = (B V)^T, as B is symmetric; later V^T sorted
+    b = np.einsum("ij,ij->i", vectors, products)
     residual = 0.0
     for rows in blocks:
         block = products[rows]
-        block -= np.einsum("i,ij->ij", b[rows], mixture[rows])  # no ufunc buffer
+        block -= np.einsum("i,ij->ij", b[rows], vectors[rows])  # no ufunc buffer
         residual = max(residual, float(np.abs(block, out=block).max()))
     if residual > EIGEN_RESIDUAL_BUDGET:
         raise NumericalError(f"Floquet eigenvector residual {residual:.3e} exceeds "
@@ -707,7 +773,7 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     eps = -np.angle(lam) / t_bloch
     ranks = np.argsort(eps, kind="stable")
     for rows in blocks:
-        products[rows] = mixture[ranks[rows]]
+        products[rows] = vectors[ranks[rows]]
     return FloquetSpectrum(
         quasi_energies=eps[ranks],
         eigen_vectors=products.T,

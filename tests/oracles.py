@@ -295,7 +295,7 @@ def full_matrix_spectrum(y, parts, psi0):
     s = full_product(y, parts)
     values, vectors = np.linalg.eigh(s.real + EIGEN_MIX * s.imag)
     b_matrix = np.tril(s.imag) + np.tril(s.imag, -1).T
-    rows = np.ascontiguousarray(vectors.T)  # the eigenvectors as rows, as dsyevd writes them
+    rows = np.ascontiguousarray(vectors.T)  # the eigenvectors as rows, as dstedc and dormtr write them
     bvt = rows @ b_matrix
     b = np.einsum("ij,ij->i", rows, bvt)
     assert np.abs(bvt - b[:, None] * rows).max() <= 1e-8

@@ -575,7 +575,7 @@ def test_cli_runs_import_no_slow_scipy_subpackage(tmp_path):
 def test_revival_report_imports_no_masked_arrays(tmp_path):
     # np.median imports numpy.ma (about 18 ms and 0.5-0.9 MB per run) for the
     # middle of at most three crest spacings; the report takes it itself, and
-    # diagonalises S with LAPACK's dsyevd, not through scipy.linalg
+    # diagonalises S with the stages of LAPACK's dsyevd, not through scipy.linalg
     out = tmp_path / "report.json"
     code = ("import sys; from starkband.cli import main; "
             "status = main(['revival-report', '--preset', 'v0_4', '--n', '3', '--l', '3', "

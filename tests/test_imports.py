@@ -13,8 +13,9 @@ that costs more to load than a run uses of it: `scipy.signal` loads
 `scipy.optimize` (about 0.3 s), and `scipy.special` and `scipy.linalg`
 served three Bessel values and one eigh that the package now computes
 itself (`model.bessel_j`, `dop853`, and `propagation._symmetric_eigh`,
-which calls LAPACK's dsyevd in place from the OpenBLAS that numpy's linalg
-links: numpy's eigh would cost an extra copy of S).  Nor may a module
+which calls the three stages of LAPACK's dsyevd in place from the OpenBLAS
+that numpy's linalg links: numpy's eigh would cost an extra copy of S, and
+dsyevd itself half of one).  Nor may a module
 import `scipy.sparse` when it is imported: its `__init__` costs about
 0.25 s per process (its array API shim loads `numpy.f2py` and
 `numpy.testing`), and a run uses only its compiled CSR product, which

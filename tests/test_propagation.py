@@ -4,17 +4,23 @@ The heavyweight dim-402 cases live in the acceptance suite; here the same
 contracts are exercised on systems small enough to run in seconds.
 """
 
+import ctypes
 import importlib.util
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import numpy.polynomial.polynomial as P
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import lapack
 
 import starkband as sb
 import starkband.propagation as propagation
@@ -645,11 +651,12 @@ def test_floquet_operator_memory_is_one_copy_of_s(preset_runs, monkeypatch):
 
 
 def test_diagonalize_floquet_memory_is_s_and_one_real_pair(preset_runs):
-    # S's buffer is rewritten in place into Re S + mu Im S and Im S, which
-    # dsyevd overwrites with the eigenvectors; then one real array takes
-    # (B V)^T and, after the residual, V sorted by quasi-energy: half a copy
-    # (1.55 copies with S and one block's temporaries measured).  LAPACK's
-    # workspace is not seen by tracemalloc.
+    # S's first half is rewritten in place into Re S + mu Im S, with Im S's
+    # strict triangle beside it, and LAPACK writes the eigenvectors into its
+    # second half, with a workspace of half a copy, which tracemalloc sees;
+    # then one real array takes (B V)^T and, after the residual, V sorted by
+    # quasi-energy: half a copy (1.54 copies with S and one block's
+    # temporaries measured)
     parts = preset_runs.parts(0.2)
     s = sb.floquet_operator(parts)
     copies = 1 + peak_copies(lambda: sb.diagonalize_floquet(
@@ -659,32 +666,36 @@ def test_diagonalize_floquet_memory_is_s_and_one_real_pair(preset_runs):
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_propagator_estimate_covers_the_measured_peak(n, monkeypatch):
-    # the dense estimate prices the largest phase: at dim 86 the chunk
-    # stepper while Y is integrated, at dim 402 the diagonalisation, as S is
-    # formed in Y's buffer.  LAPACK's dsyevd takes its workspace of
-    # 1 + 6 dim + 2 dim^2 doubles and 3 + 5 dim 64-bit integers from outside
-    # tracemalloc's sight, and only while it runs: the diagonalisation's
-    # peak is the larger of tracemalloc's peak and what tracemalloc holds as
-    # dsyevd starts plus that workspace (S, rewritten in place, and the
-    # workspace: 2.0 copies and 6.4 vectors of dim at dim 402)
+    # the dense estimate prices the largest phase: at dim 86 and 402 the
+    # chunk stepper while Y is integrated, above the diagonalisation and
+    # forming S in Y's buffer.  tracemalloc sees the workspace that dstedc
+    # and dormtr share; only LAPACKE_dsytrd's own, the dim * NB doubles that
+    # dsytrd queries, is out of its sight, and only while dsytrd runs: the
+    # diagonalisation's peak is the larger of tracemalloc's peak and what
+    # tracemalloc holds as dsytrd starts plus that workspace (1.5 copies and
+    # 15.8 vectors of dim at dim 402), and its own term of the estimate
+    # covers it
     parts = _parts_for(n, n)
     dim = parts.basis_dim
     psi0 = sb.project_initial_state("unit-filling-lower", sb.build_k0_sector(n, n))
     built, held = [], []
-    symmetric_eigh = propagation._symmetric_eigh
+    dsytrd, *stages = propagation._lapacke()
 
-    def eigh(a):
+    def recorded(*args):
         held.append(tracemalloc.get_traced_memory()[0] / (16 * dim * dim))
-        return symmetric_eigh(a)
+        return dsytrd(*args)
 
-    monkeypatch.setattr(propagation, "_symmetric_eigh", eigh)
+    monkeypatch.setattr(propagation, "_lapacke", lambda: [recorded, *stages])
     building = peak_copies(lambda: built.append(sb.floquet_operator(parts)), dim * dim)
     traced = peak_copies(lambda: sb.diagonalize_floquet(
         built[0], parts.boost_order, parts.t_bloch, psi0), dim * dim)
-    dsyevd = 8 * (1 + 6 * dim + 2 * dim**2 + 3 + 5 * dim)
-    diagonalising = 1 + max(traced, held[0] + dsyevd / (16 * dim * dim))
-    assert (diagonalising > building) == (n == 5)
+    queried, info = lapack.dsytrd_lwork(dim, lower=1)
+    assert info == 0 and queried == 32 * dim
+    diagonalising = 1 + max(traced, held[0] + 8 * queried / (16 * dim * dim))
+    assert diagonalising < building
     assert propagation._dense_bytes(dim) >= 16 * dim * dim * max(building, diagonalising)
+    assert (propagation.FLOQUET_WORKING_COPIES * dim + propagation.FLOQUET_WORKING_VECTORS
+            >= diagonalising * dim)
     # the process estimate adds the parts and the interpreter's base
     assert (propagation._propagator_bytes(parts) - propagation._dense_bytes(dim)
             >= parts.nbytes + 30 * 2**20)
@@ -693,14 +704,15 @@ def test_propagator_estimate_covers_the_measured_peak(n, monkeypatch):
 @pytest.mark.parametrize("n", [3, 6])
 def test_cli_refuses_a_propagator_it_cannot_diagonalise(n, monkeypatch, capsys):
     # physical memory just below the estimate.  At N = L = 6 (dim 2076) the
-    # diagonalisation (S and dsyevd's workspace) is the dense path's largest
+    # diagonalisation (S and LAPACK's workspace) is the dense path's largest
     # phase, above the integration (Y and one chunk's stepper) and forming S
     # in Y's buffer (one copy and two blocks); at N = L = 3 the integration
     # is.  Either way the pricing of the process refuses.  Nothing is
     # integrated first.
     parts = _parts_for(n, n)
     dim = parts.basis_dim
-    diagonalising = int(16 * dim * (propagation.FLOQUET_WORKING_COPIES * dim + 8))
+    diagonalising = int(16 * dim * (propagation.FLOQUET_WORKING_COPIES * dim
+                                    + propagation.FLOQUET_WORKING_VECTORS))
     assert (propagation._dense_bytes(dim) == diagonalising) == (n == 6)
     monkeypatch.setattr(fock, "_physical_memory",
                         lambda: propagation._propagator_bytes(parts) - 1)
@@ -715,14 +727,14 @@ def test_cli_refuses_a_propagator_it_cannot_diagonalise(n, monkeypatch, capsys):
 
 
 def test_cli_refuses_n7_between_the_dense_estimate_and_the_process_peak(monkeypatch, capsys):
-    # at N = L = 7 (dim 11,076) the dense arrays alone come to 3,745 MiB,
-    # while S is diagonalised, and the process is priced at 3,842 MiB.  On
-    # 3,800 MiB of physical memory the run must refuse before anything is
+    # at N = L = 7 (dim 11,076) the dense arrays alone come to 2,812 MiB,
+    # while S is diagonalised, and the process is priced at 2,919 MiB.  On
+    # 2,860 MiB of physical memory the run must refuse before anything is
     # integrated, as the pricing of the process does; the sector and parts
     # build in about 0.2 s
     mib = 2**20
-    monkeypatch.setattr(fock, "_physical_memory", lambda: 3_800 * mib)
-    assert propagation._dense_bytes(11_076) < 3_800 * mib
+    monkeypatch.setattr(fock, "_physical_memory", lambda: 2_860 * mib)
+    assert propagation._dense_bytes(11_076) < 2_860 * mib
 
     def refuse(*args):
         raise AssertionError("apply called")
@@ -731,6 +743,40 @@ def test_cli_refuses_n7_between_the_dense_estimate_and_the_process_peak(monkeypa
     assert main(["revival-report", "--preset", "v0_4", "--g", "0.2", "--n", "7",
                  "--l", "7"]) == 2
     assert "propagator at sector dimension 11076" in capsys.readouterr().err
+
+
+def test_diagonalize_adds_half_a_copy_of_s_to_a_fresh_process(tmp_path):
+    # a fresh interpreter loads a unitary complex symmetric S = Q diag(e^{i
+    # phi}) Q^T of dim 2,000 (Q real orthogonal, cos(phi) + mu sin(phi)
+    # falling, so its mixture has no close eigenvalues) and diagonalises it:
+    # the resident memory it adds stays below 0.75 of a copy of S, for
+    # LAPACK's workspace, and later (B V)^T, is half a copy (0.64 measured,
+    # with the BLAS buffers that LAPACK's products touch); dsyevd's
+    # workspace was a whole one, with its own eigenvector matrix (1.12)
+    dim = 2_000
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((dim, dim)))
+    phi = math.atan(EIGEN_MIX) + np.linspace(0.1, math.pi - 0.1, dim)
+    s = np.empty((dim, dim), dtype=complex)
+    s.real, s.imag = (q * np.cos(phi)) @ q.T, (q * np.sin(phi)) @ q.T
+    np.save(tmp_path / "s.npy", s)
+    # VmHWM, the peak of this process image: ru_maxrss would keep the peak
+    # of the forking pytest process
+    code = ("import numpy as np; from starkband import diagonalize_floquet; "
+            "status = lambda key: next(int(line.split()[1]) for line in "
+            "open('/proc/self/status') if line.startswith(key)); "
+            f"s = np.load({str(tmp_path / 's.npy')!r}); "
+            "before = status('VmRSS'); "
+            "psi0 = np.zeros(len(s)); psi0[0] = 1.0; "
+            "spectrum = diagonalize_floquet(s, 1, 2.0, psi0); "
+            "print(before, status('VmHWM'), spectrum.unitarity_defect)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    before, peak, defect = map(float, proc.stdout.split())
+    assert defect < 1e-12
+    assert (peak - before) * 1024 < 0.75 * s.nbytes
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -767,12 +813,12 @@ def test_blocked_floquet_path_is_bit_identical_to_full_products(n, monkeypatch):
 def _assert_is_numpys_eigh(matrix):
     """_symmetric_eigh on the C-ordered transpose of `matrix` gives the very
     bits of np.linalg.eigh(matrix): its eigenvalues, and its eigenvectors as
-    the transpose of what it overwrites."""
+    the transpose of what it writes into a second array."""
     want_values, want_vectors = np.linalg.eigh(matrix)
-    a = np.ascontiguousarray(matrix.T)
-    values = propagation._symmetric_eigh(a)
+    vectors = np.empty_like(matrix)
+    values = propagation._symmetric_eigh(np.ascontiguousarray(matrix.T), vectors)
     assert np.array_equal(values, want_values)
-    assert np.array_equal(a.T, want_vectors)
+    assert np.array_equal(vectors.T, want_vectors)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -801,53 +847,71 @@ def test_symmetric_eigh_is_numpys_on_symmetric_matrices():
 
 
 def test_symmetric_eigh_takes_the_leading_columns_of_a_wider_array():
-    # with lda = 2 dim, as diagonalize_floquet calls it, dsyevd gives
-    # numpy's bits, and reads neither the strict upper triangle nor the
-    # columns beyond (NaN here), which keep their bits
+    # as diagonalize_floquet calls it, on the two halves of one array (lda =
+    # ldz = 2 dim), the three stages give numpy's bits at sizes on both
+    # sides of dstedc's switch from QR at 25 and of the blocking of dsytrd
+    # (at 32) and of dormtr (by 32 and 64), and leave the strict upper
+    # triangle in column-major order, which holds a sentinel here, as it was
     rng = np.random.default_rng(5)
-    for dim in (1, 7, 150):
+    for dim in (1, 2, 7, 25, 26, 63, 64, 65, 127, 128, 129, 150, 402):
         m = rng.standard_normal((dim, dim))
         m = (m + m.T) / 2
         want_values, want_vectors = np.linalg.eigh(m)
         wide = np.full((dim, 2 * dim), np.nan)
         lower = np.triu_indices(dim)  # the lower triangle in column-major order
         wide[:, :dim][lower] = m.T[lower]
-        values = propagation._symmetric_eigh(wide[:, :dim])
-        assert np.array_equal(values, want_values)
-        assert np.array_equal(wide[:, :dim].T, want_vectors)
-        assert np.isnan(wide[:, dim:]).all()
-    with pytest.raises(ValueError, match="C-ordered square float64"):
-        propagation._symmetric_eigh(wide[:, ::2])
+        packed = np.tril_indices(dim, -1)
+        sentinel = rng.standard_normal(len(packed[0]))
+        wide[:, :dim][packed] = sentinel
+        values = propagation._symmetric_eigh(wide[:, :dim], wide[:, dim:])
+        assert np.array_equal(values, want_values), dim
+        assert np.array_equal(wide[:, dim:].T, want_vectors), dim
+        assert np.array_equal(wide[:, :dim][packed], sentinel), dim
+    for a, vectors in ((wide[:, ::2], wide[:, dim:]), (wide[:, :dim], wide[:, dim:].T),
+                       (wide[:, :dim], np.empty((dim, dim), dtype=np.float32))):
+        with pytest.raises(ValueError, match="C-ordered square float64"):
+            propagation._symmetric_eigh(a, vectors)
 
 
 def test_symmetric_eigh_errors(monkeypatch, capsys):
-    # LAPACK's error code: a NaN entry is refused by LAPACKE (info -5), and a
-    # failure to converge (info > 0, forced here) exits 3 through the CLI
-    with pytest.raises(sb.NumericalError, match="info -5"):
-        propagation._symmetric_eigh(np.full((3, 3), np.nan))
-    with pytest.raises(ValueError, match="C-ordered square float64"):
-        propagation._symmetric_eigh(np.eye(3)[:, :2])
-    monkeypatch.setattr(propagation, "_lapacke_dsyevd", lambda: lambda *args: 2)
-    with pytest.raises(sb.NumericalError, match="info 2"):
-        propagation._symmetric_eigh(np.eye(3))
-    assert main(["floquet-spectrum", "--preset", "v0_4", "--n", "3", "--l", "3",
-                 "--g", "0.2"]) == 3
-    assert "dsyevd failed with info 2" in capsys.readouterr().err
+    # LAPACK's error codes, each naming its routine: LAPACKE_dsytrd refuses a
+    # NaN in the triangle it reads (info -4; dsyevd gave -5), and a failure
+    # of any of the three stages (forced here: LAPACKE_dsytrd's failed
+    # allocation, -1010, a failure of dstedc to converge, 2, and an illegal
+    # argument of dormtr, -7) raises NumericalError and exits 3 through the
+    # CLI
+    with pytest.raises(sb.NumericalError, match="LAPACK dsytrd failed with info -4"):
+        propagation._symmetric_eigh(np.full((3, 3), np.nan), np.empty((3, 3)))
+    routines = propagation._lapacke()
+    for stage, name, info in ((0, "dsytrd", -1010), (1, "dstedc", 2), (2, "dormtr", -7)):
+        forced = list(routines)
+        forced[stage] = lambda *args, info=info: info
+        monkeypatch.setattr(propagation, "_lapacke", lambda forced=forced: forced)
+        with pytest.raises(sb.NumericalError, match=f"LAPACK {name} failed with info {info}"):
+            propagation._symmetric_eigh(np.eye(3), np.empty((3, 3)))
+        assert main(["floquet-spectrum", "--preset", "v0_4", "--n", "3", "--l", "3",
+                     "--g", "0.2"]) == 3
+        assert f"LAPACK {name} failed with info {info}" in capsys.readouterr().err
 
 
-def test_dsyevd_loader_names_a_missing_symbol(monkeypatch):
+def test_lapack_loader_names_a_missing_symbol(monkeypatch):
     # no fallback to numpy's eigh: where numpy's linalg extension does not
-    # link the routine, the import fails and says which symbol and file
+    # link a stage of dsyevd, the import fails and names the first symbol
+    # it cannot find, and the file
     origin = importlib.util.find_spec("_ctypes").origin
     monkeypatch.setattr(importlib.util, "find_spec",
                         lambda name: SimpleNamespace(origin=origin))
-    propagation._lapacke_dsyevd.cache_clear()
+    propagation._lapacke.cache_clear()
     try:
-        with pytest.raises(ImportError, match="scipy_LAPACKE_dsyevd64_ not found") as err:
-            propagation._lapacke_dsyevd()
+        with pytest.raises(ImportError, match="scipy_LAPACKE_dsytrd64_ not found") as err:
+            propagation._lapacke()
+        assert origin in str(err.value)
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace(
+            scipy_LAPACKE_dsytrd64_=SimpleNamespace()))
+        with pytest.raises(ImportError, match="scipy_LAPACKE_dstedc_work64_ not found"):
+            propagation._lapacke()
     finally:
-        propagation._lapacke_dsyevd.cache_clear()
-    assert origin in str(err.value)
+        propagation._lapacke.cache_clear()
 
 
 def test_streamed_evolve_memory_is_that_of_the_propagator(preset_runs):
@@ -1042,7 +1106,7 @@ def test_diagonalize_identity():
 
 def test_diagonalize_rejects_an_asymmetric_s(small_system):
     # S is symmetric up to round-off; one off-diagonal entry moved by 1e-6
-    # breaks that, and is refused before dsyevd runs, in either triangle
+    # breaks that, and is refused before LAPACK runs, in either triangle
     _, parts, psi0 = small_system
     s = sb.floquet_operator(parts)
     for entry in ((3, 1), (1, 3)):
@@ -1054,7 +1118,7 @@ def test_diagonalize_rejects_an_asymmetric_s(small_system):
 
 
 def test_diagonalize_consumes_s(small_system):
-    # S's buffer is rewritten into the real matrices and, by dsyevd, into
+    # S's buffer is rewritten into the real matrices and, by LAPACK, into
     # the eigenvectors, and holds no S on return; the input must be a
     # C-ordered complex square
     _, parts, psi0 = small_system
@@ -1067,20 +1131,24 @@ def test_diagonalize_consumes_s(small_system):
             sb.diagonalize_floquet(bad, parts.boost_order, parts.t_bloch, psi0)
 
 
-def test_diagonalize_hands_the_free_heap_back_before_dsyevd(small_system, monkeypatch):
-    # glibc's malloc_trim runs once, just before dsyevd, and moves no bit;
-    # where the C library has none the diagonalisation goes on without it
+def test_diagonalize_hands_the_free_heap_back_before_dsytrd(small_system, monkeypatch):
+    # glibc's malloc_trim runs once, after S's buffer is rewritten and just
+    # before dsytrd, and moves no bit; where the C library has none the
+    # diagonalisation goes on without it
     _, parts, psi0 = small_system
     s = sb.floquet_operator(parts)
     trim = propagation._malloc_trim()
     assert trim is None or trim(0) in (0, 1)
     calls = []
-    symmetric_eigh = propagation._symmetric_eigh
-    monkeypatch.setattr(propagation, "_symmetric_eigh",
-                        lambda a: calls.append("dsyevd") or symmetric_eigh(a))
+    rewrite = propagation._rewrite_rows
+    dsytrd, *stages = propagation._lapacke()
+    monkeypatch.setattr(propagation, "_rewrite_rows",
+                        lambda *args: calls.append("rewrite") or rewrite(*args))
+    monkeypatch.setattr(propagation, "_lapacke",
+                        lambda: [lambda *args: calls.append("dsytrd") or dsytrd(*args), *stages])
     monkeypatch.setattr(propagation, "_malloc_trim", lambda: lambda pad: calls.append(pad) or 1)
     trimmed = sb.diagonalize_floquet(s.copy(), parts.boost_order, parts.t_bloch, psi0)
-    assert calls == [0, "dsyevd"]
+    assert calls == ["rewrite"] * len(propagation._blocks(parts.basis_dim)) + [0, "dsytrd"]
     monkeypatch.setattr(propagation, "_malloc_trim", lambda: None)
     spectrum = sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
     for name in ("quasi_energies", "eigen_vectors", "coefficients"):
