@@ -710,9 +710,10 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     mu = EIGEN_MIX, with eigenvalues m_j.  With B = Im S and
     b_j = v_j^T B v_j, S has the eigenvalues sigma_j = (m_j - mu b_j) + i b_j;
     M and B are read from S's lower triangle (`_rewrite_rows`).
-    NumericalError is raised above EIGEN_RESIDUAL_BUDGET by max|S - S^T| (0
-    for the S of `floquet_operator`, a guard on what other callers pass),
-    before LAPACK runs, and by the residual max|BV - V diag(b)|, which
+    NumericalError is raised above EIGEN_RESIDUAL_BUDGET, or at NaN (as an
+    infinite entry gives), by max|S - S^T| (0 for the S of
+    `floquet_operator`, a guard on what other callers pass), before LAPACK
+    runs, and by the residual max|BV - V diag(b)|, which
     catches eigenvalues with equal cos(phi) + mu sin(phi), as they would
     mix; with LAPACK's backward error the two bound max|SV - V Sigma|.  U
     has the same vectors and the eigenvalues lambda = sigma^order, so
@@ -742,8 +743,8 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
         raise ValueError(f"need a C-ordered square complex array, got {s.dtype} {s.shape}")
     blocks = _blocks(dim)
     diagonal = np.empty(dim)  # B's
-    asymmetry = max(_rewrite_rows(s, rows, diagonal) for rows in blocks)
-    if asymmetry > EIGEN_RESIDUAL_BUDGET:
+    asymmetry = np.max([_rewrite_rows(s, rows, diagonal) for rows in blocks])  # keeps a NaN
+    if not asymmetry <= EIGEN_RESIDUAL_BUDGET:
         raise NumericalError(f"Floquet operator asymmetry max|S - S^T| {asymmetry:.3e} exceeds "
                              f"{EIGEN_RESIDUAL_BUDGET:.0e}")
     packed, vectors = np.hsplit(s.view(float), 2)
@@ -765,8 +766,8 @@ def diagonalize_floquet(s: np.ndarray, order: int, t_bloch: float, psi0) -> Floq
     for rows in blocks:
         block = products[rows]
         block -= np.einsum("i,ij->ij", b[rows], vectors[rows])  # no ufunc buffer
-        residual = max(residual, float(np.abs(block, out=block).max()))
-    if residual > EIGEN_RESIDUAL_BUDGET:
+        residual = np.maximum(residual, np.abs(block, out=block).max())
+    if not residual <= EIGEN_RESIDUAL_BUDGET:
         raise NumericalError(f"Floquet eigenvector residual {residual:.3e} exceeds "
                              f"{EIGEN_RESIDUAL_BUDGET:.0e}")
     lam = (values - EIGEN_MIX * b + 1j * b) ** order

@@ -745,6 +745,8 @@ def test_cli_refuses_n7_between_the_dense_estimate_and_the_process_peak(monkeypa
     assert "propagator at sector dimension 11076" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmRSS and VmHWM from /proc/self/status")
 def test_diagonalize_adds_half_a_copy_of_s_to_a_fresh_process(tmp_path):
     # a fresh interpreter loads a unitary complex symmetric S = Q diag(e^{i
     # phi}) Q^T of dim 2,000 (Q real orthogonal, cos(phi) + mu sin(phi)
@@ -851,7 +853,9 @@ def test_symmetric_eigh_takes_the_leading_columns_of_a_wider_array():
     # ldz = 2 dim), the three stages give numpy's bits at sizes on both
     # sides of dstedc's switch from QR at 25 and of the blocking of dsytrd
     # (at 32) and of dormtr (by 32 and 64), and leave the strict upper
-    # triangle in column-major order, which holds a sentinel here, as it was
+    # triangle in column-major order, which holds a sentinel here, as it
+    # was.  A strided or non-square matrix, and a transposed, float32 or
+    # non-square output, are refused
     rng = np.random.default_rng(5)
     for dim in (1, 2, 7, 25, 26, 63, 64, 65, 127, 128, 129, 150, 402):
         m = rng.standard_normal((dim, dim))
@@ -868,7 +872,8 @@ def test_symmetric_eigh_takes_the_leading_columns_of_a_wider_array():
         assert np.array_equal(wide[:, dim:].T, want_vectors), dim
         assert np.array_equal(wide[:, :dim][packed], sentinel), dim
     for a, vectors in ((wide[:, ::2], wide[:, dim:]), (wide[:, :dim], wide[:, dim:].T),
-                       (wide[:, :dim], np.empty((dim, dim), dtype=np.float32))):
+                       (wide[:, :dim], np.empty((dim, dim), dtype=np.float32)),
+                       (np.eye(3)[:, :2], np.empty((3, 3))), (np.eye(3), np.empty((3, 2)))):
         with pytest.raises(ValueError, match="C-ordered square float64"):
             propagation._symmetric_eigh(a, vectors)
 
@@ -1115,6 +1120,29 @@ def test_diagonalize_rejects_an_asymmetric_s(small_system):
         with pytest.raises(sb.NumericalError, match=r"asymmetry max\|S - S\^T\| 1\.0"):
             sb.diagonalize_floquet(broken, parts.boost_order, parts.t_bloch, psi0)
     sb.diagonalize_floquet(s, parts.boost_order, parts.t_bloch, psi0)
+
+
+def test_diagonalize_refuses_a_nan_in_either_check(monkeypatch):
+    # an infinite entry of S makes max|S - S^T| NaN (inf - inf), in the
+    # first row block or in a later one (dim 40: rows 0-15 and 16-39), and
+    # a NaN in V makes the residual NaN; each is refused, where a check
+    # with `>`, or a max that drops a NaN, returned quasi-energies
+    for dim, entry in ((4, 1), (40, 30)):
+        s = np.eye(dim, dtype=complex)
+        s[entry, entry] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(
+                sb.NumericalError, match=r"asymmetry max\|S - S\^T\| nan"):
+            sb.diagonalize_floquet(s, 1, 2.0, np.eye(dim)[0])
+    symmetric_eigh = propagation._symmetric_eigh
+
+    def spoiled(a, vectors):
+        values = symmetric_eigh(a, vectors)
+        vectors[1, 1] = np.nan
+        return values
+
+    monkeypatch.setattr(propagation, "_symmetric_eigh", spoiled)
+    with pytest.raises(sb.NumericalError, match="eigenvector residual nan"):
+        sb.diagonalize_floquet(np.eye(4, dtype=complex), 1, 2.0, np.eye(4)[0])
 
 
 def test_diagonalize_consumes_s(small_system):
